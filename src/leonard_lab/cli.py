@@ -3,8 +3,8 @@ machine-readable output.
 
 Exit codes: 0 success (including false verdicts), 1 internal inconsistency
 (the exhaustive oracle disagreed with the candidate orderings), 2 parameter
-domain error, 64 usage (malformed flags or rationals).  Rationals on the
-command line use the exact p/q form; decimals are rejected.
+domain error, 64 usage (malformed flags, rationals or LEONARD_LAB_THREADS).
+Rationals on the command line use the exact p/q form; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .hyper import RationalFormatError, format_rational, parse_rational
 from .leonard import (
     InternalInconsistencyError,
     SearchGrid,
+    SettingError,
     canonical_shift,
     is_dual_almost_bipartite,
     report_to_json_dict,
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-lp", help="Leonard-pair verdict for the shifted square")
     _add_drs(p_verify)
     p_verify.add_argument("--lambda", dest="shift", default=None, help="shift, p/q (default (r-d)/2)")
-    p_verify.add_argument("--exhaustive", action="store_true", help="scan all orderings (d <= 8)")
+    p_verify.add_argument("--exhaustive", action="store_true", help="decide every ordering as an independent oracle")
 
     p_racah = sub.add_parser("verify-racah", help="barred-array identity suite at s = -r")
     p_racah.add_argument("--d", type=int, required=True)
@@ -267,10 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_preprocess_argv(argv))
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RationalFormatError as exc:
+    except (UsageError, RationalFormatError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParameterDomainError as exc:

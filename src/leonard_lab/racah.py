@@ -17,7 +17,13 @@ from fractions import Fraction
 from .hyper import format_rational, hypergeom_terminating
 from .leonard import candidate_orderings, lstar_shift_square
 from .matrices import RationalMatrix
-from .params import DualHahnParams, ParameterDomainError, build_params
+from .params import (
+    DualHahnParams,
+    ParameterDomainError,
+    _cumulative_quotients,
+    _diagonal_from,
+    build_params,
+)
 from .representations import (
     ValueTable,
     eval_table_hypergeometric,
@@ -119,22 +125,6 @@ def build_racah_params(d: int, r: Fraction | int | str) -> RacahParams:
         bar_k_star=bar_k_star,
         bar_varphi=bar_varphi,
     )
-
-
-def _diagonal_from(theta0, b, c, d):
-    if d == 0:
-        return (theta0 - b[0],)
-    out = [theta0 - b[0]]
-    out.extend(theta0 - b[i] - c[i] for i in range(1, d))
-    out.append(theta0 - c[d])
-    return tuple(out)
-
-
-def _cumulative_quotients(b, c, d):
-    out = [Fraction(1)]
-    for i in range(1, d + 1):
-        out.append(out[-1] * b[i - 1] / c[i])
-    return tuple(out)
 
 
 def _assert_4f3_denominators(d: int, r: Fraction) -> None:

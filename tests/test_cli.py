@@ -87,6 +87,24 @@ def test_verify_lp_exhaustive(capsys):
     assert payload["conditions"]["exhaustive permutation oracle agrees with candidates"] is True
 
 
+def test_verify_lp_exhaustive_beyond_d8(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify-lp", "--d", "10", "--r", "1/2", "--s", "-1/2", "--exhaustive"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] is True
+    assert payload["conditions"]["exhaustive permutation oracle agrees with candidates"] is True
+
+
+def test_malformed_thread_count_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LEONARD_LAB_THREADS", "abc")
+    code, out, err = run_cli(capsys, "search", "--d-max", "2")
+    assert code == 64
+    assert out == ""
+    assert "LEONARD_LAB_THREADS" in err
+
+
 def test_table_json_and_csv(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "--d", "1", "--r", "1/2", "--s", "-1/2")
     assert code == 0

@@ -290,7 +290,6 @@ def test_search_worker_count_from_environment(monkeypatch):
 
 
 def test_exhaustive_oracle_at_cap():
-    # largest size the oracle runs at: (8+1)! permutations
     p = build_params(8, F(1, 2), F(-1, 2))
     for lam in (canonical_shift(p), F(0)):
         report = verify_leonard_pair_square(p, lam, exhaustive=True)
@@ -300,10 +299,12 @@ def test_exhaustive_oracle_at_cap():
     assert verify_leonard_pair_square(p, canonical_shift(p), exhaustive=True).verdict
 
 
-def test_exhaustive_flag_skipped_above_cap():
-    p = build_params(9, F(1, 2), F(-1, 2))
-    report = verify_leonard_pair_square(p, canonical_shift(p), exhaustive=True)
-    assert report.verdict
-    assert "exhaustive permutation oracle agrees with candidates" not in dict(
-        report.condition_trace
-    )
+def test_exhaustive_oracle_runs_at_every_d():
+    for d in (9, 40):
+        p = build_params(d, F(1, 2), F(-1, 2))
+        for lam in (canonical_shift(p), F(0)):
+            report = verify_leonard_pair_square(p, lam, exhaustive=True)
+            assert dict(report.condition_trace)[
+                "exhaustive permutation oracle agrees with candidates"
+            ], (d, lam)
+            assert report.verdict == (lam == canonical_shift(p)), (d, lam)

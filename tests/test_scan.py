@@ -1,21 +1,51 @@
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard_lab import _scan_py
 from leonard_lab.matrices import RationalMatrix
-from leonard_lab.scan import SCAN_BACKEND, scan_tridiagonal_orderings, zero_pattern
+from leonard_lab.scan import SCAN_BACKEND, scan_tridiagonal_orderings
 
-try:
-    from leonard_lab import _scan_cy
-except ImportError:
-    _scan_cy = None
+ZERO, ONE = F(0), F(1)
+
+
+def brute_force_orderings(matrix: RationalMatrix) -> list[tuple[int, ...]]:
+    """Reference oracle: enumerate every permutation and test the reordered
+    zero/nonzero pattern against the definition of an irreducible tridiagonal
+    matrix.  Factorial in the size; returns hits in lexicographic order."""
+    n = matrix.rows
+    nonzero = [e != 0 for e in matrix.entries]
+
+    def accepts(perm):
+        for i in range(n - 1):
+            u, v = perm[i], perm[i + 1]
+            if not nonzero[u * n + v] or not nonzero[v * n + u]:
+                return False
+        for i in range(n):
+            for j in range(i + 2, n):
+                u, v = perm[i], perm[j]
+                if nonzero[u * n + v] or nonzero[v * n + u]:
+                    return False
+        return True
+
+    return [perm for perm in permutations(range(n)) if accepts(perm)]
+
+
+def pattern_matrix(n: int, bits) -> RationalMatrix:
+    return RationalMatrix(n, n, tuple(ONE if b else ZERO for b in bits))
+
+
+def symmetric_pattern(n: int, edges) -> RationalMatrix:
+    bits = [0] * (n * n)
+    for u, v in edges:
+        bits[u * n + v] = bits[v * n + u] = 1
+    return pattern_matrix(n, bits)
 
 
 def test_backend_reported():
-    assert SCAN_BACKEND in ("cython", "python")
+    assert SCAN_BACKEND == "python"
 
 
 def test_diagonal_pattern_has_no_witnesses():
@@ -44,46 +74,64 @@ def test_tridiagonal_pattern_found_by_identity_and_reversal():
     assert len(hits) == 2
 
 
-def test_pure_python_rejects_bad_length():
+def test_rejects_non_square_matrix():
     with pytest.raises(ValueError):
-        _scan_py.scan_tridiagonal_orderings(b"\x01\x00", 3)
+        scan_tridiagonal_orderings(RationalMatrix.zeros(2, 3))
 
 
-@pytest.mark.skipif(_scan_cy is None, reason="compiled backend not built")
-def test_compiled_rejects_bad_input():
-    with pytest.raises(ValueError):
-        _scan_cy.scan_tridiagonal_orderings(b"\x01\x00", 3)
-    with pytest.raises(ValueError):
-        _scan_cy.scan_tridiagonal_orderings(bytes(17 * 17), 17)
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(0, 1), (1, 2), (2, 0)]),  # triangle plus an isolated index
+        (5, [(0, 1), (2, 3), (3, 4), (4, 2)]),  # an edge plus a triangle
+        (5, [(0, 1), (1, 2), (2, 3), (3, 1)]),  # lollipop: walk would loop
+        (4, [(0, 1), (0, 2), (0, 3)]),  # star
+    ],
+)
+def test_rejects_patterns_that_are_not_one_path(n, edges):
+    # each has n - 1 edges, nonzero both ways; the n = 5 shapes lie beyond
+    # the exhaustive small-pattern test
+    m = symmetric_pattern(n, edges)
+    assert scan_tridiagonal_orderings(m) == [] == brute_force_orderings(m)
 
 
-@pytest.mark.skipif(_scan_cy is None, reason="compiled backend not built")
-@settings(deadline=None, max_examples=150)
-@given(st.integers(min_value=0, max_value=5), st.data())
-def test_backends_agree_on_random_patterns(n, data):
-    pattern = bytes(
-        data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=1), min_size=n * n, max_size=n * n
-            )
-        )
-    )
-    assert _scan_cy.scan_tridiagonal_orderings(pattern, n) == (
-        _scan_py.scan_tridiagonal_orderings(pattern, n)
-    )
+def test_recognizer_matches_oracle_on_every_small_pattern():
+    # every 0/1 pattern with n <= 4, diagonal included: 66,067 matrices,
+    # among them n = 0 and 1 and every one-directional edge
+    for n in range(5):
+        for bits in product((0, 1), repeat=n * n):
+            m = pattern_matrix(n, bits)
+            assert scan_tridiagonal_orderings(m) == brute_force_orderings(m), (n, bits)
 
 
-@pytest.mark.skipif(_scan_cy is None, reason="compiled backend not built")
-def test_backends_agree_on_shifted_squares():
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=0, max_value=7), st.data())
+def test_recognizer_matches_oracle_on_planted_paths(n, data):
+    # plant a path in a random order, then flip a few entries so that most
+    # drawn patterns sit right at the boundary of the accepted set
+    order = data.draw(st.permutations(range(n)))
+    bits = [0] * (n * n)
+    for u, v in zip(order, order[1:]):
+        bits[u * n + v] = bits[v * n + u] = 1
+    for i in range(n):
+        bits[i * n + i] = data.draw(st.integers(min_value=0, max_value=1))
+    if n:
+        flips = data.draw(st.lists(st.integers(min_value=0, max_value=n * n - 1), max_size=3))
+        for k in flips:
+            bits[k] ^= 1
+    m = pattern_matrix(n, bits)
+    assert scan_tridiagonal_orderings(m) == brute_force_orderings(m)
+
+
+def test_recognizer_matches_oracle_on_shifted_squares():
     from leonard_lab.leonard import canonical_shift, lstar_shift_square
     from leonard_lab.params import build_params
 
-    for d in range(1, 6):
-        for shift_offset in (F(0), F(1), F(17, 5)):
-            p = build_params(d, F(1, 2), F(-1, 2))
-            m = lstar_shift_square(p, canonical_shift(p) + shift_offset)
-            pat = zero_pattern(m)
-            n = d + 1
-            assert _scan_cy.scan_tridiagonal_orderings(pat, n) == (
-                _scan_py.scan_tridiagonal_orderings(pat, n)
-            ), (d, shift_offset)
+    for d in range(1, 8):
+        for r, s in ((F(1, 2), F(-1, 2)), (F(1, 2), F(1, 4))):
+            p = build_params(d, r, s)
+            for shift_offset in (F(0), F(1), F(17, 5)):
+                m = lstar_shift_square(p, canonical_shift(p) + shift_offset)
+                assert scan_tridiagonal_orderings(m) == brute_force_orderings(m), (
+                    d, r, s, shift_offset,
+                )
