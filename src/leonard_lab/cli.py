@@ -1,42 +1,52 @@
 """Command-line front end: every verification as a subcommand with
 machine-readable output.
 
-Exit codes: 0 success (including false verdicts), 1 internal inconsistency
-(the exhaustive oracle disagreed with the candidate orderings), 2 parameter
-domain error, 64 usage (malformed flags, rationals or LEONARD_LAB_THREADS).
-Rationals on the command line use the exact p/q form; decimals are rejected.
+All JSON is built here: one encoder turns the library's Fractions, matrices
+and dataclasses into p/q strings, row lists and camelCase keys, and every
+result goes out through one emit path.
+
+Exit codes: 0 success (including false verdicts, and a reader closing stdout
+early, as `| head` does), 1 internal inconsistency (the exhaustive oracle
+disagreed, or a library check failed unexpectedly: one "internal error" line),
+2 parameter domain error, 64 usage (malformed flags or rationals, an --output
+that cannot be opened, LEONARD_LAB_THREADS not an integer >= 1).  Rationals on
+the command line use the exact p/q form; decimals are rejected.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import os
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import racah as racah_mod
 from . import sl2mod
-from .hyper import RationalFormatError, format_rational, parse_rational
+from .hyper import RationalFormatError, SeriesDivisionError, format_rational, parse_rational
 from .leonard import (
     InternalInconsistencyError,
+    LeonardPairReport,
     SearchGrid,
     SettingError,
     canonical_shift,
     is_dual_almost_bipartite,
-    report_to_json_dict,
-    search_record_to_json_dict,
     search_square_preserving,
     theorem_conditions,
     verify_leonard_pair_square,
 )
-from .params import ParameterDomainError, build_params, check_closed_forms, to_json_dict
-from .representations import (
-    eval_table_hypergeometric,
-    eval_table_recurrence,
-    table_to_csv_text,
-    table_to_json_dict,
+from .matrices import RationalMatrix
+from .params import (
+    ParameterDomainError,
+    ParameterInvariantError,
+    build_params,
+    check_closed_forms,
 )
+from .representations import eval_table_hypergeometric, eval_table_recurrence
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -128,11 +138,72 @@ def _add_drs(sub_parser):
     sub_parser.add_argument("--s", required=True)
 
 
+# -- output ------------------------------------------------------------------
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+def _encode(obj):
+    """`json` hook for the library's values: a rational becomes its p/q
+    string, a matrix its rows, a dataclass {camelCase(field): value} in field
+    order (tuples already encode as lists)."""
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, RationalMatrix):
+        return obj.to_rows()
+    if is_dataclass(obj):
+        return {_camel(f.name): getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+# Built once: json.dumps with any option would construct an encoder per call.
+_INDENTED = json.JSONEncoder(indent=2, default=_encode)
+_ONE_LINE = json.JSONEncoder(default=_encode)
+
+
+def _json(payload, encoder: json.JSONEncoder = _INDENTED) -> str:
+    return encoder.encode(payload) + "\n"
+
+
+def _emit(text: str, output: str | None = None) -> None:
+    """Write a result to stdout, or to the --output file."""
+    if output is None:
+        sys.stdout.write(text)
+        return
+    try:
+        fh = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open --output {output}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
+
+
+def _verdict_payload(
+    d: int, r: Fraction, s: Fraction, report: LeonardPairReport, theorem_flags, **details
+) -> dict:
+    """The verdict record shared by verify-lp and search; command-specific
+    `details` go between the witness and the theorem block."""
+    return {
+        "d": d,
+        "r": r,
+        "s": s,
+        "lambda": report.shift,
+        "verdict": report.verdict,
+        "witness": report.witness.perm if report.witness is not None else None,
+        **details,
+        "theorem": dict(zip(("rNonzero", "rPlusSZero", "lambdaCanonical"), theorem_flags)),
+    }
+
+
+# -- subcommands -------------------------------------------------------------
+
+
 def cmd_params(args) -> int:
     p = build_params(args.d, parse_rational(args.r), parse_rational(args.s))
-    payload = to_json_dict(p)
-    payload["closedFormsMatch"] = check_closed_forms(p)
-    print(json.dumps(payload, indent=2))
+    _emit(_json({**_encode(p), "closedFormsMatch": check_closed_forms(p)}))
     return EXIT_OK
 
 
@@ -141,16 +212,17 @@ def cmd_table(args) -> int:
     table = eval_table_hypergeometric(p)
     routes_agree = table.values == eval_table_recurrence(p).values
     if args.format == "csv":
-        text = table_to_csv_text(p, table)
+        # header row of nodes; data row i holds u_i at each node
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["i\\theta_j", *map(format_rational, p.theta)])
+        for i in range(p.d + 1):
+            writer.writerow([i, *map(format_rational, table.values.row(i))])
+        text = buf.getvalue()
     else:
-        payload = table_to_json_dict(p, table)
-        payload["routesAgree"] = routes_agree
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        text = _json({"d": p.d, "r": p.r, "s": p.s, "theta": p.theta,
+                      "table": table.values, "routesAgree": routes_agree})
+    _emit(text, args.output)
     if not routes_agree:
         raise InternalInconsistencyError("evaluation routes disagree")
     return EXIT_OK
@@ -160,15 +232,13 @@ def cmd_verify_lp(args) -> int:
     p = build_params(args.d, parse_rational(args.r), parse_rational(args.s))
     shift = parse_rational(args.shift) if args.shift is not None else canonical_shift(p)
     report = verify_leonard_pair_square(p, shift, exhaustive=args.exhaustive)
-    payload = report_to_json_dict(p, report)
-    r_nonzero, r_plus_s_zero, shift_canonical = theorem_conditions(p, shift)
-    payload["theorem"] = {
-        "rNonzero": r_nonzero,
-        "rPlusSZero": r_plus_s_zero,
-        "lambdaCanonical": shift_canonical,
-    }
+    payload = _verdict_payload(
+        p.d, p.r, p.s, report, theorem_conditions(p, shift),
+        conditions=dict(report.condition_trace),
+        firstFailed=report.first_failed(),
+    )
     payload["dualAlmostBipartiteShifted"] = is_dual_almost_bipartite(p, shift)
-    print(json.dumps(payload, indent=2))
+    _emit(_json(payload))
     return EXIT_OK
 
 
@@ -193,8 +263,7 @@ def cmd_verify_racah(args) -> int:
         "barredRecurrence": racah_mod.check_barred_recurrence(q, table),
         "barredMatrices": racah_mod.check_barred_matrices(p, q),
     }
-    payload = {"d": q.d, "r": format_rational(q.r), **checks, "all": all(checks.values())}
-    print(json.dumps(payload, indent=2))
+    _emit(_json({"d": q.d, "r": q.r, **checks, "all": all(checks.values())}))
     return EXIT_OK
 
 
@@ -202,15 +271,14 @@ def cmd_verify_sl2(args) -> int:
     if args.n % 2 == 0 or args.n < 1:
         raise ParameterDomainError(f"example match needs odd n >= 1, got {args.n}")
     module = sl2mod.build_even_module(args.kind, args.n)
-    payload = {
+    _emit(_json({
         "kind": args.kind,
         "n": args.n,
         "dim": module.dim,
         "relations": sl2mod.check_module_relations(module),
         "match": sl2mod.verify_example_match(args.kind, args.n),
-        "casimirScalar": format_rational(Fraction(args.n) * (args.n + 2) / 2),
-    }
-    print(json.dumps(payload, indent=2))
+        "casimirScalar": Fraction(args.n) * (args.n + 2) / 2,
+    }))
     return EXIT_OK
 
 
@@ -237,17 +305,22 @@ def cmd_search(args) -> int:
         shift_values=shift_values,
         exhaustive=args.exhaustive,
     )
-    for record in search_square_preserving(grid):
-        if args.hits_only and not record.report.verdict:
+    for rec in search_square_preserving(grid):
+        if args.hits_only and not rec.report.verdict:
             continue
-        print(json.dumps(search_record_to_json_dict(record)))
+        payload = _verdict_payload(rec.d, rec.r, rec.s, rec.report, rec.theorem_flags)
+        payload["theoremPredicted"] = rec.theorem_predicted
+        payload["notes"] = {"squaredFirstOperatorBranch": "unexamined"}
+        _emit(_json(payload, _ONE_LINE))
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    entries = sl2mod.terwilliger_catalog(args.D)
-    payload = {"D": args.D, "modules": sl2mod.catalog_to_json_list(entries)}
-    print(json.dumps(payload, indent=2))
+    modules = [
+        {"kind": e.kind, "n": e.n, "A": e.adjacency_action, "AStar": e.dual_adjacency_action}
+        for e in sl2mod.terwilliger_catalog(args.D)
+    ]
+    _emit(_json({"D": args.D, "modules": modules}))
     return EXIT_OK
 
 
@@ -267,18 +340,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_preprocess_argv(argv))
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point stdout at the
+        # null device so the interpreter's last flush cannot fail again, and
+        # end quietly: the output that was wanted has been delivered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (UsageError, RationalFormatError, SettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParameterDomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (ValueError, ParameterInvariantError, SeriesDivisionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -48,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize to ``"p/q"``, omitting ``/q`` when the denominator is one."""
-    q = Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -348,7 +348,9 @@ def search_square_preserving(
         try:
             max_workers = int(raw)
         except ValueError:
-            raise SettingError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+            max_workers = 0
+        if max_workers < 1:
+            raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
     if max_workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_evaluate_point, points))
@@ -359,38 +361,3 @@ def search_square_preserving(
 
 def search_hits(records: Iterable[SearchRecord]) -> list[SearchRecord]:
     return [rec for rec in records if rec.report.verdict]
-
-
-# -- JSON --------------------------------------------------------------------
-
-
-def report_to_json_dict(p: DualHahnParams, report: LeonardPairReport) -> dict:
-    return {
-        "d": p.d,
-        "r": format_rational(p.r),
-        "s": format_rational(p.s),
-        "lambda": format_rational(report.shift),
-        "verdict": report.verdict,
-        "witness": list(report.witness.perm) if report.witness is not None else None,
-        "conditions": {name: ok for name, ok in report.condition_trace},
-        "firstFailed": report.first_failed(),
-    }
-
-
-def search_record_to_json_dict(rec: SearchRecord) -> dict:
-    r_nonzero, r_plus_s_zero, shift_canonical = rec.theorem_flags
-    return {
-        "d": rec.d,
-        "r": format_rational(rec.r),
-        "s": format_rational(rec.s),
-        "lambda": format_rational(rec.shift),
-        "verdict": rec.report.verdict,
-        "witness": list(rec.report.witness.perm) if rec.report.witness else None,
-        "theorem": {
-            "rNonzero": r_nonzero,
-            "rPlusSZero": r_plus_s_zero,
-            "lambdaCanonical": shift_canonical,
-        },
-        "theoremPredicted": rec.theorem_predicted,
-        "notes": {"squaredFirstOperatorBranch": "unexamined"},
-    }

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hyper import format_rational
-
 
 @dataclass(frozen=True)
 class RationalMatrix:
@@ -156,13 +154,6 @@ class RationalMatrix:
             flat[i * self.cols + i] += s
         return RationalMatrix(self.rows, self.cols, tuple(flat))
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def permuted(self, perm: Sequence[int]) -> "RationalMatrix":
         """Simultaneous row/column reordering: result[i][j] = self[perm[i]][perm[j]]."""
         if not self.is_square:
@@ -198,9 +189,6 @@ class RationalMatrix:
             c = -work.trace() / k
             coeffs.append(c)
         return tuple(coeffs)
-
-    def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

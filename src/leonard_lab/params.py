@@ -206,23 +206,3 @@ def build_astar_sums(p: DualHahnParams) -> list[Fraction]:
         )
     sums.append(d + (d - 1) * (r - s) / (r + s + 4))
     return sums
-
-
-def to_json_dict(p: DualHahnParams) -> dict:
-    """Full parameter dump with Rationals serialized as p/q strings."""
-    return {
-        "d": p.d,
-        "r": format_rational(p.r),
-        "s": format_rational(p.s),
-        "theta": [format_rational(x) for x in p.theta],
-        "thetaStar": [format_rational(x) for x in p.theta_star],
-        "b": [format_rational(x) for x in p.b],
-        "c": [format_rational(x) for x in p.c],
-        "a": [format_rational(x) for x in p.a],
-        "k": [format_rational(x) for x in p.k],
-        "nu": format_rational(p.nu),
-        "bStar": [format_rational(x) for x in p.b_star],
-        "cStar": [format_rational(x) for x in p.c_star],
-        "aStar": [format_rational(x) for x in p.a_star],
-        "kStar": [format_rational(x) for x in p.k_star],
-    }

@@ -367,22 +367,3 @@ def affine_maps(
     aff1 = (Fraction(1), Fraction(d) * (d + r + s + 1))
     aff2 = (Fraction(4), Fraction(d) * (d + 1))
     return aff1, aff2
-
-
-def to_json_dict(q: RacahParams) -> dict:
-    return {
-        "d": q.d,
-        "r": format_rational(q.r),
-        "barTheta": [format_rational(x) for x in q.bar_theta],
-        "barThetaStar": [format_rational(x) for x in q.bar_theta_star],
-        "barB": [format_rational(x) for x in q.bar_b],
-        "barC": [format_rational(x) for x in q.bar_c],
-        "barA": [format_rational(x) for x in q.bar_a],
-        "barK": [format_rational(x) for x in q.bar_k],
-        "barNu": format_rational(q.bar_nu),
-        "barBStar": [format_rational(x) for x in q.bar_b_star],
-        "barCStar": [format_rational(x) for x in q.bar_c_star],
-        "barAStar": [format_rational(x) for x in q.bar_a_star],
-        "barKStar": [format_rational(x) for x in q.bar_k_star],
-        "barVarphi": [format_rational(x) for x in q.bar_varphi],
-    }

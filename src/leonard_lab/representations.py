@@ -9,13 +9,11 @@ coefficient lists, no floating point.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hyper import format_rational, hypergeom_terminating
+from .hyper import hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots
 from .params import DualHahnParams
 
@@ -197,26 +195,3 @@ def check_basis_consistency(p: DualHahnParams) -> bool:
     if Lstar_ustar.charpoly() != poly_from_roots(p.theta_star):
         return False
     return True
-
-
-# -- export ----------------------------------------------------------------
-
-
-def table_to_json_dict(p: DualHahnParams, table: ValueTable) -> dict:
-    return {
-        "d": p.d,
-        "r": format_rational(p.r),
-        "s": format_rational(p.s),
-        "theta": [format_rational(x) for x in p.theta],
-        "table": table.values.to_json(),
-    }
-
-
-def table_to_csv_text(p: DualHahnParams, table: ValueTable) -> str:
-    """CSV with a header row of nodes; data row i holds u_i at each node."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i\\theta_j"] + [format_rational(x) for x in p.theta])
-    for i in range(p.d + 1):
-        writer.writerow([str(i)] + [format_rational(x) for x in table.values.row(i)])
-    return buf.getvalue()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import RationalMatrix
-from .params import build_params
+from .params import ParameterDomainError, build_params
 from .representations import matrix_L_u_basis, matrix_Lstar_u_basis
 
 
@@ -151,7 +151,7 @@ def terwilliger_catalog(D: int) -> list[CatalogEntry]:
     for odd k up to floor((D-1)/2).  Each entry carries the adjacency action
     (E^2 + F^2 + Casimir - D)/2 - H^2/4 and the dual adjacency action H."""
     if D < 1:
-        raise ValueError(f"catalog needs D >= 1, got {D}")
+        raise ParameterDomainError(f"catalog needs D >= 1, got {D}")
     entries = []
     for k in range(D // 2 + 1):
         kind = 0 if k % 2 == 0 else 1
@@ -170,27 +170,3 @@ def terwilliger_catalog(D: int) -> list[CatalogEntry]:
             )
         )
     return entries
-
-
-def module_to_json_dict(m: EvenModule) -> dict:
-    return {
-        "kind": m.kind,
-        "n": m.n,
-        "dim": m.dim,
-        "ESquared": m.e_sq.to_json(),
-        "FSquared": m.f_sq.to_json(),
-        "H": m.h.to_json(),
-        "Casimir": m.casimir.to_json(),
-    }
-
-
-def catalog_to_json_list(entries: list[CatalogEntry]) -> list[dict]:
-    return [
-        {
-            "kind": e.kind,
-            "n": e.n,
-            "A": e.adjacency_action.to_json(),
-            "AStar": e.dual_adjacency_action.to_json(),
-        }
-        for e in entries
-    ]

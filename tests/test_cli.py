@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leonard_lab import cli
 from leonard_lab.cli import main
+from leonard_lab.hyper import SeriesDivisionError
+from leonard_lab.params import ParameterInvariantError
 
 
 def run_cli(capsys, *argv):
@@ -219,3 +228,162 @@ def test_console_entry_point_runs():
 def test_negative_rationals_accepted_as_separate_tokens(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_thread_count_below_one_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEONARD_LAB_THREADS", value)
+    code, out, err = run_cli(capsys, "search", "--d-max", "2")
+    assert code == 64
+    assert out == ""
+    assert "LEONARD_LAB_THREADS" in err and repr(value) in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "table", "--d", "1", "--r", "1/2", "--s", "-1/2", "--output", str(target)
+    )
+    assert code == 64
+    assert out == ""
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
+def test_catalog_below_one_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "catalog", "--D", "0")
+    assert code == 2
+    assert out == ""
+    assert "D >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValueError("forced plain ValueError"),
+        ParameterInvariantError("forced invariant failure"),
+        SeriesDivisionError(2, Fraction(-1)),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_library_failure_maps_to_exit_1(capsys, monkeypatch, error):
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_leonard_pair_square", boom)
+    code, out, err = run_cli(capsys, "verify-lp", "--d", "2", "--r", "1/2", "--s", "-1/2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+        ("search", "--d-max", "4", "--r-values", "1/2,1/3,1/4"),
+    ],
+    ids=["params", "search"],
+)
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # A pipe whose read end is already closed, as after `| head` has exited:
+    # the first write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = {k: v for k, v in os.environ.items() if k != "LEONARD_LAB_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "leonard_lab", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+# -- argv fuzzing ------------------------------------------------------------
+
+_SUBCOMMANDS = ["params", "table", "verify-lp", "verify-racah", "verify-sl2", "search", "catalog"]
+_GOOD_RATIONALS = ["0", "1", "-1", "2", "1/2", "-1/2", "1/3", "-3/4", "5/2", "+1/4", "-9/8"]
+_BAD_RATIONALS = ["0.5", "1/0", "abc", "", "1//2", "1/2/3", "-", "1/-2", "1e3"]
+_RATIONAL_LISTS = ["1/2,-1/3", "1/2,-1/2,1/4", "-1/2,", "1/2,,0", "0,1/0"]
+_SMALL_INTS = [str(i) for i in range(7)]
+_VALUES = {
+    "--d": _SMALL_INTS, "--d-min": _SMALL_INTS, "--d-max": _SMALL_INTS,
+    "--kind": _SMALL_INTS, "--D": [str(i) for i in range(10)], "--n": [str(i) for i in range(10)],
+    "--r": _GOOD_RATIONALS + _BAD_RATIONALS, "--s": _GOOD_RATIONALS + _BAD_RATIONALS,
+    "--lambda": _GOOD_RATIONALS + _BAD_RATIONALS,
+    "--r-values": _GOOD_RATIONALS + _BAD_RATIONALS + _RATIONAL_LISTS,
+    "--s-values": _GOOD_RATIONALS + _BAD_RATIONALS + _RATIONAL_LISTS,
+    "--lambda-values": _GOOD_RATIONALS + _BAD_RATIONALS + _RATIONAL_LISTS,
+    "--format": ["json", "csv", "xml"], "--s-mode": ["neg-r", "list", "both"],
+    "--lambda-mode": ["canonical", "list", "none"],
+}
+_SWITCHES = ["--exhaustive", "--hits-only"]
+_FLAGS = {
+    "params": ["--d", "--r", "--s"],
+    "table": ["--d", "--r", "--s", "--format"],
+    "verify-lp": ["--d", "--r", "--s", "--lambda", "--exhaustive"],
+    "verify-racah": ["--d", "--r"],
+    "verify-sl2": ["--kind", "--n"],
+    "search": ["--d-min", "--d-max", "--r-values", "--s-mode", "--s-values",
+               "--lambda-mode", "--lambda-values", "--exhaustive", "--hits-only"],
+    "catalog": ["--D"],
+}
+
+
+def _item(flag):
+    """One flag as argv tokens: a switch alone, a value as "--f v" or "--f=v".
+    Malformed values are drawn a quarter as often as good ones."""
+    if flag in _SWITCHES:
+        return st.just([flag])
+    values = _VALUES[flag]
+    good = [v for v in values if v not in _BAD_RATIONALS]
+    bad = [v for v in values if v in _BAD_RATIONALS]
+    value = st.sampled_from(good * 4 + bad)
+    return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"]))
+
+
+_NOISE = st.one_of(
+    st.sampled_from(sorted(_VALUES) + _SWITCHES).flatmap(_item),
+    st.sampled_from(_SUBCOMMANDS + _SMALL_INTS + _BAD_RATIONALS).map(lambda t: [t]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with most of its own flags, in any order, plus at most
+    two stray items; now and then the subcommand itself is a stray token."""
+    first = draw(st.sampled_from(_SUBCOMMANDS * 8 + ["--d", "1/2", ""]))
+    items = [
+        draw(_item(flag))
+        for flag in _FLAGS.get(first, [])
+        if draw(st.integers(0, 9)) > 0  # each flag dropped one time in ten
+    ]
+    items += draw(st.lists(_NOISE, max_size=2))
+    items = draw(st.permutations(items))
+    return [first] + [tok for item in items for tok in item]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_argv())
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("LEONARD_LAB_THREADS", raising=False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 1, 2, 64}, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0 or "csv" in argv or any(tok.endswith("=csv") for tok in argv):
+        return
+    if argv[0] == "search":
+        for line in out.getvalue().splitlines():
+            json.loads(line)
+    else:
+        json.loads(out.getvalue())

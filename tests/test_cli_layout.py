@@ -1,0 +1,64 @@
+"""Byte-level pin of every subcommand's stdout.
+
+Each case runs `cli.main` in-process and compares the exit code, the stdout
+length and its sha256 with values recorded before the JSON rendering moved
+into `cli.py`.  Any change of key order, spacing or rational formatting shows
+up here; a deliberate layout change must re-record the digests.
+"""
+
+import hashlib
+
+import pytest
+
+from leonard_lab.cli import main
+
+LAYOUT_CASES = [
+    (("params", "--d", "0", "--r", "1/4", "--s", "1/4"),
+     330, "693cc864139eb819d815e3c613d8814286f0eeb852abb5811e1d75f182e1de4a"),
+    (("params", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+     543, "9897612b64441e0140e14a5d07b167c6ab1fc2cdd0285b93601cc680fc65f20c"),
+    (("table", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+     268, "173b2bdba96c00ba5c0ff44e155641e8e8c67bd2a731213770a1897210def3f7"),
+    (("table", "--d", "2", "--r", "1/2", "--s", "-1/2", "--format", "csv"),
+     47, "9e07b958b73cdb4173570940db3e85e4027c0a769dd00ec234c6feb93f66d826"),
+    (("verify-lp", "--d", "3", "--r", "1/2", "--s", "-1/2"),
+     629, "81ace24dc833116300bf5849a74a9c54d4281a2df30738bbef4adfff57231e3f"),
+    (("verify-lp", "--d", "3", "--r", "1/2", "--s", "-1/4"),
+     674, "b15f9eecb566d8143ef45dc0bb74f48b6472742bcaf04707a67d5c0e279e8010"),
+    (("verify-lp", "--d", "1", "--r", "1/4", "--s", "1/4", "--lambda", "-1/2"),
+     651, "7a50c141650af5d6796ad4d8f040c422cbf46c7813fbcb63af8c7fb5bb36843f"),
+    (("verify-lp", "--d", "4", "--r", "-1/2", "--s", "1/2", "--exhaustive"),
+     702, "7810fcb8f38a29c45c801b72667d3faa7de3dff5ff10341a257b764410cfdaaf"),
+    (("verify-racah", "--d", "4", "--r", "1/2"),
+     263, "25735a25beeaf05bc4b9c35a1177c9d62e6bb66d0793d9e80be1260d40fd6f63"),
+    (("verify-sl2", "--kind", "0", "--n", "3"),
+     103, "19184cc5f19fe764a5e80604d850125643cb8a255a8a5a7562f524a345f4bf93"),
+    (("verify-sl2", "--kind", "1", "--n", "5"),
+     103, "22c07a6e17693aa117b73fe6c32d11a3b374b029ce773eb3e6795831d52f3bc9"),
+    (("search", "--d-min", "3", "--d-max", "6"),
+     2047, "28f51f4650a5f18b2497a95d3d7b4deef70f8a1cfb693e4d0459393715cf1213"),
+    (("search", "--d-max", "3", "--r-values", "1/2,-1/3", "--s-mode", "list",
+      "--s-values", "-1/2,1/3", "--lambda-mode", "list", "--lambda-values", "-5/4,-1/2,0"),
+     8850, "eff2244e1e61969aa36f6159795808ed66f83c41539758d7f5e3e94ef1e35c3f"),
+    (("search", "--d-min", "2", "--d-max", "2", "--r-values", "1/2",
+      "--lambda-mode", "list", "--lambda-values", "-9/8,0", "--hits-only"),
+     250, "e2c0ce03a23a235cff11278d394be317c149bacc6fb3f7b3aca6a4057d20d32d"),
+    (("search", "--d-max", "5", "--r-values", "1/2,-1/4", "--exhaustive"),
+     2513, "43c0ed4fb3e13916bb04199f60faf068284b2f682ce8021c3b08572920d950b1"),
+    (("catalog", "--D", "3"),
+     483, "b932bc7e553122d52bc8f25d67e24ff2c3b027d5d478d2df84e90968fa09db26"),
+    (("catalog", "--D", "6"),
+     1347, "c97373ed23e5ce8b32ef61fd739915aa1ac9c1c76cc21e32f21df5c6cbd500ce"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest", LAYOUT_CASES, ids=[" ".join(case[0]) for case in LAYOUT_CASES]
+)
+def test_stdout_bytes_unchanged(capsys, monkeypatch, argv, size, digest):
+    monkeypatch.delenv("LEONARD_LAB_THREADS", raising=False)
+    code = main(list(argv))
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
+from leonard_lab.cli import main
 from leonard_lab.params import (
     ParameterDomainError,
     build_astar_sums,
     build_params,
     check_closed_forms,
-    to_json_dict,
 )
 
 # compact grid for unit tests; the acceptance suite runs the full one
@@ -128,13 +128,12 @@ def test_interior_sum_equality_iff_r_pm_s_zero():
                 assert (sums[i] == sums[i + 1]) == expected, (d, r, s, i)
 
 
-def test_json_dump_keys_and_values():
-    p = build_params(2, F(1, 2), F(-1, 2))
-    payload = to_json_dict(p)
-    assert set(payload) == {
+def test_json_dump_keys_and_values(capsys):
+    assert main(["params", "--d", "2", "--r", "1/2", "--s", "-1/2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
         "d", "r", "s", "theta", "thetaStar", "b", "c", "a", "k", "nu",
-        "bStar", "cStar", "aStar", "kStar",
-    }
+        "bStar", "cStar", "aStar", "kStar", "closedFormsMatch",
+    ]
     assert payload["nu"] == "16/5"
     assert payload["cStar"] == ["0", "-5/12", "-3/2"]
-    json.dumps(payload)  # must be serializable as-is

@@ -18,7 +18,6 @@ from leonard_lab.racah import (
     eval_table_4F3,
     index_map,
     standard_racah_eval,
-    to_json_dict,
 )
 from leonard_lab.representations import eval_table_hypergeometric
 
@@ -184,11 +183,3 @@ def test_aff2_at_zero_is_top_barred_node():
         q = build_racah_params(d, r)
         _, (aff2_m, aff2_b) = affine_maps(d, r)
         assert aff2_b == d * (d + 1) == q.bar_theta[0]
-
-
-def test_json_dump():
-    q = build_racah_params(2, F(1, 2))
-    payload = to_json_dict(q)
-    assert payload["barNu"] == "16/5"
-    assert payload["barBStar"] == ["1/4", "-9/8", "0"]
-    assert payload["barVarphi"] == ["-3/2", "-3/2"]

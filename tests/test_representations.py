@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction as F
 from itertools import product
 
+from leonard_lab.cli import main
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params
 from leonard_lab.representations import (
@@ -16,8 +18,6 @@ from leonard_lab.representations import (
     matrix_L_ustar_basis,
     matrix_Lstar_u_basis,
     matrix_Lstar_ustar_basis,
-    table_to_csv_text,
-    table_to_json_dict,
     value_row_degree,
 )
 
@@ -153,12 +153,12 @@ def test_basis_consistency_on_grid():
         assert check_basis_consistency(build_params(d, r, s)), (d, r, s)
 
 
-def test_json_and_csv_export():
-    p = build_params(1, F(1, 2), F(-1, 2))
-    table = eval_table_hypergeometric(p)
-    payload = table_to_json_dict(p, table)
+def test_json_and_csv_export(capsys):
+    argv = ["table", "--d", "1", "--r", "1/2", "--s", "-1/2"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["table"] == [["1", "1"], ["1", "-3"]]
-    csv_text = table_to_csv_text(p, table)
-    lines = csv_text.strip().split("\n")
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "i\\theta_j,2,0"
     assert lines[2] == "1,1,-3"

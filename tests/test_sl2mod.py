@@ -1,18 +1,18 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from leonard_lab.cli import main
 from leonard_lab.leonard import canonical_shift, is_dual_almost_bipartite
 from leonard_lab.matrices import RationalMatrix
-from leonard_lab.params import build_params
+from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.representations import matrix_L_u_basis, matrix_Lstar_u_basis
 from leonard_lab.sl2mod import (
     build_even_module,
-    catalog_to_json_list,
     check_module_relations,
     example_pair,
     example_parameters,
-    module_to_json_dict,
     terwilliger_catalog,
     verify_example_match,
 )
@@ -100,7 +100,7 @@ def test_catalog_frozen_examples():
     assert [(e.kind, e.n) for e in terwilliger_catalog(4)] == [(0, 4), (1, 2), (0, 0)]
     assert [(e.kind, e.n) for e in terwilliger_catalog(1)] == [(0, 1)]
     assert [(e.kind, e.n) for e in terwilliger_catalog(6)] == [(0, 6), (1, 4), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         terwilliger_catalog(0)
 
 
@@ -129,10 +129,10 @@ def test_catalog_matches_leonard_pairs_for_odd_diameter(D):
         assert is_dual_almost_bipartite(p, canonical_shift(p)), (D, kind, n)
 
 
-def test_json_serialization():
+def test_json_serialization(capsys):
     m = build_even_module(0, 3)
-    payload = module_to_json_dict(m)
-    assert payload["Casimir"] == [["15/2", "0"], ["0", "15/2"]]
-    entries = catalog_to_json_list(terwilliger_catalog(3))
+    assert m.casimir == RationalMatrix.diagonal([F(15, 2), F(15, 2)])
+    assert main(["catalog", "--D", "3"]) == 0
+    entries = json.loads(capsys.readouterr().out)["modules"]
     assert entries[0]["kind"] == 0 and entries[0]["n"] == 3
     assert entries[1]["AStar"] == [["-1"]]
