@@ -30,13 +30,13 @@ from .leonard import (
 )
 from .matrices import RationalMatrix, poly_from_roots
 from .params import (
-    DualHahnParams,
+    ParameterArray,
     ParameterDomainError,
     build_astar_sums,
     build_params,
     check_closed_forms,
 )
-from .racah import RacahParams, build_racah_params, eval_table_4F3
+from .racah import build_racah_params, eval_table_4F3
 from .representations import (
     ValueTable,
     check_basis_consistency,

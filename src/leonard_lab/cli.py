@@ -5,12 +5,13 @@ All JSON is built here: one encoder turns the library's Fractions, matrices
 and dataclasses into p/q strings, row lists and camelCase keys, and every
 result goes out through one emit path.
 
-Exit codes: 0 success (including false verdicts, and a reader closing stdout
-early, as `| head` does), 1 internal inconsistency (the exhaustive oracle
-disagreed, or a library check failed unexpectedly: one "internal error" line),
-2 parameter domain error, 64 usage (malformed flags or rationals, an --output
-that cannot be opened, LEONARD_LAB_THREADS not an integer >= 1).  Rationals on
-the command line use the exact p/q form; decimals are rejected.
+Exit codes: 0 success (including false verdicts, -h/--help, and a reader
+closing stdout early, as `| head` does), 1 internal inconsistency (the
+exhaustive oracle disagreed, or a library check failed unexpectedly: one
+"internal error" line), 2 parameter domain error, 64 usage (malformed flags or
+rationals, an --output that cannot be opened, LEONARD_LAB_THREADS not an
+integer >= 1).  Rationals on the command line use the exact p/q form;
+decimals are rejected.
 """
 
 from __future__ import annotations
@@ -61,9 +62,18 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """-h/--help has printed the usage text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # Only the help action gets here (error is overridden above): end in
+        # main with exit 0 instead of raising SystemExit out of it.
+        raise _HelpShown
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
@@ -339,8 +349,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_preprocess_argv(argv))
-        code = _HANDLERS[args.command](args)
+        try:
+            args = parser.parse_args(_preprocess_argv(argv))
+            code = _HANDLERS[args.command](args)
+        except _HelpShown:
+            code = EXIT_OK
         sys.stdout.flush()
         return code
     except BrokenPipeError:

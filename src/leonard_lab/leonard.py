@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .hyper import format_rational
 from .matrices import RationalMatrix
-from .params import DualHahnParams, build_params
+from .params import ParameterArray, build_params
 from .representations import (
     matrix_L_u_basis,
     matrix_Lstar_u_basis,
@@ -85,19 +85,19 @@ def is_irreducible_tridiagonal(m: RationalMatrix) -> bool:
     return True
 
 
-def canonical_shift(p: DualHahnParams) -> Fraction:
+def canonical_shift(p: ParameterArray) -> Fraction:
     """(r - d)/2, the shift used throughout the square construction."""
     return (p.r - p.d) / 2
 
 
-def lstar_shift_square(p: DualHahnParams, shift: Fraction | int) -> RationalMatrix:
+def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatrix:
     """([L*]_{u*-basis} + shift I)^2 by explicit matrix multiplication."""
     m = matrix_Lstar_ustar_basis(p).plus_scalar(Fraction(shift))
     return m @ m
 
 
 def lstar_shift_square_closed_form(
-    p: DualHahnParams, shift: Fraction | int
+    p: ParameterArray, shift: Fraction | int
 ) -> RationalMatrix:
     """The same square from its five-case closed form (independent route).
 
@@ -168,7 +168,7 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 
 
 def verify_leonard_pair_square(
-    p: DualHahnParams, shift: Fraction | int, exhaustive: bool = False
+    p: ParameterArray, shift: Fraction | int, exhaustive: bool = False
 ) -> LeonardPairReport:
     """Decide whether (L, (L* + shift)^2) is a Leonard pair.
 
@@ -235,7 +235,7 @@ def verify_leonard_pair_square(
 
 
 def matrix_Lstar_u_basis_shift_square(
-    p: DualHahnParams, shift: Fraction | int
+    p: ParameterArray, shift: Fraction | int
 ) -> RationalMatrix:
     """([L*]_{u-basis} + shift I)^2; diagonal since [L*]_{u-basis} is."""
     m = matrix_Lstar_u_basis(p).plus_scalar(Fraction(shift))
@@ -243,14 +243,14 @@ def matrix_Lstar_u_basis_shift_square(
 
 
 def theorem_conditions(
-    p: DualHahnParams, shift: Fraction | int
+    p: ParameterArray, shift: Fraction | int
 ) -> tuple[bool, bool, bool]:
     """(r != 0, r + s == 0, 2*shift == r - d)."""
     lam = Fraction(shift)
     return (p.r != 0, p.r + p.s == 0, 2 * lam == p.r - p.d)
 
 
-def d2_condition(p: DualHahnParams, shift: Fraction | int) -> bool:
+def d2_condition(p: ParameterArray, shift: Fraction | int) -> bool:
     """d = 2 characterization: r != s and 2(shift+1) is one of
     (r-s)/(r+s+2), (s-r)/(r+s+4)."""
     if p.d != 2:
@@ -262,7 +262,7 @@ def d2_condition(p: DualHahnParams, shift: Fraction | int) -> bool:
     return 2 * (lam + 1) in roots
 
 
-def is_dual_almost_bipartite(p: DualHahnParams, shift: Fraction | int) -> bool:
+def is_dual_almost_bipartite(p: ParameterArray, shift: Fraction | int) -> bool:
     """[L*]_{u*-basis} + shift I must be irreducible tridiagonal with zero
     diagonal except a nonzero last entry."""
     lam = Fraction(shift)
@@ -332,25 +332,22 @@ def _evaluate_point(
     )
 
 
-def search_square_preserving(
-    grid: SearchGrid, max_workers: Optional[int] = None
-) -> list[SearchRecord]:
+def search_square_preserving(grid: SearchGrid) -> list[SearchRecord]:
     """Evaluate every grid point, in deterministic (d, r, s, shift) order.
 
-    Fans out over processes when LEONARD_LAB_THREADS (or `max_workers`)
-    exceeds one; each point is independent, results are merged back in grid
-    order.  Only the (L, (L*+shift)^2) branch of square preservation is
-    examined; the (L^2, L*) branch is reported as unexamined downstream.
+    Fans out over processes when LEONARD_LAB_THREADS exceeds one; each point
+    is independent, results are merged back in grid order.  Only the
+    (L, (L*+shift)^2) branch of square preservation is examined; the
+    (L^2, L*) branch is reported as unexamined downstream.
     """
     points = _grid_points(grid)
-    if max_workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1") or "1"
-        try:
-            max_workers = int(raw)
-        except ValueError:
-            max_workers = 0
-        if max_workers < 1:
-            raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    raw = os.environ.get(THREADS_ENV_VAR, "1") or "1"
+    try:
+        max_workers = int(raw)
+    except ValueError:
+        max_workers = 0
+    if max_workers < 1:
+        raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
     if max_workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(_evaluate_point, points))

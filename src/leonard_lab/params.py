@@ -1,9 +1,13 @@
-"""Parameter arrays for the two-parameter dual Hahn family on d+1 points.
+"""Parameter arrays of Leonard pairs on d+1 points.
 
-Construction follows the product-form definitions: eigenvalues
-theta_i = (d-i)(d-i+r+s+1), dual eigenvalues theta*_i = i, recurrence
-coefficients b_i = (d-i)(d-i+s) and c_i = i(i+r), weights k_i as cumulative
-b/c products, and the starred (difference-operator) coefficients with their
+One `ParameterArray` type holds both arrays: the dual Hahn array of (L, L*),
+built here from (d, r, s), and the barred (Racah) array built in `racah`.  A
+builder supplies closed forms for theta_i, theta*_i, b_i, c_i, b*_i and c*_i;
+`parameter_array` derives a_i, a*_i, k_i, k*_i and nu from them and checks
+the same structural invariants for both.
+
+Dual Hahn: theta_i = (d-i)(d-i+r+s+1), theta*_i = i, b_i = (d-i)(d-i+s),
+c_i = i(i+r), and the starred (difference-operator) coefficients with their
 Pochhammer quotients.  The hypergeometric closed forms for k_i, k*_i and nu
 live in separate functions so the two routes share no code and can be checked
 against each other.
@@ -31,7 +35,7 @@ class ParameterInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualHahnParams:
+class ParameterArray:
     d: int
     r: Fraction
     s: Fraction
@@ -48,8 +52,8 @@ class DualHahnParams:
     k_star: tuple[Fraction, ...]
 
 
-def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> DualHahnParams:
-    """Build and validate the full parameter array from (d, r, s).
+def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> ParameterArray:
+    """Build and validate the dual Hahn parameter array from (d, r, s).
 
     Requires d >= 0 and r, s > -1; raises ParameterDomainError otherwise.
     """
@@ -68,13 +72,6 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Du
     b = tuple(Fraction(d - i) * (d - i + s) for i in range(d)) + (Fraction(0),)
     c = (Fraction(0),) + tuple(Fraction(i) * (i + r) for i in range(1, d + 1))
 
-    a = _diagonal_from(theta[0], b, c, d)
-
-    k = _cumulative_quotients(b, c, d)
-    nu = Fraction(1)
-    for j in range(1, d + 1):
-        nu *= (theta[0] - theta[j]) / c[j]
-
     b_star = tuple(
         Fraction(d - i)
         * (i - d - s)
@@ -90,10 +87,47 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Du
         for i in range(1, d + 1)
     )
 
-    a_star = _diagonal_from(theta_star[0], b_star, c_star, d)
-    k_star = _cumulative_quotients(b_star, c_star, d)
+    return parameter_array(d, r, s, theta, theta_star, b, c, b_star, c_star)
 
-    params = DualHahnParams(
+
+def parameter_array(
+    d: int,
+    r: Fraction,
+    s: Fraction,
+    theta: tuple[Fraction, ...],
+    theta_star: tuple[Fraction, ...],
+    b: tuple[Fraction, ...],
+    c: tuple[Fraction, ...],
+    b_star: tuple[Fraction, ...],
+    c_star: tuple[Fraction, ...],
+) -> ParameterArray:
+    """Complete an array from its eigenvalues and off-diagonal coefficients:
+    a_i = theta_0 - b_i - c_i, a*_i likewise, k and k* as cumulative b/c
+    quotients, and nu = prod_j (theta_0 - theta_j) / c_j.
+
+    Raises ParameterInvariantError unless the boundary entries b_d, c_0, b*_d,
+    c*_0 are zero, the interior ones nonzero, the theta_i distinct and the
+    weights positive.
+    """
+    # The zero pattern is checked first: the weights divide by c_i and c*_i.
+    if any(b[i] == 0 for i in range(d)) or any(c[i] == 0 for i in range(1, d + 1)):
+        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
+    if any(b_star[i] == 0 for i in range(d)) or any(c_star[i] == 0 for i in range(1, d + 1)):
+        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
+    if b[d] != 0 or c[0] != 0 or b_star[d] != 0 or c_star[0] != 0:
+        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
+    if len(set(theta)) != d + 1:
+        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
+
+    k = _cumulative_quotients(b, c)
+    k_star = _cumulative_quotients(b_star, c_star)
+    nu = Fraction(1)
+    for j in range(1, d + 1):
+        nu *= (theta[0] - theta[j]) / c[j]
+    if any(v <= 0 for v in k) or any(v <= 0 for v in k_star) or nu <= 0:
+        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
+
+    return ParameterArray(
         d=d,
         r=r,
         s=s,
@@ -101,63 +135,32 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Du
         theta_star=theta_star,
         b=b,
         c=c,
-        a=a,
+        a=tuple(theta[0] - b[i] - c[i] for i in range(d + 1)),
         k=k,
         nu=nu,
         b_star=b_star,
         c_star=c_star,
-        a_star=a_star,
+        a_star=tuple(theta_star[0] - b_star[i] - c_star[i] for i in range(d + 1)),
         k_star=k_star,
     )
-    _check_invariants(params)
-    return params
 
 
-def _diagonal_from(theta0, b, c, d):
-    if d == 0:
-        return (theta0 - b[0],)
-    out = [theta0 - b[0]]
-    out.extend(theta0 - b[i] - c[i] for i in range(1, d))
-    out.append(theta0 - c[d])
-    return tuple(out)
-
-
-def _cumulative_quotients(b, c, d):
+def _cumulative_quotients(b, c):
     out = [Fraction(1)]
-    for i in range(1, d + 1):
+    for i in range(1, len(c)):
         out.append(out[-1] * b[i - 1] / c[i])
     return tuple(out)
-
-
-def _check_invariants(p: DualHahnParams) -> None:
-    d = p.d
-    if len(set(p.theta)) != d + 1:
-        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
-    if any(v <= 0 for v in p.k) or any(v <= 0 for v in p.k_star) or p.nu <= 0:
-        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
-    if any(p.b[i] == 0 for i in range(d)) or any(p.c[i] == 0 for i in range(1, d + 1)):
-        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
-    if any(p.b_star[i] == 0 for i in range(d)) or any(
-        p.c_star[i] == 0 for i in range(1, d + 1)
-    ):
-        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
-    if p.b[d] != 0 or p.c[0] != 0 or p.b_star[d] != 0 or p.c_star[0] != 0:
-        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
-    if any(p.a[i] != p.theta[0] - p.b[i] - p.c[i] for i in range(d + 1)):
-        raise ParameterInvariantError("a_i != theta_0 - b_i - c_i")
-    if any(p.a_star[i] != p.theta_star[0] - p.b_star[i] - p.c_star[i] for i in range(d + 1)):
-        raise ParameterInvariantError("a*_i != theta*_0 - b*_i - c*_i")
 
 
 # -- closed forms (independent route) ------------------------------------
 
 
-def closed_form_k(p: DualHahnParams, i: int) -> Fraction:
+def closed_form_k(p: ParameterArray, i: int) -> Fraction:
     """k_i = C(d, i) (d-i+s+1)_i / (r+1)_i."""
     return binomial(p.d, i) * pochhammer(p.d - i + p.s + 1, i) / pochhammer(p.r + 1, i)
 
 
-def closed_form_k_star(p: DualHahnParams, i: int) -> Fraction:
+def closed_form_k_star(p: ParameterArray, i: int) -> Fraction:
     """k*_i = C(d, i) (-d-s)_i (d+r+s+1)_d / [(-d-r)_i (2d-2i+r+s+2)_i (d-i+r+s+1)_{d-i}]."""
     d, r, s = p.d, p.r, p.s
     num = binomial(d, i) * pochhammer(-d - s, i) * pochhammer(d + r + s + 1, d)
@@ -169,12 +172,12 @@ def closed_form_k_star(p: DualHahnParams, i: int) -> Fraction:
     return num / den
 
 
-def closed_form_nu(p: DualHahnParams) -> Fraction:
+def closed_form_nu(p: ParameterArray) -> Fraction:
     """nu = (d+r+s+1)_d / (r+1)_d."""
     return pochhammer(p.d + p.r + p.s + 1, p.d) / pochhammer(p.r + 1, p.d)
 
 
-def check_closed_forms(p: DualHahnParams) -> bool:
+def check_closed_forms(p: ParameterArray) -> bool:
     """True iff product-form k_i, k*_i and nu equal their closed forms exactly."""
     if closed_form_nu(p) != p.nu:
         return False
@@ -186,7 +189,7 @@ def check_closed_forms(p: DualHahnParams) -> bool:
     return True
 
 
-def build_astar_sums(p: DualHahnParams) -> list[Fraction]:
+def build_astar_sums(p: ParameterArray) -> list[Fraction]:
     """Closed form of a*_i + a*_{i+1} for i = 0..d-1 (two branches).
 
     Callers cross-check the result against direct sums from the a* array.

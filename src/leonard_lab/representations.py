@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .hyper import hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots
-from .params import DualHahnParams
+from .params import ParameterArray
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ValueTable:
         return self.values.at(i, j)
 
 
-def eval_table_hypergeometric(p: DualHahnParams) -> ValueTable:
+def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:
     """u_i(theta_j) as the terminating 3F2 at unit argument, truncated at i."""
     d, r, s = p.d, p.r, p.s
     rows = []
@@ -50,7 +50,7 @@ def eval_table_hypergeometric(p: DualHahnParams) -> ValueTable:
     return ValueTable(RationalMatrix.from_rows(rows))
 
 
-def eval_table_recurrence(p: DualHahnParams) -> ValueTable:
+def eval_table_recurrence(p: ParameterArray) -> ValueTable:
     """u_i(theta_j) via the three-term recurrence; shares no code with the
     hypergeometric route."""
     d = p.d
@@ -68,7 +68,7 @@ def eval_table_recurrence(p: DualHahnParams) -> ValueTable:
     return ValueTable(RationalMatrix.from_rows(rows))
 
 
-def check_top_row(p: DualHahnParams, table: ValueTable) -> bool:
+def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
     """Recurrence at i = d, where b_d = 0 closes the system:
     theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j)."""
     d = p.d
@@ -81,7 +81,7 @@ def check_top_row(p: DualHahnParams, table: ValueTable) -> bool:
     return True
 
 
-def check_orthogonality(p: DualHahnParams, table: ValueTable) -> bool:
+def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
     """sum_h u_i(theta_h) u_j(theta_h) k*_h == delta_ij nu / k_i, exactly."""
     d = p.d
     for i in range(d + 1):
@@ -95,7 +95,7 @@ def check_orthogonality(p: DualHahnParams, table: ValueTable) -> bool:
     return True
 
 
-def check_difference_eq(p: DualHahnParams, table: ValueTable) -> bool:
+def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
     """theta*_i u_i(theta_j) == b*_j u_i(theta_{j+1}) + a*_j u_i(theta_j)
     + c*_j u_i(theta_{j-1}); boundary terms drop via b*_d = c*_0 = 0."""
     d = p.d
@@ -143,7 +143,7 @@ def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> i
     return degree
 
 
-def check_degree_invariant(p: DualHahnParams, table: ValueTable) -> bool:
+def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     """Row i of the table must be the values of a polynomial of exact degree i."""
     return all(
         value_row_degree(p.theta, table.values.row(i)) == i for i in range(p.d + 1)
@@ -153,7 +153,7 @@ def check_degree_invariant(p: DualHahnParams, table: ValueTable) -> bool:
 # -- matrix representations ------------------------------------------------
 
 
-def matrix_L_u_basis(p: DualHahnParams) -> RationalMatrix:
+def matrix_L_u_basis(p: ParameterArray) -> RationalMatrix:
     """Matrix of L in the u-basis: tridiagonal with diagonal a, subdiagonal b,
     superdiagonal c."""
     d = p.d
@@ -162,17 +162,17 @@ def matrix_L_u_basis(p: DualHahnParams) -> RationalMatrix:
     )
 
 
-def matrix_Lstar_u_basis(p: DualHahnParams) -> RationalMatrix:
+def matrix_Lstar_u_basis(p: ParameterArray) -> RationalMatrix:
     """Matrix of L* in the u-basis: diag(theta*_0, ..., theta*_d)."""
     return RationalMatrix.diagonal(p.theta_star)
 
 
-def matrix_L_ustar_basis(p: DualHahnParams) -> RationalMatrix:
+def matrix_L_ustar_basis(p: ParameterArray) -> RationalMatrix:
     """Matrix of L in the u*-basis: diag(theta_0, ..., theta_d)."""
     return RationalMatrix.diagonal(p.theta)
 
 
-def matrix_Lstar_ustar_basis(p: DualHahnParams) -> RationalMatrix:
+def matrix_Lstar_ustar_basis(p: ParameterArray) -> RationalMatrix:
     """Matrix of L* in the u*-basis: tridiagonal with diagonal a*,
     subdiagonal b*, superdiagonal c*."""
     d = p.d
@@ -181,7 +181,7 @@ def matrix_Lstar_ustar_basis(p: DualHahnParams) -> RationalMatrix:
     )
 
 
-def check_basis_consistency(p: DualHahnParams) -> bool:
+def check_basis_consistency(p: ParameterArray) -> bool:
     """The two representations of each operator must be similar: compare trace
     and characteristic polynomial against the eigenvalue data."""
     L_u = matrix_L_u_basis(p)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leonard_lab
 from leonard_lab import cli
 from leonard_lab.cli import main
 from leonard_lab.hyper import SeriesDivisionError
@@ -20,6 +22,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """Environment for a `python -m leonard_lab` child: the package imported
+    here comes first on PYTHONPATH, and no worker count is set."""
+    env = {k: v for k, v in os.environ.items() if k != "LEONARD_LAB_THREADS"}
+    src = str(pathlib.Path(leonard_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_params_success(capsys):
@@ -213,9 +224,22 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "leonard_lab", "params", "--d", "1", "--r", "1/2", "--s", "-1/2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["theta"] == ["2", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), ("-h",), ("verify-lp", "-h"), ("search", "--d-max", "2", "--help")],
+    ids=["--help", "-h", "verify-lp -h", "search --help"],
+)
+def test_help_returns_zero_with_usage_on_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: leonard-lab")
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -283,8 +307,9 @@ def test_library_failure_maps_to_exit_1(capsys, monkeypatch, error):
     [
         ("params", "--d", "2", "--r", "1/2", "--s", "-1/2"),
         ("search", "--d-max", "4", "--r-values", "1/2,1/3,1/4"),
+        ("--help",),
     ],
-    ids=["params", "search"],
+    ids=["params", "search", "help"],
 )
 def test_closed_stdout_pipe_exits_quietly(argv):
     # A pipe whose read end is already closed, as after `| head` has exited:
@@ -292,13 +317,12 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        env = {k: v for k, v in os.environ.items() if k != "LEONARD_LAB_THREADS"}
         proc = subprocess.run(
             [sys.executable, "-m", "leonard_lab", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=child_env(),
         )
     finally:
         os.close(write_end)
@@ -351,7 +375,9 @@ def _item(flag):
 
 _NOISE = st.one_of(
     st.sampled_from(sorted(_VALUES) + _SWITCHES).flatmap(_item),
-    st.sampled_from(_SUBCOMMANDS + _SMALL_INTS + _BAD_RATIONALS).map(lambda t: [t]),
+    st.sampled_from(_SUBCOMMANDS + _SMALL_INTS + _BAD_RATIONALS + ["-h", "--help"]).map(
+        lambda t: [t]
+    ),
 )
 
 
@@ -359,7 +385,7 @@ _NOISE = st.one_of(
 def _argv(draw):
     """A subcommand with most of its own flags, in any order, plus at most
     two stray items; now and then the subcommand itself is a stray token."""
-    first = draw(st.sampled_from(_SUBCOMMANDS * 8 + ["--d", "1/2", ""]))
+    first = draw(st.sampled_from(_SUBCOMMANDS * 8 + ["--d", "1/2", "", "-h"]))
     items = [
         draw(_item(flag))
         for flag in _FLAGS.get(first, [])
@@ -380,6 +406,9 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
             code = main(argv)
     assert code in {0, 1, 2, 64}, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0 and ("-h" in argv or "--help" in argv):
+        assert out.getvalue().startswith("usage: leonard-lab"), argv
+        return
     if code != 0 or "csv" in argv or any(tok.endswith("=csv") for tok in argv):
         return
     if argv[0] == "search":

@@ -3,13 +3,23 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard_lab.cli import main
 from leonard_lab.params import (
     ParameterDomainError,
+    ParameterInvariantError,
     build_astar_sums,
     build_params,
     check_closed_forms,
+    parameter_array,
+)
+from leonard_lab.racah import build_racah_params
+from leonard_lab.representations import (
+    check_orthogonality,
+    eval_table_hypergeometric,
+    eval_table_recurrence,
 )
 
 # compact grid for unit tests; the acceptance suite runs the full one
@@ -70,6 +80,55 @@ def test_closed_forms_examples():
 def test_closed_forms_on_grid():
     for d, r, s in product(GRID_D, GRID_RS, GRID_RS):
         assert check_closed_forms(build_params(d, r, s)), (d, r, s)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    d=st.integers(0, 8),
+    r=st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(lambda x: x > -1),
+    s=st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(lambda x: x > -1),
+)
+def test_dual_hahn_identities_for_drawn_rationals(d, r, s):
+    p = build_params(d, r, s)
+    assert check_closed_forms(p)
+    table = eval_table_hypergeometric(p)
+    assert table.values == eval_table_recurrence(p).values
+    assert check_orthogonality(p, table)
+
+
+def _inputs(p):
+    """The arguments `parameter_array` completes p from."""
+    return dict(d=p.d, r=p.r, s=p.s, theta=p.theta, theta_star=p.theta_star,
+                b=p.b, c=p.c, b_star=p.b_star, c_star=p.c_star)
+
+
+_BUILDERS = {
+    "dual": lambda: build_params(3, F(1, 2), F(-1, 2)),
+    "barred": lambda: build_racah_params(3, F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+def test_both_arrays_are_one_type_rebuilt_by_parameter_array(build):
+    p = build()
+    assert type(p) is type(build_params(3, F(1, 2), F(-1, 2)))
+    assert parameter_array(**_inputs(p)) == p
+
+
+_CORRUPTIONS = {
+    "zero interior c": lambda f: {**f, "c": f["c"][:2] + (F(0),) + f["c"][3:]},
+    "zero interior b*": lambda f: {**f, "b_star": (F(0),) + f["b_star"][1:]},
+    "nonzero boundary b_d": lambda f: {**f, "b": f["b"][:-1] + (F(1),)},
+    "repeated theta": lambda f: {**f, "theta": f["theta"][1:2] + f["theta"][1:]},
+    "negative weight": lambda f: {**f, "b": (-f["b"][0],) + f["b"][1:]},
+}
+
+
+@pytest.mark.parametrize("corrupt", _CORRUPTIONS.values(), ids=_CORRUPTIONS)
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+def test_parameter_array_rejects_corrupted_input(build, corrupt):
+    with pytest.raises(ParameterInvariantError):
+        parameter_array(**corrupt(_inputs(build())))
 
 
 def test_astar_sums_d1_is_one():

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard_lab.leonard import candidate_orderings
 from leonard_lab.params import ParameterDomainError, build_params
@@ -18,6 +20,7 @@ from leonard_lab.racah import (
     eval_table_4F3,
     index_map,
     standard_racah_eval,
+    varphi,
 )
 from leonard_lab.representations import eval_table_hypergeometric
 
@@ -26,14 +29,14 @@ R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
 
 def test_build_frozen_values():
     q1 = build_racah_params(1, F(1, 2))
-    assert q1.bar_theta == (2, 0)
+    assert q1.theta == (2, 0)
     q2 = build_racah_params(2, F(1, 2))
-    assert q2.bar_theta == (6, 0, 2)
-    assert q2.bar_theta_star == (F(9, 16), F(1, 16), F(25, 16))
-    assert q2.bar_b == (3, F(1, 2), 0)
-    assert q2.bar_nu == F(16, 5)
-    assert q2.bar_b_star[1] == F(-9, 8)
-    assert q2.bar_k_star == (1, F(2, 5), F(9, 5))
+    assert q2.theta == (6, 0, 2)
+    assert q2.theta_star == (F(9, 16), F(1, 16), F(25, 16))
+    assert q2.b == (3, F(1, 2), 0)
+    assert q2.nu == F(16, 5)
+    assert q2.b_star[1] == F(-9, 8)
+    assert q2.k_star == (1, F(2, 5), F(9, 5))
 
 
 def test_domain_errors():
@@ -58,10 +61,10 @@ def test_index_mapping_examples():
     q = build_racah_params(2, F(1, 2))
     p = dual_params(q)
     assert p.theta == (6, 2, 0)
-    assert q.bar_theta == tuple(p.theta[j] for j in index_map(2))
+    assert q.theta == tuple(p.theta[j] for j in index_map(2))
     assert check_index_mapping(p, q)
     q1 = build_racah_params(1, F(1, 2))
-    assert q1.bar_theta == dual_params(q1).theta
+    assert q1.theta == dual_params(q1).theta
     assert check_index_mapping(dual_params(q1), q1)
 
 
@@ -76,8 +79,8 @@ def test_index_mapping_rejects_mismatched_inputs():
 def test_unbarred_identities_worked():
     q = build_racah_params(2, F(1, 2))
     p = dual_params(q)
-    assert q.bar_b == p.b
-    assert q.bar_nu == p.nu == F(16, 5)
+    assert q.b == p.b
+    assert q.nu == p.nu == F(16, 5)
     assert check_unbarred_identities(p, q)
 
 
@@ -85,8 +88,8 @@ def test_starred_products_worked_even_middle():
     q = build_racah_params(2, F(1, 2))
     p = dual_params(q)
     middle = F(2 + 1) * F(1, 2) / 2
-    assert q.bar_b_star[1] == middle * p.c_star[2] == F(-9, 8)
-    assert q.bar_k_star == tuple(p.k_star[j] for j in index_map(2))
+    assert q.b_star[1] == middle * p.c_star[2] == F(-9, 8)
+    assert q.k_star == tuple(p.k_star[j] for j in index_map(2))
     assert check_starred_products(p, q)
 
 
@@ -94,8 +97,8 @@ def test_starred_products_worked_odd_middle():
     q = build_racah_params(3, F(1, 2))
     p = dual_params(q)
     middle = F(3 + 1) * F(1, 2) / 2
-    assert q.bar_b_star[1] == middle * p.b_star[2]
-    assert q.bar_c_star[2] == middle * p.c_star[3]
+    assert q.b_star[1] == middle * p.b_star[2]
+    assert q.c_star[2] == middle * p.c_star[3]
     assert check_starred_products(p, q)
 
 
@@ -104,11 +107,11 @@ def test_varphi_closed_form_and_quotient():
         q = build_racah_params(d, F(1, 2))
         assert check_varphi(q)
     q2 = build_racah_params(2, F(1, 2))
-    assert q2.varphi(1) == F(-3, 2)
+    assert varphi(q2, 1) == F(-3, 2)
     with pytest.raises(IndexError):
-        q2.varphi(0)
+        varphi(q2, 0)
     with pytest.raises(IndexError):
-        q2.varphi(3)
+        varphi(q2, 3)
 
 
 def test_4f3_table_frozen_and_permuted():
@@ -125,34 +128,49 @@ def test_4f3_table_frozen_and_permuted():
     assert list(table2.values.row(0)) == [1, 1, 1]
 
 
+def assert_identity_suite(d, r):
+    q = build_racah_params(d, r)
+    p = dual_params(q)
+    table = eval_table_4F3(q)
+    U = eval_table_hypergeometric(p)
+    sigma = index_map(d)
+    assert all(
+        table.at(i, j) == U.at(i, sigma[j])
+        for i in range(d + 1)
+        for j in range(d + 1)
+    ), (d, r)
+    assert check_index_mapping(p, q), (d, r)
+    assert check_unbarred_identities(p, q), (d, r)
+    assert check_starred_products(p, q), (d, r)
+    assert check_varphi(q), (d, r)
+    assert check_racah_orthogonality(q, table), (d, r)
+    assert check_barred_recurrence(q, table), (d, r)
+    assert check_barred_matrices(p, q), (d, r)
+
+
 def test_full_identity_suite_on_grid():
     for d in range(0, 7):
         for r in R_VALUES:
-            q = build_racah_params(d, r)
-            p = dual_params(q)
-            table = eval_table_4F3(q)
-            U = eval_table_hypergeometric(p)
-            sigma = index_map(d)
-            assert all(
-                table.at(i, j) == U.at(i, sigma[j])
-                for i in range(d + 1)
-                for j in range(d + 1)
-            ), (d, r)
-            assert check_index_mapping(p, q), (d, r)
-            assert check_unbarred_identities(p, q), (d, r)
-            assert check_starred_products(p, q), (d, r)
-            assert check_varphi(q), (d, r)
-            assert check_racah_orthogonality(q, table), (d, r)
-            assert check_barred_recurrence(q, table), (d, r)
-            assert check_barred_matrices(p, q), (d, r)
+            assert_identity_suite(d, r)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    d=st.integers(0, 8),
+    r=st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
+        lambda x: -1 < x < 1 and x != 0
+    ),
+)
+def test_full_identity_suite_for_drawn_rationals(d, r):
+    assert_identity_suite(d, r)
 
 
 def test_racah_orthogonality_worked_instance():
     q = build_racah_params(2, F(1, 2))
     table = eval_table_4F3(q)
-    total = sum((table.at(2, h) ** 2 * q.bar_k_star[h] for h in range(3)), F(0))
+    total = sum((table.at(2, h) ** 2 * q.k_star[h] for h in range(3)), F(0))
     assert total == 16
-    assert q.bar_nu / q.bar_k[2] == 16
+    assert q.nu / q.k[2] == 16
 
 
 def test_standard_racah_route():
@@ -164,7 +182,7 @@ def test_standard_racah_route():
         assert (aff2_m, aff2_b) == (4, d * (d + 1))
         for j in range(d + 1):
             node = F(j) * (j - d - F(1, 2))
-            assert aff2_m * node + aff2_b == q.bar_theta[j]
+            assert aff2_m * node + aff2_b == q.theta[j]
             for i in range(d + 1):
                 assert standard_racah_eval(d, r, i, F(j)) == table.at(i, j), (d, r, i, j)
 
@@ -182,4 +200,4 @@ def test_aff2_at_zero_is_top_barred_node():
     for d, r in [(2, F(1, 2)), (5, F(-1, 4))]:
         q = build_racah_params(d, r)
         _, (aff2_m, aff2_b) = affine_maps(d, r)
-        assert aff2_b == d * (d + 1) == q.bar_theta[0]
+        assert aff2_b == d * (d + 1) == q.theta[0]
