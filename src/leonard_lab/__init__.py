@@ -28,7 +28,7 @@ from .leonard import (
     theorem_conditions,
     verify_leonard_pair_square,
 )
-from .matrices import RationalMatrix, poly_from_roots
+from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from .params import (
     ParameterArray,
     ParameterDomainError,

@@ -256,19 +256,14 @@ def cmd_verify_racah(args) -> int:
     q = racah_mod.build_racah_params(args.d, parse_rational(args.r))
     p = racah_mod.dual_params(q)
     table = racah_mod.eval_table_4F3(q)
-    sigma = racah_mod.index_map(q.d)
-    dual_table = eval_table_hypergeometric(p)
-    permuted_match = all(
-        table.at(i, j) == dual_table.at(i, sigma[j])
-        for i in range(q.d + 1)
-        for j in range(q.d + 1)
-    )
     checks = {
         "indexMapping": racah_mod.check_index_mapping(p, q),
         "unbarredIdentities": racah_mod.check_unbarred_identities(p, q),
         "starredProducts": racah_mod.check_starred_products(p, q),
         "varphi": racah_mod.check_varphi(q),
-        "table4F3MatchesPermutedDualHahn": permuted_match,
+        "table4F3MatchesPermutedDualHahn": racah_mod.check_table_matches_permuted_dual(
+            p, q, table
+        ),
         "orthogonality": racah_mod.check_racah_orthogonality(q, table),
         "barredRecurrence": racah_mod.check_barred_recurrence(q, table),
         "barredMatrices": racah_mod.check_barred_matrices(p, q),

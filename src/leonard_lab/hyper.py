@@ -55,14 +55,15 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def pochhammer(x: Fraction | int, i: int) -> Fraction:
-    """Rising factorial (x)_i = x (x+1) ... (x+i-1); the empty product is 1."""
+    """Rising factorial (x)_i = x (x+1) ... (x+i-1); the empty product is 1.
+
+    With x = p/q this is prod (p + step q) / q^i: an integer product, reduced
+    once."""
     if i < 0:
         raise ValueError(f"pochhammer order must be a natural number, got {i}")
     x = Fraction(x)
-    acc = Fraction(1)
-    for step in range(i):
-        acc *= x + step
-    return acc
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(p + step * q for step in range(i)), q**i)
 
 
 def binomial(n: int, i: int) -> Fraction:
@@ -89,6 +90,11 @@ def hypergeom_terminating(
     touched, so instances where both vanish at one index are well defined by
     truncation.  Some numerator parameter must be a non-positive integer -t
     with t <= terms, so the truncated sum is the whole series.
+
+    One forward pass writes each term ratio t_{h+1} / t_h as a pair of
+    integers; Horner's rule then runs backwards over the pairs,
+    1 + rho_0 (1 + rho_1 (1 + ...)), as one integer numerator/denominator
+    pair, and the sum is reduced to a Fraction once at the end.
     """
     nums: Sequence[Fraction] = [Fraction(a) for a in numerators]
     dens: Sequence[Fraction] = [Fraction(b) for b in denominators]
@@ -99,20 +105,25 @@ def hypergeom_terminating(
             "series is not guaranteed to terminate within "
             f"{terms} terms: no numerator parameter in {{-{terms}, ..., 0}}"
         )
-    total = Fraction(1)
-    term = Fraction(1)
+    # a + h = (p + h q) / q, so rho_h = top_h / bottom_h with the parameter
+    # denominators of one side moved to the other as constant factors.
+    top_scale = math.prod(b.denominator for b in dens)
+    bottom_scale = math.prod(a.denominator for a in nums)
+    ratios = []
     for h in range(terms):
-        top = Fraction(1)
+        top = top_scale
         for a in nums:
-            top *= a + h
+            top *= a.numerator + h * a.denominator
         if top == 0:
             break
-        bottom = Fraction(h + 1)
+        bottom = bottom_scale * (h + 1)
         for b in dens:
-            bottom *= b + h
+            bottom *= b.numerator + h * b.denominator
         if bottom == 0:
             offender = next(b for b in dens if b + h == 0)
             raise SeriesDivisionError(h + 1, offender)
-        term = term * top / bottom
-        total += term
-    return total
+        ratios.append((top, bottom))
+    num = den = 1
+    for top, bottom in reversed(ratios):
+        num, den = bottom * den + top * num, bottom * den
+    return Fraction(num, den)

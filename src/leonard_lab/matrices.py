@@ -174,6 +174,8 @@ class RationalMatrix:
         """Monic characteristic polynomial, coefficients in descending powers.
 
         Faddeev-LeVerrier over the rationals; exact for any square size.
+        For a tridiagonal matrix, `tridiagonal_charpoly` gives the same
+        coefficients in O(n^2).
         """
         if not self.is_square:
             raise ValueError("characteristic polynomial of a non-square matrix")
@@ -205,4 +207,33 @@ def poly_from_roots(roots: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
             new[idx] += c
             new[idx + 1] -= r * c
         coeffs = new
+    return tuple(coeffs)
+
+
+def tridiagonal_charpoly(
+    diag: Sequence[Fraction | int],
+    sub: Sequence[Fraction | int],
+    sup: Sequence[Fraction | int],
+) -> tuple[Fraction, ...]:
+    """Characteristic polynomial of `RationalMatrix.tridiagonal(diag, sub, sup)`,
+    monic, coefficients in descending powers.
+
+    Expanding det(xI - T) along its last row gives the continuant recurrence
+    p_0 = 1, p_1 = x - diag[0] and
+    p_{k+1} = (x - diag[k]) p_k - sub[k-1] sup[k-1] p_{k-1}.
+    """
+    n = len(diag)
+    if len(sub) != max(n - 1, 0) or len(sup) != max(n - 1, 0):
+        raise ValueError("sub/super diagonals must have length n-1")
+    prev: list[Fraction] = []
+    coeffs = [Fraction(1)]
+    for k, a in enumerate(diag):
+        new = coeffs + [Fraction(0)]
+        for idx, c in enumerate(coeffs):
+            new[idx + 1] -= a * c
+        if k:
+            coupling = Fraction(sub[k - 1]) * sup[k - 1]
+            for idx, c in enumerate(prev):
+                new[idx + 2] -= coupling * c
+        prev, coeffs = coeffs, new
     return tuple(coeffs)

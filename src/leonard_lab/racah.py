@@ -22,6 +22,7 @@ from .representations import (
     ValueTable,
     check_orthogonality,
     eval_table_hypergeometric,
+    eval_table_recurrence,
     matrix_L_u_basis,
     matrix_Lstar_ustar_basis,
 )
@@ -200,21 +201,55 @@ def eval_table_4F3(q: ParameterArray) -> ValueTable:
     return ValueTable(RationalMatrix.from_rows(rows))
 
 
+def check_table_matches_permuted_dual(
+    p: ParameterArray, q: ParameterArray, table: ValueTable
+) -> bool:
+    """The 4F3 table equals the sigma-permuted 3F2 table of the dual Hahn
+    array: u_i(bar_theta_j) == u_i(theta_sigma(j)), by two independent
+    hypergeometric routes."""
+    _require_shared(p, q)
+    dual_table = eval_table_hypergeometric(p)
+    sigma = index_map(q.d)
+    return all(
+        table.at(i, j) == dual_table.at(i, sigma[j])
+        for i in range(q.d + 1)
+        for j in range(q.d + 1)
+    )
+
+
 def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
     """Barred orthogonality sum_h u_i u_j bar_k*_h == delta_ij bar_nu/bar_k_i,
-    and each summand is the sigma re-indexing of a dual Hahn summand."""
+    and each summand is the sigma re-indexing of a dual Hahn summand:
+
+        table_i(h) table_j(h) bar_k*_h == U_i(sigma(h)) U_j(sigma(h)) k*_sigma(h)
+
+    for all i, j, h, where U is the dual Hahn table (recurrence route).
+
+    The summand identity is decided in O(d^2) by an equivalent form: row 0
+    of both tables is all 1 (u_0 = 1), bar_k*_h == k*_sigma(h), and
+    table_i(h) == U_i(sigma(h)).  Proof, given the rows of 1: the form
+    implies every summand identity by substitution.  Conversely, i = j = 0
+    gives bar_k*_h == k*_sigma(h); then j = 0 gives
+    table_i(h) k*_sigma(h) == U_i(sigma(h)) k*_sigma(h), and k*_sigma(h) != 0
+    (the dual Hahn weights are checked nonzero when the array is built), so
+    table_i(h) == U_i(sigma(h)).  Every evaluation route gives u_0 = 1; a
+    table without it is rejected here, even where its summands, which are
+    quadratic in the table, would all agree.
+    """
     d = q.d
     p = dual_params(q)
-    U = eval_table_hypergeometric(p)
+    U = eval_table_recurrence(p)
     sigma = index_map(d)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for h in range(d + 1):
-                if (
-                    table.at(i, h) * table.at(j, h) * q.k_star[h]
-                    != U.at(i, sigma[h]) * U.at(j, sigma[h]) * p.k_star[sigma[h]]
-                ):
-                    return False
+    if any(table.at(0, h) != 1 or U.at(0, h) != 1 for h in range(d + 1)):
+        return False
+    if any(q.k_star[h] != p.k_star[sigma[h]] for h in range(d + 1)):
+        return False
+    if any(
+        table.at(i, h) != U.at(i, sigma[h])
+        for i in range(1, d + 1)
+        for h in range(d + 1)
+    ):
+        return False
     return check_orthogonality(q, table)
 
 

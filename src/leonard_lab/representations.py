@@ -9,12 +9,14 @@ coefficient lists, no floating point.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .hyper import hypergeom_terminating
-from .matrices import RationalMatrix, poly_from_roots
+from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from .params import ParameterArray
 
 
@@ -81,16 +83,30 @@ def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
     return True
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integers, den) with values[h] == integers[h] / den."""
+    den = 1
+    for v in values:  # not math.lcm(*...), which builds an argument tuple per call
+        den = math.lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
-    """sum_h u_i(theta_h) u_j(theta_h) k*_h == delta_ij nu / k_i, exactly."""
+    """sum_h u_i(theta_h) u_j(theta_h) k*_h == delta_ij nu / k_i, exactly.
+
+    Each row of the table and k* are put over one common denominator first,
+    so every sum is an integer dot product; only the diagonal sums are turned
+    back into a Fraction."""
     d = p.d
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            total = Fraction(0)
-            for h in range(d + 1):
-                total += table.at(i, h) * table.at(j, h) * p.k_star[h]
-            expected = p.nu / p.k[i] if i == j else Fraction(0)
-            if total != expected:
+    weights, weights_den = _over_common_denominator(p.k_star)
+    rows = [_over_common_denominator(table.values.row(i)) for i in range(d + 1)]
+    for i, (row_i, den_i) in enumerate(rows):
+        weighted = [u * w for u, w in zip(row_i, weights)]
+        norm = sum(map(operator.mul, weighted, row_i))
+        if Fraction(norm, den_i * den_i * weights_den) != p.nu / p.k[i]:
+            return False
+        for row_j, _ in rows[i + 1 :]:
+            if sum(map(operator.mul, weighted, row_j)) != 0:
                 return False
     return True
 
@@ -135,10 +151,27 @@ def divided_differences(
 
 
 def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> int:
-    """Exact degree of the interpolating polynomial (-1 for identically zero)."""
-    degree = -1
-    for m, row in enumerate(divided_differences(nodes, values)):
-        if any(v != 0 for v in row):
+    """Exact degree of the interpolating polynomial (-1 for identically zero):
+    the highest order m with a nonzero order-m divided difference.
+
+    Only which differences vanish matters, so the triangle runs on integers.
+    Nodes and values are scaled to integers by common denominators, which
+    carries a polynomial of degree m to one of degree m.  Each order is then
+    multiplied by the lcm of its node gaps instead of divided by each gap, so
+    row m holds the order-m divided differences times one positive factor.
+    """
+    if len(nodes) != len(values):
+        raise ValueError("nodes and values must have equal length")
+    xs, _ = _over_common_denominator(nodes)
+    row, _ = _over_common_denominator(values)
+    degree = 0 if any(row) else -1
+    for m in range(1, len(xs)):
+        gaps = [xs[t + m] - xs[t] for t in range(len(row) - 1)]
+        scale = 1
+        for gap in gaps:
+            scale = math.lcm(scale, gap)
+        row = [(row[t + 1] - row[t]) * (scale // gap) for t, gap in enumerate(gaps)]
+        if any(row):
             degree = m
     return degree
 
@@ -182,16 +215,12 @@ def matrix_Lstar_ustar_basis(p: ParameterArray) -> RationalMatrix:
 
 
 def check_basis_consistency(p: ParameterArray) -> bool:
-    """The two representations of each operator must be similar: compare trace
-    and characteristic polynomial against the eigenvalue data."""
-    L_u = matrix_L_u_basis(p)
-    if L_u.trace() != sum(p.theta, Fraction(0)):
+    """The two representations of each operator must be similar: the
+    characteristic polynomials of the tridiagonal matrices of L in the u-basis
+    and of L* in the u*-basis must have the eigenvalues theta and theta* as
+    roots.  (The trace is the second coefficient, so it is compared too.)"""
+    d = p.d
+    if tridiagonal_charpoly(p.a, p.b[:d], p.c[1:]) != poly_from_roots(p.theta):
         return False
-    if L_u.charpoly() != poly_from_roots(p.theta):
-        return False
-    Lstar_ustar = matrix_Lstar_ustar_basis(p)
-    if Lstar_ustar.trace() != sum(p.theta_star, Fraction(0)):
-        return False
-    if Lstar_ustar.charpoly() != poly_from_roots(p.theta_star):
-        return False
-    return True
+    charpoly_star = tridiagonal_charpoly(p.a_star, p.b_star[:d], p.c_star[1:])
+    return charpoly_star == poly_from_roots(p.theta_star)

@@ -49,6 +49,13 @@ LAYOUT_CASES = [
      483, "b932bc7e553122d52bc8f25d67e24ff2c3b027d5d478d2df84e90968fa09db26"),
     (("catalog", "--D", "6"),
      1347, "c97373ed23e5ce8b32ef61fd739915aa1ac9c1c76cc21e32f21df5c6cbd500ce"),
+    # Larger d, where the tables and checks take their integer fast paths.
+    (("table", "--d", "16", "--r", "3/7", "--s", "2/5"),
+     9759, "e575d36c0908baafe22ba7f05a071a99a939f006dcd4f0c15a44ea6905f02399"),
+    (("table", "--d", "16", "--r", "3/7", "--s", "2/5", "--format", "csv"),
+     6787, "f21c9a6d32cd5dd945c89567cb54dd40a98259434ee7900d1d549264d1d7ac16"),
+    (("verify-racah", "--d", "16", "--r", "-5/9"),
+     265, "65963667438ae02b759a3b57f7909289ac933ffc0cb8490822d3093ef8a0113f"),
 ]
 
 

@@ -19,11 +19,62 @@ rationals = st.fractions(
 )
 
 
+def hypergeom_oracle(numerators, denominators, terms):
+    """The term-by-term Fraction loop that `hypergeom_terminating` replaced."""
+    nums = [F(a) for a in numerators]
+    dens = [F(b) for b in denominators]
+    if terms < 0:
+        raise ValueError(f"terms must be a natural number, got {terms}")
+    if not any(a.denominator == 1 and a <= 0 and -a <= terms for a in nums):
+        raise ValueError("series is not guaranteed to terminate")
+    total = F(1)
+    term = F(1)
+    for h in range(terms):
+        top = F(1)
+        for a in nums:
+            top *= a + h
+        if top == 0:
+            break
+        bottom = F(h + 1)
+        for b in dens:
+            bottom *= b + h
+        if bottom == 0:
+            offender = next(b for b in dens if b + h == 0)
+            raise SeriesDivisionError(h + 1, offender)
+        term = term * top / bottom
+        total += term
+    return total
+
+
+def _outcome(fn, *args):
+    """Value, or the exception's type and (for a series division) location."""
+    try:
+        return ("value", fn(*args))
+    except SeriesDivisionError as exc:
+        return ("division", exc.term_index, exc.parameter, str(exc))
+    except ValueError:
+        return ("value error",)
+
+
 def test_pochhammer_examples():
     assert pochhammer(F(7, 3), 0) == 1
     assert pochhammer(F(-9, 2), 0) == 1
     assert pochhammer(2, 3) == 24
     assert pochhammer(F(-1, 2), 2) == F(-1, 4)
+
+
+def pochhammer_oracle(x, i):
+    """The Fraction loop that `pochhammer` replaced."""
+    acc = F(1)
+    for step in range(i):
+        acc *= F(x) + step
+    return acc
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(rationals, st.integers(-8, 8)), st.integers(min_value=0, max_value=14))
+def test_pochhammer_integer_product_matches_fraction_loop(x, i):
+    assert pochhammer(x, i) == pochhammer_oracle(x, i)
 
 
 def test_pochhammer_rejects_negative_order():
@@ -118,6 +169,32 @@ def test_hypergeom_matched_pair_cancels(data):
     extra = data.draw(rationals.filter(lambda q: q.denominator > 1 or q > terms or q < -terms))
     base = hypergeom_terminating(nums, dens, terms)
     assert hypergeom_terminating(nums + [extra], dens + [extra], terms) == base
+
+
+# Integers in -6..0 make numerator and denominator zeros (and both at one
+# index) common.
+parameters = st.one_of(rationals, st.integers(min_value=-6, max_value=0).map(F))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_hypergeom_matches_fraction_loop_oracle(data):
+    terms = data.draw(st.integers(min_value=-1, max_value=8))
+    # A terminating parameter -t, inside the window unless t = terms + 1.
+    t = data.draw(st.integers(min_value=0, max_value=max(terms + 1, 0)))
+    nums = data.draw(st.permutations(data.draw(st.lists(parameters, max_size=3)) + [F(-t)]))
+    dens = data.draw(st.lists(parameters, max_size=3))
+    assert _outcome(hypergeom_terminating, nums, dens, terms) == _outcome(
+        hypergeom_oracle, nums, dens, terms
+    )
+
+
+def test_hypergeom_oracle_cases_include_every_outcome():
+    cases = [([F(-5)], [F(-2)], 5), ([F(-2), F(1, 3)], [F(-1, 2)], 2), ([F(1, 2)], [], 3)]
+    kinds = {_outcome(hypergeom_oracle, *case)[0] for case in cases}
+    assert kinds == {"value", "division", "value error"}
+    for case in cases:
+        assert _outcome(hypergeom_terminating, *case) == _outcome(hypergeom_oracle, *case)
 
 
 def test_rational_codec_round_trip():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard_lab.matrices import RationalMatrix, poly_from_roots
+from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -89,3 +89,29 @@ def test_charpoly_matches_diagonal_roots(data):
     n = data.draw(st.integers(min_value=1, max_value=5))
     roots = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
     assert RationalMatrix.diagonal(roots).charpoly() == poly_from_roots(roots)
+
+
+# Zero is drawn often, so reducible tridiagonals (a zero off-diagonal) are common.
+entries = st.one_of(st.just(F(0)), small_fractions)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_continuant_matches_faddeev_leverrier(data):
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    diag = data.draw(st.lists(entries, min_size=n, max_size=n))
+    sub = data.draw(st.lists(entries, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    sup = data.draw(st.lists(entries, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    oracle = RationalMatrix.tridiagonal(diag, sub, sup).charpoly()
+    assert tridiagonal_charpoly(diag, sub, sup) == oracle
+
+
+def test_continuant_small_cases():
+    assert tridiagonal_charpoly([], [], []) == (F(1),)
+    assert tridiagonal_charpoly([F(3, 2)], [], []) == (F(1), F(-3, 2))
+    # (x-2)^2 - 1, as in test_charpoly_small_cases
+    assert tridiagonal_charpoly([2, 2], [1], [1]) == (F(1), F(-4), F(3))
+    # a zero off-diagonal splits the matrix: the roots are the diagonal
+    assert tridiagonal_charpoly([1, 2, 3], [0, 5], [7, 0]) == poly_from_roots([1, 2, 3])
+    with pytest.raises(ValueError):
+        tridiagonal_charpoly([1, 2], [1], [])

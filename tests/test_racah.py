@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from leonard_lab.racah import (
     check_index_mapping,
     check_racah_orthogonality,
     check_starred_products,
+    check_table_matches_permuted_dual,
     check_unbarred_identities,
     check_varphi,
     dual_params,
@@ -22,7 +24,12 @@ from leonard_lab.racah import (
     standard_racah_eval,
     varphi,
 )
-from leonard_lab.representations import eval_table_hypergeometric
+from leonard_lab.matrices import RationalMatrix
+from leonard_lab.representations import (
+    ValueTable,
+    check_orthogonality,
+    eval_table_hypergeometric,
+)
 
 R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
 
@@ -132,13 +139,7 @@ def assert_identity_suite(d, r):
     q = build_racah_params(d, r)
     p = dual_params(q)
     table = eval_table_4F3(q)
-    U = eval_table_hypergeometric(p)
-    sigma = index_map(d)
-    assert all(
-        table.at(i, j) == U.at(i, sigma[j])
-        for i in range(d + 1)
-        for j in range(d + 1)
-    ), (d, r)
+    assert check_table_matches_permuted_dual(p, q, table), (d, r)
     assert check_index_mapping(p, q), (d, r)
     assert check_unbarred_identities(p, q), (d, r)
     assert check_starred_products(p, q), (d, r)
@@ -201,3 +202,82 @@ def test_aff2_at_zero_is_top_barred_node():
         q = build_racah_params(d, r)
         _, (aff2_m, aff2_b) = affine_maps(d, r)
         assert aff2_b == d * (d + 1) == q.theta[0]
+
+
+def racah_orthogonality_oracle(q, table):
+    """`check_racah_orthogonality` with its O(d^3) summand-by-summand loop
+    against the 3F2 dual Hahn table."""
+    d = q.d
+    p = dual_params(q)
+    U = eval_table_hypergeometric(p)
+    sigma = index_map(d)
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for h in range(d + 1):
+                if (
+                    table.at(i, h) * table.at(j, h) * q.k_star[h]
+                    != U.at(i, sigma[h]) * U.at(j, sigma[h]) * p.k_star[sigma[h]]
+                ):
+                    return False
+    return check_orthogonality(q, table)
+
+
+racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
+    lambda x: -1 < x < 1 and x != 0
+)
+# Positive, so that no perturbation turns a 1 of row 0 into -1.  The cubic
+# loop cannot see that sign (at d = 0 every summand is unchanged); the
+# quadratic form rejects it, because it requires u_0 = 1.
+deltas = st.fractions(min_value=0, max_value=3, max_denominator=20).filter(bool)
+
+
+@settings(deadline=None, max_examples=40)
+@given(d=st.integers(0, 10), r=racah_r, data=st.data())
+def test_quadratic_summand_form_matches_cubic_loop(d, r, data):
+    q = build_racah_params(d, r)
+    table = eval_table_4F3(q)
+    assert check_racah_orthogonality(q, table) == racah_orthogonality_oracle(q, table) is True
+
+    i, h = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
+    rows = table.values.to_rows()
+    rows[i][h] += data.draw(deltas)
+    perturbed = ValueTable(RationalMatrix.from_rows(rows))
+    assert (
+        check_racah_orthogonality(q, perturbed)
+        == racah_orthogonality_oracle(q, perturbed)
+        is False
+    )
+
+    k_star = list(q.k_star)
+    k_star[h] += data.draw(deltas)
+    reweighted = replace(q, k_star=tuple(k_star))
+    assert (
+        check_racah_orthogonality(reweighted, table)
+        == racah_orthogonality_oracle(reweighted, table)
+        is False
+    )
+
+
+@settings(deadline=None, max_examples=20)
+@given(d=st.integers(1, 10), r=racah_r, data=st.data())
+def test_summand_forms_reject_what_orthogonality_alone_accepts(d, r, data):
+    """Two changes that keep every orthogonality sum exact but break the
+    summand identity: scaling all weights and nu by one factor, and negating
+    a row of the table (for row 0 the sign breaks u_0 = 1)."""
+    q = build_racah_params(d, r)
+    table = eval_table_4F3(q)
+    factor = 1 + data.draw(deltas)
+    scaled = replace(q, k_star=tuple(factor * w for w in q.k_star), nu=factor * q.nu)
+    assert check_orthogonality(scaled, table)
+    assert check_racah_orthogonality(scaled, table) == racah_orthogonality_oracle(
+        scaled, table
+    ) is False
+
+    i = data.draw(st.integers(0, d))
+    rows = table.values.to_rows()
+    rows[i] = [-v for v in rows[i]]
+    negated = ValueTable(RationalMatrix.from_rows(rows))
+    assert check_orthogonality(q, negated)
+    assert check_racah_orthogonality(q, negated) == racah_orthogonality_oracle(
+        q, negated
+    ) is False

@@ -2,10 +2,16 @@ import json
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from leonard_lab.cli import main
-from leonard_lab.matrices import RationalMatrix
+from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from leonard_lab.params import build_params
+from leonard_lab.racah import build_racah_params
 from leonard_lab.representations import (
+    ValueTable,
     check_basis_consistency,
     check_degree_invariant,
     check_difference_eq,
@@ -162,3 +168,130 @@ def test_json_and_csv_export(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "i\\theta_j,2,0"
     assert lines[2] == "1,1,-3"
+
+
+# -- fast paths against the code they replaced --------------------------------
+
+dual_rationals = st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(
+    lambda x: x > -1
+)
+racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
+    lambda x: -1 < x < 1 and x != 0
+)
+
+
+def parameter_arrays(d_max):
+    """Dual Hahn arrays at drawn (d, r, s) and barred arrays at drawn (d, r)."""
+    return st.one_of(
+        st.builds(build_params, st.integers(0, d_max), dual_rationals, dual_rationals),
+        st.builds(build_racah_params, st.integers(0, d_max), racah_r),
+    )
+
+
+def orthogonality_oracle(p, table):
+    """The Fraction triple loop that `check_orthogonality` replaced."""
+    d = p.d
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            total = F(0)
+            for h in range(d + 1):
+                total += table.at(i, h) * table.at(j, h) * p.k_star[h]
+            expected = p.nu / p.k[i] if i == j else F(0)
+            if total != expected:
+                return False
+    return True
+
+
+def basis_consistency_oracle(p):
+    """The Faddeev-LeVerrier version of `check_basis_consistency`."""
+    for matrix, roots in ((matrix_L_u_basis(p), p.theta),
+                          (matrix_Lstar_ustar_basis(p), p.theta_star)):
+        if matrix.trace() != sum(roots, F(0)):
+            return False
+        if matrix.charpoly() != poly_from_roots(roots):
+            return False
+    return True
+
+
+def degree_oracle(nodes, values):
+    """`value_row_degree` as it was: the Fraction divided-difference triangle."""
+    degree = -1
+    for m, row in enumerate(divided_differences(nodes, values)):
+        if any(v != 0 for v in row):
+            degree = m
+    return degree
+
+
+def with_entry(table, i, h, value):
+    rows = table.values.to_rows()
+    rows[i][h] = value
+    return ValueTable(RationalMatrix.from_rows(rows))
+
+
+@settings(deadline=None, max_examples=30)
+@given(parameter_arrays(12))
+def test_continuant_matches_charpoly_on_both_arrays(p):
+    d = p.d
+    assert tridiagonal_charpoly(p.a, p.b[:d], p.c[1:]) == matrix_L_u_basis(p).charpoly()
+    assert (
+        tridiagonal_charpoly(p.a_star, p.b_star[:d], p.c_star[1:])
+        == matrix_Lstar_ustar_basis(p).charpoly()
+    )
+    assert check_basis_consistency(p) == basis_consistency_oracle(p) is True
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_integer_orthogonality_matches_triple_loop(data):
+    p = data.draw(parameter_arrays(10))
+    # The recurrence route evaluates the polynomials of either array at its nodes.
+    table = eval_table_recurrence(p)
+    assert check_orthogonality(p, table) == orthogonality_oracle(p, table) is True
+    i = data.draw(st.integers(0, p.d))
+    h = data.draw(st.integers(0, p.d))
+    delta = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=20))
+    # delta = -2 u flips the sign of the entry, which leaves sum_h u_i^2 k*_h
+    # unchanged; any other nonzero delta changes it.
+    assume(delta != 0 and delta != -2 * table.at(i, h))
+    perturbed = with_entry(table, i, h, table.at(i, h) + delta)
+    assert check_orthogonality(p, perturbed) == orthogonality_oracle(p, perturbed) is False
+    # A sign flip in a row i >= 1 keeps every diagonal sum and breaks the
+    # off-diagonal sum with row 0 by -2 u_i(theta_h) k*_h.
+    if p.d >= 1:
+        i = data.draw(st.integers(1, p.d))
+        if table.at(i, h) != 0:
+            flipped = with_entry(table, i, h, -table.at(i, h))
+            assert (
+                check_orthogonality(p, flipped) == orthogonality_oracle(p, flipped) is False
+            )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_integer_scaled_degree_matches_divided_differences(data):
+    n = data.draw(st.integers(1, 7))
+    nodes = data.draw(
+        st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n,
+                 unique=True)
+    )
+    # Values of a drawn polynomial of degree < n, so every degree occurs.
+    coeffs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=12), max_size=n))
+    values = [sum((c * x**e for e, c in enumerate(coeffs)), F(0)) for x in nodes]
+    assert value_row_degree(nodes, values) == degree_oracle(nodes, values)
+
+
+def test_integer_scaled_degree_keeps_the_errors():
+    with pytest.raises(ValueError):
+        value_row_degree([F(0), F(1)], [F(1)])
+    for degree in (value_row_degree, degree_oracle):
+        with pytest.raises(ZeroDivisionError):
+            degree([F(0), F(1, 2), F(1, 2)], [F(1), F(2), F(3)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(parameter_arrays(10))
+def test_integer_scaled_degree_matches_on_table_rows(p):
+    table = eval_table_recurrence(p)
+    for i in range(p.d + 1):
+        row = table.values.row(i)
+        assert value_row_degree(p.theta, row) == degree_oracle(p.theta, row) == i
