@@ -2,7 +2,6 @@
 parameter arrays and their Leonard-pair matrix representations."""
 
 from .hyper import (
-    Rational,
     RationalFormatError,
     SeriesDivisionError,
     binomial,

@@ -14,8 +14,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 

@@ -12,25 +12,30 @@ single path through all d+1 indices, nonzero in both directions, and the
 path read from either end is then the only witness (see `scan`).  The four
 closed-form candidate orderings are checked first; the path test serves as
 the independent oracle behind them.
+
+A search point costs O(d): the square of the tridiagonal matrix of L* + shift
+is formed as its off-diagonal bands (`shift_square_bands`), each candidate is
+tested on that band pattern (`banded_witness`), and the u-basis facts are read
+from the array's b, c and theta* directly.  The dense square and the path
+test on it run only as the `exhaustive` oracle.  `search_square_preserving`
+yields records as they are decided and sends points to worker processes in
+chunks.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .hyper import format_rational
 from .matrices import RationalMatrix
-from .params import ParameterArray, build_params
-from .representations import (
-    matrix_L_u_basis,
-    matrix_Lstar_u_basis,
-    matrix_Lstar_ustar_basis,
-)
+from .params import ParameterArray, build_params, check_domain
+from .representations import matrix_Lstar_ustar_basis
 from .scan import scan_tridiagonal_orderings
 
 THREADS_ENV_VAR = "LEONARD_LAB_THREADS"
@@ -167,18 +172,80 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
     ]
 
 
+def shift_square_bands(
+    p: ParameterArray, shift: Fraction | int
+) -> dict[tuple[int, int], Fraction]:
+    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of
+    ([L*]_{u*-basis} + shift I)^2; every other off-diagonal entry of the
+    square of a tridiagonal matrix is zero.  The diagonal is left out: a
+    reordering keeps it on the diagonal, so no ordering decision reads it.
+
+    The bands of T = tridiag(a* + shift, b*, c*) are multiplied as a generic
+    band product: entry (i, j) is the sum over k of T[i, k] T[k, j], where k
+    is within one of both i and j.  This shares no code with the dense
+    `lstar_shift_square` or with the five-case closed form.
+    """
+    lam = Fraction(shift)
+    d = p.d
+    t = {(i, i): p.a_star[i] + lam for i in range(d + 1)}
+    for i in range(d):
+        t[i + 1, i] = p.b_star[i]
+        t[i, i + 1] = p.c_star[i + 1]
+    square = {}
+    for i in range(d + 1):
+        for j in range(max(0, i - 2), min(d, i + 2) + 1):
+            if j != i:
+                terms = [
+                    t[i, k] * t[k, j]
+                    for k in range(max(i, j) - 1, min(i, j) + 2)
+                    if (i, k) in t and (k, j) in t
+                ]
+                square[i, j] = sum(terms[1:], terms[0])
+    return square
+
+
+def banded_witness(
+    square: Mapping[tuple[int, int], Fraction], d: int
+) -> Optional[BasisOrdering]:
+    """The first candidate ordering under which a (d+1)x(d+1) matrix, given
+    by its off-diagonal entries within two of the diagonal (every other
+    off-diagonal entry zero), is irreducible tridiagonal; None if no
+    candidate works.
+
+    An ordering p makes the matrix irreducible tridiagonal exactly when the
+    d pairs (p[k], p[k+1]) are nonzero in both directions and no other
+    off-diagonal entry is nonzero.  Those 2d entries are distinct, so the
+    second part is a count of the nonzero entries: O(d) per candidate.
+    """
+    if d == 0:
+        return BasisOrdering((0,))
+    nonzero = {key for key, v in square.items() if v}
+    if len(nonzero) != 2 * d:
+        return None
+    for ordering in candidate_orderings(d):
+        perm = ordering.perm
+        if all(
+            (a, b) in nonzero and (b, a) in nonzero for a, b in zip(perm, perm[1:])
+        ):
+            return ordering
+    return None
+
+
 def verify_leonard_pair_square(
     p: ParameterArray, shift: Fraction | int, exhaustive: bool = False
 ) -> LeonardPairReport:
-    """Decide whether (L, (L* + shift)^2) is a Leonard pair.
+    """Decide whether (L, (L* + shift)^2) is a Leonard pair, in O(d).
 
-    In the u-basis the matrix of L is irreducible tridiagonal and the matrix
-    of the shifted square is diagonal with entries (i + shift)^2; both facts
-    are verified rather than assumed, including distinctness of the diagonal.
+    In the u-basis the matrix of L is irreducible tridiagonal, which is the
+    nonzero b_0..b_{d-1} and c_1..c_d, and the matrix of the shifted square is
+    diagonal with entries (theta*_i + shift)^2 = (i + shift)^2; both facts are
+    verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
-    candidate orderings.  With `exhaustive` the pattern is also decided by
-    path recognition, which finds every witness ordering at any d, as an
-    independent oracle; any disagreement raises InternalInconsistencyError.
+    candidate orderings on the bands of the square (`banded_witness`).  With
+    `exhaustive` the dense square's pattern is also decided by path
+    recognition, which finds every witness ordering at any d and shares no
+    code with the bands, as an independent oracle; any disagreement raises
+    InternalInconsistencyError.
     """
     lam = Fraction(shift)
     d = p.d
@@ -187,38 +254,25 @@ def verify_leonard_pair_square(
     theta_simple = len(set(p.theta)) == d + 1
     trace.append(("u*-basis: matrix of L diagonal with distinct entries", theta_simple))
 
-    L_u = matrix_L_u_basis(p)
-    L_u_ok = is_irreducible_tridiagonal(L_u) if d >= 1 else True
+    L_u_ok = all(v != 0 for v in p.b[:d]) and all(v != 0 for v in p.c[1:])
     trace.append(("u-basis: matrix of L irreducible tridiagonal", L_u_ok))
 
-    square_u = matrix_Lstar_u_basis_shift_square(p, lam)
-    diag_ok = square_u.is_diagonal()
-    diag_vals = square_u.diagonal_entries()
-    expected_diag = tuple((Fraction(i) + lam) ** 2 for i in range(d + 1))
-    diag_ok = diag_ok and diag_vals == expected_diag
+    diag_vals = tuple((t + lam) ** 2 for t in p.theta_star)
+    diag_ok = diag_vals == tuple((i + lam) ** 2 for i in range(d + 1))
     trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
 
     simple_ok = len(set(diag_vals)) == d + 1
     trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
 
-    square_ustar = lstar_shift_square(p, lam)
-    witness: Optional[BasisOrdering] = None
-    if d == 0:
-        witness = BasisOrdering((0,))
-        found = True
-    else:
-        for ordering in candidate_orderings(d):
-            if is_irreducible_tridiagonal(square_ustar.permuted(ordering.perm)):
-                witness = ordering
-                break
-        found = witness is not None
+    witness = banded_witness(shift_square_bands(p, lam), d)
+    found = witness is not None
     trace.append(
         ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
     )
 
     if exhaustive:
-        all_witnesses = scan_tridiagonal_orderings(square_ustar)
-        agree = bool(all_witnesses) == found
+        all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
+        agree = witness.perm in all_witnesses if found else not all_witnesses
         # key name kept as is: readers of the CLI JSON match on it
         trace.append(("exhaustive permutation oracle agrees with candidates", agree))
         if not agree:
@@ -232,14 +286,6 @@ def verify_leonard_pair_square(
     return LeonardPairReport(
         verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
     )
-
-
-def matrix_Lstar_u_basis_shift_square(
-    p: ParameterArray, shift: Fraction | int
-) -> RationalMatrix:
-    """([L*]_{u-basis} + shift I)^2; diagonal since [L*]_{u-basis} is."""
-    m = matrix_Lstar_u_basis(p).plus_scalar(Fraction(shift))
-    return m @ m
 
 
 def theorem_conditions(
@@ -332,11 +378,14 @@ def _evaluate_point(
     )
 
 
-def search_square_preserving(grid: SearchGrid) -> list[SearchRecord]:
-    """Evaluate every grid point, in deterministic (d, r, s, shift) order.
+def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
+    """Evaluate every grid point, yielding records in deterministic
+    (d, r, s, shift) order as they are decided.
 
     Fans out over processes when LEONARD_LAB_THREADS exceeds one; each point
-    is independent, results are merged back in grid order.  Only the
+    is independent, and the points go out in about four chunks per worker
+    and come back in grid order.  The worker setting and the domain of every
+    point are checked before the first record is yielded.  Only the
     (L, (L*+shift)^2) branch of square preservation is examined; the
     (L^2, L*) branch is reported as unexamined downstream.
     """
@@ -348,12 +397,15 @@ def search_square_preserving(grid: SearchGrid) -> list[SearchRecord]:
         max_workers = 0
     if max_workers < 1:
         raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    for d, r, s, _, _ in points:
+        check_domain(d, r, s)
     if max_workers > 1 and len(points) > 1:
+        chunksize = math.ceil(len(points) / (4 * max_workers))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(_evaluate_point, points))
+            yield from pool.map(_evaluate_point, points, chunksize=chunksize)
     else:
-        records = [_evaluate_point(pt) for pt in points]
-    return records
+        for point in points:
+            yield _evaluate_point(point)
 
 
 def search_hits(records: Iterable[SearchRecord]) -> list[SearchRecord]:

@@ -7,10 +7,12 @@ builder supplies closed forms for theta_i, theta*_i, b_i, c_i, b*_i and c*_i;
 the same structural invariants for both.
 
 Dual Hahn: theta_i = (d-i)(d-i+r+s+1), theta*_i = i, b_i = (d-i)(d-i+s),
-c_i = i(i+r), and the starred (difference-operator) coefficients with their
-Pochhammer quotients.  The hypergeometric closed forms for k_i, k*_i and nu
-live in separate functions so the two routes share no code and can be checked
-against each other.
+c_i = i(i+r), and the starred (difference-operator) coefficients, whose
+Pochhammer quotients telescope to a few factors each.  `build_params` forms
+every entry as one integer quotient over the common denominator of r and s,
+so an array costs O(d) operations.  The hypergeometric closed forms for k_i,
+k*_i and nu keep their Pochhammer products, in separate functions, so the two
+routes share no code and can be checked against each other.
 
 Boundary conventions: b_d, c_0, b*_d, c*_0 are stored as exact zeros.  The
 out-of-range symbols (theta_{-1}, b*_{-1}, c*_{d+1}, ...) are never
@@ -52,11 +54,11 @@ class ParameterArray:
     k_star: tuple[Fraction, ...]
 
 
-def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> ParameterArray:
-    """Build and validate the dual Hahn parameter array from (d, r, s).
-
-    Requires d >= 0 and r, s > -1; raises ParameterDomainError otherwise.
-    """
+def check_domain(
+    d: int, r: Fraction | int | str, s: Fraction | int | str
+) -> tuple[Fraction, Fraction]:
+    """(r, s) as Fractions if (d, r, s) is in the dual Hahn domain d >= 0,
+    r, s > -1; raises ParameterDomainError otherwise."""
     if not isinstance(d, int) or d < 0:
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
     r = Fraction(r)
@@ -65,29 +67,47 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Pa
         raise ParameterDomainError(f"r must exceed -1, got {format_rational(r)}")
     if s <= -1:
         raise ParameterDomainError(f"s must exceed -1, got {format_rational(s)}")
+    return r, s
 
-    theta = tuple(Fraction(d - i) * (d - i + r + s + 1) for i in range(d + 1))
+
+def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> ParameterArray:
+    """Build and validate the dual Hahn parameter array from (d, r, s).
+
+    Requires d >= 0 and r, s > -1; raises ParameterDomainError otherwise.
+    """
+    r, s = check_domain(d, r, s)
+
+    # Over the common denominator D of r = R/D and s = S/D every entry is one
+    # integer quotient.  The Pochhammer quotients of b*_i and c*_i telescope:
+    # (x+2)_i / (x)_{i+1} = (x+i+1) / (x(x+1)) with x = 2(d-i)+r+s > 0, and
+    # (y)_n / (y+1)_{n+1} = y / ((y+n)(y+n+1)) with y = d-i+r+s+1, n = d-i,
+    # which is 1/(y+1) at n = 0, where y itself vanishes when r+s = -1.
+    D = r.denominator * s.denominator
+    R = r.numerator * s.denominator
+    S = s.numerator * r.denominator
+    theta = tuple(Fraction((d - i) * ((d - i + 1) * D + R + S), D) for i in range(d + 1))
     theta_star = tuple(Fraction(i) for i in range(d + 1))
 
-    b = tuple(Fraction(d - i) * (d - i + s) for i in range(d)) + (Fraction(0),)
-    c = (Fraction(0),) + tuple(Fraction(i) * (i + r) for i in range(1, d + 1))
+    b = tuple(Fraction((d - i) * ((d - i) * D + S), D) for i in range(d)) + (Fraction(0),)
+    c = (Fraction(0),) + tuple(Fraction(i * (i * D + R), D) for i in range(1, d + 1))
 
-    b_star = tuple(
-        Fraction(d - i)
-        * (i - d - s)
-        * pochhammer(2 * (d - i) + r + s + 2, i)
-        / pochhammer(2 * (d - i) + r + s, i + 1)
-        for i in range(d)
-    ) + (Fraction(0),)
-    c_star = (Fraction(0),) + tuple(
-        Fraction(i)
-        * (i - d - r - 1)
-        * pochhammer(d - i + r + s + 1, d - i)
-        / pochhammer(d - i + r + s + 2, d - i + 1)
-        for i in range(1, d + 1)
-    )
+    b_star = []
+    for i in range(d):
+        X = 2 * (d - i) * D + R + S  # X = x D
+        b_star.append(
+            Fraction((d - i) * ((i - d) * D - S) * (X + (i + 1) * D), X * (X + D))
+        )
+    b_star.append(Fraction(0))
+    c_star = [Fraction(0)]
+    for i in range(1, d + 1):
+        n = d - i
+        Y = (n + 1) * D + R + S  # Y = y D
+        num = i * ((i - d - 1) * D - R)  # = i (i-d-r-1) D
+        c_star.append(
+            Fraction(num * Y, (Y + n * D) * (Y + (n + 1) * D)) if n else Fraction(num, Y + D)
+        )
 
-    return parameter_array(d, r, s, theta, theta_star, b, c, b_star, c_star)
+    return parameter_array(d, r, s, theta, theta_star, b, c, tuple(b_star), tuple(c_star))
 
 
 def parameter_array(

@@ -194,6 +194,14 @@ def test_search_d2_extra_root(capsys):
     assert lines[0]["theoremPredicted"] is False
 
 
+def test_search_domain_error_prints_no_record(capsys):
+    # s = -r = -1 at r = 1, a point that sorts after valid ones
+    code, out, err = run_cli(capsys, "search", "--d-max", "3", "--r-values", "1/2,1")
+    assert code == 2
+    assert out == ""
+    assert "s must exceed -1" in err
+
+
 def test_search_usage_error_for_missing_lambda_list(capsys):
     code, _, _ = run_cli(capsys, "search", "--d-max", "3", "--lambda-mode", "list")
     assert code == 64

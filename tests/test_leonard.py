@@ -2,10 +2,14 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leonard_lab import leonard
 from leonard_lab.leonard import (
     BasisOrdering,
     SearchGrid,
+    banded_witness,
     candidate_orderings,
     canonical_shift,
     column_sums,
@@ -16,12 +20,14 @@ from leonard_lab.leonard import (
     lstar_shift_square_closed_form,
     search_hits,
     search_square_preserving,
+    shift_square_bands,
     theorem_conditions,
     verify_leonard_pair_square,
 )
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params
-from leonard_lab.representations import matrix_L_u_basis
+from leonard_lab.representations import matrix_L_u_basis, matrix_Lstar_u_basis
+from leonard_lab.scan import scan_tridiagonal_orderings
 
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
 
@@ -204,8 +210,6 @@ def test_exhaustive_agrees_with_candidates_small_grid():
 
 
 def test_exhaustive_witness_set_equals_candidate_set():
-    from leonard_lab.scan import scan_tridiagonal_orderings
-
     for d in range(1, 6):
         p = build_params(d, F(1, 2), F(-1, 2))
         for lam in (canonical_shift(p), F(0)):
@@ -236,7 +240,7 @@ def test_search_theorem_grid_all_hit():
     grid = SearchGrid(
         d_values=tuple(range(3, 7)), r_values=(F(1, 2), F(-1, 2))
     )
-    records = search_square_preserving(grid)
+    records = list(search_square_preserving(grid))
     assert len(records) == 8
     hits = search_hits(records)
     assert len(hits) == 8
@@ -250,7 +254,7 @@ def test_search_r_equals_s_no_hits():
         s_values=(F(1, 2),),
         shift_values=(F(0), F(-1), F(-5, 4), F(1, 2)),
     )
-    assert search_hits(search_square_preserving(grid)) == []
+    assert search_hits(list(search_square_preserving(grid))) == []
 
 
 def test_search_finds_non_theorem_root_at_d2():
@@ -259,7 +263,7 @@ def test_search_finds_non_theorem_root_at_d2():
         r_values=(F(1, 2),),
         shift_values=(F(-9, 8),),
     )
-    hits = search_hits(search_square_preserving(grid))
+    hits = search_hits(list(search_square_preserving(grid)))
     assert len(hits) == 1
     assert not hits[0].theorem_predicted
     assert hits[0].theorem_flags == (True, True, False)
@@ -269,7 +273,7 @@ def test_search_is_deterministically_ordered():
     grid = SearchGrid(
         d_values=(2, 1), r_values=(F(1, 2), F(-1, 2)), shift_values=(F(0), F(-1))
     )
-    records = search_square_preserving(grid)
+    records = list(search_square_preserving(grid))
     keys = [(rec.d, rec.r, rec.s, rec.shift) for rec in records]
     assert keys == sorted(keys)
 
@@ -284,9 +288,9 @@ def test_search_is_deterministically_ordered():
 )
 def test_search_worker_count_from_environment(monkeypatch, grid):
     monkeypatch.setenv("LEONARD_LAB_THREADS", "2")
-    parallel = search_square_preserving(grid)
+    parallel = list(search_square_preserving(grid))
     monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
-    assert parallel == search_square_preserving(grid)
+    assert parallel == list(search_square_preserving(grid))
 
 
 def test_exhaustive_oracle_at_cap():
@@ -308,3 +312,150 @@ def test_exhaustive_oracle_runs_at_every_d():
                 "exhaustive permutation oracle agrees with candidates"
             ], (d, lam)
             assert report.verdict == (lam == canonical_shift(p)), (d, lam)
+
+
+# -- the dense route that the banded decision replaced -------------------------
+
+
+def _dense_witness(square, d):
+    """First candidate ordering under which the dense `square`, permuted, is
+    irreducible tridiagonal."""
+    if d == 0:
+        return BasisOrdering((0,))
+    for ordering in candidate_orderings(d):
+        if is_irreducible_tridiagonal(square.permuted(ordering.perm)):
+            return ordering
+    return None
+
+
+def _dense_verify(p, lam, exhaustive):
+    """(verdict, witness, condition trace) of `verify_leonard_pair_square` by
+    dense matrices: L in the u-basis, the dense square of the diagonal
+    [L*]_{u-basis} + lam I, and every candidate as a permuted dense square."""
+    d = p.d
+    lstar_u = matrix_Lstar_u_basis(p).plus_scalar(lam)
+    square_u = lstar_u @ lstar_u
+    diag = square_u.diagonal_entries()
+    square = lstar_shift_square(p, lam)
+    witness = _dense_witness(square, d)
+    trace = [
+        ("u*-basis: matrix of L diagonal with distinct entries", len(set(p.theta)) == d + 1),
+        ("u-basis: matrix of L irreducible tridiagonal",
+         d == 0 or is_irreducible_tridiagonal(matrix_L_u_basis(p))),
+        ("u-basis: matrix of (L*+shift)^2 diagonal",
+         square_u.is_diagonal() and diag == tuple((i + lam) ** 2 for i in range(d + 1))),
+        ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(diag)) == d + 1),
+        ("u*-basis: candidate reordering makes the square irreducible tridiagonal",
+         witness is not None),
+    ]
+    verdict = all(ok for _, ok in trace)
+    if exhaustive:
+        trace.append(("exhaustive permutation oracle agrees with candidates",
+                      bool(scan_tridiagonal_orderings(square)) == (witness is not None)))
+    return verdict, witness, tuple(trace)
+
+
+def _with_zero(square, i, j):
+    n = square.rows
+    entries = list(square.entries)
+    entries[i * n + j] = F(0)
+    return RationalMatrix(n, n, tuple(entries))
+
+
+_OPEN_RATIONALS = st.fractions(min_value=-1, max_value=3, max_denominator=24).filter(
+    lambda x: x > -1
+)
+
+
+@st.composite
+def _search_points(draw):
+    """(d, r, s, lam): s = -r and the canonical shift, where the verdict is
+    true, and the d = 2 roots are drawn as often as generic points."""
+    d = draw(st.one_of(st.just(2), st.integers(0, 16)))
+    r = draw(_OPEN_RATIONALS)
+    s = draw(st.one_of(_OPEN_RATIONALS, st.just(-r))) if r < 1 else draw(_OPEN_RATIONALS)
+    kind = draw(st.sampled_from(["canonical", "root", "root", "generic"]))
+    if kind == "canonical":
+        lam = (r - d) / 2
+    elif kind == "root":
+        root = draw(st.sampled_from([(r - s) / (r + s + 2), (s - r) / (r + s + 4)]))
+        lam = root / 2 - 1
+    else:
+        lam = draw(st.fractions(min_value=-d - 2, max_value=2, max_denominator=12))
+    return d, r, s, lam
+
+
+@settings(deadline=None, max_examples=120)
+@given(point=_search_points(), exhaustive=st.booleans(), data=st.data())
+def test_banded_decision_equals_dense_route(point, exhaustive, data):
+    d, r, s, lam = point
+    p = build_params(d, r, s)
+    report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
+    assert (report.verdict, report.witness, report.condition_trace) == _dense_verify(
+        p, lam, exhaustive
+    )
+
+    # The bands are the dense square's off-diagonal entries within two of the
+    # diagonal, and the dense square is zero beyond them.
+    bands = shift_square_bands(p, lam)
+    dense = lstar_shift_square(p, lam)
+    assert bands == {
+        (i, j): dense.at(i, j)
+        for i in range(d + 1)
+        for j in range(d + 1)
+        if 0 < abs(i - j) <= 2
+    }
+    assert all(dense.at(i, j) == 0 for i in range(d + 1) for j in range(d + 1)
+               if abs(i - j) > 2)
+
+    # Zeroing one nonzero entry changes both sides alike; on a witness path
+    # it breaks the path, so both sides then find none.
+    nonzero = sorted(key for key, v in bands.items() if v != 0)
+    if nonzero:
+        i, j = data.draw(st.sampled_from(nonzero))
+        after = banded_witness({**bands, (i, j): F(0)}, d)
+        assert after == _dense_witness(_with_zero(dense, i, j), d)
+        if report.witness is not None:
+            assert after is None
+
+
+def test_search_yields_first_record_before_the_last_point_is_evaluated(monkeypatch):
+    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
+    evaluated = []
+    evaluate = leonard._evaluate_point
+
+    def counting(point):
+        evaluated.append(point[0])
+        return evaluate(point)
+
+    monkeypatch.setattr(leonard, "_evaluate_point", counting)
+    records = search_square_preserving(SearchGrid(d_values=(1, 2, 3), r_values=(F(1, 2),)))
+    assert next(records).d == 1
+    assert evaluated == [1]
+    assert [rec.d for rec in records] == [2, 3]
+    assert evaluated == [1, 2, 3]
+
+
+def test_search_pool_with_a_partial_last_chunk(monkeypatch):
+    # 11 points over 2 workers go out in chunks of ceil(11 / 8) = 2
+    grid = SearchGrid(d_values=tuple(range(1, 12)), r_values=(F(1, 3),))
+    monkeypatch.setenv("LEONARD_LAB_THREADS", "2")
+    parallel = list(search_square_preserving(grid))
+    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
+    assert len(parallel) == 11
+    assert parallel == list(search_square_preserving(grid))
+
+
+def test_banded_witness_needs_both_directions():
+    # Path 0 - 2 - 1, the first candidate at d = 2, with (2, 0) missing and
+    # (1, 0) nonzero instead: still 2d nonzero entries, but no witness.
+    one_way = {(0, 1): F(0), (0, 2): F(1), (1, 0): F(1), (1, 2): F(1), (2, 0): F(0),
+               (2, 1): F(1)}
+    both_ways = {**one_way, (1, 0): F(0), (2, 0): F(1)}
+    for bands in (one_way, both_ways):
+        dense = RationalMatrix.from_rows(
+            [[bands.get((i, j), F(7)) for j in range(3)] for i in range(3)]
+        )
+        assert banded_witness(bands, 2) == _dense_witness(dense, 2)
+    assert banded_witness(one_way, 2) is None
+    assert banded_witness(both_ways, 2) == candidate_orderings(2)[0]

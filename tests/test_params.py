@@ -3,10 +3,11 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.cli import main
+from leonard_lab.hyper import pochhammer
 from leonard_lab.params import (
     ParameterDomainError,
     ParameterInvariantError,
@@ -94,6 +95,47 @@ def test_dual_hahn_identities_for_drawn_rationals(d, r, s):
     table = eval_table_hypergeometric(p)
     assert table.values == eval_table_recurrence(p).values
     assert check_orthogonality(p, table)
+
+
+def _pochhammer_b_star(d, r, s):
+    """b*_i as the Pochhammer quotient the telescoped form replaced."""
+    return tuple(
+        (d - i) * (i - d - s) * pochhammer(2 * (d - i) + r + s + 2, i)
+        / pochhammer(2 * (d - i) + r + s, i + 1)
+        for i in range(d)
+    ) + (F(0),)
+
+
+def _pochhammer_c_star(d, r, s):
+    """c*_i as the Pochhammer quotient the telescoped form replaced."""
+    return (F(0),) + tuple(
+        i * (i - d - r - 1) * pochhammer(d - i + r + s + 1, d - i)
+        / pochhammer(d - i + r + s + 2, d - i + 1)
+        for i in range(1, d + 1)
+    )
+
+
+_OPEN_RATIONALS = st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(
+    lambda x: x > -1
+)
+
+
+_R_PLUS_S_MINUS_ONE = st.fractions(min_value=-1, max_value=0, max_denominator=60).filter(
+    lambda x: -1 < x < 0
+).map(lambda r: (r, -1 - r))
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.integers(0, 16), rs=st.one_of(st.tuples(_OPEN_RATIONALS, _OPEN_RATIONALS),
+                                         _R_PLUS_S_MINUS_ONE))
+@example(d=0, rs=(F(-1, 2), F(-1, 2)))
+@example(d=1, rs=(F(-1, 2), F(-1, 2)))
+@example(d=5, rs=(F(-1, 3), F(-2, 3)))
+def test_telescoped_starred_coefficients_equal_pochhammer_quotients(d, rs):
+    r, s = rs
+    p = build_params(d, r, s)
+    assert p.b_star == _pochhammer_b_star(d, r, s)
+    assert p.c_star == _pochhammer_c_star(d, r, s)
 
 
 def _inputs(p):
