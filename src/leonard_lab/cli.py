@@ -7,11 +7,11 @@ result goes out through one emit path.
 
 Exit codes: 0 success (including false verdicts, -h/--help, and a reader
 closing stdout early, as `| head` does), 1 internal inconsistency (the
-exhaustive oracle disagreed, or a library check failed unexpectedly: one
-"internal error" line), 2 parameter domain error, 64 usage (malformed flags or
-rationals, an --output that cannot be opened, LEONARD_LAB_THREADS not an
-integer >= 1).  Rationals on the command line use the exact p/q form;
-decimals are rejected.
+exhaustive oracle disagreed, a printed identity is false, or a library check
+failed unexpectedly: one line), 2 parameter domain error, 64 usage
+(malformed flags or rationals, a repeated or ignored list value, an --output
+that cannot be opened, LEONARD_LAB_THREADS not an integer >= 1).  Rationals
+on the command line use the exact p/q form; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -76,8 +76,19 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown
 
 
-def _rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+def _rational_list(flag: str, text: str) -> tuple[Fraction, ...]:
+    values = tuple(parse_rational(part) for part in text.split(","))
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"{flag} repeats {format_rational(repeated[0])}")
+    return values
+
+
+def _mode_values(name: str, mode: str, text: str | None) -> tuple[Fraction, ...] | None:
+    """--{name}-values, which goes with --{name}-mode list and only with it."""
+    if (mode == "list") != (text is not None):
+        raise UsageError(f"--{name}-values goes with --{name}-mode list, and only with it")
+    return _rational_list(f"--{name}-values", text) if text is not None else None
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:
@@ -191,6 +202,12 @@ def _emit(text: str, output: str | None = None) -> None:
         fh.write(text)
 
 
+def _require(holds: bool, what: str) -> None:
+    """After a result is printed: a false identity in it is an inconsistency."""
+    if not holds:
+        raise InternalInconsistencyError(what)
+
+
 def _verdict_payload(
     d: int, r: Fraction, s: Fraction, report: LeonardPairReport, theorem_flags, **details
 ) -> dict:
@@ -213,7 +230,9 @@ def _verdict_payload(
 
 def cmd_params(args) -> int:
     p = build_params(args.d, parse_rational(args.r), parse_rational(args.s))
-    _emit(_json({**_encode(p), "closedFormsMatch": check_closed_forms(p)}))
+    payload = {**_encode(p), "closedFormsMatch": check_closed_forms(p)}
+    _emit(_json(payload))
+    _require(payload["closedFormsMatch"], "closed forms disagree with the product forms")
     return EXIT_OK
 
 
@@ -233,8 +252,7 @@ def cmd_table(args) -> int:
         text = _json({"d": p.d, "r": p.r, "s": p.s, "theta": p.theta,
                       "table": table.values, "routesAgree": routes_agree})
     _emit(text, args.output)
-    if not routes_agree:
-        raise InternalInconsistencyError("evaluation routes disagree")
+    _require(routes_agree, "evaluation routes disagree")
     return EXIT_OK
 
 
@@ -253,22 +271,9 @@ def cmd_verify_lp(args) -> int:
 
 
 def cmd_verify_racah(args) -> int:
-    q = racah_mod.build_racah_params(args.d, parse_rational(args.r))
-    p = racah_mod.dual_params(q)
-    table = racah_mod.eval_table_4F3(q)
-    checks = {
-        "indexMapping": racah_mod.check_index_mapping(p, q),
-        "unbarredIdentities": racah_mod.check_unbarred_identities(p, q),
-        "starredProducts": racah_mod.check_starred_products(p, q),
-        "varphi": racah_mod.check_varphi(q),
-        "table4F3MatchesPermutedDualHahn": racah_mod.check_table_matches_permuted_dual(
-            p, q, table
-        ),
-        "orthogonality": racah_mod.check_racah_orthogonality(q, table),
-        "barredRecurrence": racah_mod.check_barred_recurrence(q, table),
-        "barredMatrices": racah_mod.check_barred_matrices(p, q),
-    }
-    _emit(_json({"d": q.d, "r": q.r, **checks, "all": all(checks.values())}))
+    verdict = racah_mod.verify_racah(args.d, parse_rational(args.r))
+    _emit(_json({**_encode(verdict), "all": verdict.ok}))
+    _require(verdict.ok, "a barred identity fails")
     return EXIT_OK
 
 
@@ -276,14 +281,16 @@ def cmd_verify_sl2(args) -> int:
     if args.n % 2 == 0 or args.n < 1:
         raise ParameterDomainError(f"example match needs odd n >= 1, got {args.n}")
     module = sl2mod.build_even_module(args.kind, args.n)
-    _emit(_json({
+    payload = {
         "kind": args.kind,
         "n": args.n,
         "dim": module.dim,
         "relations": sl2mod.check_module_relations(module),
         "match": sl2mod.verify_example_match(args.kind, args.n),
         "casimirScalar": Fraction(args.n) * (args.n + 2) / 2,
-    }))
+    }
+    _emit(_json(payload))
+    _require(payload["relations"] and payload["match"], "an sl2 identity fails")
     return EXIT_OK
 
 
@@ -292,22 +299,11 @@ def cmd_search(args) -> int:
         raise ParameterDomainError(
             f"need 1 <= d-min <= d-max, got {args.d_min}..{args.d_max}"
         )
-    r_values = _rational_list(args.r_values)
-    s_values = None
-    if args.s_mode == "list":
-        if args.s_values is None:
-            raise UsageError("--s-mode list requires --s-values")
-        s_values = _rational_list(args.s_values)
-    shift_values = None
-    if args.lambda_mode == "list":
-        if args.lambda_values is None:
-            raise UsageError("--lambda-mode list requires --lambda-values")
-        shift_values = _rational_list(args.lambda_values)
     grid = SearchGrid(
         d_values=tuple(range(args.d_min, args.d_max + 1)),
-        r_values=r_values,
-        s_values=s_values,
-        shift_values=shift_values,
+        r_values=_rational_list("--r-values", args.r_values),
+        s_values=_mode_values("s", args.s_mode, args.s_values),
+        shift_values=_mode_values("lambda", args.lambda_mode, args.lambda_values),
         exhaustive=args.exhaustive,
     )
     for rec in search_square_preserving(grid):

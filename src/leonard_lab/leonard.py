@@ -13,13 +13,14 @@ path read from either end is then the only witness (see `scan`).  The four
 closed-form candidate orderings are checked first; the path test serves as
 the independent oracle behind them.
 
-A search point costs O(d): the square of the tridiagonal matrix of L* + shift
-is formed as its off-diagonal bands (`shift_square_bands`), each candidate is
-tested on that band pattern (`banded_witness`), and the u-basis facts are read
-from the array's b, c and theta* directly.  The dense square and the path
-test on it run only as the `exhaustive` oracle.  `search_square_preserving`
-yields records as they are decided and sends points to worker processes in
-chunks.
+A search point costs O(d): the square's off-diagonal entries come from the
+four off-diagonal cases of the paper's five-case closed form
+(`shift_square_bands`), each candidate is tested on that band pattern
+(`banded_witness`), and the u-basis facts are read from b, c and theta*.
+The dense product (`lstar_shift_square`), which shares no code with the
+closed form, and the path test on it run only as the `exhaustive` oracle.
+`search_square_preserving` yields records as they are decided and sends
+points to worker processes in chunks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .hyper import format_rational
 from .matrices import RationalMatrix
@@ -101,45 +102,55 @@ def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatr
     return m @ m
 
 
-def lstar_shift_square_closed_form(
+def shift_square_bands(
     p: ParameterArray, shift: Fraction | int
-) -> RationalMatrix:
-    """The same square from its five-case closed form (independent route).
+) -> dict[tuple[int, int], Fraction]:
+    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of
+    ([L*]_{u*-basis} + shift I)^2 by the four off-diagonal cases of its
+    closed form; every other off-diagonal entry of the square of a
+    tridiagonal matrix is zero.  With lambda = shift:
 
-    Out-of-range b*_{-1} and c*_{d+1} only ever multiply structurally absent
-    positions and are taken as zero.
+        (i, i+1): c*_{i+1} (2 lambda + a*_i + a*_{i+1})
+        (i+1, i): b*_i (2 lambda + a*_i + a*_{i+1})
+        (i, i+2): c*_{i+1} c*_{i+2}
+        (i+2, i): b*_i b*_{i+1}
+
+    The diagonal case is left out: a reordering keeps the diagonal on the
+    diagonal, so no ordering decision reads it.
     """
     lam = Fraction(shift)
     d = p.d
+    a, b, c = p.a_star, p.b_star, p.c_star
+    square = {}
+    for i in range(d):
+        middle = 2 * lam + a[i] + a[i + 1]
+        square[i, i + 1] = c[i + 1] * middle
+        square[i + 1, i] = b[i] * middle
+    for i in range(d - 1):
+        square[i, i + 2] = c[i + 1] * c[i + 2]
+        square[i + 2, i] = b[i] * b[i + 1]
+    return square
 
-    def bstar(i: int) -> Fraction:
-        return p.b_star[i] if 0 <= i <= d else Fraction(0)
 
-    def cstar(i: int) -> Fraction:
-        return p.c_star[i] if 0 <= i <= d else Fraction(0)
-
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            if j - i == 2:
-                row.append(cstar(i + 1) * cstar(i + 2))
-            elif j - i == 1:
-                row.append(cstar(i + 1) * (2 * lam + p.a_star[i] + p.a_star[i + 1]))
-            elif i == j:
-                row.append(
-                    bstar(i) * cstar(i + 1)
-                    + bstar(i - 1) * cstar(i)
-                    + (lam + p.a_star[i]) ** 2
-                )
-            elif i - j == 1:
-                row.append(bstar(i - 1) * (2 * lam + p.a_star[i] + p.a_star[i - 1]))
-            elif i - j == 2:
-                row.append(bstar(i - 1) * bstar(i - 2))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
+def lstar_shift_square_closed_form(
+    p: ParameterArray, shift: Fraction | int
+) -> RationalMatrix:
+    """The same square from its five-case closed form (independent route):
+    the four off-diagonal cases are `shift_square_bands`, and the diagonal
+    entry i is (shift + a*_i)^2 + b*_{i-1} c*_i + b*_i c*_{i+1}, where the
+    out-of-range b*_{-1} and c*_{d+1} are taken as zero.
+    """
+    lam = Fraction(shift)
+    n = p.d + 1
+    square = shift_square_bands(p, lam)
+    for i in range(n):
+        square[i, i] = (lam + p.a_star[i]) ** 2 + sum(
+            (p.b_star[k] * p.c_star[k + 1] for k in (i - 1, i) if 0 <= k < p.d), Fraction(0)
+        )
+    zero = Fraction(0)
+    return RationalMatrix(
+        n, n, tuple(square.get((i, j), zero) for i in range(n) for j in range(n))
+    )
 
 
 def column_sums(m: RationalMatrix) -> list[Fraction]:
@@ -170,38 +181,6 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
         BasisOrdering(third),
         BasisOrdering(fourth),
     ]
-
-
-def shift_square_bands(
-    p: ParameterArray, shift: Fraction | int
-) -> dict[tuple[int, int], Fraction]:
-    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of
-    ([L*]_{u*-basis} + shift I)^2; every other off-diagonal entry of the
-    square of a tridiagonal matrix is zero.  The diagonal is left out: a
-    reordering keeps it on the diagonal, so no ordering decision reads it.
-
-    The bands of T = tridiag(a* + shift, b*, c*) are multiplied as a generic
-    band product: entry (i, j) is the sum over k of T[i, k] T[k, j], where k
-    is within one of both i and j.  This shares no code with the dense
-    `lstar_shift_square` or with the five-case closed form.
-    """
-    lam = Fraction(shift)
-    d = p.d
-    t = {(i, i): p.a_star[i] + lam for i in range(d + 1)}
-    for i in range(d):
-        t[i + 1, i] = p.b_star[i]
-        t[i, i + 1] = p.c_star[i + 1]
-    square = {}
-    for i in range(d + 1):
-        for j in range(max(0, i - 2), min(d, i + 2) + 1):
-            if j != i:
-                terms = [
-                    t[i, k] * t[k, j]
-                    for k in range(max(i, j) - 1, min(i, j) + 2)
-                    if (i, k) in t and (k, j) in t
-                ]
-                square[i, j] = sum(terms[1:], terms[0])
-    return square
 
 
 def banded_witness(
@@ -241,11 +220,11 @@ def verify_leonard_pair_square(
     diagonal with entries (theta*_i + shift)^2 = (i + shift)^2; both facts are
     verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
-    candidate orderings on the bands of the square (`banded_witness`).  With
-    `exhaustive` the dense square's pattern is also decided by path
-    recognition, which finds every witness ordering at any d and shares no
-    code with the bands, as an independent oracle; any disagreement raises
-    InternalInconsistencyError.
+    candidate orderings on the closed-form bands of the square
+    (`banded_witness`).  With `exhaustive` the pattern of the dense product
+    is also decided by path recognition, which finds every witness ordering
+    at any d and shares no code with the closed form, as an independent
+    oracle; any disagreement raises InternalInconsistencyError.
     """
     lam = Fraction(shift)
     d = p.d
@@ -406,7 +385,3 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     else:
         for point in points:
             yield _evaluate_point(point)
-
-
-def search_hits(records: Iterable[SearchRecord]) -> list[SearchRecord]:
-    return [rec for rec in records if rec.report.verdict]

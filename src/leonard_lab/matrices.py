@@ -37,10 +37,6 @@ class RationalMatrix:
         return cls(nrows, ncols, flat)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, tuple(Fraction(0) for _ in range(rows * cols)))
-
-    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls.diagonal([Fraction(1)] * n)
 

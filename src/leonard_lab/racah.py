@@ -7,11 +7,13 @@ exactly where the squared-shift construction produces a second Leonard pair,
 own closed forms and validated by `params.parameter_array`, like the dual
 Hahn one.  The index-mapping, product, and orthogonality checks then confirm
 it is a re-indexing and pairwise product of the unbarred data, with the
-evaluation route furnished by a terminating 4F3.
+evaluation route furnished by a terminating 4F3.  `verify_racah` runs the
+whole barred suite on one set of artifacts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .hyper import format_rational, hypergeom_terminating
@@ -299,6 +301,50 @@ def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
         return False
     sigma = index_map(d)
     return tuple(p.theta[sigma[i]] for i in range(d + 1)) == q.theta
+
+
+# -- the barred suite ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RacahVerdict:
+    """The eight barred identities at (d, r, s = -r), one field per check."""
+
+    d: int
+    r: Fraction
+    index_mapping: bool
+    unbarred_identities: bool
+    starred_products: bool
+    varphi: bool
+    table4F3_matches_permuted_dual_hahn: bool
+    orthogonality: bool
+    barred_recurrence: bool
+    barred_matrices: bool
+
+    @property
+    def ok(self) -> bool:
+        """Whether all eight identities hold."""
+        return all(getattr(self, f.name) for f in fields(self)[2:])
+
+
+def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
+    """Every barred identity, with the barred array, the dual Hahn array and
+    the 4F3 table each built once."""
+    q = build_racah_params(d, r)
+    p = dual_params(q)
+    table = eval_table_4F3(q)
+    return RacahVerdict(
+        d=q.d,
+        r=q.r,
+        index_mapping=check_index_mapping(p, q),
+        unbarred_identities=check_unbarred_identities(p, q),
+        starred_products=check_starred_products(p, q),
+        varphi=check_varphi(q),
+        table4F3_matches_permuted_dual_hahn=check_table_matches_permuted_dual(p, q, table),
+        orthogonality=check_racah_orthogonality(q, table),
+        barred_recurrence=check_barred_recurrence(q, table),
+        barred_matrices=check_barred_matrices(p, q),
+    )
 
 
 # -- the textbook Racah route ------------------------------------------------

@@ -130,26 +130,6 @@ def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
 # -- degrees via divided differences --------------------------------------
 
 
-def divided_differences(
-    nodes: Sequence[Fraction], values: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Full triangle: row m holds all order-m divided differences."""
-    if len(nodes) != len(values):
-        raise ValueError("nodes and values must have equal length")
-    triangle = [list(values)]
-    m = 1
-    while len(triangle[-1]) > 1:
-        prev = triangle[-1]
-        triangle.append(
-            [
-                (prev[t + 1] - prev[t]) / (nodes[t + m] - nodes[t])
-                for t in range(len(prev) - 1)
-            ]
-        )
-        m += 1
-    return triangle
-
-
 def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> int:
     """Exact degree of the interpolating polynomial (-1 for identically zero):
     the highest order m with a nonzero order-m divided difference.

@@ -19,18 +19,7 @@ from leonard_lab.leonard import (
 )
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params, check_closed_forms
-from leonard_lab.racah import (
-    build_racah_params,
-    check_barred_matrices,
-    check_barred_recurrence,
-    check_index_mapping,
-    check_racah_orthogonality,
-    check_starred_products,
-    check_unbarred_identities,
-    check_varphi,
-    eval_table_4F3,
-    index_map,
-)
+from leonard_lab.racah import verify_racah
 from leonard_lab.representations import (
     check_degree_invariant,
     check_difference_eq,
@@ -198,25 +187,7 @@ def test_criterion_08_racah_identification():
     for d, r in product(range(D_MAX + 1), THEOREM_R):
         if not ok:
             break
-        q = build_racah_params(d, r)
-        p = _params(d, r, -r)
-        table = eval_table_4F3(q)
-        U = _hyper_table(d, r, -r)
-        sigma = index_map(d)
-        ok = (
-            all(
-                table.at(i, j) == U.at(i, sigma[j])
-                for i in range(d + 1)
-                for j in range(d + 1)
-            )
-            and check_index_mapping(p, q)
-            and check_unbarred_identities(p, q)
-            and check_starred_products(p, q)
-            and check_varphi(q)
-            and check_racah_orthogonality(q, table)
-            and check_barred_recurrence(q, table)
-            and check_barred_matrices(p, q)
-        )
+        ok = verify_racah(d, r).ok
     _report(8, "4F3 table is the re-indexed dual Hahn table; all barred identities hold", ok)
 
 

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leonard_lab
-from leonard_lab import cli
+from leonard_lab import cli, racah, sl2mod
 from leonard_lab.cli import main
 from leonard_lab.hyper import SeriesDivisionError
+from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import ParameterInvariantError
+from leonard_lab.representations import ValueTable
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +207,59 @@ def test_search_domain_error_prints_no_record(capsys):
 def test_search_usage_error_for_missing_lambda_list(capsys):
     code, _, _ = run_cli(capsys, "search", "--d-max", "3", "--lambda-mode", "list")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--lambda-values", "-9/8,0"), "--lambda-values"),
+        (("--lambda-mode", "canonical", "--lambda-values", "0"), "--lambda-values"),
+        (("--s-values", "1/2"), "--s-values"),
+        (("--r-values", "1/2,1/2"), "--r-values repeats 1/2"),
+        (("--r-values", "1/2,2/4"), "--r-values repeats 1/2"),
+        (("--s-mode", "list", "--s-values", "-1/2,1/3,-2/4"), "--s-values repeats -1/2"),
+        (("--lambda-mode", "list", "--lambda-values", "0,-9/8,0/3"),
+         "--lambda-values repeats 0"),
+    ],
+)
+def test_search_rejects_ignored_or_repeated_values(capsys, argv, named):
+    code, out, err = run_cli(capsys, "search", "--d-max", "2", *argv)
+    assert code == 64
+    assert out == ""
+    assert named in err
+
+
+def _false(*args, **kwargs):
+    return False
+
+
+def _identity_table(p):
+    return ValueTable(RationalMatrix.identity(p.d + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name, replacement, key",
+    [
+        (("table", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+         cli, "eval_table_recurrence", _identity_table, "routesAgree"),
+        (("params", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+         cli, "check_closed_forms", _false, "closedFormsMatch"),
+        (("verify-racah", "--d", "3", "--r", "1/2"), racah, "check_varphi", _false, "all"),
+        (("verify-sl2", "--kind", "0", "--n", "3"),
+         sl2mod, "check_module_relations", _false, "relations"),
+        (("verify-sl2", "--kind", "1", "--n", "3"),
+         sl2mod, "verify_example_match", _false, "match"),
+    ],
+    ids=["table", "params", "verify-racah", "verify-sl2 relations", "verify-sl2 match"],
+)
+def test_false_identity_exits_1_after_its_json(capsys, monkeypatch, argv, owner, name,
+                                               replacement, key):
+    monkeypatch.setattr(owner, name, replacement)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)[key] is False
+    assert err.startswith("internal inconsistency:")
+    assert err.count("\n") == 1
 
 
 def test_catalog(capsys):

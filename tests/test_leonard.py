@@ -18,7 +18,6 @@ from leonard_lab.leonard import (
     is_irreducible_tridiagonal,
     lstar_shift_square,
     lstar_shift_square_closed_form,
-    search_hits,
     search_square_preserving,
     shift_square_bands,
     theorem_conditions,
@@ -242,7 +241,7 @@ def test_search_theorem_grid_all_hit():
     )
     records = list(search_square_preserving(grid))
     assert len(records) == 8
-    hits = search_hits(records)
+    hits = [rec for rec in records if rec.report.verdict]
     assert len(hits) == 8
     assert all(rec.theorem_predicted for rec in hits)
 
@@ -254,7 +253,7 @@ def test_search_r_equals_s_no_hits():
         s_values=(F(1, 2),),
         shift_values=(F(0), F(-1), F(-5, 4), F(1, 2)),
     )
-    assert search_hits(list(search_square_preserving(grid))) == []
+    assert not any(rec.report.verdict for rec in search_square_preserving(grid))
 
 
 def test_search_finds_non_theorem_root_at_d2():
@@ -263,7 +262,7 @@ def test_search_finds_non_theorem_root_at_d2():
         r_values=(F(1, 2),),
         shift_values=(F(-9, 8),),
     )
-    hits = search_hits(list(search_square_preserving(grid)))
+    hits = [rec for rec in search_square_preserving(grid) if rec.report.verdict]
     assert len(hits) == 1
     assert not hits[0].theorem_predicted
     assert hits[0].theorem_flags == (True, True, False)

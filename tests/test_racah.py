@@ -1,21 +1,19 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonard_lab import racah
 from leonard_lab.leonard import candidate_orderings
 from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.racah import (
     affine_maps,
     build_racah_params,
-    check_barred_matrices,
-    check_barred_recurrence,
     check_index_mapping,
     check_racah_orthogonality,
     check_starred_products,
-    check_table_matches_permuted_dual,
     check_unbarred_identities,
     check_varphi,
     dual_params,
@@ -23,6 +21,7 @@ from leonard_lab.racah import (
     index_map,
     standard_racah_eval,
     varphi,
+    verify_racah,
 )
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.representations import (
@@ -136,17 +135,9 @@ def test_4f3_table_frozen_and_permuted():
 
 
 def assert_identity_suite(d, r):
-    q = build_racah_params(d, r)
-    p = dual_params(q)
-    table = eval_table_4F3(q)
-    assert check_table_matches_permuted_dual(p, q, table), (d, r)
-    assert check_index_mapping(p, q), (d, r)
-    assert check_unbarred_identities(p, q), (d, r)
-    assert check_starred_products(p, q), (d, r)
-    assert check_varphi(q), (d, r)
-    assert check_racah_orthogonality(q, table), (d, r)
-    assert check_barred_recurrence(q, table), (d, r)
-    assert check_barred_matrices(p, q), (d, r)
+    verdict = verify_racah(d, r)
+    assert (verdict.d, verdict.r) == (d, r)
+    assert verdict.ok, verdict
 
 
 def test_full_identity_suite_on_grid():
@@ -281,3 +272,17 @@ def test_summand_forms_reject_what_orthogonality_alone_accepts(d, r, data):
     assert check_racah_orthogonality(q, negated) == racah_orthogonality_oracle(
         q, negated
     ) is False
+
+
+@pytest.mark.parametrize(
+    "check, field",
+    [("check_varphi", "varphi"),
+     ("check_table_matches_permuted_dual", "table4F3_matches_permuted_dual_hahn")],
+)
+def test_verify_racah_reports_a_failed_check_in_its_field(monkeypatch, check, field):
+    monkeypatch.setattr(racah, check, lambda *args: False)
+    verdict = verify_racah(3, F(1, 2))
+    checks = {f.name: getattr(verdict, f.name) for f in fields(verdict)[2:]}
+    assert len(checks) == 8
+    assert checks == {name: name != field for name in checks}
+    assert not verdict.ok

@@ -17,7 +17,6 @@ from leonard_lab.representations import (
     check_difference_eq,
     check_orthogonality,
     check_top_row,
-    divided_differences,
     eval_table_hypergeometric,
     eval_table_recurrence,
     matrix_L_u_basis,
@@ -28,6 +27,25 @@ from leonard_lab.representations import (
 )
 
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
+
+
+def divided_differences(nodes, values):
+    """Full triangle: row m holds all order-m divided differences (the
+    Fraction oracle for `value_row_degree`)."""
+    if len(nodes) != len(values):
+        raise ValueError("nodes and values must have equal length")
+    triangle = [list(values)]
+    m = 1
+    while len(triangle[-1]) > 1:
+        prev = triangle[-1]
+        triangle.append(
+            [
+                (prev[t + 1] - prev[t]) / (nodes[t + m] - nodes[t])
+                for t in range(len(prev) - 1)
+            ]
+        )
+        m += 1
+    return triangle
 
 
 def grid(d_max=5):

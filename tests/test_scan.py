@@ -76,7 +76,7 @@ def test_tridiagonal_pattern_found_by_identity_and_reversal():
 
 def test_rejects_non_square_matrix():
     with pytest.raises(ValueError):
-        scan_tridiagonal_orderings(RationalMatrix.zeros(2, 3))
+        scan_tridiagonal_orderings(RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
 
 
 @pytest.mark.parametrize(
