@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -71,8 +71,12 @@ def binomial(n: int, i: int) -> Fraction:
     return Fraction(math.comb(n, i))
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
+def _integer_ratio(x: Fraction | int) -> tuple[int, int]:
+    """(p, q) with x == p/q, q > 0, in lowest terms; an int or a Fraction is
+    read as it is, anything else goes through Fraction first."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    return Fraction(x).as_integer_ratio()
 
 
 def hypergeom_terminating(
@@ -89,39 +93,41 @@ def hypergeom_terminating(
     truncation.  Some numerator parameter must be a non-positive integer -t
     with t <= terms, so the truncated sum is the whole series.
 
-    One forward pass writes each term ratio t_{h+1} / t_h as a pair of
-    integers; Horner's rule then runs backwards over the pairs,
-    1 + rho_0 (1 + rho_1 (1 + ...)), as one integer numerator/denominator
-    pair, and the sum is reduced to a Fraction once at the end.
+    Each parameter is read once as an integer pair p/q.  One forward pass
+    writes each term ratio t_{h+1} / t_h as a pair of integers; Horner's rule
+    then runs backwards over the pairs, 1 + rho_0 (1 + rho_1 (1 + ...)), as
+    one integer numerator/denominator pair, and the sum is reduced to a
+    Fraction once at the end.
     """
-    nums: Sequence[Fraction] = [Fraction(a) for a in numerators]
-    dens: Sequence[Fraction] = [Fraction(b) for b in denominators]
+    nums = [_integer_ratio(a) for a in numerators]
+    dens = [_integer_ratio(b) for b in denominators]
     if terms < 0:
         raise ValueError(f"terms must be a natural number, got {terms}")
-    if not any(_is_nonpositive_integer(a) and -a <= terms for a in nums):
+    if not any(q == 1 and -terms <= p <= 0 for p, q in nums):
         raise ValueError(
             "series is not guaranteed to terminate within "
             f"{terms} terms: no numerator parameter in {{-{terms}, ..., 0}}"
         )
     # a + h = (p + h q) / q, so rho_h = top_h / bottom_h with the parameter
     # denominators of one side moved to the other as constant factors.
-    top_scale = math.prod(b.denominator for b in dens)
-    bottom_scale = math.prod(a.denominator for a in nums)
+    top_scale = math.prod(q for _, q in dens)
+    bottom_scale = math.prod(q for _, q in nums)
     ratios = []
     for h in range(terms):
         top = top_scale
-        for a in nums:
-            top *= a.numerator + h * a.denominator
+        for p, q in nums:
+            top *= p + h * q
         if top == 0:
             break
         bottom = bottom_scale * (h + 1)
-        for b in dens:
-            bottom *= b.numerator + h * b.denominator
+        for p, q in dens:
+            bottom *= p + h * q
         if bottom == 0:
-            offender = next(b for b in dens if b + h == 0)
+            offender = next(Fraction(p, q) for p, q in dens if p + h * q == 0)
             raise SeriesDivisionError(h + 1, offender)
         ratios.append((top, bottom))
     num = den = 1
     for top, bottom in reversed(ratios):
-        num, den = bottom * den + top * num, bottom * den
+        den *= bottom
+        num = den + top * num
     return Fraction(num, den)

@@ -78,6 +78,9 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def column(self, j: int) -> tuple[Fraction, ...]:
+        return self.entries[j :: self.cols]
+
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 

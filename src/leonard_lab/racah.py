@@ -13,6 +13,7 @@ whole barred suite on one set of artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
 from .representations import (
     ValueTable,
+    _over_common_denominator,
+    _three_term_holds,
     check_orthogonality,
     eval_table_hypergeometric,
     eval_table_recurrence,
@@ -167,40 +170,37 @@ def check_starred_products(p: ParameterArray, q: ParameterArray) -> bool:
 
 def check_varphi(q: ParameterArray) -> bool:
     """bar_varphi_i against its defining quotient, computed directly from
-    bar_b and differences of bar_theta*."""
+    bar_b and differences of bar_theta*:
+
+        bar_varphi_i == bar_b_{i-1} P_i / (P_{i-1} D),
+
+    with bar_theta* = T / D over one denominator and P_i the integer product
+    of T_i - T_l over l < i.  The quotient is compared cross-multiplied."""
+    nodes, den = _over_common_denominator(q.theta_star)
+    products = [math.prod(x - y for y in nodes[:i]) for i, x in enumerate(nodes)]
     for i in range(1, q.d + 1):
-        num = Fraction(1)
-        for l in range(i):
-            num *= q.theta_star[i] - q.theta_star[l]
-        den = Fraction(1)
-        for l in range(i - 1):
-            den *= q.theta_star[i - 1] - q.theta_star[l]
-        if varphi(q, i) != q.b[i - 1] * num / den:
+        phi, phi_den = varphi(q, i).as_integer_ratio()
+        b, b_den = q.b[i - 1].as_integer_ratio()
+        if phi * b_den * products[i - 1] * den != b * phi_den * products[i]:
             return False
     return True
 
 
 def eval_table_4F3(q: ParameterArray) -> ValueTable:
-    """u_i(bar_theta_j) as the terminating 4F3 at unit argument."""
+    """u_i(bar_theta_j) as the terminating 4F3 at unit argument.
+
+    The parameters i - d + r and j - d - 1/2 are built once per row and once
+    per column, and the denominator parameters once per table."""
     d, r = q.d, q.r
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            row.append(
-                hypergeom_terminating(
-                    [
-                        Fraction(-i),
-                        i - d + r,
-                        Fraction(-j),
-                        j - d - Fraction(1, 2),
-                    ],
-                    [Fraction(-d), (r - d) / 2, (r - d + 1) / 2],
-                    terms=i,
-                )
-            )
-        rows.append(row)
-    return ValueTable(RationalMatrix.from_rows(rows))
+    rows = [i - d + r for i in range(d + 1)]
+    columns = [Fraction(2 * (j - d) - 1, 2) for j in range(d + 1)]
+    dens = (-d, (r - d) / 2, (r - d + 1) / 2)
+    entries = [
+        hypergeom_terminating((-i, rows[i], -j, columns[j]), dens, terms=i)
+        for i in range(d + 1)
+        for j in range(d + 1)
+    ]
+    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
 
 
 def check_table_matches_permuted_dual(
@@ -258,17 +258,8 @@ def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
 def check_barred_recurrence(q: ParameterArray, table: ValueTable) -> bool:
     """x u_i(x) = bar_b_i u_{i+1}(x) + bar_a_i u_i(x) + bar_c_i u_{i-1}(x) at
     the barred nodes, boundary terms dropped through zero coefficients."""
-    d = q.d
-    for i in range(d + 1):
-        for j in range(d + 1):
-            rhs = q.a[i] * table.at(i, j)
-            if i < d:
-                rhs += q.b[i] * table.at(i + 1, j)
-            if i > 0:
-                rhs += q.c[i] * table.at(i - 1, j)
-            if q.theta[j] * table.at(i, j) != rhs:
-                return False
-    return True
+    columns = [table.values.column(j) for j in range(q.d + 1)]
+    return _three_term_holds(columns, q.theta, q.a, q.b, q.c, range(q.d + 1))
 
 
 def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:

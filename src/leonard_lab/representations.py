@@ -13,9 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .hyper import hypergeom_terminating
+from .hyper import format_rational, hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from .params import ParameterArray
 
@@ -35,52 +35,55 @@ class ValueTable:
 
 
 def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:
-    """u_i(theta_j) as the terminating 3F2 at unit argument, truncated at i."""
-    d, r, s = p.d, p.r, p.s
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for j in range(d + 1):
-            row.append(
-                hypergeom_terminating(
-                    [Fraction(-i), Fraction(-j), j - r - s - 2 * d - 1],
-                    [-s - d, Fraction(-d)],
-                    terms=i,
-                )
-            )
-        rows.append(row)
-    return ValueTable(RationalMatrix.from_rows(rows))
+    """u_i(theta_j) as the terminating 3F2 at unit argument, truncated at i.
+
+    The one non-integer numerator parameter, j - r - s - 2d - 1, is built
+    once per column and the denominator parameters once per table."""
+    d = p.d
+    base = -p.r - p.s - (2 * d + 1)
+    columns = [base + j for j in range(d + 1)]
+    dens = (-p.s - d, -d)
+    entries = [
+        hypergeom_terminating((-i, -j, columns[j]), dens, terms=i)
+        for i in range(d + 1)
+        for j in range(d + 1)
+    ]
+    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
 
 
 def eval_table_recurrence(p: ParameterArray) -> ValueTable:
     """u_i(theta_j) via the three-term recurrence; shares no code with the
-    hypergeometric route."""
+    hypergeometric route.
+
+    b_i u_{i+1} = (theta - a_i) u_i - c_i u_{i-1} runs row by row on
+    integers: a row is a list of numerators over one denominator, the two
+    terms of a step go over the lcm of their denominators, and one gcd pass
+    per row reduces the new row."""
     d = p.d
-    rows = [[Fraction(1)] * (d + 1)]
+    nodes, nodes_den = _over_common_denominator(p.theta)
+    prev, prev_den = [0] * (d + 1), 1  # u_{-1}, only ever scaled by c_0 = 0
+    row, row_den = [1] * (d + 1), 1
+    entries = [Fraction(1)] * (d + 1)
     for i in range(d):
-        prev = rows[-1]
-        prev2 = rows[-2] if i >= 1 else None
-        row = []
-        for j in range(d + 1):
-            acc = (p.theta[j] - p.a[i]) * prev[j]
-            if i >= 1:
-                acc -= p.c[i] * prev2[j]
-            row.append(acc / p.b[i])
-        rows.append(row)
-    return ValueTable(RationalMatrix.from_rows(rows))
-
-
-def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
-    """Recurrence at i = d, where b_d = 0 closes the system:
-    theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j)."""
-    d = p.d
-    for j in range(d + 1):
-        rhs = p.a[d] * table.at(d, j)
-        if d >= 1:
-            rhs += p.c[d] * table.at(d - 1, j)
-        if p.theta[j] * table.at(d, j) != rhs:
-            return False
-    return True
+        a, a_den = p.a[i].as_integer_ratio()
+        b, b_den = p.b[i].as_integer_ratio()
+        c, c_den = p.c[i].as_integer_ratio()
+        # (theta_j - a_i) u_i(theta_j) == shift_j row_j / left_den
+        shift = [x * a_den - a * nodes_den for x in nodes]
+        left_den = nodes_den * a_den * row_den
+        right_den = c_den * prev_den
+        den = math.lcm(left_den, right_den)
+        left = den // left_den * b_den
+        right = den // right_den * b_den * c
+        new = [t * u * left - v * right for t, u, v in zip(shift, row, prev)]
+        new_den = den * b
+        g = math.gcd(new_den, *new)
+        if new_den < 0:
+            g = -g
+        prev, prev_den = row, row_den
+        row, row_den = [v // g for v in new], new_den // g
+        entries.extend(Fraction(v, row_den) for v in row)
+    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
 
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -89,6 +92,49 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     for v in values:  # not math.lcm(*...), which builds an argument tuple per call
         den = math.lcm(den, v.denominator)
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _three_term_holds(
+    lines: Sequence[Sequence[Fraction]],
+    eigenvalues: Sequence[Fraction],
+    a: Sequence[Fraction],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+    at: Iterable[int],
+) -> bool:
+    """Whether lam v[n] == b[n] v[n+1] + a[n] v[n] + c[n] v[n-1] for every
+    line v of `lines` with its eigenvalue lam (in zip order) and every index
+    n of `at`; the terms beyond either end of a line drop.
+
+    The identity is linear in v, so each line is put over one denominator,
+    which cancels, and each index's triple (a[n], b[n], c[n]) over one lcm L:
+    the test is lam_num L v[n] == lam_den (B v[n+1] + A v[n] + C v[n-1]) on
+    integers."""
+    ints = [_over_common_denominator(line)[0] for line in lines]
+    lams = [lam.as_integer_ratio() for lam in eigenvalues]
+    last = len(ints[0]) - 1
+    for n in at:
+        (A, B, C), L = _over_common_denominator((a[n], b[n], c[n]))
+        for v, (lam_num, lam_den) in zip(ints, lams):
+            rhs = A * v[n]
+            if n < last:
+                rhs += B * v[n + 1]
+            if n > 0:
+                rhs += C * v[n - 1]
+            if lam_num * L * v[n] != lam_den * rhs:
+                return False
+    return True
+
+
+def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
+    """Recurrence at i = d, where b_d = 0 closes the system:
+    theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j).
+
+    Each column is cut to its rows d-1 and d (row 0 alone at d = 0)."""
+    d = p.d
+    lo = max(d - 1, 0)
+    tails = [table.values.column(j)[lo:] for j in range(d + 1)]
+    return _three_term_holds(tails, p.theta, p.a[lo:], p.b[lo:], p.c[lo:], (d - lo,))
 
 
 def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
@@ -114,17 +160,10 @@ def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
 def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
     """theta*_i u_i(theta_j) == b*_j u_i(theta_{j+1}) + a*_j u_i(theta_j)
     + c*_j u_i(theta_{j-1}); boundary terms drop via b*_d = c*_0 = 0."""
-    d = p.d
-    for i in range(d + 1):
-        for j in range(d + 1):
-            rhs = p.a_star[j] * table.at(i, j)
-            if j < d:
-                rhs += p.b_star[j] * table.at(i, j + 1)
-            if j > 0:
-                rhs += p.c_star[j] * table.at(i, j - 1)
-            if p.theta_star[i] * table.at(i, j) != rhs:
-                return False
-    return True
+    rows = [table.values.row(i) for i in range(p.d + 1)]
+    return _three_term_holds(
+        rows, p.theta_star, p.a_star, p.b_star, p.c_star, range(p.d + 1)
+    )
 
 
 # -- degrees via divided differences --------------------------------------
@@ -139,10 +178,14 @@ def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> i
     carries a polynomial of degree m to one of degree m.  Each order is then
     multiplied by the lcm of its node gaps instead of divided by each gap, so
     row m holds the order-m divided differences times one positive factor.
+    The nodes must be distinct.
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
     xs, _ = _over_common_denominator(nodes)
+    if len(set(xs)) != len(xs):
+        repeated = next(x for t, x in enumerate(nodes) if x in nodes[:t])
+        raise ValueError(f"nodes must be distinct: {format_rational(repeated)} is repeated")
     row, _ = _over_common_denominator(values)
     degree = 0 if any(row) else -1
     for m in range(1, len(xs)):

@@ -215,3 +215,46 @@ def test_rational_codec_round_trips_everything(q):
 def test_rational_codec_rejects_non_pq(bad):
     with pytest.raises(RationalFormatError):
         parse_rational(bad)
+
+
+# -- int and Fraction parameters in one call ------------------------------------
+
+
+def as_int_or_fraction(draw_int):
+    """An integer-valued parameter passed as an int when `draw_int` says so."""
+    return lambda x: x.numerator if draw_int and x.denominator == 1 else x
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_hypergeom_mixed_int_and_fraction_parameters_match_oracle(data):
+    terms = data.draw(st.integers(min_value=-1, max_value=8))
+    t = data.draw(st.integers(min_value=0, max_value=max(terms + 1, 0)))
+    nums = data.draw(st.permutations(data.draw(st.lists(parameters, max_size=3)) + [F(-t)]))
+    dens = data.draw(st.lists(parameters, max_size=3))
+    mixed_nums = [as_int_or_fraction(data.draw(st.booleans()))(a) for a in nums]
+    mixed_dens = [as_int_or_fraction(data.draw(st.booleans()))(b) for b in dens]
+    outcome = _outcome(hypergeom_terminating, mixed_nums, mixed_dens, terms)
+    assert outcome == _outcome(hypergeom_oracle, nums, dens, terms)
+    if outcome[0] == "value":
+        assert type(outcome[1]) is F
+    if outcome[0] == "division":
+        assert type(outcome[2]) is F
+
+
+def test_hypergeom_mixed_call_keeps_both_errors():
+    # Non-termination: -7 is an int, the window is 3 terms.
+    with pytest.raises(ValueError, match=r"\{-3, \.\.\., 0\}"):
+        hypergeom_terminating([-7, F(1, 3)], [F(1, 2), 2], terms=3)
+    with pytest.raises(ValueError, match="natural number"):
+        hypergeom_terminating([-1, F(1, 3)], [F(1, 2)], terms=-1)
+    # The int -2 vanishes at term 3, after the Fraction -1/2 + h never does.
+    with pytest.raises(SeriesDivisionError) as excinfo:
+        hypergeom_terminating([F(-5), 3], [F(-1, 2), -2], terms=5)
+    assert excinfo.value.term_index == 3
+    assert excinfo.value.parameter == -2 and type(excinfo.value.parameter) is F
+    assert "-2" in str(excinfo.value) and "term 3" in str(excinfo.value)
+    # The same call with every parameter a Fraction reports the same place.
+    with pytest.raises(SeriesDivisionError) as fraction_info:
+        hypergeom_terminating([F(-5), F(3)], [F(-1, 2), F(-2)], terms=5)
+    assert (fraction_info.value.term_index, fraction_info.value.parameter) == (3, -2)

@@ -20,6 +20,8 @@ def test_constructors_and_access():
     assert (m.rows, m.cols) == (2, 2)
     assert m.at(1, 0) == 3
     assert m.row(0) == (1, 2)
+    assert m.column(1) == (2, 4)
+    assert RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).column(2) == (3, 6)
     assert RationalMatrix.identity(2) == RationalMatrix.from_rows([[1, 0], [0, 1]])
     assert RationalMatrix.diagonal([5, 6]).at(0, 1) == 0
     tri = RationalMatrix.tridiagonal(diag=[1, 2, 3], sub=[7, 8], sup=[4, 5])

@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab import racah
@@ -11,6 +11,7 @@ from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.racah import (
     affine_maps,
     build_racah_params,
+    check_barred_recurrence,
     check_index_mapping,
     check_racah_orthogonality,
     check_starred_products,
@@ -23,6 +24,7 @@ from leonard_lab.racah import (
     varphi,
     verify_racah,
 )
+from leonard_lab.hyper import hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.representations import (
     ValueTable,
@@ -286,3 +288,120 @@ def test_verify_racah_reports_a_failed_check_in_its_field(monkeypatch, check, fi
     assert len(checks) == 8
     assert checks == {name: name != field for name in checks}
     assert not verdict.ok
+
+
+# -- hoisted 4F3 parameters and integer kernels against the Fraction loops ------
+
+
+def table_4f3_oracle(q):
+    """`eval_table_4F3` as it was: every parameter built as new Fractions for
+    every entry."""
+    d, r = q.d, q.r
+    return ValueTable(RationalMatrix.from_rows([
+        [hypergeom_terminating(
+            [F(-i), i - d + r, F(-j), j - d - F(1, 2)],
+            [F(-d), (r - d) / 2, (r - d + 1) / 2],
+            terms=i,
+        ) for j in range(d + 1)]
+        for i in range(d + 1)
+    ]))
+
+
+def barred_recurrence_oracle(q, table):
+    """The Fraction loop that `check_barred_recurrence` replaced."""
+    d = q.d
+    for i in range(d + 1):
+        for j in range(d + 1):
+            rhs = q.a[i] * table.at(i, j)
+            if i < d:
+                rhs += q.b[i] * table.at(i + 1, j)
+            if i > 0:
+                rhs += q.c[i] * table.at(i - 1, j)
+            if q.theta[j] * table.at(i, j) != rhs:
+                return False
+    return True
+
+
+def varphi_oracle(q):
+    """The Fraction products that `check_varphi` replaced."""
+    for i in range(1, q.d + 1):
+        num = F(1)
+        for l in range(i):
+            num *= q.theta_star[i] - q.theta_star[l]
+        den = F(1)
+        for l in range(i - 1):
+            den *= q.theta_star[i - 1] - q.theta_star[l]
+        if varphi(q, i) != q.b[i - 1] * num / den:
+            return False
+    return True
+
+
+def barred_cases(test):
+    """Barred arrays at d <= 16 and r up to two-digit denominators, with
+    d = 0, 1 and 2 always run; `at` picks the perturbed entry modulo d + 1."""
+    r = st.fractions(min_value=-1, max_value=1, max_denominator=99).filter(
+        lambda x: -1 < x < 1 and x != 0
+    )
+    for d, r0 in [(0, F(3, 7)), (1, F(-5, 11)), (2, F(13, 17))]:
+        test = example(q=build_racah_params(d, r0), at=(d, 0), delta=F(1, 2))(test)
+    at = st.tuples(st.integers(0, 16), st.integers(0, 16))
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
+    return settings(deadline=None, max_examples=30)(
+        given(q=st.builds(build_racah_params, st.integers(0, 16), r), at=at, delta=nonzero)(test)
+    )
+
+
+def with_entry(table, i, j, value):
+    rows = table.values.to_rows()
+    rows[i][j] = value
+    return ValueTable(RationalMatrix.from_rows(rows))
+
+
+@barred_cases
+def test_hoisted_4f3_parameters_match_per_entry_fractions(q, at, delta):
+    table = eval_table_4F3(q)
+    assert table.values == table_4f3_oracle(q).values
+    assert all(type(v) is F for v in table.values.entries)
+    # r enters a row parameter and two denominator parameters; a changed r
+    # (kept non-integer, so no denominator vanishes) changes row 1 on both sides.
+    moved = replace(q, r=q.r + delta / 101)
+    assert eval_table_4F3(moved).values == table_4f3_oracle(moved).values
+    assert (eval_table_4F3(moved).values == table.values) is (q.d == 0)
+
+
+@barred_cases
+def test_integer_barred_recurrence_matches_fraction_loop(q, at, delta):
+    table = eval_table_4F3(q)
+    assert check_barred_recurrence(q, table) == barred_recurrence_oracle(q, table) is True
+    i, j = (x % (q.d + 1) for x in at)
+    # At d = 0 the identity reads bar_theta_0 u = bar_a_0 u with
+    # bar_a_0 == bar_theta_0, so only a coefficient breaks it.
+    if q.d >= 1:
+        perturbed = with_entry(table, i, j, table.at(i, j) + delta)
+        assert (
+            check_barred_recurrence(q, perturbed)
+            == barred_recurrence_oracle(q, perturbed)
+            is False
+        )
+    moved = replace(q, a=tuple(v + delta * (h == i) for h, v in enumerate(q.a)))
+    assert check_barred_recurrence(moved, table) == barred_recurrence_oracle(moved, table) is False
+
+
+@barred_cases
+def test_integer_varphi_matches_fraction_products(q, at, delta):
+    assert check_varphi(q) == varphi_oracle(q) is True
+    # bar_b_{i-1} enters the quotient for bar_varphi_i as a factor; with
+    # d = 0 there is no quotient to break.
+    if q.d >= 1:
+        i = at[0] % q.d
+        moved = replace(q, b=tuple(v + delta * (h == i) for h, v in enumerate(q.b)))
+        assert check_varphi(moved) == varphi_oracle(moved) is False
+
+
+def test_barred_recurrence_worked_instance():
+    q = build_racah_params(2, F(1, 2))
+    table = eval_table_4F3(q)
+    # i = 1 at bar_theta_1 = 0: 0 == bar_b_1 u_2 + bar_a_1 u_1 + bar_c_1 u_0
+    assert q.b[1] * table.at(2, 1) + q.a[1] * table.at(1, 1) + q.c[1] * table.at(0, 1) == 0
+    assert check_barred_recurrence(q, table)
+    assert not check_barred_recurrence(q, with_entry(table, 2, 1, F(4)))

@@ -1,12 +1,14 @@
 import json
 from fractions import Fraction as F
+from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.cli import main
+from leonard_lab.hyper import hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from leonard_lab.params import build_params
 from leonard_lab.racah import build_racah_params
@@ -301,9 +303,12 @@ def test_integer_scaled_degree_matches_divided_differences(data):
 def test_integer_scaled_degree_keeps_the_errors():
     with pytest.raises(ValueError):
         value_row_degree([F(0), F(1)], [F(1)])
-    for degree in (value_row_degree, degree_oracle):
-        with pytest.raises(ZeroDivisionError):
-            degree([F(0), F(1, 2), F(1, 2)], [F(1), F(2), F(3)])
+    # A repeated node: the Fraction triangle divides by zero, the integer one
+    # rejects the nodes by name (see the test below).
+    with pytest.raises(ZeroDivisionError):
+        degree_oracle([F(0), F(1, 2), F(1, 2)], [F(1), F(2), F(3)])
+    with pytest.raises(ValueError, match="1/2 is repeated"):
+        value_row_degree([F(0), F(1, 2), F(1, 2)], [F(1), F(2), F(3)])
 
 
 @settings(deadline=None, max_examples=30)
@@ -313,3 +318,151 @@ def test_integer_scaled_degree_matches_on_table_rows(p):
     for i in range(p.d + 1):
         row = table.values.row(i)
         assert value_row_degree(p.theta, row) == degree_oracle(p.theta, row) == i
+
+
+# -- integer tables and three-term kernels against the Fraction loops ---------
+
+
+def hypergeometric_table_oracle(p):
+    """`eval_table_hypergeometric` as it was: every parameter built as new
+    Fractions for every entry."""
+    d, r, s = p.d, p.r, p.s
+    return ValueTable(RationalMatrix.from_rows([
+        [hypergeom_terminating([F(-i), F(-j), j - r - s - 2 * d - 1], [-s - d, F(-d)], terms=i)
+         for j in range(d + 1)]
+        for i in range(d + 1)
+    ]))
+
+
+def recurrence_table_oracle(p):
+    """The Fraction recurrence that `eval_table_recurrence` replaced."""
+    d = p.d
+    rows = [[F(1)] * (d + 1)]
+    for i in range(d):
+        prev = rows[-1]
+        prev2 = rows[-2] if i >= 1 else None
+        row = []
+        for j in range(d + 1):
+            acc = (p.theta[j] - p.a[i]) * prev[j]
+            if i >= 1:
+                acc -= p.c[i] * prev2[j]
+            row.append(acc / p.b[i])
+        rows.append(row)
+    return ValueTable(RationalMatrix.from_rows(rows))
+
+
+def difference_eq_oracle(p, table):
+    """The Fraction loop that `check_difference_eq` replaced."""
+    d = p.d
+    for i in range(d + 1):
+        for j in range(d + 1):
+            rhs = p.a_star[j] * table.at(i, j)
+            if j < d:
+                rhs += p.b_star[j] * table.at(i, j + 1)
+            if j > 0:
+                rhs += p.c_star[j] * table.at(i, j - 1)
+            if p.theta_star[i] * table.at(i, j) != rhs:
+                return False
+    return True
+
+
+def top_row_oracle(p, table):
+    """The Fraction loop that `check_top_row` replaced."""
+    d = p.d
+    for j in range(d + 1):
+        rhs = p.a[d] * table.at(d, j)
+        if d >= 1:
+            rhs += p.c[d] * table.at(d - 1, j)
+        if p.theta[j] * table.at(d, j) != rhs:
+            return False
+    return True
+
+
+two_digit = st.fractions(min_value=-1, max_value=3, max_denominator=99).filter(
+    lambda x: x > -1
+)
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
+
+
+def kernel_cases(test):
+    """Dual Hahn arrays at d <= 16, with s = -r or with free (r, s) up to
+    two-digit denominators; d = 0, 1 and 2, where the boundary zeros b_d and
+    c_0 sit next to every entry, are always run.  `at` picks the perturbed
+    entry modulo d + 1."""
+    d = st.integers(0, 16)
+    arrays = st.one_of(
+        st.builds(lambda d, r: build_params(d, r, -r), d, two_digit.filter(lambda x: x < 1)),
+        st.builds(build_params, d, two_digit, two_digit),
+    )
+    for d, r, s in [(0, F(3, 7), F(-3, 7)), (1, F(-5, 11), F(5, 11)), (2, F(13, 17), F(2, 3))]:
+        test = example(p=build_params(d, r, s), at=(d, 0), delta=F(1, 2))(test)
+    at = st.tuples(st.integers(0, 16), st.integers(0, 16))
+    return settings(deadline=None, max_examples=40)(given(p=arrays, at=at, delta=nonzero)(test))
+
+
+def replaced(values, index, delta):
+    values = list(values)
+    values[index] += delta
+    return tuple(values)
+
+
+@kernel_cases
+def test_hoisted_3f2_parameters_match_per_entry_fractions(p, at, delta):
+    table = eval_table_hypergeometric(p)
+    assert table.values == hypergeometric_table_oracle(p).values
+    assert all(type(v) is F for v in table.values.entries)
+    # r enters only the hoisted column parameter; a changed r moves row 1
+    # off theta_0 on both sides.
+    q = replace(p, r=p.r + delta)
+    assert eval_table_hypergeometric(q).values == hypergeometric_table_oracle(q).values
+    assert (eval_table_hypergeometric(q).values == table.values) is (p.d == 0)
+
+
+@kernel_cases
+def test_integer_recurrence_matches_fraction_recurrence(p, at, delta):
+    table = eval_table_recurrence(p)
+    assert table.values == recurrence_table_oracle(p).values
+    assert all(type(v) is F for v in table.values.entries)
+    # A changed a_i or c_i changes row i + 1 on both routes.
+    i = at[0] % (p.d + 1)
+    if i < p.d:
+        for field in ("a", "c") if i else ("a",):
+            q = replace(p, **{field: replaced(getattr(p, field), i, delta)})
+            assert eval_table_recurrence(q).values == recurrence_table_oracle(q).values
+            assert eval_table_recurrence(q).values != table.values
+
+
+@kernel_cases
+def test_integer_difference_equation_matches_fraction_loop(p, at, delta):
+    table = eval_table_hypergeometric(p)
+    assert check_difference_eq(p, table) == difference_eq_oracle(p, table) is True
+    i, j = (x % (p.d + 1) for x in at)
+    # theta*_i u_i(theta_j) == a*_j u_i(theta_j) with no neighbours at d = 0,
+    # and a*_0 == theta*_0 there: no table entry can break it.  A changed
+    # coefficient can, at every d.
+    if p.d >= 1:
+        perturbed = with_entry(table, i, j, table.at(i, j) + delta)
+        assert check_difference_eq(p, perturbed) == difference_eq_oracle(p, perturbed) is False
+    q = replace(p, a_star=replaced(p.a_star, j, delta))
+    assert check_difference_eq(q, table) == difference_eq_oracle(q, table) is False
+
+
+@kernel_cases
+def test_integer_top_row_matches_fraction_loop(p, at, delta):
+    table = eval_table_hypergeometric(p)
+    assert check_top_row(p, table) == top_row_oracle(p, table) is True
+    d, j = p.d, at[1] % (p.d + 1)
+    # Row d - 1 enters through c_d != 0; at d = 0 the identity reads
+    # theta_0 u = a_0 u with a_0 == theta_0, so only a coefficient breaks it.
+    if d >= 1:
+        perturbed = with_entry(table, d - 1, j, table.at(d - 1, j) + delta)
+        assert check_top_row(p, perturbed) == top_row_oracle(p, perturbed) is False
+    q = replace(p, a=replaced(p.a, d, delta))
+    assert check_top_row(q, table) == top_row_oracle(q, table) is False
+
+
+def test_value_row_degree_names_a_repeated_node():
+    for nodes in ([F(0), F(1, 2), F(1, 2)], [F(1, 2), F(-3), F(0), F(1, 2)]):
+        with pytest.raises(ValueError, match="1/2 is repeated") as excinfo:
+            value_row_degree(nodes, [F(v) for v in range(len(nodes))])
+        assert not isinstance(excinfo.value, ZeroDivisionError)
