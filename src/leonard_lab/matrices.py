@@ -196,15 +196,16 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def poly_from_roots(roots: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
-    """Coefficients of prod (x - root), descending powers, leading 1."""
-    coeffs = [Fraction(1)]
+def poly_from_roots(roots: Iterable[Fraction | int]) -> tuple[Fraction | int, ...]:
+    """Coefficients of prod (x - root), descending powers, leading 1.
+
+    Exact in the roots' own type: ints give ints, Fractions give Fractions."""
+    roots = tuple(roots)
+    coeffs = [_one_like(roots)]
     for root in roots:
-        r = Fraction(root)
-        new = [Fraction(0)] * (len(coeffs) + 1)
+        new = coeffs + [0]
         for idx, c in enumerate(coeffs):
-            new[idx] += c
-            new[idx + 1] -= r * c
+            new[idx + 1] -= root * c
         coeffs = new
     return tuple(coeffs)
 
@@ -213,9 +214,9 @@ def tridiagonal_charpoly(
     diag: Sequence[Fraction | int],
     sub: Sequence[Fraction | int],
     sup: Sequence[Fraction | int],
-) -> tuple[Fraction, ...]:
+) -> tuple[Fraction | int, ...]:
     """Characteristic polynomial of `RationalMatrix.tridiagonal(diag, sub, sup)`,
-    monic, coefficients in descending powers.
+    monic, coefficients in descending powers, exact in the entries' own type.
 
     Expanding det(xI - T) along its last row gives the continuant recurrence
     p_0 = 1, p_1 = x - diag[0] and
@@ -224,15 +225,20 @@ def tridiagonal_charpoly(
     n = len(diag)
     if len(sub) != max(n - 1, 0) or len(sup) != max(n - 1, 0):
         raise ValueError("sub/super diagonals must have length n-1")
-    prev: list[Fraction] = []
-    coeffs = [Fraction(1)]
+    prev: list = []
+    coeffs = [_one_like(diag)]
     for k, a in enumerate(diag):
-        new = coeffs + [Fraction(0)]
+        new = coeffs + [0]
         for idx, c in enumerate(coeffs):
             new[idx + 1] -= a * c
         if k:
-            coupling = Fraction(sub[k - 1]) * sup[k - 1]
+            coupling = sub[k - 1] * sup[k - 1]
             for idx, c in enumerate(prev):
                 new[idx + 2] -= coupling * c
         prev, coeffs = coeffs, new
     return tuple(coeffs)
+
+
+def _one_like(values: Sequence[Fraction | int]) -> Fraction | int:
+    """The leading coefficient 1 in the type of the first value (int when empty)."""
+    return values[0] ** 0 if values else 1

@@ -10,9 +10,10 @@ Dual Hahn: theta_i = (d-i)(d-i+r+s+1), theta*_i = i, b_i = (d-i)(d-i+s),
 c_i = i(i+r), and the starred (difference-operator) coefficients, whose
 Pochhammer quotients telescope to a few factors each.  `build_params` forms
 every entry as one integer quotient over the common denominator of r and s,
-so an array costs O(d) operations.  The hypergeometric closed forms for k_i,
-k*_i and nu keep their Pochhammer products, in separate functions, so the two
-routes share no code and can be checked against each other.
+so an array costs O(d) operations.  `parameter_array` completes k_i, k*_i and
+nu as running integer products of b/c quotients; `check_closed_forms` checks
+them against the hypergeometric closed forms, evaluated as integer Pochhammer
+products, so the two routes share no code.
 
 Boundary conventions: b_d, c_0, b*_d, c*_0 are stored as exact zeros.  The
 out-of-range symbols (theta_{-1}, b*_{-1}, c*_{d+1}, ...) are never
@@ -22,10 +23,11 @@ first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyper import binomial, format_rational, pochhammer
+from .hyper import format_rational
 
 
 class ParameterDomainError(ValueError):
@@ -129,21 +131,36 @@ def parameter_array(
     c*_0 are zero, the interior ones nonzero, the theta_i distinct and the
     weights positive.
     """
+    # Every entry is read once as an integer pair; the checks below run on the
+    # numerators, and each derived entry is one integer quotient.
+    theta_q = [v.as_integer_ratio() for v in theta]
+    b_q = [v.as_integer_ratio() for v in b]
+    c_q = [v.as_integer_ratio() for v in c]
+    b_star_q = [v.as_integer_ratio() for v in b_star]
+    c_star_q = [v.as_integer_ratio() for v in c_star]
+
     # The zero pattern is checked first: the weights divide by c_i and c*_i.
-    if any(b[i] == 0 for i in range(d)) or any(c[i] == 0 for i in range(1, d + 1)):
+    if any(b_q[i][0] == 0 for i in range(d)) or any(c_q[i][0] == 0 for i in range(1, d + 1)):
         raise ParameterInvariantError("interior b_i, c_i must be nonzero")
-    if any(b_star[i] == 0 for i in range(d)) or any(c_star[i] == 0 for i in range(1, d + 1)):
+    if any(b_star_q[i][0] == 0 for i in range(d)) or any(
+        c_star_q[i][0] == 0 for i in range(1, d + 1)
+    ):
         raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
-    if b[d] != 0 or c[0] != 0 or b_star[d] != 0 or c_star[0] != 0:
+    if b_q[d][0] or c_q[0][0] or b_star_q[d][0] or c_star_q[0][0]:
         raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
-    if len(set(theta)) != d + 1:
+    if len(set(theta_q)) != d + 1:
         raise ParameterInvariantError("eigenvalues theta_i are not distinct")
 
-    k = _cumulative_quotients(b, c)
-    k_star = _cumulative_quotients(b_star, c_star)
-    nu = Fraction(1)
-    for j in range(1, d + 1):
-        nu *= (theta[0] - theta[j]) / c[j]
+    k = _cumulative_quotients(b_q, c_q)
+    k_star = _cumulative_quotients(b_star_q, c_star_q)
+    # nu = prod_j (t_0 e_j - t_j e_0) g_j / (e_0 e_j f_j) with theta_j = t_j/e_j
+    # and c_j = f_j/g_j.
+    t0, e0 = theta_q[0]
+    nu_num = nu_den = 1
+    for (t, e), (f, g) in zip(theta_q[1:], c_q[1:]):
+        nu_num *= (t0 * e - t * e0) * g
+        nu_den *= e0 * e * f
+    nu = Fraction(nu_num, nu_den)
     if any(v <= 0 for v in k) or any(v <= 0 for v in k_star) or nu <= 0:
         raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
 
@@ -155,56 +172,82 @@ def parameter_array(
         theta_star=theta_star,
         b=b,
         c=c,
-        a=tuple(theta[0] - b[i] - c[i] for i in range(d + 1)),
+        a=_diagonal(theta_q[0], b_q, c_q),
         k=k,
         nu=nu,
         b_star=b_star,
         c_star=c_star,
-        a_star=tuple(theta_star[0] - b_star[i] - c_star[i] for i in range(d + 1)),
+        a_star=_diagonal(theta_star[0].as_integer_ratio(), b_star_q, c_star_q),
         k_star=k_star,
     )
 
 
+def _diagonal(first, b, c):
+    """theta_0 - b_i - c_i for every i, from integer pairs, one quotient each."""
+    t, e = first
+    return tuple(
+        Fraction(t * bd * cd - (bn * cd + cn * bd) * e, e * bd * cd)
+        for (bn, bd), (cn, cd) in zip(b, c)
+    )
+
+
 def _cumulative_quotients(b, c):
+    """k_i = prod_{j <= i} b_{j-1} / c_j from integer pairs, as running
+    integer products with one Fraction per entry."""
     out = [Fraction(1)]
-    for i in range(1, len(c)):
-        out.append(out[-1] * b[i - 1] / c[i])
+    num = den = 1
+    for (bn, bd), (cn, cd) in zip(b, c[1:]):
+        num *= bn * cd
+        den *= bd * cn
+        out.append(Fraction(num, den))
     return tuple(out)
 
 
 # -- closed forms (independent route) ------------------------------------
 
 
-def closed_form_k(p: ParameterArray, i: int) -> Fraction:
-    """k_i = C(d, i) (d-i+s+1)_i / (r+1)_i."""
-    return binomial(p.d, i) * pochhammer(p.d - i + p.s + 1, i) / pochhammer(p.r + 1, i)
-
-
-def closed_form_k_star(p: ParameterArray, i: int) -> Fraction:
-    """k*_i = C(d, i) (-d-s)_i (d+r+s+1)_d / [(-d-r)_i (2d-2i+r+s+2)_i (d-i+r+s+1)_{d-i}]."""
-    d, r, s = p.d, p.r, p.s
-    num = binomial(d, i) * pochhammer(-d - s, i) * pochhammer(d + r + s + 1, d)
-    den = (
-        pochhammer(-d - r, i)
-        * pochhammer(2 * (d - i) + r + s + 2, i)
-        * pochhammer(d - i + r + s + 1, d - i)
-    )
-    return num / den
-
-
-def closed_form_nu(p: ParameterArray) -> Fraction:
-    """nu = (d+r+s+1)_d / (r+1)_d."""
-    return pochhammer(p.d + p.r + p.s + 1, p.d) / pochhammer(p.r + 1, p.d)
-
-
 def check_closed_forms(p: ParameterArray) -> bool:
-    """True iff product-form k_i, k*_i and nu equal their closed forms exactly."""
-    if closed_form_nu(p) != p.nu:
+    """True iff product-form k_i, k*_i and nu equal their closed forms exactly:
+
+        k_i  = C(d, i) (d-i+s+1)_i / (r+1)_i,
+        k*_i = C(d, i) (-d-s)_i (d+r+s+1)_d
+               / [(-d-r)_i (2d-2i+r+s+2)_i (d-i+r+s+1)_{d-i}],
+        nu   = (d+r+s+1)_d / (r+1)_d.
+
+    With r = R/D and s = S/D over D = den(r) den(s), a Pochhammer symbol
+    (X/D)_n is prod_t (X + tD) / D^n.  Each quotient has equal lengths on top
+    and bottom, so the powers of D cancel and each side is an integer
+    product, compared cross-multiplied with the stored entry.  A vanishing
+    bottom product raises ZeroDivisionError, as the quotient would.
+    """
+    d = p.d
+    D = p.r.denominator * p.s.denominator
+    R = p.r.numerator * p.s.denominator
+    S = p.s.numerator * p.r.denominator
+
+    def rising(x, n):  # (x/D)_n D^n, x an integer numerator over D
+        return math.prod(x + t * D for t in range(n))
+
+    def differs(stored, num, den):
+        if den == 0:
+            raise ZeroDivisionError("closed form has a vanishing denominator")
+        value, value_den = stored.as_integer_ratio()
+        return num * value_den != den * value
+
+    top = rising((d + 1) * D + R + S, d)
+    if differs(p.nu, top, rising(D + R, d)):
         return False
-    for i in range(p.d + 1):
-        if closed_form_k(p, i) != p.k[i]:
+    for i in range(d + 1):
+        binom = math.comb(d, i)
+        if differs(p.k[i], binom * rising((d - i + 1) * D + S, i), rising(D + R, i)):
             return False
-        if closed_form_k_star(p, i) != p.k_star[i]:
+        num = binom * rising(-d * D - S, i) * top
+        den = (
+            rising(-d * D - R, i)
+            * rising((2 * (d - i) + 2) * D + R + S, i)
+            * rising((d - i + 1) * D + R + S, d - i)
+        )
+        if differs(p.k_star[i], num, den):
             return False
     return True
 

@@ -47,30 +47,31 @@ def build_racah_params(d: int, r: Fraction | int | str) -> ParameterArray:
             f"r must lie in (-1, 1) and be nonzero, got {format_rational(r)}"
         )
 
-    theta = tuple(Fraction(d - 2 * i) * (d - 2 * i + 1) for i in range(d + 1))
-    theta_star = tuple((Fraction(i) + (r - d) / 2) ** 2 for i in range(d + 1))
+    # Over r = R/D every entry is one integer quotient.
+    R, D = r.as_integer_ratio()
+    theta = tuple(Fraction((d - 2 * i) * (d - 2 * i + 1)) for i in range(d + 1))
+    # theta*_i = (i + (r-d)/2)^2 = ((2i-d) D + R)^2 / (2D)^2
+    theta_star = tuple(Fraction(((2 * i - d) * D + R) ** 2, 4 * D * D) for i in range(d + 1))
 
-    b = tuple(Fraction(d - i) * (d - i - r) for i in range(d)) + (Fraction(0),)
-    c = (Fraction(0),) + tuple(Fraction(i) * (i + r) for i in range(1, d + 1))
+    b = tuple(Fraction((d - i) * ((d - i) * D - R), D) for i in range(d)) + (Fraction(0),)
+    c = (Fraction(0),) + tuple(Fraction(i * (i * D + R), D) for i in range(1, d + 1))
 
     b_star = tuple(
-        Fraction(d - i)
-        * (2 * (d - i) + 1)
-        * (d - 2 * i - r - 1)
-        * (d - 2 * i - r)
-        / (2 * (2 * d - 4 * i - 1) * (2 * d - 4 * i + 1))
+        Fraction(
+            (d - i) * (2 * (d - i) + 1) * ((d - 2 * i - 1) * D - R) * ((d - 2 * i) * D - R),
+            2 * D * D * (2 * d - 4 * i - 1) * (2 * d - 4 * i + 1),
+        )
         for i in range(d)
     ) + (Fraction(0),)
     c_star = (Fraction(0),) + tuple(
-        Fraction(i)
-        * (2 * i - 1)
-        * (d - 2 * i + r + 1)
-        * (d - 2 * i + r + 2)
-        / (2 * (2 * d - 4 * i + 1) * (2 * d - 4 * i + 3))
+        Fraction(
+            i * (2 * i - 1) * ((d - 2 * i + 1) * D + R) * ((d - 2 * i + 2) * D + R),
+            2 * D * D * (2 * d - 4 * i + 1) * (2 * d - 4 * i + 3),
+        )
         for i in range(1, d + 1)
     )
 
-    _assert_4f3_denominators(d, r)
+    _assert_4f3_denominators(d, R, D)
 
     return parameter_array(d, r, -r, theta, theta_star, b, c, b_star, c_star)
 
@@ -83,16 +84,17 @@ def varphi(q: ParameterArray, i: int) -> Fraction:
     return Fraction(i) * (i - d - 1) * (d - 2 * i - r + 1) * (d - 2 * i - r + 2)
 
 
-def _assert_4f3_denominators(d: int, r: Fraction) -> None:
-    # Denominator parameters of the 4F3: -d, (r-d)/2, (r-d+1)/2.  The first
-    # vanishes only beyond the truncation window; the half-shifted ones could
-    # vanish only for integer r, excluded by the domain.  Checked, not assumed.
+def _assert_4f3_denominators(d: int, R: int, D: int) -> None:
+    # Denominator parameters of the 4F3: -d, (r-d)/2, (r-d+1)/2 with r = R/D.
+    # The first vanishes only beyond the truncation window; the half-shifted
+    # ones could vanish only for integer r, excluded by the domain.  Checked,
+    # not assumed: beta + h = 0 iff its numerator over 2D, plus 2hD, is zero.
     for h in range(d + 1):
-        for beta in ((r - d) / 2, (r - d + 1) / 2):
-            if beta + h == 0:
+        for beta in (R - d * D, R + (1 - d) * D):
+            if beta + 2 * h * D == 0:
                 raise ParameterDomainError(
-                    f"4F3 denominator parameter {format_rational(beta)} vanishes "
-                    f"at term {h}"
+                    f"4F3 denominator parameter {format_rational(Fraction(beta, 2 * D))} "
+                    f"vanishes at term {h}"
                 )
 
 

@@ -182,27 +182,49 @@ def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> i
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
+    scales = _node_scales(nodes)
+    return _triangle_degree(_over_common_denominator(values)[0], scales)
+
+
+def _node_scales(nodes: Sequence[Fraction]) -> list[list[int]]:
+    """For each order m >= 1, the factors lcm(gaps) // gap over the order-m
+    gaps x[t+m] - x[t] of the nodes scaled to integers x; they depend only on
+    the nodes.  Raises ValueError naming a repeated node."""
     xs, _ = _over_common_denominator(nodes)
     if len(set(xs)) != len(xs):
         repeated = next(x for t, x in enumerate(nodes) if x in nodes[:t])
         raise ValueError(f"nodes must be distinct: {format_rational(repeated)} is repeated")
-    row, _ = _over_common_denominator(values)
-    degree = 0 if any(row) else -1
+    scales = []
     for m in range(1, len(xs)):
-        gaps = [xs[t + m] - xs[t] for t in range(len(row) - 1)]
-        scale = 1
+        gaps = [xs[t + m] - xs[t] for t in range(len(xs) - m)]
+        lcm = 1
         for gap in gaps:
-            scale = math.lcm(scale, gap)
-        row = [(row[t + 1] - row[t]) * (scale // gap) for t, gap in enumerate(gaps)]
-        if any(row):
-            degree = m
-    return degree
+            lcm = math.lcm(lcm, gap)
+        scales.append([lcm // gap for gap in gaps])
+    return scales
+
+
+def _triangle_degree(row: list[int], scales: list[list[int]]) -> int:
+    """Degree of the integer values `row` at the nodes of `scales`.  The
+    triangle stops at the first order that is all zero: every higher order is
+    a difference of it, so it is zero too."""
+    if not any(row):
+        return -1
+    for m, factors in enumerate(scales, 1):
+        row = [(v - u) * f for u, v, f in zip(row, row[1:], factors)]
+        if not any(row):
+            return m - 1
+    return len(scales)
 
 
 def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
-    """Row i of the table must be the values of a polynomial of exact degree i."""
+    """Row i of the table must be the values of a polynomial of exact degree i.
+
+    The node scales are computed once for all rows."""
+    scales = _node_scales(p.theta)
     return all(
-        value_row_degree(p.theta, table.values.row(i)) == i for i in range(p.d + 1)
+        _triangle_degree(_over_common_denominator(table.values.row(i))[0], scales) == i
+        for i in range(p.d + 1)
     )
 
 
@@ -243,7 +265,26 @@ def check_basis_consistency(p: ParameterArray) -> bool:
     and of L* in the u*-basis must have the eigenvalues theta and theta* as
     roots.  (The trace is the second coefficient, so it is compared too.)"""
     d = p.d
-    if tridiagonal_charpoly(p.a, p.b[:d], p.c[1:]) != poly_from_roots(p.theta):
-        return False
-    charpoly_star = tridiagonal_charpoly(p.a_star, p.b_star[:d], p.c_star[1:])
-    return charpoly_star == poly_from_roots(p.theta_star)
+    return _charpoly_has_roots(p.a, p.b[:d], p.c[1:], p.theta) and _charpoly_has_roots(
+        p.a_star, p.b_star[:d], p.c_star[1:], p.theta_star
+    )
+
+
+def _charpoly_has_roots(
+    diag: Sequence[Fraction],
+    sub: Sequence[Fraction],
+    sup: Sequence[Fraction],
+    roots: Sequence[Fraction],
+) -> bool:
+    """Whether tridiag(diag, sub, sup) has characteristic polynomial
+    prod (x - root), compared on integers.
+
+    With L the lcm of every denominator, L T is an integer matrix with
+    eigenvalues L root, and coefficient m of both characteristic polynomials
+    scales by L^m, so the integer polynomials agree iff the rational ones do."""
+    n = len(diag)
+    ints, _ = _over_common_denominator((*diag, *sub, *sup, *roots))
+    diag, sub, sup, roots = (
+        ints[:n], ints[n : 2 * n - 1], ints[2 * n - 1 : 3 * n - 2], ints[3 * n - 2 :]
+    )
+    return tridiagonal_charpoly(diag, sub, sup) == poly_from_roots(roots)

@@ -56,6 +56,11 @@ LAYOUT_CASES = [
      6787, "f21c9a6d32cd5dd945c89567cb54dd40a98259434ee7900d1d549264d1d7ac16"),
     (("verify-racah", "--d", "16", "--r", "-5/9"),
      265, "65963667438ae02b759a3b57f7909289ac933ffc0cb8490822d3093ef8a0113f"),
+    # Larger d for the integer parameter-array completion and closed forms.
+    (("params", "--d", "16", "--r", "3/7", "--s", "2/5"),
+     4135, "10ec3b1295aa37c617135bbafe360be4a78c2a6a38cafbd7ad870459c4e8c75c"),
+    (("params", "--d", "12", "--r", "-5/9", "--s", "5/9"),
+     2168, "04d17f7c400e59f8395fccf6ea3fde9205e755aa520cbe0f37e9cd9a3f974991"),
 ]
 
 

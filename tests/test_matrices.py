@@ -117,3 +117,22 @@ def test_continuant_small_cases():
     assert tridiagonal_charpoly([1, 2, 3], [0, 5], [7, 0]) == poly_from_roots([1, 2, 3])
     with pytest.raises(ValueError):
         tridiagonal_charpoly([1, 2], [1], [])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_continuant_and_root_product_keep_the_input_type(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    ints = st.integers(-9, 9)
+    diag = data.draw(st.lists(ints, min_size=n, max_size=n))
+    sub = data.draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
+    sup = data.draw(st.lists(ints, min_size=n - 1, max_size=n - 1))
+    on_ints = tridiagonal_charpoly(diag, sub, sup)
+    as_fractions = [[F(v) for v in values] for values in (diag, sub, sup)]
+    on_fractions = tridiagonal_charpoly(*as_fractions)
+    assert on_ints == on_fractions == RationalMatrix.tridiagonal(diag, sub, sup).charpoly()
+    assert all(type(c) is int for c in on_ints)
+    assert all(type(c) is F for c in on_fractions)
+    assert all(type(c) is int for c in poly_from_roots(diag))
+    assert all(type(c) is F for c in poly_from_roots(as_fractions[0]))
+    assert poly_from_roots(iter(diag)) == poly_from_roots(diag)

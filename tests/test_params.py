@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.cli import main
-from leonard_lab.hyper import pochhammer
+from leonard_lab.hyper import binomial, pochhammer
 from leonard_lab.params import (
+    ParameterArray,
     ParameterDomainError,
     ParameterInvariantError,
     build_astar_sums,
@@ -238,3 +240,173 @@ def test_json_dump_keys_and_values(capsys):
     ]
     assert payload["nu"] == "16/5"
     assert payload["cStar"] == ["0", "-5/12", "-3/2"]
+
+
+# -- integer completion and closed forms against the Fraction routes ----------
+
+
+def parameter_array_oracle(d, r, s, theta, theta_star, b, c, b_star, c_star):
+    """`parameter_array` as it was: the same checks, then a, a*, k, k* and nu
+    with two Fraction operations per entry."""
+    if any(b[i] == 0 for i in range(d)) or any(c[i] == 0 for i in range(1, d + 1)):
+        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
+    if any(b_star[i] == 0 for i in range(d)) or any(c_star[i] == 0 for i in range(1, d + 1)):
+        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
+    if b[d] != 0 or c[0] != 0 or b_star[d] != 0 or c_star[0] != 0:
+        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
+    if len(set(theta)) != d + 1:
+        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
+
+    def cumulative(b, c):
+        out = [F(1)]
+        for i in range(1, len(c)):
+            out.append(out[-1] * b[i - 1] / c[i])
+        return tuple(out)
+
+    k = cumulative(b, c)
+    k_star = cumulative(b_star, c_star)
+    nu = F(1)
+    for j in range(1, d + 1):
+        nu *= (theta[0] - theta[j]) / c[j]
+    if any(v <= 0 for v in k) or any(v <= 0 for v in k_star) or nu <= 0:
+        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
+    return ParameterArray(
+        d=d, r=r, s=s, theta=theta, theta_star=theta_star, b=b, c=c,
+        a=tuple(theta[0] - b[i] - c[i] for i in range(d + 1)), k=k, nu=nu,
+        b_star=b_star, c_star=c_star,
+        a_star=tuple(theta_star[0] - b_star[i] - c_star[i] for i in range(d + 1)),
+        k_star=k_star,
+    )
+
+
+def closed_form_k(p, i):
+    """k_i = C(d, i) (d-i+s+1)_i / (r+1)_i."""
+    return binomial(p.d, i) * pochhammer(p.d - i + p.s + 1, i) / pochhammer(p.r + 1, i)
+
+
+def closed_form_k_star(p, i):
+    """k*_i = C(d, i) (-d-s)_i (d+r+s+1)_d / [(-d-r)_i (2d-2i+r+s+2)_i (d-i+r+s+1)_{d-i}]."""
+    d, r, s = p.d, p.r, p.s
+    num = binomial(d, i) * pochhammer(-d - s, i) * pochhammer(d + r + s + 1, d)
+    den = (
+        pochhammer(-d - r, i)
+        * pochhammer(2 * (d - i) + r + s + 2, i)
+        * pochhammer(d - i + r + s + 1, d - i)
+    )
+    return num / den
+
+
+def closed_form_nu(p):
+    """nu = (d+r+s+1)_d / (r+1)_d."""
+    return pochhammer(p.d + p.r + p.s + 1, p.d) / pochhammer(p.r + 1, p.d)
+
+
+def closed_forms_oracle(p):
+    """`check_closed_forms` as it was: the Fraction Pochhammer quotients."""
+    if closed_form_nu(p) != p.nu:
+        return False
+    for i in range(p.d + 1):
+        if closed_form_k(p, i) != p.k[i]:
+            return False
+        if closed_form_k_star(p, i) != p.k_star[i]:
+            return False
+    return True
+
+
+# r in (-1, 1) \ {0} serves both builders; the barred array ignores s.
+_BOTH_R = st.fractions(min_value=-1, max_value=1, max_denominator=99).filter(
+    lambda x: -1 < x < 1 and x != 0
+)
+_DUAL_S = st.fractions(min_value=-1, max_value=3, max_denominator=99).filter(lambda x: x > -1)
+
+
+def _array(kind, d, r, s):
+    return build_params(d, r, s) if kind == "dual" else build_racah_params(d, r)
+
+
+def array_cases(max_examples=60):
+    """Both arrays at d <= 16 and (r, s) up to two-digit denominators, with
+    d = 0, 1 and 2 always run for each; `at` picks an index modulo d + 1."""
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
+
+    def decorate(test):
+        for d, kind in product((0, 1, 2), ("dual", "barred")):
+            test = example(kind=kind, d=d, r=F(3, 7), s=F(-5, 11), at=d, delta=F(1, 2))(test)
+        return settings(deadline=None, max_examples=max_examples)(given(
+            kind=st.sampled_from(("dual", "barred")), d=st.integers(0, 16), r=_BOTH_R,
+            s=_DUAL_S, at=st.integers(0, 16), delta=nonzero,
+        )(test))
+
+    return decorate
+
+
+def _outcome(complete, inputs):
+    """The completed array, or the invariant error's message; any other
+    exception (a ZeroDivisionError, say) fails the test."""
+    try:
+        return complete(**inputs)
+    except ParameterInvariantError as exc:
+        return ("ParameterInvariantError", str(exc))
+
+
+@array_cases()
+def test_integer_completion_matches_fraction_loop(kind, d, r, s, at, delta):
+    p = _array(kind, d, r, s)
+    inputs = _inputs(p)
+    assert parameter_array(**inputs) == parameter_array_oracle(**inputs) == p
+    assert all(type(v) is F for v in (*p.a, *p.a_star, *p.k, *p.k_star, p.nu))
+
+
+_REPLACEMENTS = {
+    "zero": lambda values, i, delta: F(0),
+    "negated": lambda values, i, delta: -values[i],
+    "mirrored": lambda values, i, delta: values[-1 - i],
+    "shifted": lambda values, i, delta: values[i] + delta,
+}
+
+
+@pytest.mark.parametrize("replacement", _REPLACEMENTS.values(), ids=_REPLACEMENTS)
+@pytest.mark.parametrize("field", ("theta", "theta_star", "b", "c", "b_star", "c_star"))
+@array_cases(max_examples=15)
+def test_corrupted_input_is_rejected_like_the_fraction_loop(
+    field, replacement, kind, d, r, s, at, delta
+):
+    """Each entry in turn replaced by zero, its negation, the mirrored entry
+    of the same list, or a shifted value: the completion equals the oracle's
+    or both raise the same ParameterInvariantError, and nothing divides by
+    zero."""
+    inputs = _inputs(_array(kind, d, r, s))
+    for i in range(d + 1):
+        values = list(inputs[field])
+        values[i] = replacement(values, i, delta)
+        corrupted = {**inputs, field: tuple(values)}
+        assert _outcome(parameter_array, corrupted) == _outcome(parameter_array_oracle, corrupted)
+
+
+def test_distinct_theta_is_decided_on_values_not_numerators():
+    inputs = {**_inputs(build_params(2, F(1, 2), F(-1, 2))), "theta": (F(1, 2), F(1, 3), F(1, 5))}
+    assert parameter_array(**inputs) == parameter_array_oracle(**inputs)
+
+
+@array_cases()
+def test_integer_closed_forms_match_pochhammer_quotients(kind, d, r, s, at, delta):
+    p = _array(kind, d, r, s)
+    assert check_closed_forms(p) == closed_forms_oracle(p)
+    if kind == "dual":
+        assert check_closed_forms(p) is True
+        i = at % (d + 1)
+        for moved in (
+            replace(p, k=tuple(v + delta * (h == i) for h, v in enumerate(p.k))),
+            replace(p, k_star=tuple(v + delta * (h == i) for h, v in enumerate(p.k_star))),
+            replace(p, nu=p.nu + delta),
+        ):
+            assert check_closed_forms(moved) == closed_forms_oracle(moved) is False
+
+
+def test_closed_forms_raise_on_a_vanishing_denominator():
+    # r = -1 puts a zero factor into (r+1)_d, the denominator of nu.
+    p = replace(build_params(3, F(1, 2), F(1, 3)), r=F(-1))
+    with pytest.raises(ZeroDivisionError):
+        closed_forms_oracle(p)
+    with pytest.raises(ZeroDivisionError):
+        check_closed_forms(p)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leonard_lab import racah
 from leonard_lab.leonard import candidate_orderings
-from leonard_lab.params import ParameterDomainError, build_params
+from leonard_lab.params import ParameterDomainError, build_params, parameter_array
 from leonard_lab.racah import (
     affine_maps,
     build_racah_params,
@@ -24,7 +24,7 @@ from leonard_lab.racah import (
     varphi,
     verify_racah,
 )
-from leonard_lab.hyper import hypergeom_terminating
+from leonard_lab.hyper import format_rational, hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.representations import (
     ValueTable,
@@ -405,3 +405,61 @@ def test_barred_recurrence_worked_instance():
     assert q.b[1] * table.at(2, 1) + q.a[1] * table.at(1, 1) + q.c[1] * table.at(0, 1) == 0
     assert check_barred_recurrence(q, table)
     assert not check_barred_recurrence(q, with_entry(table, 2, 1, F(4)))
+
+
+def racah_params_oracle(d, r):
+    """`build_racah_params` as it was: every entry built from Fraction closed
+    forms, and the 4F3 denominator parameters checked as Fractions."""
+    theta = tuple(F(d - 2 * i) * (d - 2 * i + 1) for i in range(d + 1))
+    theta_star = tuple((F(i) + (r - d) / 2) ** 2 for i in range(d + 1))
+    b = tuple(F(d - i) * (d - i - r) for i in range(d)) + (F(0),)
+    c = (F(0),) + tuple(F(i) * (i + r) for i in range(1, d + 1))
+    b_star = tuple(
+        F(d - i) * (2 * (d - i) + 1) * (d - 2 * i - r - 1) * (d - 2 * i - r)
+        / (2 * (2 * d - 4 * i - 1) * (2 * d - 4 * i + 1))
+        for i in range(d)
+    ) + (F(0),)
+    c_star = (F(0),) + tuple(
+        F(i) * (2 * i - 1) * (d - 2 * i + r + 1) * (d - 2 * i + r + 2)
+        / (2 * (2 * d - 4 * i + 1) * (2 * d - 4 * i + 3))
+        for i in range(1, d + 1)
+    )
+    assert_4f3_denominators_oracle(d, r)
+    return parameter_array(d, r, -r, theta, theta_star, b, c, b_star, c_star)
+
+
+def assert_4f3_denominators_oracle(d, r):
+    for h in range(d + 1):
+        for beta in ((r - d) / 2, (r - d + 1) / 2):
+            if beta + h == 0:
+                raise ParameterDomainError(
+                    f"4F3 denominator parameter {format_rational(beta)} vanishes "
+                    f"at term {h}"
+                )
+
+
+@barred_cases
+def test_integer_entries_match_fraction_closed_forms(q, at, delta):
+    assert build_racah_params(q.d, q.r) == racah_params_oracle(q.d, q.r) == q
+    assert all(
+        type(v) is F
+        for v in (*q.theta, *q.theta_star, *q.b, *q.c, *q.b_star, *q.c_star)
+    )
+
+
+@pytest.mark.parametrize("d", range(0, 7))
+@pytest.mark.parametrize("r", [F(-3), F(-2), F(0), F(1), F(2), F(3, 2), F(5)])
+def test_integer_4f3_denominator_check_matches_fraction_loop(d, r):
+    """Outside the domain an integer r can make a half-shifted denominator
+    parameter vanish; both checks then raise the same message, else neither."""
+    def outcome(check, *args):
+        try:
+            check(*args)
+        except ParameterDomainError as exc:
+            return str(exc)
+        return None
+
+    expected = outcome(assert_4f3_denominators_oracle, d, r)
+    assert outcome(racah._assert_4f3_denominators, d, *r.as_integer_ratio()) == expected
+    if r.denominator == 1 and d >= 1 and abs(r) <= d:
+        assert expected is not None

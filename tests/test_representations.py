@@ -466,3 +466,73 @@ def test_value_row_degree_names_a_repeated_node():
         with pytest.raises(ValueError, match="1/2 is repeated") as excinfo:
             value_row_degree(nodes, [F(v) for v in range(len(nodes))])
         assert not isinstance(excinfo.value, ZeroDivisionError)
+
+
+# -- integer charpoly comparison and degree triangle on true and false inputs --
+
+
+def array_cases(d_max, max_examples):
+    """Both arrays at d <= d_max, with d = 0, 1 and 2 always run for each;
+    `at` picks an index modulo d + 1 (modulo d for a coupling)."""
+
+    def decorate(test):
+        for d in (0, 1, 2):
+            test = example(p=build_params(d, F(3, 7), F(-5, 11)), at=(d, 0), delta=F(1, 2))(test)
+            test = example(p=build_racah_params(d, F(-5, 11)), at=(d, 0), delta=F(1, 2))(test)
+        at = st.tuples(st.integers(0, 16), st.integers(0, 16))
+        return settings(deadline=None, max_examples=max_examples)(
+            given(p=parameter_arrays(d_max), at=at, delta=nonzero)(test)
+        )
+
+    return decorate
+
+
+# The Faddeev-LeVerrier oracle is O(d^4) in Fractions, hence d <= 12.
+@array_cases(d_max=12, max_examples=25)
+def test_integer_basis_consistency_rejects_what_the_oracle_rejects(p, at, delta):
+    assert check_basis_consistency(p) == basis_consistency_oracle(p) is True
+    d, i = p.d, at[0] % (p.d + 1)
+    moved = []
+    for diag, sub, sup, roots in (("a", "b", "c", "theta"),
+                                  ("a_star", "b_star", "c_star", "theta_star")):
+        # A diagonal entry moves the trace; a root moves the root multiset.
+        moved.append(replace(p, **{diag: replaced(getattr(p, diag), i, delta)}))
+        moved.append(replace(p, **{roots: replaced(getattr(p, roots), i, delta)}))
+        # A coupling b_j c_{j+1} (j < d) moves the x^(d-1) coefficient.
+        if d >= 1:
+            j = at[1] % d
+            moved.append(replace(p, **{sub: replaced(getattr(p, sub), j, delta)}))
+            moved.append(replace(p, **{sup: replaced(getattr(p, sup), j + 1, delta)}))
+    for q in moved:
+        assert check_basis_consistency(q) == basis_consistency_oracle(q) is False
+
+
+@array_cases(d_max=16, max_examples=40)
+def test_degree_triangle_agrees_with_divided_differences_on_perturbed_rows(p, at, delta):
+    table = eval_table_recurrence(p)
+    oracle = lambda t: all(degree_oracle(p.theta, t.values.row(i)) == i for i in range(p.d + 1))
+    assert check_degree_invariant(p, table) == oracle(table) is True
+    i, h = (x % (p.d + 1) for x in at)
+    perturbed = with_entry(table, i, h, table.at(i, h) + delta)
+    assert check_degree_invariant(p, perturbed) == oracle(perturbed)
+    # A single changed value adds delta times a Lagrange polynomial of
+    # degree d, so a row i < d takes degree d.
+    if i < p.d:
+        assert check_degree_invariant(p, perturbed) is False
+    # A whole row of zeros has degree -1; a table of rows 0 has degree 0.
+    assert check_degree_invariant(p, with_row(table, i, [F(0)] * (p.d + 1))) is False
+    flat = ValueTable(RationalMatrix.from_rows([[F(1)] * (p.d + 1)] * (p.d + 1)))
+    assert check_degree_invariant(p, flat) == oracle(flat) == (p.d == 0)
+
+
+def with_row(table, i, row):
+    rows = table.values.to_rows()
+    rows[i] = row
+    return ValueTable(RationalMatrix.from_rows(rows))
+
+
+def test_degree_invariant_names_a_repeated_node():
+    p = build_params(3, F(1, 2), F(1, 3))
+    q = replace(p, theta=(p.theta[0],) + p.theta[:-1])
+    with pytest.raises(ValueError, match="is repeated"):
+        check_degree_invariant(q, eval_table_recurrence(p))
