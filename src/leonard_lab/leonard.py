@@ -13,12 +13,18 @@ path read from either end is then the only witness (see `scan`).  The four
 closed-form candidate orderings are checked first; the path test serves as
 the independent oracle behind them.
 
-A search point costs O(d): the square's off-diagonal entries come from the
-four off-diagonal cases of the paper's five-case closed form
-(`shift_square_bands`), each candidate is tested on that band pattern
-(`banded_witness`), and the u-basis facts are read from b, c and theta*.
-The dense product (`lstar_shift_square`), which shares no code with the
-closed form, and the path test on it run only as the `exhaustive` oracle.
+A search point costs O(d) integer operations.  The ordering decision reads
+only which off-diagonal entries of the square are zero, and a product in a
+field is zero exactly when a factor is, so the four off-diagonal cases of
+the paper's five-case closed form are read as a zero pattern
+(`shift_square_pattern`): the factors b*_i, c*_i are tested as they stand,
+and 2 lambda + a*_i + a*_{i+1} over the common denominator of a* and
+lambda.  Each candidate is tested on that pattern (`banded_witness`), and
+the u-basis facts are read from b, c and theta* over one denominator.  The
+`Fraction` bands (`shift_square_bands`) feed only the dense closed form
+(`lstar_shift_square_closed_form`).  The dense product
+(`lstar_shift_square`), which shares no code with the closed form, and the
+path test on it run only as the `exhaustive` oracle.
 `search_square_preserving` yields records as they are decided and sends
 points to worker processes in chunks.
 """
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +43,7 @@ from typing import Iterator, Mapping, Optional
 from .hyper import format_rational
 from .matrices import RationalMatrix
 from .params import ParameterArray, build_params, check_domain
-from .representations import matrix_Lstar_ustar_basis
+from .representations import _over_common_denominator, matrix_Lstar_ustar_basis
 from .scan import scan_tridiagonal_orderings
 
 THREADS_ENV_VAR = "LEONARD_LAB_THREADS"
@@ -116,7 +123,9 @@ def shift_square_bands(
         (i+2, i): b*_i b*_{i+1}
 
     The diagonal case is left out: a reordering keeps the diagonal on the
-    diagonal, so no ordering decision reads it.
+    diagonal, so no ordering decision reads it.  These values feed
+    `lstar_shift_square_closed_form`; the decision reads only their zero
+    pattern, `shift_square_pattern`.
     """
     lam = Fraction(shift)
     d = p.d
@@ -130,6 +139,33 @@ def shift_square_bands(
         square[i, i + 2] = c[i + 1] * c[i + 2]
         square[i + 2, i] = b[i] * b[i + 1]
     return square
+
+
+def shift_square_pattern(
+    p: ParameterArray, shift: Fraction | int
+) -> dict[tuple[int, int], bool]:
+    """Which entries of `shift_square_bands` are nonzero, on integers.
+
+    Each entry is a product of two factors, nonzero exactly when both are.
+    The b*_i and c*_i are tested as they stand; with a*_i = A_i / E over
+    one denominator and lambda = L / M, the middle factor
+    2 lambda + a*_i + a*_{i+1} is nonzero iff 2 L E + M (A_i + A_{i+1}) is.
+    """
+    L, M = Fraction(shift).as_integer_ratio()
+    A, E = _over_common_denominator(p.a_star)
+    d = p.d
+    b = list(map(bool, p.b_star))
+    c = list(map(bool, p.c_star))
+    twice = 2 * L * E
+    pattern = {}
+    for i in range(d):
+        middle = twice + M * (A[i] + A[i + 1]) != 0
+        pattern[i, i + 1] = c[i + 1] and middle
+        pattern[i + 1, i] = b[i] and middle
+    for i in range(d - 1):
+        pattern[i, i + 2] = c[i + 1] and c[i + 2]
+        pattern[i + 2, i] = b[i] and b[i + 1]
+    return pattern
 
 
 def lstar_shift_square_closed_form(
@@ -184,12 +220,14 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 
 
 def banded_witness(
-    square: Mapping[tuple[int, int], Fraction], d: int
+    square: Mapping[tuple[int, int], Fraction | bool], d: int
 ) -> Optional[BasisOrdering]:
     """The first candidate ordering under which a (d+1)x(d+1) matrix, given
     by its off-diagonal entries within two of the diagonal (every other
     off-diagonal entry zero), is irreducible tridiagonal; None if no
-    candidate works.
+    candidate works.  Only the truth of each entry is read, so the entries
+    may be the values (`shift_square_bands`) or the zero pattern
+    (`shift_square_pattern`).
 
     An ordering p makes the matrix irreducible tridiagonal exactly when the
     d pairs (p[k], p[k+1]) are nonzero in both directions and no other
@@ -220,30 +258,37 @@ def verify_leonard_pair_square(
     diagonal with entries (theta*_i + shift)^2 = (i + shift)^2; both facts are
     verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
-    candidate orderings on the closed-form bands of the square
-    (`banded_witness`).  With `exhaustive` the pattern of the dense product
-    is also decided by path recognition, which finds every witness ordering
-    at any d and shares no code with the closed form, as an independent
-    oracle; any disagreement raises InternalInconsistencyError.
+    candidate orderings on the closed form's zero pattern
+    (`banded_witness` on `shift_square_pattern`).  Every test runs on
+    integers: with theta*_i = T_i / E and shift = L / M, (theta*_i + shift)^2
+    is x_i^2 / (E M)^2 with x_i = T_i M + L E, so the diagonal condition is
+    x_i^2 == ((i M + L) E)^2 and distinctness is that of the x_i^2.  With
+    `exhaustive` the pattern of the dense product is also decided by path
+    recognition, which finds every witness ordering at any d and shares no
+    code with the closed form, as an independent oracle; any disagreement
+    raises InternalInconsistencyError.
     """
     lam = Fraction(shift)
     d = p.d
     trace: list[tuple[str, bool]] = []
 
-    theta_simple = len(set(p.theta)) == d + 1
+    theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
     trace.append(("u*-basis: matrix of L diagonal with distinct entries", theta_simple))
 
-    L_u_ok = all(v != 0 for v in p.b[:d]) and all(v != 0 for v in p.c[1:])
+    L_u_ok = all(p.b[:d]) and all(p.c[1:])
     trace.append(("u-basis: matrix of L irreducible tridiagonal", L_u_ok))
 
-    diag_vals = tuple((t + lam) ** 2 for t in p.theta_star)
-    diag_ok = diag_vals == tuple((i + lam) ** 2 for i in range(d + 1))
+    L, M = lam.as_integer_ratio()
+    T, E = _over_common_denominator(p.theta_star)
+    LE = L * E
+    x_sq = [(t * M + LE) ** 2 for t in T]
+    diag_ok = all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))
     trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
 
-    simple_ok = len(set(diag_vals)) == d + 1
+    simple_ok = len(set(x_sq)) == d + 1
     trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
 
-    witness = banded_witness(shift_square_bands(p, lam), d)
+    witness = banded_witness(shift_square_pattern(p, lam), d)
     found = witness is not None
     trace.append(
         ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
@@ -331,18 +376,23 @@ class SearchRecord:
 
 
 def _grid_points(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, Fraction, bool]]:
+    """Every grid point in (d, r, s, shift) order.  Each list is sorted once
+    as (value, multiplicity) pairs, and a per-point s = -r or canonical shift
+    is a single option, so the nested product is already in order; a point
+    repeats as often as its coordinates do."""
+
+    def ordered(values):
+        return None if values is None else sorted(Counter(map(Fraction, values)).items())
+
+    s_values = ordered(grid.s_values)
+    shift_values = ordered(grid.shift_values)
     points = []
-    for d, r in product(grid.d_values, grid.r_values):
-        s_opts = grid.s_values if grid.s_values is not None else (-r,)
-        for s in s_opts:
-            shifts = (
-                grid.shift_values
-                if grid.shift_values is not None
-                else ((Fraction(r) - d) / 2,)
-            )
-            for lam in shifts:
-                points.append((d, Fraction(r), Fraction(s), Fraction(lam), grid.exhaustive))
-    points.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    for (d, nd), (r, nr) in product(sorted(Counter(grid.d_values).items()),
+                                    ordered(grid.r_values)):
+        for s, ns in s_values if s_values is not None else ((-r, 1),):
+            shifts = shift_values if shift_values is not None else (((r - d) / 2, 1),)
+            for lam, nl in shifts:
+                points += [(d, r, s, lam, grid.exhaustive)] * (nd * nr * ns * nl)
     return points
 
 

@@ -161,7 +161,13 @@ def parameter_array(
         nu_num *= (t0 * e - t * e0) * g
         nu_den *= e0 * e * f
     nu = Fraction(nu_num, nu_den)
-    if any(v <= 0 for v in k) or any(v <= 0 for v in k_star) or nu <= 0:
+    # A reduced Fraction has a positive denominator, so its sign is that of
+    # its numerator.
+    if (
+        any(v.numerator <= 0 for v in k)
+        or any(v.numerator <= 0 for v in k_star)
+        or nu_num * nu_den <= 0
+    ):
         raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
 
     return ParameterArray(

@@ -61,6 +61,17 @@ LAYOUT_CASES = [
      4135, "10ec3b1295aa37c617135bbafe360be4a78c2a6a38cafbd7ad870459c4e8c75c"),
     (("params", "--d", "12", "--r", "-5/9", "--s", "5/9"),
      2168, "04d17f7c400e59f8395fccf6ea3fde9205e755aa520cbe0f37e9cd9a3f974991"),
+    # Every condition row of the integer verdict: a collapsing shift, where
+    # only the distinct-entries row is false, and a true d = 2 root at a
+    # non-canonical shift with r + s != 0.
+    (("verify-lp", "--d", "3", "--r", "1/2", "--s", "-1/2", "--lambda", "-3/2"),
+     651, "198c516f1f8db4942e8e9675b35d584c721f9606c0dfbf40127401463a8f5fd2"),
+    (("verify-lp", "--d", "2", "--r", "1/2", "--s", "1/4", "--lambda", "-21/22"),
+     626, "7042177a4333b90e371cd7818cd9a27fa2f6e9d9481fb565e464cefc0f959d81"),
+    # Unsorted r, s and lambda lists still print in (d, r, s, lambda) order.
+    (("search", "--d-max", "3", "--r-values", "1/2,-1/3", "--s-mode", "list",
+      "--s-values", "1/3,-1/2,0", "--lambda-mode", "list", "--lambda-values", "0,-5/4,-1/2"),
+     13236, "07691d3665a581f735fce5cb877ad8c1adf47fbb62d1b6c257e61b4daa029168"),
 ]
 
 

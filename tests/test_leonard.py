@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard_lab import leonard
+from leonard_lab import leonard, racah
 from leonard_lab.leonard import (
     BasisOrdering,
+    LeonardPairReport,
     SearchGrid,
     banded_witness,
     candidate_orderings,
@@ -20,6 +22,7 @@ from leonard_lab.leonard import (
     lstar_shift_square_closed_form,
     search_square_preserving,
     shift_square_bands,
+    shift_square_pattern,
     theorem_conditions,
     verify_leonard_pair_square,
 )
@@ -397,6 +400,7 @@ def test_banded_decision_equals_dense_route(point, exhaustive, data):
     # The bands are the dense square's off-diagonal entries within two of the
     # diagonal, and the dense square is zero beyond them.
     bands = shift_square_bands(p, lam)
+    assert shift_square_pattern(p, lam) == {k: v != 0 for k, v in bands.items()}
     dense = lstar_shift_square(p, lam)
     assert bands == {
         (i, j): dense.at(i, j)
@@ -458,3 +462,236 @@ def test_banded_witness_needs_both_directions():
         assert banded_witness(bands, 2) == _dense_witness(dense, 2)
     assert banded_witness(one_way, 2) is None
     assert banded_witness(both_ways, 2) == candidate_orderings(2)[0]
+
+
+# -- the Fraction verdict that the integer verdict replaced --------------------
+
+
+def _fraction_verify(p, shift, exhaustive=False):
+    """`verify_leonard_pair_square` as it was decided on Fractions: the
+    ordering on the values of the closed-form bands, the diagonal as squares
+    (theta*_i + lam)^2, and distinctness as sets of Fractions."""
+    lam = F(shift)
+    d = p.d
+    trace = []
+    theta_simple = len(set(p.theta)) == d + 1
+    trace.append(("u*-basis: matrix of L diagonal with distinct entries", theta_simple))
+    L_u_ok = all(v != 0 for v in p.b[:d]) and all(v != 0 for v in p.c[1:])
+    trace.append(("u-basis: matrix of L irreducible tridiagonal", L_u_ok))
+    diag_vals = tuple((t + lam) ** 2 for t in p.theta_star)
+    diag_ok = diag_vals == tuple((i + lam) ** 2 for i in range(d + 1))
+    trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
+    simple_ok = len(set(diag_vals)) == d + 1
+    trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
+    witness = banded_witness(shift_square_bands(p, lam), d)
+    found = witness is not None
+    trace.append(
+        ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
+    )
+    if exhaustive:
+        all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
+        agree = witness.perm in all_witnesses if found else not all_witnesses
+        trace.append(("exhaustive permutation oracle agrees with candidates", agree))
+    verdict = theta_simple and L_u_ok and diag_ok and simple_ok and found
+    return LeonardPairReport(
+        verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
+    )
+
+
+def _assert_matches_fraction_verdict(p, lam, exhaustive=False):
+    report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
+    assert report == _fraction_verify(p, lam, exhaustive), (p.d, p.r, p.s, lam)
+    assert shift_square_pattern(p, lam) == {
+        k: v != 0 for k, v in shift_square_bands(p, lam).items()
+    }
+    return report
+
+
+@settings(deadline=None, max_examples=150)
+@given(point=_search_points(), exhaustive=st.booleans())
+def test_integer_verdict_equals_fraction_verdict(point, exhaustive):
+    d, r, s, lam = point
+    _assert_matches_fraction_verdict(build_params(d, r, s), lam, exhaustive)
+
+
+def _zeroing_shifts(p):
+    """Shifts at which some band or diagonal condition changes: each middle
+    factor 2 lam + a*_i + a*_{i+1} vanishes, two diagonal entries collapse,
+    (theta*_i + lam)^2 meets (i + lam)^2 from the other side, and the
+    canonical (r - d)/2."""
+    d, a, t = p.d, p.a_star, p.theta_star
+    shifts = [-(a[i] + a[i + 1]) / 2 for i in range(d)]
+    shifts += [-(t[i] + t[j]) / 2 for i in range(d + 1) for j in range(i + 1, d + 1)]
+    shifts += [-(t[i] + i) / 2 for i in range(d + 1)]
+    shifts.append((p.r - p.d) / 2)
+    return shifts
+
+
+_BARRED_R = st.fractions(min_value=-1, max_value=1, max_denominator=30).filter(
+    lambda x: -1 < x < 1 and x != 0
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(d=st.integers(0, 12), r=_BARRED_R, exhaustive=st.booleans(), data=st.data())
+def test_integer_verdict_on_barred_arrays(d, r, exhaustive, data):
+    # The barred theta*_i = (i + (r - d)/2)^2 are not integers, so theta* and
+    # a* have a common denominator E > 1.
+    p = racah.build_racah_params(d, r)
+    lam = data.draw(
+        st.one_of(
+            st.sampled_from(_zeroing_shifts(p)),
+            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+        )
+    )
+    _assert_matches_fraction_verdict(p, lam, exhaustive)
+
+
+@settings(deadline=None, max_examples=80)
+@given(point=_search_points(), data=st.data())
+def test_integer_diagonal_condition_with_fractional_theta_star(point, data):
+    # theta*_i = -2 lam - i gives (theta*_i + lam)^2 == (i + lam)^2 with a
+    # denominator E > 1 whenever 2 lam is not an integer; reflecting only
+    # some of the entries collapses some diagonal entries but not all.
+    d, r, s, lam = point
+    p = build_params(d, r, s)
+    reflected = data.draw(st.sets(st.integers(0, d)))
+    theta_star = tuple(
+        -2 * lam - i if i in reflected else F(i) for i in range(d + 1)
+    )
+    q = replace(p, theta_star=theta_star)
+    report = _assert_matches_fraction_verdict(q, lam)
+    assert dict(report.condition_trace)["u-basis: matrix of (L*+shift)^2 diagonal"]
+
+
+def test_integer_verdict_at_the_small_d_points():
+    for r, s in product([F(1, 2), F(-1, 4), F(2), F(3, 7)], [F(1, 2), F(-1, 2), F(1, 3)]):
+        p1 = build_params(1, r, s)
+        for lam in (F(-1, 2), F(0), F(3, 7)):
+            report = _assert_matches_fraction_verdict(p1, lam, exhaustive=True)
+            assert report.verdict == (lam != F(-1, 2))
+        p2 = build_params(2, r, s)
+        if r != s:
+            for root in ((r - s) / (r + s + 2), (s - r) / (r + s + 4)):
+                report = _assert_matches_fraction_verdict(p2, root / 2 - 1, True)
+                assert report.verdict == d2_condition(p2, root / 2 - 1)
+
+
+def test_integer_verdict_at_collapsing_shifts():
+    for d in range(1, 9):
+        for r, s in ((F(1, 2), F(-1, 2)), (F(-2, 5), F(3, 4))):
+            p = build_params(d, r, s)
+            for i, j in product(range(d + 1), repeat=2):
+                if i < j:
+                    report = _assert_matches_fraction_verdict(p, F(-(i + j), 2), True)
+                    assert not dict(report.condition_trace)[
+                        "u-basis: (L*+shift)^2 diagonal entries distinct"
+                    ]
+                    assert not report.verdict
+
+
+@settings(deadline=None, max_examples=150)
+@given(point=_search_points(), data=st.data())
+def test_integer_verdict_on_perturbed_arrays(point, data):
+    # The verdict reads any ParameterArray as it stands: an interior b, c, b*
+    # or c* set to zero, a repeated theta, or distinct thetas with equal
+    # numerators change both sides alike.
+    d, r, s, lam = point
+    p = build_params(d, r, s)
+    if d == 0:
+        return
+    field = data.draw(st.sampled_from(["b", "c", "b_star", "c_star", "theta", "theta_num"]))
+    if field == "theta":
+        i, j = data.draw(st.lists(st.integers(0, d), min_size=2, max_size=2, unique=True))
+        theta = list(p.theta)
+        theta[i] = theta[j]
+        q = replace(p, theta=tuple(theta))
+    elif field == "theta_num":
+        q = replace(p, theta=tuple(F(1, k + 1) for k in range(d + 1)))
+    else:
+        i = data.draw(st.integers(0, d - 1) if field in ("b", "b_star") else st.integers(1, d))
+        values = list(getattr(p, field))
+        values[i] = F(0)
+        q = replace(p, **{field: tuple(values)})
+    _assert_matches_fraction_verdict(q, lam)
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.integers(1, 8), data=st.data())
+def test_banded_witness_on_one_way_paths(d, data):
+    # A candidate's path with one direction of one pair removed and another
+    # band entry added in its place: still 2d entries, but no longer a path
+    # in both directions.
+    perm = data.draw(st.sampled_from(candidate_orderings(d))).perm
+    path = {(a, b) for a, b in zip(perm, perm[1:])}
+    pattern = path | {(b, a) for a, b in path}
+    if data.draw(st.booleans()):
+        pattern.discard(data.draw(st.sampled_from(sorted(pattern))))
+        spare = sorted(
+            (i, j) for i in range(d + 1) for j in range(d + 1)
+            if 0 < abs(i - j) <= 2 and (i, j) not in pattern
+        )
+        if spare:
+            pattern.add(data.draw(st.sampled_from(spare)))
+    bands = {
+        (i, j): (i, j) in pattern
+        for i in range(d + 1) for j in range(d + 1) if 0 < abs(i - j) <= 2
+    }
+    dense = RationalMatrix.from_rows(
+        [[F(1) if i == j or (i, j) in pattern else F(0) for j in range(d + 1)]
+         for i in range(d + 1)]
+    )
+    assert banded_witness(bands, d) == _dense_witness(dense, d)
+
+
+# -- grid order ---------------------------------------------------------------
+
+
+def _sorted_grid_points(grid):
+    """The grid builder that sorted all N points by their Fraction tuples."""
+    points = []
+    for d, r in product(grid.d_values, grid.r_values):
+        s_opts = grid.s_values if grid.s_values is not None else (-r,)
+        for s in s_opts:
+            shifts = (
+                grid.shift_values
+                if grid.shift_values is not None
+                else ((F(r) - d) / 2,)
+            )
+            for lam in shifts:
+                points.append((d, F(r), F(s), F(lam), grid.exhaustive))
+    points.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    return points
+
+
+_GRID_VALUES = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    d_values=st.lists(st.integers(-2, 8), min_size=1, max_size=4),
+    r_values=_GRID_VALUES,
+    s_values=st.one_of(st.none(), _GRID_VALUES),
+    shift_values=st.one_of(st.none(), _GRID_VALUES),
+    exhaustive=st.booleans(),
+)
+def test_grid_points_equal_the_sorted_points(
+    d_values, r_values, s_values, shift_values, exhaustive
+):
+    # Unsorted and negative lists in every mode, s = -r and the canonical
+    # shift included (None); the points carry Fractions whatever was given.
+    grid = SearchGrid(
+        d_values=tuple(d_values),
+        r_values=tuple(r_values),
+        s_values=None if s_values is None else tuple(s_values),
+        shift_values=None if shift_values is None else tuple(shift_values),
+        exhaustive=exhaustive,
+    )
+    points = leonard._grid_points(grid)
+    assert points == _sorted_grid_points(grid)
+    assert all(
+        isinstance(d, int) and all(type(v) is F for v in (r, s, lam))
+        for d, r, s, lam, _ in points
+    )
