@@ -4,11 +4,9 @@ parameter arrays and their Leonard-pair matrix representations."""
 from .hyper import (
     RationalFormatError,
     SeriesDivisionError,
-    binomial,
     format_rational,
     hypergeom_terminating,
     parse_rational,
-    pochhammer,
 )
 from .leonard import (
     BasisOrdering,
@@ -20,7 +18,6 @@ from .leonard import (
     canonical_shift,
     d2_condition,
     is_dual_almost_bipartite,
-    is_irreducible_tridiagonal,
     lstar_shift_square,
     lstar_shift_square_closed_form,
     search_square_preserving,

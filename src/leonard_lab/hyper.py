@@ -1,5 +1,5 @@
-"""Exact scalar kernel: arbitrary-precision rationals, rising factorials,
-binomial coefficients, and terminating hypergeometric sums at unit argument.
+"""Exact scalar kernel: arbitrary-precision rationals, their ``p/q`` wire
+format, and terminating hypergeometric sums at unit argument.
 
 Every scalar in this package is a :class:`fractions.Fraction`: always reduced,
 positive denominator, and arithmetic never rounds.  The wire format used by
@@ -50,25 +50,6 @@ def format_rational(value: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def pochhammer(x: Fraction | int, i: int) -> Fraction:
-    """Rising factorial (x)_i = x (x+1) ... (x+i-1); the empty product is 1.
-
-    With x = p/q this is prod (p + step q) / q^i: an integer product, reduced
-    once."""
-    if i < 0:
-        raise ValueError(f"pochhammer order must be a natural number, got {i}")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    return Fraction(math.prod(p + step * q for step in range(i)), q**i)
-
-
-def binomial(n: int, i: int) -> Fraction:
-    """Binomial coefficient as an exact rational.  Requires 0 <= i <= n."""
-    if n < 0 or i < 0 or i > n:
-        raise ValueError(f"binomial({n}, {i}) needs 0 <= i <= n")
-    return Fraction(math.comb(n, i))
 
 
 def _integer_ratio(x: Fraction | int) -> tuple[int, int]:

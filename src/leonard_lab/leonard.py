@@ -21,10 +21,11 @@ the paper's five-case closed form are read as a zero pattern
 and 2 lambda + a*_i + a*_{i+1} over the common denominator of a* and
 lambda.  Each candidate is tested on that pattern (`banded_witness`), and
 the u-basis facts are read from b, c and theta* over one denominator.  The
-`Fraction` bands (`shift_square_bands`) feed only the dense closed form
+five cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square_closed_form`).  The dense product
 (`lstar_shift_square`), which shares no code with the closed form, and the
-path test on it run only as the `exhaustive` oracle.
+path test on it run only as the `exhaustive` oracle.  The dual
+almost-bipartite test reads b*, c* and a* directly, in O(d).
 `search_square_preserving` yields records as they are decided and sends
 points to worker processes in chunks.
 """
@@ -82,22 +83,6 @@ class LeonardPairReport:
         return None
 
 
-def is_irreducible_tridiagonal(m: RationalMatrix) -> bool:
-    """Zero outside the three central diagonals, nonzero on both the sub- and
-    superdiagonal."""
-    if not m.is_square:
-        raise ValueError("irreducible-tridiagonal test needs a square matrix")
-    n = m.rows
-    for i in range(n):
-        for j in range(n):
-            e = m.at(i, j)
-            if abs(i - j) > 1 and e != 0:
-                return False
-            if abs(i - j) == 1 and e == 0:
-                return False
-    return True
-
-
 def canonical_shift(p: ParameterArray) -> Fraction:
     """(r - d)/2, the shift used throughout the square construction."""
     return (p.r - p.d) / 2
@@ -109,42 +94,14 @@ def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatr
     return m @ m
 
 
-def shift_square_bands(
-    p: ParameterArray, shift: Fraction | int
-) -> dict[tuple[int, int], Fraction]:
-    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of
-    ([L*]_{u*-basis} + shift I)^2 by the four off-diagonal cases of its
-    closed form; every other off-diagonal entry of the square of a
-    tridiagonal matrix is zero.  With lambda = shift:
-
-        (i, i+1): c*_{i+1} (2 lambda + a*_i + a*_{i+1})
-        (i+1, i): b*_i (2 lambda + a*_i + a*_{i+1})
-        (i, i+2): c*_{i+1} c*_{i+2}
-        (i+2, i): b*_i b*_{i+1}
-
-    The diagonal case is left out: a reordering keeps the diagonal on the
-    diagonal, so no ordering decision reads it.  These values feed
-    `lstar_shift_square_closed_form`; the decision reads only their zero
-    pattern, `shift_square_pattern`.
-    """
-    lam = Fraction(shift)
-    d = p.d
-    a, b, c = p.a_star, p.b_star, p.c_star
-    square = {}
-    for i in range(d):
-        middle = 2 * lam + a[i] + a[i + 1]
-        square[i, i + 1] = c[i + 1] * middle
-        square[i + 1, i] = b[i] * middle
-    for i in range(d - 1):
-        square[i, i + 2] = c[i + 1] * c[i + 2]
-        square[i + 2, i] = b[i] * b[i + 1]
-    return square
-
-
 def shift_square_pattern(
     p: ParameterArray, shift: Fraction | int
 ) -> dict[tuple[int, int], bool]:
-    """Which entries of `shift_square_bands` are nonzero, on integers.
+    """Which off-diagonal entries (i, j), 0 < |i - j| <= 2, of the square's
+    closed form (`lstar_shift_square_closed_form`) are nonzero, on integers.
+    Every other off-diagonal entry is zero.  The diagonal case is left out: a
+    reordering keeps the diagonal on the diagonal, so no ordering decision
+    reads it.
 
     Each entry is a product of two factors, nonzero exactly when both are.
     The b*_i and c*_i are tested as they stand; with a*_i = A_i / E over
@@ -171,22 +128,38 @@ def shift_square_pattern(
 def lstar_shift_square_closed_form(
     p: ParameterArray, shift: Fraction | int
 ) -> RationalMatrix:
-    """The same square from its five-case closed form (independent route):
-    the four off-diagonal cases are `shift_square_bands`, and the diagonal
-    entry i is (shift + a*_i)^2 + b*_{i-1} c*_i + b*_i c*_{i+1}, where the
-    out-of-range b*_{-1} and c*_{d+1} are taken as zero.
+    """The same square from its five-case closed form (independent route).
+    With lambda = shift and the out-of-range b*_{-1}, c*_{d+1} taken as zero:
+
+        (i, i):   (lambda + a*_i)^2 + b*_{i-1} c*_i + b*_i c*_{i+1}
+        (i, i+1): c*_{i+1} (2 lambda + a*_i + a*_{i+1})
+        (i+1, i): b*_i (2 lambda + a*_i + a*_{i+1})
+        (i, i+2): c*_{i+1} c*_{i+2}
+        (i+2, i): b*_i b*_{i+1}
+
+    Every other entry of the square of a tridiagonal matrix is zero.  The
+    verdict reads only which off-diagonal entries vanish
+    (`shift_square_pattern`), never these values.
     """
     lam = Fraction(shift)
-    n = p.d + 1
-    square = shift_square_bands(p, lam)
+    d = p.d
+    n = d + 1
+    a, b, c = p.a_star, p.b_star, p.c_star
+    entries = [Fraction(0)] * (n * n)
     for i in range(n):
-        square[i, i] = (lam + p.a_star[i]) ** 2 + sum(
-            (p.b_star[k] * p.c_star[k + 1] for k in (i - 1, i) if 0 <= k < p.d), Fraction(0)
+        entries[i * n + i] = (
+            (lam + a[i]) ** 2
+            + (b[i - 1] * c[i] if i > 0 else 0)
+            + (b[i] * c[i + 1] if i < d else 0)
         )
-    zero = Fraction(0)
-    return RationalMatrix(
-        n, n, tuple(square.get((i, j), zero) for i in range(n) for j in range(n))
-    )
+        if i < d:
+            middle = 2 * lam + a[i] + a[i + 1]
+            entries[i * n + i + 1] = c[i + 1] * middle
+            entries[(i + 1) * n + i] = b[i] * middle
+        if i < d - 1:
+            entries[i * n + i + 2] = c[i + 1] * c[i + 2]
+            entries[(i + 2) * n + i] = b[i] * b[i + 1]
+    return RationalMatrix(n, n, tuple(entries))
 
 
 def column_sums(m: RationalMatrix) -> list[Fraction]:
@@ -225,9 +198,8 @@ def banded_witness(
     """The first candidate ordering under which a (d+1)x(d+1) matrix, given
     by its off-diagonal entries within two of the diagonal (every other
     off-diagonal entry zero), is irreducible tridiagonal; None if no
-    candidate works.  Only the truth of each entry is read, so the entries
-    may be the values (`shift_square_bands`) or the zero pattern
-    (`shift_square_pattern`).
+    candidate works.  Only the truth of each entry is read: the verdict
+    hands it the square's zero pattern (`shift_square_pattern`).
 
     An ordering p makes the matrix irreducible tridiagonal exactly when the
     d pairs (p[k], p[k+1]) are nonzero in both directions and no other
@@ -334,13 +306,17 @@ def d2_condition(p: ParameterArray, shift: Fraction | int) -> bool:
 
 def is_dual_almost_bipartite(p: ParameterArray, shift: Fraction | int) -> bool:
     """[L*]_{u*-basis} + shift I must be irreducible tridiagonal with zero
-    diagonal except a nonzero last entry."""
+    diagonal except a nonzero last entry.  Read from the array in O(d): the
+    matrix is tridiagonal with subdiagonal b*_0..b*_{d-1}, superdiagonal
+    c*_1..c*_d and diagonal a*_i + shift."""
     lam = Fraction(shift)
-    m = matrix_Lstar_ustar_basis(p).plus_scalar(lam)
-    if not is_irreducible_tridiagonal(m):
-        return False
-    diag = m.diagonal_entries()
-    return all(v == 0 for v in diag[:-1]) and diag[-1] != 0
+    d = p.d
+    return (
+        all(p.b_star[:d])
+        and all(p.c_star[1:])
+        and all(a + lam == 0 for a in p.a_star[:d])
+        and p.a_star[d] + lam != 0
+    )
 
 
 # -- grid search -------------------------------------------------------------
@@ -411,12 +387,13 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     """Evaluate every grid point, yielding records in deterministic
     (d, r, s, shift) order as they are decided.
 
-    Fans out over processes when LEONARD_LAB_THREADS exceeds one; each point
-    is independent, and the points go out in about four chunks per worker
-    and come back in grid order.  The worker setting and the domain of every
-    point are checked before the first record is yielded.  Only the
-    (L, (L*+shift)^2) branch of square preservation is examined; the
-    (L^2, L*) branch is reported as unexamined downstream.
+    Fans out over min(LEONARD_LAB_THREADS, cores, points) processes when
+    that exceeds one; each point is independent, and the points go out in
+    about four chunks per worker and come back in grid order.  The worker
+    setting and the domain of every point are checked before the first
+    record is yielded.  Only the (L, (L*+shift)^2) branch of square
+    preservation is examined; the (L^2, L*) branch is reported as unexamined
+    downstream.
     """
     points = _grid_points(grid)
     raw = os.environ.get(THREADS_ENV_VAR, "1") or "1"
@@ -428,9 +405,12 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
         raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
     for d, r, s, _, _ in points:
         check_domain(d, r, s)
-    if max_workers > 1 and len(points) > 1:
-        chunksize = math.ceil(len(points) / (4 * max_workers))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    # The pool forks all its workers at the first submit: no more of them
+    # than there are cores or points.
+    workers = min(max_workers, os.cpu_count() or 1, len(points))
+    if workers > 1:
+        chunksize = math.ceil(len(points) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_evaluate_point, points, chunksize=chunksize)
     else:
         for point in points:

@@ -93,14 +93,6 @@ class RationalMatrix:
             raise ValueError("diagonal of a non-square matrix")
         return tuple(self.at(i, i) for i in range(self.rows))
 
-    def is_diagonal(self) -> bool:
-        return self.is_square and all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":

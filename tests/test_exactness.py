@@ -17,7 +17,6 @@ import leonard_lab
 from leonard_lab.leonard import (
     lstar_shift_square,
     lstar_shift_square_closed_form,
-    shift_square_bands,
     verify_leonard_pair_square,
 )
 from leonard_lab.params import build_params
@@ -115,7 +114,6 @@ def test_dual_hahn_artifacts_are_exact(d, r, s, shift):
     assert_exact_array(p)
     assert_exact(eval_table_hypergeometric(p).values.entries, "3F2 table")
     assert_exact(eval_table_recurrence(p).values.entries, "recurrence table")
-    assert_exact(shift_square_bands(p, shift).values(), "bands")
     assert_exact(lstar_shift_square(p, shift).entries, "dense product")
     assert_exact(lstar_shift_square_closed_form(p, shift).entries, "dense closed form")
     assert_exact((verify_leonard_pair_square(p, shift).shift,), "report shift")

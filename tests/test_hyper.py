@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from leonard_lab.hyper import (
     RationalFormatError,
     SeriesDivisionError,
-    binomial,
     format_rational,
     hypergeom_terminating,
     parse_rational,
-    pochhammer,
 )
 
 rationals = st.fractions(
@@ -54,51 +52,6 @@ def _outcome(fn, *args):
         return ("division", exc.term_index, exc.parameter, str(exc))
     except ValueError:
         return ("value error",)
-
-
-def test_pochhammer_examples():
-    assert pochhammer(F(7, 3), 0) == 1
-    assert pochhammer(F(-9, 2), 0) == 1
-    assert pochhammer(2, 3) == 24
-    assert pochhammer(F(-1, 2), 2) == F(-1, 4)
-
-
-def pochhammer_oracle(x, i):
-    """The Fraction loop that `pochhammer` replaced."""
-    acc = F(1)
-    for step in range(i):
-        acc *= F(x) + step
-    return acc
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(rationals, st.integers(-8, 8)), st.integers(min_value=0, max_value=14))
-def test_pochhammer_integer_product_matches_fraction_loop(x, i):
-    assert pochhammer(x, i) == pochhammer_oracle(x, i)
-
-
-def test_pochhammer_rejects_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(F(1, 2), -1)
-
-
-@settings(deadline=None)
-@given(rationals, st.integers(min_value=0, max_value=10))
-def test_pochhammer_recurrence(x, i):
-    assert pochhammer(x, i + 1) == pochhammer(x, i) * (x + i)
-
-
-def test_binomial_examples():
-    assert binomial(5, 0) == 1
-    assert binomial(2, 1) == 2
-    assert binomial(6, 3) == 20
-
-
-def test_binomial_invalid_arguments():
-    with pytest.raises(ValueError):
-        binomial(3, 5)
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_hypergeom_zero_numerator_gives_one():

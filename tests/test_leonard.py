@@ -17,21 +17,49 @@ from leonard_lab.leonard import (
     column_sums,
     d2_condition,
     is_dual_almost_bipartite,
-    is_irreducible_tridiagonal,
     lstar_shift_square,
     lstar_shift_square_closed_form,
     search_square_preserving,
-    shift_square_bands,
     shift_square_pattern,
     theorem_conditions,
     verify_leonard_pair_square,
 )
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params
-from leonard_lab.representations import matrix_L_u_basis, matrix_Lstar_u_basis
+from leonard_lab.representations import (
+    matrix_L_u_basis,
+    matrix_Lstar_u_basis,
+    matrix_Lstar_ustar_basis,
+)
 from leonard_lab.scan import scan_tridiagonal_orderings
 
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
+
+
+def is_irreducible_tridiagonal(m):
+    """The dense test: zero outside the three central diagonals, nonzero on
+    both the sub- and superdiagonal."""
+    if not m.is_square:
+        raise ValueError("irreducible-tridiagonal test needs a square matrix")
+    n = m.rows
+    for i in range(n):
+        for j in range(n):
+            e = m.at(i, j)
+            if abs(i - j) > 1 and e != 0:
+                return False
+            if abs(i - j) == 1 and e == 0:
+                return False
+    return True
+
+
+def _closed_form_bands(p, lam):
+    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of the square's
+    closed form: the four cases whose zero pattern the verdict reads."""
+    square = lstar_shift_square_closed_form(p, lam)
+    n = p.d + 1
+    return {
+        (i, j): square.at(i, j) for i in range(n) for j in range(n) if 0 < abs(i - j) <= 2
+    }
 
 
 def test_irreducible_tridiagonal_predicate():
@@ -238,6 +266,43 @@ def test_dual_almost_bipartite():
             assert is_dual_almost_bipartite(q, canonical_shift(q)), (d, r)
 
 
+def _dense_dual_almost_bipartite(p, lam):
+    """The dense test: [L*]_{u*-basis} + lam I built as a matrix, irreducible
+    tridiagonal, with zero diagonal except a nonzero last entry."""
+    m = matrix_Lstar_ustar_basis(p).plus_scalar(lam)
+    diag = m.diagonal_entries()
+    return is_irreducible_tridiagonal(m) and all(v == 0 for v in diag[:-1]) and diag[-1] != 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(0, 12), data=st.data())
+def test_dual_almost_bipartite_equals_dense_test(d, data):
+    # Built arrays at shifts that zero some diagonal entries, then one interior
+    # b* or c* zeroed, or one a*_i moved onto -lam or off it.
+    r = data.draw(_OPEN_RATIONALS)
+    s = data.draw(st.one_of(_OPEN_RATIONALS, st.just(-r)) if r < 1 else _OPEN_RATIONALS)
+    p = build_params(d, r, s)
+    lam = data.draw(st.one_of(
+        st.just(canonical_shift(p)),
+        st.sampled_from([-a for a in p.a_star]),
+        st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+    ))
+    change = data.draw(st.sampled_from(["none", "b_star", "c_star", "a_star", "a_star_off"]))
+    if change in ("b_star", "c_star") and d > 0:
+        i = data.draw(st.integers(0, d - 1) if change == "b_star" else st.integers(1, d))
+        values = list(getattr(p, change))
+        values[i] = F(0)
+        p = replace(p, **{change: tuple(values)})
+    elif change.startswith("a_star"):
+        i = data.draw(st.integers(0, d))
+        off = 0 if change == "a_star" else data.draw(
+            st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(bool))
+        values = list(p.a_star)
+        values[i] = -lam + off
+        p = replace(p, a_star=tuple(values))
+    assert is_dual_almost_bipartite(p, lam) == _dense_dual_almost_bipartite(p, lam)
+
+
 def test_search_theorem_grid_all_hit():
     grid = SearchGrid(
         d_values=tuple(range(3, 7)), r_values=(F(1, 2), F(-1, 2))
@@ -345,7 +410,7 @@ def _dense_verify(p, lam, exhaustive):
         ("u-basis: matrix of L irreducible tridiagonal",
          d == 0 or is_irreducible_tridiagonal(matrix_L_u_basis(p))),
         ("u-basis: matrix of (L*+shift)^2 diagonal",
-         square_u.is_diagonal() and diag == tuple((i + lam) ** 2 for i in range(d + 1))),
+         square_u == RationalMatrix.diagonal([(i + lam) ** 2 for i in range(d + 1)])),
         ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(diag)) == d + 1),
         ("u*-basis: candidate reordering makes the square irreducible tridiagonal",
          witness is not None),
@@ -397,17 +462,13 @@ def test_banded_decision_equals_dense_route(point, exhaustive, data):
         p, lam, exhaustive
     )
 
-    # The bands are the dense square's off-diagonal entries within two of the
-    # diagonal, and the dense square is zero beyond them.
-    bands = shift_square_bands(p, lam)
-    assert shift_square_pattern(p, lam) == {k: v != 0 for k, v in bands.items()}
+    # The closed form is the dense product, the dense square is zero more
+    # than two off the diagonal, and the pattern is the zero pattern of the
+    # closed form's bands.
     dense = lstar_shift_square(p, lam)
-    assert bands == {
-        (i, j): dense.at(i, j)
-        for i in range(d + 1)
-        for j in range(d + 1)
-        if 0 < abs(i - j) <= 2
-    }
+    assert lstar_shift_square_closed_form(p, lam) == dense
+    bands = _closed_form_bands(p, lam)
+    assert shift_square_pattern(p, lam) == {k: v != 0 for k, v in bands.items()}
     assert all(dense.at(i, j) == 0 for i in range(d + 1) for j in range(d + 1)
                if abs(i - j) > 2)
 
@@ -449,6 +510,51 @@ def test_search_pool_with_a_partial_last_chunk(monkeypatch):
     assert parallel == list(search_square_preserving(grid))
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    serially, so no process starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "setting, cores, d_values, workers",
+    [
+        ("100000", 4, (1, 2), 2),
+        ("100000", 4, tuple(range(1, 11)), 4),
+        ("3", 4, tuple(range(1, 11)), 3),
+        ("100000", None, (1, 2), None),
+        ("100000", 4, (1,), None),
+    ],
+    ids=["points", "cores", "setting", "no-core-count", "one-point"],
+)
+def test_search_pool_is_bounded_by_cores_and_points(monkeypatch, setting, cores, d_values,
+                                                    workers):
+    # The pool forks every worker at its first submit, so its size is the
+    # least of the setting, the cores and the points; one worker runs serially.
+    grid = SearchGrid(d_values=d_values, r_values=(F(1, 2),))
+    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
+    serial = list(search_square_preserving(grid))
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(leonard, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(leonard.os, "cpu_count", lambda: cores)
+    monkeypatch.setenv("LEONARD_LAB_THREADS", setting)
+    assert list(search_square_preserving(grid)) == serial
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+
+
 def test_banded_witness_needs_both_directions():
     # Path 0 - 2 - 1, the first candidate at d = 2, with (2, 0) missing and
     # (1, 0) nonzero instead: still 2d nonzero entries, but no witness.
@@ -483,7 +589,7 @@ def _fraction_verify(p, shift, exhaustive=False):
     trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
     simple_ok = len(set(diag_vals)) == d + 1
     trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
-    witness = banded_witness(shift_square_bands(p, lam), d)
+    witness = banded_witness(_closed_form_bands(p, lam), d)
     found = witness is not None
     trace.append(
         ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
@@ -502,7 +608,7 @@ def _assert_matches_fraction_verdict(p, lam, exhaustive=False):
     report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
     assert report == _fraction_verify(p, lam, exhaustive), (p.d, p.r, p.s, lam)
     assert shift_square_pattern(p, lam) == {
-        k: v != 0 for k, v in shift_square_bands(p, lam).items()
+        k: v != 0 for k, v in _closed_form_bands(p, lam).items()
     }
     return report
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.cli import main
-from leonard_lab.hyper import binomial, pochhammer
 from leonard_lab.params import (
     ParameterArray,
     ParameterDomainError,
@@ -28,6 +28,14 @@ from leonard_lab.representations import (
 # compact grid for unit tests; the acceptance suite runs the full one
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
 GRID_D = range(0, 6)
+
+
+def pochhammer(x, i):
+    """Rising factorial (x)_i = x (x+1) ... (x+i-1) as a Fraction loop."""
+    acc = F(1)
+    for step in range(i):
+        acc *= F(x) + step
+    return acc
 
 
 def test_build_d1_example():
@@ -281,13 +289,13 @@ def parameter_array_oracle(d, r, s, theta, theta_star, b, c, b_star, c_star):
 
 def closed_form_k(p, i):
     """k_i = C(d, i) (d-i+s+1)_i / (r+1)_i."""
-    return binomial(p.d, i) * pochhammer(p.d - i + p.s + 1, i) / pochhammer(p.r + 1, i)
+    return math.comb(p.d, i) * pochhammer(p.d - i + p.s + 1, i) / pochhammer(p.r + 1, i)
 
 
 def closed_form_k_star(p, i):
     """k*_i = C(d, i) (-d-s)_i (d+r+s+1)_d / [(-d-r)_i (2d-2i+r+s+2)_i (d-i+r+s+1)_{d-i}]."""
     d, r, s = p.d, p.r, p.s
-    num = binomial(d, i) * pochhammer(-d - s, i) * pochhammer(d + r + s + 1, d)
+    num = math.comb(d, i) * pochhammer(-d - s, i) * pochhammer(d + r + s + 1, d)
     den = (
         pochhammer(-d - r, i)
         * pochhammer(2 * (d - i) + r + s + 2, i)

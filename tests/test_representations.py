@@ -165,7 +165,7 @@ def test_matrices_d0():
 
 
 def test_ustar_tridiagonal_factor_is_irreducible_on_grid():
-    from leonard_lab.leonard import is_irreducible_tridiagonal
+    from test_leonard import is_irreducible_tridiagonal
 
     for d, r, s in grid(4):
         if d == 0:
