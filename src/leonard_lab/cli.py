@@ -10,8 +10,8 @@ closing stdout early, as `| head` does), 1 internal inconsistency (the
 exhaustive oracle disagreed, a printed identity is false, or a library check
 failed unexpectedly: one line), 2 parameter domain error, 64 usage
 (malformed flags or rationals, a repeated or ignored list value, an --output
-that cannot be opened, LEONARD_LAB_THREADS not an integer >= 1).  Rationals
-on the command line use the exact p/q form; decimals are rejected.
+that cannot be opened).  Rationals on the command line use the exact p/q
+form; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .leonard import (
     InternalInconsistencyError,
     LeonardPairReport,
     SearchGrid,
-    SettingError,
     canonical_shift,
     is_dual_almost_bipartite,
     search_square_preserving,
@@ -355,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (UsageError, RationalFormatError, SettingError) as exc:
+    except (UsageError, RationalFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParameterDomainError as exc:

@@ -26,19 +26,18 @@ five cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square`), which shares no code with the closed form, and the
 path test on it run only as the `exhaustive` oracle.  The dual
 almost-bipartite test reads b*, c* and a* directly, in O(d).
-`search_square_preserving` yields records as they are decided and sends
-points to worker processes in chunks.
+`search_square_preserving` groups the grid into runs of equal (d, r, s),
+builds each run's array once and decides its shifts on it in this process,
+yielding records run by run.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .hyper import format_rational
@@ -47,15 +46,9 @@ from .params import ParameterArray, build_params, check_domain
 from .representations import _over_common_denominator, matrix_Lstar_ustar_basis
 from .scan import scan_tridiagonal_orderings
 
-THREADS_ENV_VAR = "LEONARD_LAB_THREADS"
-
 
 class InternalInconsistencyError(RuntimeError):
     """The exhaustive oracle disagreed with the candidate orderings (a bug)."""
-
-
-class SettingError(ValueError):
-    """A malformed environment setting: a usage error, not a bad parameter."""
 
 
 @dataclass(frozen=True)
@@ -351,7 +344,7 @@ class SearchRecord:
         return all(self.theorem_flags)
 
 
-def _grid_points(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, Fraction, bool]]:
+def _grid_points(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, Fraction]]:
     """Every grid point in (d, r, s, shift) order.  Each list is sorted once
     as (value, multiplicity) pairs, and a per-point s = -r or canonical shift
     is a single option, so the nested product is already in order; a point
@@ -368,50 +361,42 @@ def _grid_points(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, Fracti
         for s, ns in s_values if s_values is not None else ((-r, 1),):
             shifts = shift_values if shift_values is not None else (((r - d) / 2, 1),)
             for lam, nl in shifts:
-                points += [(d, r, s, lam, grid.exhaustive)] * (nd * nr * ns * nl)
+                points += [(d, r, s, lam)] * (nd * nr * ns * nl)
     return points
 
 
-def _evaluate_point(
-    point: tuple[int, Fraction, Fraction, Fraction, bool]
-) -> SearchRecord:
-    d, r, s, lam, exhaustive = point
+def _evaluate_run(
+    d: int, r: Fraction, s: Fraction, shifts: list[Fraction], exhaustive: bool
+) -> list[SearchRecord]:
+    """The records of one run: every shift of a (d, r, s), decided on one
+    parameter array."""
     p = build_params(d, r, s)
-    report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
-    return SearchRecord(
-        d=d, r=r, s=s, shift=lam, report=report, theorem_flags=theorem_conditions(p, lam)
-    )
+    return [
+        SearchRecord(
+            d=d, r=r, s=s, shift=lam,
+            report=verify_leonard_pair_square(p, lam, exhaustive=exhaustive),
+            theorem_flags=theorem_conditions(p, lam),
+        )
+        for lam in shifts
+    ]
 
 
 def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     """Evaluate every grid point, yielding records in deterministic
     (d, r, s, shift) order as they are decided.
 
-    Fans out over min(LEONARD_LAB_THREADS, cores, points) processes when
-    that exceeds one; each point is independent, and the points go out in
-    about four chunks per worker and come back in grid order.  The worker
-    setting and the domain of every point are checked before the first
-    record is yielded.  Only the (L, (L*+shift)^2) branch of square
-    preservation is examined; the (L^2, L*) branch is reported as unexamined
-    downstream.
+    The sorted points fall into runs of equal (d, r, s); each run builds its
+    parameter array once and decides all its shifts on it, and its records
+    are yielded before the next run starts.  The domain of every run is
+    checked before the first record is yielded.  Only the (L, (L*+shift)^2)
+    branch of square preservation is examined; the (L^2, L*) branch is
+    reported as unexamined downstream.
     """
-    points = _grid_points(grid)
-    raw = os.environ.get(THREADS_ENV_VAR, "1") or "1"
-    try:
-        max_workers = int(raw)
-    except ValueError:
-        max_workers = 0
-    if max_workers < 1:
-        raise SettingError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    for d, r, s, _, _ in points:
-        check_domain(d, r, s)
-    # The pool forks all its workers at the first submit: no more of them
-    # than there are cores or points.
-    workers = min(max_workers, os.cpu_count() or 1, len(points))
-    if workers > 1:
-        chunksize = math.ceil(len(points) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_evaluate_point, points, chunksize=chunksize)
-    else:
-        for point in points:
-            yield _evaluate_point(point)
+    runs = [
+        (key, [lam for _, _, _, lam in points])
+        for key, points in groupby(_grid_points(grid), key=itemgetter(0, 1, 2))
+    ]
+    for key, _ in runs:
+        check_domain(*key)
+    for (d, r, s), shifts in runs:
+        yield from _evaluate_run(d, r, s, shifts, grid.exhaustive)

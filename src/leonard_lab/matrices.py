@@ -88,11 +88,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        if not self.is_square:
-            raise ValueError("diagonal of a non-square matrix")
-        return tuple(self.at(i, i) for i in range(self.rows))
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":

@@ -30,6 +30,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.sl2mod import example_pair, verify_example_match
+from test_leonard import diagonal
 
 FULL_RS = (F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2))
 THEOREM_R = (F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4))
@@ -212,7 +213,7 @@ def test_criterion_10_dual_almost_bipartite():
             ok = False
             break
         shifted = matrix_Lstar_ustar_basis(p).plus_scalar(lam)
-        diag = shifted.diagonal_entries()
+        diag = diagonal(shifted)
         if any(v != 0 for v in diag[:-1]) or diag[-1] != r * (d + 1) / 2:
             ok = False
             break

@@ -28,8 +28,8 @@ def run_cli(capsys, *argv):
 
 def child_env():
     """Environment for a `python -m leonard_lab` child: the package imported
-    here comes first on PYTHONPATH, and no worker count is set."""
-    env = {k: v for k, v in os.environ.items() if k != "LEONARD_LAB_THREADS"}
+    here comes first on PYTHONPATH."""
+    env = dict(os.environ)
     src = str(pathlib.Path(leonard_lab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -119,12 +119,28 @@ def test_verify_lp_exhaustive_beyond_d8(capsys):
     assert payload["conditions"]["exhaustive permutation oracle agrees with candidates"] is True
 
 
-def test_malformed_thread_count_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "abc")
-    code, out, err = run_cli(capsys, "search", "--d-max", "2")
-    assert code == 64
-    assert out == ""
-    assert "LEONARD_LAB_THREADS" in err
+@pytest.mark.parametrize("value", ["2", "abc", "0"])
+def test_search_ignores_the_old_thread_setting(capsys, monkeypatch, value):
+    # search runs in one process, so the retired worker-count variable
+    # changes nothing, whatever its value.
+    argv = ("search", "--d-max", "4", "--r-values", "1/2,-1/3", "--lambda-mode", "list",
+            "--lambda-values", "0,-1")
+    monkeypatch.delenv("LEONARD_LAB_THREADS", raising=False)
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("LEONARD_LAB_THREADS", value)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # The CLI evaluates in one process: a pool's modules would only add
+    # memory and start-up time to every command.
+    code = ("import sys, leonard_lab.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_table_json_and_csv(capsys, tmp_path):
@@ -317,15 +333,6 @@ def test_negative_rationals_accepted_as_separate_tokens(capsys, argv):
     assert code == 0
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_thread_count_below_one_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("LEONARD_LAB_THREADS", value)
-    code, out, err = run_cli(capsys, "search", "--d-max", "2")
-    assert code == 64
-    assert out == ""
-    assert "LEONARD_LAB_THREADS" in err and repr(value) in err
-
-
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(
@@ -463,10 +470,8 @@ def _argv(draw):
 @given(_argv())
 def test_fuzzed_argv_keeps_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("LEONARD_LAB_THREADS", raising=False)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in {0, 1, 2, 64}, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0 and ("-h" in argv or "--help" in argv):

@@ -25,7 +25,7 @@ from leonard_lab.representations import eval_table_hypergeometric, eval_table_re
 
 PACKAGE = pathlib.Path(leonard_lab.__file__).parent
 # Integer-only functions of `math`; everything else there returns floats.
-INTEGER_MATH = {"prod", "lcm", "gcd", "comb", "ceil"}
+INTEGER_MATH = {"prod", "lcm", "gcd", "comb"}
 
 
 def float_paths(tree):

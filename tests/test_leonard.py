@@ -11,6 +11,7 @@ from leonard_lab.leonard import (
     BasisOrdering,
     LeonardPairReport,
     SearchGrid,
+    SearchRecord,
     banded_witness,
     candidate_orderings,
     canonical_shift,
@@ -50,6 +51,11 @@ def is_irreducible_tridiagonal(m):
             if abs(i - j) == 1 and e == 0:
                 return False
     return True
+
+
+def diagonal(m):
+    """The diagonal entries of a square matrix."""
+    return [m.at(i, i) for i in range(m.rows)]
 
 
 def _closed_form_bands(p, lam):
@@ -270,7 +276,7 @@ def _dense_dual_almost_bipartite(p, lam):
     """The dense test: [L*]_{u*-basis} + lam I built as a matrix, irreducible
     tridiagonal, with zero diagonal except a nonzero last entry."""
     m = matrix_Lstar_ustar_basis(p).plus_scalar(lam)
-    diag = m.diagonal_entries()
+    diag = diagonal(m)
     return is_irreducible_tridiagonal(m) and all(v == 0 for v in diag[:-1]) and diag[-1] != 0
 
 
@@ -345,21 +351,6 @@ def test_search_is_deterministically_ordered():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        SearchGrid(d_values=(1, 2), r_values=(F(1, 2), F(-1, 2))),
-        SearchGrid(d_values=(1, 2, 3), r_values=(F(1, 2),)),
-    ],
-    ids=["d1-2", "d1-3"],
-)
-def test_search_worker_count_from_environment(monkeypatch, grid):
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "2")
-    parallel = list(search_square_preserving(grid))
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
-    assert parallel == list(search_square_preserving(grid))
-
-
 def test_exhaustive_oracle_at_cap():
     p = build_params(8, F(1, 2), F(-1, 2))
     for lam in (canonical_shift(p), F(0)):
@@ -402,7 +393,7 @@ def _dense_verify(p, lam, exhaustive):
     d = p.d
     lstar_u = matrix_Lstar_u_basis(p).plus_scalar(lam)
     square_u = lstar_u @ lstar_u
-    diag = square_u.diagonal_entries()
+    diag = diagonal(square_u)
     square = lstar_shift_square(p, lam)
     witness = _dense_witness(square, d)
     trace = [
@@ -484,75 +475,88 @@ def test_banded_decision_equals_dense_route(point, exhaustive, data):
 
 
 def test_search_yields_first_record_before_the_last_point_is_evaluated(monkeypatch):
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
     evaluated = []
-    evaluate = leonard._evaluate_point
+    evaluate = leonard._evaluate_run
 
-    def counting(point):
-        evaluated.append(point[0])
-        return evaluate(point)
+    def counting(d, r, s, shifts, exhaustive):
+        evaluated.append((d, len(shifts)))
+        return evaluate(d, r, s, shifts, exhaustive)
 
-    monkeypatch.setattr(leonard, "_evaluate_point", counting)
-    records = search_square_preserving(SearchGrid(d_values=(1, 2, 3), r_values=(F(1, 2),)))
-    assert next(records).d == 1
-    assert evaluated == [1]
-    assert [rec.d for rec in records] == [2, 3]
-    assert evaluated == [1, 2, 3]
+    monkeypatch.setattr(leonard, "_evaluate_run", counting)
+    grid = SearchGrid(d_values=(1, 2, 3), r_values=(F(1, 2),), shift_values=(F(0), F(-1)))
+    records = search_square_preserving(grid)
+    first = next(records)
+    assert (first.d, first.shift) == (1, F(-1))
+    records.close()
+    assert evaluated == [(1, 2)]
 
-
-def test_search_pool_with_a_partial_last_chunk(monkeypatch):
-    # 11 points over 2 workers go out in chunks of ceil(11 / 8) = 2
-    grid = SearchGrid(d_values=tuple(range(1, 12)), r_values=(F(1, 3),))
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "2")
-    parallel = list(search_square_preserving(grid))
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
-    assert len(parallel) == 11
-    assert parallel == list(search_square_preserving(grid))
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and maps
-    serially, so no process starts."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    evaluated.clear()
+    records = search_square_preserving(grid)
+    assert [rec.d for rec in records] == [1, 1, 2, 2, 3, 3]
+    assert evaluated == [(1, 2), (2, 2), (3, 2)]
 
 
 @pytest.mark.parametrize(
-    "setting, cores, d_values, workers",
+    "grid, runs",
     [
-        ("100000", 4, (1, 2), 2),
-        ("100000", 4, tuple(range(1, 11)), 4),
-        ("3", 4, tuple(range(1, 11)), 3),
-        ("100000", None, (1, 2), None),
-        ("100000", 4, (1,), None),
+        (SearchGrid(d_values=(3, 1, 3), r_values=(F(1, 2), F(-1, 3))), 4),
+        (SearchGrid(d_values=(3, 1, 3), r_values=(F(1, 2), F(-1, 3), F(1, 2)),
+                    s_values=(F(0), F(1, 2)), shift_values=(F(0), F(-1), F(0))), 8),
     ],
-    ids=["points", "cores", "setting", "no-core-count", "one-point"],
+    ids=["canonical", "lists"],
 )
-def test_search_pool_is_bounded_by_cores_and_points(monkeypatch, setting, cores, d_values,
-                                                    workers):
-    # The pool forks every worker at its first submit, so its size is the
-    # least of the setting, the cores and the points; one worker runs serially.
-    grid = SearchGrid(d_values=d_values, r_values=(F(1, 2),))
-    monkeypatch.setenv("LEONARD_LAB_THREADS", "1")
-    serial = list(search_square_preserving(grid))
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(leonard, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(leonard.os, "cpu_count", lambda: cores)
-    monkeypatch.setenv("LEONARD_LAB_THREADS", setting)
-    assert list(search_square_preserving(grid)) == serial
-    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+def test_search_builds_each_array_once(monkeypatch, grid, runs):
+    built = []
+    build = leonard.build_params
+
+    def counting(d, r, s):
+        built.append((d, r, s))
+        return build(d, r, s)
+
+    monkeypatch.setattr(leonard, "build_params", counting)
+    records = list(search_square_preserving(grid))
+    assert len(records) == len(_sorted_grid_points(grid))
+    assert built == sorted(set(built))
+    assert len(built) == runs
+
+
+def _per_point_records(grid):
+    """The search one point at a time: every point rebuilds its array."""
+    records = []
+    for d, r, s, lam in _sorted_grid_points(grid):
+        report = verify_leonard_pair_square(build_params(d, r, s), lam, grid.exhaustive)
+        flags = (r != 0, r + s == 0, 2 * lam == r - d)
+        records.append(SearchRecord(d, r, s, lam, report, flags))
+    return records
+
+
+_COMMON_R = st.sampled_from([F(-1, 2), F(1, 3), F(1, 2), F(3, 4)])
+
+
+@settings(deadline=None, max_examples=100)
+@given(s_list=st.booleans(), shift_list=st.booleans(), exhaustive=st.booleans(),
+       data=st.data())
+def test_search_records_equal_the_per_point_oracle(s_list, shift_list, exhaustive, data):
+    # Small value sets make repeated values, and so repeated points, common;
+    # s = -r needs r < 1 to stay in the domain.
+    rationals = st.one_of(_COMMON_R, _OPEN_RATIONALS)
+    d_values = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=4))
+    r_values = data.draw(st.lists(rationals if s_list else rationals.filter(lambda r: r < 1),
+                                  min_size=1, max_size=3))
+    s_values = data.draw(st.lists(rationals, min_size=1, max_size=3)) if s_list else None
+    canonical = sorted({(r - d) / 2 for d in d_values for r in r_values})
+    shift_values = data.draw(st.lists(
+        st.one_of(st.sampled_from(canonical),
+                  st.fractions(min_value=-6, max_value=2, max_denominator=8)),
+        min_size=1, max_size=4)) if shift_list else None
+    grid = SearchGrid(
+        d_values=tuple(d_values),
+        r_values=tuple(r_values),
+        s_values=None if s_values is None else tuple(s_values),
+        shift_values=None if shift_values is None else tuple(shift_values),
+        exhaustive=exhaustive,
+    )
+    assert list(search_square_preserving(grid)) == _per_point_records(grid)
 
 
 def test_banded_witness_needs_both_directions():
@@ -765,7 +769,7 @@ def _sorted_grid_points(grid):
                 else ((F(r) - d) / 2,)
             )
             for lam in shifts:
-                points.append((d, F(r), F(s), F(lam), grid.exhaustive))
+                points.append((d, F(r), F(s), F(lam)))
     points.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
     return points
 
@@ -781,11 +785,8 @@ _GRID_VALUES = st.lists(
     r_values=_GRID_VALUES,
     s_values=st.one_of(st.none(), _GRID_VALUES),
     shift_values=st.one_of(st.none(), _GRID_VALUES),
-    exhaustive=st.booleans(),
 )
-def test_grid_points_equal_the_sorted_points(
-    d_values, r_values, s_values, shift_values, exhaustive
-):
+def test_grid_points_equal_the_sorted_points(d_values, r_values, s_values, shift_values):
     # Unsorted and negative lists in every mode, s = -r and the canonical
     # shift included (None); the points carry Fractions whatever was given.
     grid = SearchGrid(
@@ -793,11 +794,10 @@ def test_grid_points_equal_the_sorted_points(
         r_values=tuple(r_values),
         s_values=None if s_values is None else tuple(s_values),
         shift_values=None if shift_values is None else tuple(shift_values),
-        exhaustive=exhaustive,
     )
     points = leonard._grid_points(grid)
     assert points == _sorted_grid_points(grid)
     assert all(
         isinstance(d, int) and all(type(v) is F for v in (r, s, lam))
-        for d, r, s, lam, _ in points
+        for d, r, s, lam in points
     )
