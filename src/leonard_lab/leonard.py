@@ -10,8 +10,9 @@ after *some reordering* of the u*-basis.  That reordering question has a
 complete answer on the pattern alone: the off-diagonal nonzeros must form a
 single path through all d+1 indices, nonzero in both directions, and the
 path read from either end is then the only witness (see `scan`).  The four
-closed-form candidate orderings are checked first; the path test serves as
-the independent oracle behind them.
+closed-form candidate orderings, one permutation sigma (evens up, then odds
+down) with its reversal, its mirror and the mirror's reversal, are checked
+first; the path test serves as the independent oracle behind them.
 
 A search point costs O(d) integer operations.  The ordering decision reads
 only which off-diagonal entries of the square are zero, and a product in a
@@ -26,9 +27,9 @@ five cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square`), which shares no code with the closed form, and the
 path test on it run only as the `exhaustive` oracle.  The dual
 almost-bipartite test reads b*, c* and a* directly, in O(d).
-`search_square_preserving` groups the grid into runs of equal (d, r, s),
-builds each run's array once and decides its shifts on it in this process,
-yielding records run by run.
+`search_square_preserving` walks the grid once into runs of equal
+(d, r, s), builds each run's array once and decides its shifts on it in
+this process, yielding records run by run.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from .hyper import format_rational
@@ -162,27 +162,18 @@ def column_sums(m: RationalMatrix) -> list[Fraction]:
 
 
 def candidate_orderings(d: int) -> list[BasisOrdering]:
-    """The four closed-form orderings, in display order: evens-then-odds-down,
-    odds-then-evens-down, and their two mirror images."""
+    """The four closed-form orderings, in display order: sigma, sigma
+    reversed, the mirror k -> d - k of sigma, and the mirror reversed.
+
+    sigma_i = 2i if 2i <= d, else 2(d - i) + 1: evens up, then odds down.  It
+    is also the index map of the barred array (`racah.index_map`).  A path
+    and its reversal have the same edges, so `banded_witness` can only
+    return the first or the third candidate."""
     if d < 1:
         raise ValueError("candidate orderings need d >= 1")
-    half_floor = d // 2
-    half_ceil = (d + 1) // 2
-
-    first = tuple(2 * i if i <= half_floor else 2 * (d - i) + 1 for i in range(d + 1))
-    second = tuple(
-        2 * i + 1 if i <= half_ceil - 1 else 2 * (d - i) for i in range(d + 1)
-    )
-    third = tuple(d - 2 * i if i <= half_floor else 2 * i - d - 1 for i in range(d + 1))
-    fourth = tuple(
-        d - 2 * i - 1 if i <= half_ceil - 1 else 2 * i - d for i in range(d + 1)
-    )
-    return [
-        BasisOrdering(first),
-        BasisOrdering(second),
-        BasisOrdering(third),
-        BasisOrdering(fourth),
-    ]
+    sigma = tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
+    mirror = tuple(d - k for k in sigma)
+    return [BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1])]
 
 
 def banded_witness(
@@ -235,29 +226,22 @@ def verify_leonard_pair_square(
     """
     lam = Fraction(shift)
     d = p.d
-    trace: list[tuple[str, bool]] = []
-
     theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
-    trace.append(("u*-basis: matrix of L diagonal with distinct entries", theta_simple))
-
-    L_u_ok = all(p.b[:d]) and all(p.c[1:])
-    trace.append(("u-basis: matrix of L irreducible tridiagonal", L_u_ok))
-
     L, M = lam.as_integer_ratio()
     T, E = _over_common_denominator(p.theta_star)
     LE = L * E
     x_sq = [(t * M + LE) ** 2 for t in T]
-    diag_ok = all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))
-    trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
-
-    simple_ok = len(set(x_sq)) == d + 1
-    trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
-
     witness = banded_witness(shift_square_pattern(p, lam), d)
     found = witness is not None
-    trace.append(
-        ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
-    )
+    trace = [
+        ("u*-basis: matrix of L diagonal with distinct entries", theta_simple),
+        ("u-basis: matrix of L irreducible tridiagonal", all(p.b[:d]) and all(p.c[1:])),
+        ("u-basis: matrix of (L*+shift)^2 diagonal",
+         all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))),
+        ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(x_sq)) == d + 1),
+        ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found),
+    ]
+    verdict = all(ok for _, ok in trace)
 
     if exhaustive:
         all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
@@ -271,7 +255,6 @@ def verify_leonard_pair_square(
                 f"s={format_rational(p.s)}, shift={format_rational(lam)}"
             )
 
-    verdict = theta_simple and L_u_ok and diag_ok and simple_ok and found
     return LeonardPairReport(
         verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
     )
@@ -344,25 +327,28 @@ class SearchRecord:
         return all(self.theorem_flags)
 
 
-def _grid_points(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    """Every grid point in (d, r, s, shift) order.  Each list is sorted once
-    as (value, multiplicity) pairs, and a per-point s = -r or canonical shift
+def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fraction]]]:
+    """One (d, r, s, shifts) per distinct (d, r, s) of the grid, in
+    (d, r, s) order, with the shifts in order.  Each list is sorted once as
+    (value, multiplicity) pairs, and a per-point s = -r or canonical shift
     is a single option, so the nested product is already in order; a point
-    repeats as often as its coordinates do."""
+    repeats as often as its coordinates do, and a (d, r, s) without shifts
+    gives no run."""
 
     def ordered(values):
         return None if values is None else sorted(Counter(map(Fraction, values)).items())
 
     s_values = ordered(grid.s_values)
     shift_values = ordered(grid.shift_values)
-    points = []
+    runs = []
     for (d, nd), (r, nr) in product(sorted(Counter(grid.d_values).items()),
                                     ordered(grid.r_values)):
         for s, ns in s_values if s_values is not None else ((-r, 1),):
             shifts = shift_values if shift_values is not None else (((r - d) / 2, 1),)
-            for lam, nl in shifts:
-                points += [(d, r, s, lam)] * (nd * nr * ns * nl)
-    return points
+            run = [lam for lam, nl in shifts for _ in range(nd * nr * ns * nl)]
+            if run:
+                runs.append((d, r, s, run))
+    return runs
 
 
 def _evaluate_run(
@@ -385,18 +371,15 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     """Evaluate every grid point, yielding records in deterministic
     (d, r, s, shift) order as they are decided.
 
-    The sorted points fall into runs of equal (d, r, s); each run builds its
-    parameter array once and decides all its shifts on it, and its records
-    are yielded before the next run starts.  The domain of every run is
-    checked before the first record is yielded.  Only the (L, (L*+shift)^2)
-    branch of square preservation is examined; the (L^2, L*) branch is
-    reported as unexamined downstream.
+    The grid is walked once into runs of equal (d, r, s) (`_grid_runs`);
+    each run builds its parameter array once and decides all its shifts on
+    it, and its records are yielded before the next run starts.  The domain
+    of every run is checked before the first record is yielded.  Only the
+    (L, (L*+shift)^2) branch of square preservation is examined; the
+    (L^2, L*) branch is reported as unexamined downstream.
     """
-    runs = [
-        (key, [lam for _, _, _, lam in points])
-        for key, points in groupby(_grid_points(grid), key=itemgetter(0, 1, 2))
-    ]
-    for key, _ in runs:
-        check_domain(*key)
-    for (d, r, s), shifts in runs:
+    runs = _grid_runs(grid)
+    for d, r, s, _ in runs:
+        check_domain(d, r, s)
+    for d, r, s, shifts in runs:
         yield from _evaluate_run(d, r, s, shifts, grid.exhaustive)

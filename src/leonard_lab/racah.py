@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .hyper import format_rational, hypergeom_terminating
-from .leonard import candidate_orderings, lstar_shift_square
+from .leonard import candidate_orderings, canonical_shift, lstar_shift_square
 from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
 from .representations import (
@@ -99,9 +99,9 @@ def _assert_4f3_denominators(d: int, R: int, D: int) -> None:
 
 
 def index_map(d: int) -> tuple[int, ...]:
-    """sigma with bar_theta[i] = theta[sigma(i)]: evens up, then odds down."""
-    half = d // 2
-    return tuple(2 * i if i <= half else 2 * (d - i) + 1 for i in range(d + 1))
+    """sigma with bar_theta[i] = theta[sigma(i)]: evens up, then odds down,
+    the first candidate ordering of `leonard`."""
+    return candidate_orderings(d)[0].perm if d else (0,)
 
 
 def dual_params(q: ParameterArray) -> ParameterArray:
@@ -125,7 +125,7 @@ def check_index_mapping(p: ParameterArray, q: ParameterArray) -> bool:
     sigma = index_map(q.d)
     if any(q.theta[i] != p.theta[sigma[i]] for i in range(q.d + 1)):
         return False
-    half_shift = (q.r - q.d) / 2
+    half_shift = canonical_shift(q)
     return all(
         q.theta_star[i] == (p.theta_star[i] + half_shift) ** 2
         for i in range(q.d + 1)
@@ -270,13 +270,13 @@ def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
 
     u-basis: the tridiagonal matrix of L equals tridiag(bar_a, bar_b, bar_c)
     and the diagonal of the shifted square equals diag(bar_theta*).
-    Reordered u*-basis (first candidate ordering): the shifted square equals
+    u*-basis reordered by sigma (`index_map`): the shifted square equals
     tridiag(bar_a*, bar_b*, bar_c*) and the diagonal of L equals
     diag(bar_theta).
     """
     _require_shared(p, q)
     d = q.d
-    shift = (q.r - q.d) / 2
+    shift = canonical_shift(q)
 
     if matrix_L_u_basis(p) != matrix_L_u_basis(q):
         return False
@@ -284,15 +284,9 @@ def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
     if expected_diag != q.theta_star:
         return False
 
-    square = lstar_shift_square(p, shift)
-    if d >= 1:
-        perm = candidate_orderings(d)[0].perm
-        reordered = square.permuted(perm)
-    else:
-        reordered = square
-    if reordered != matrix_Lstar_ustar_basis(q):
-        return False
     sigma = index_map(d)
+    if lstar_shift_square(p, shift).permuted(sigma) != matrix_Lstar_ustar_basis(q):
+        return False
     return tuple(p.theta[sigma[i]] for i in range(d + 1)) == q.theta
 
 
@@ -321,8 +315,12 @@ class RacahVerdict:
 
 
 def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
-    """Every barred identity, with the barred array, the dual Hahn array and
-    the 4F3 table each built once."""
+    """Every barred identity.  The barred array and the 4F3 table are built
+    once and shared.  The dual Hahn array is built twice: here, for the
+    checks that compare the two arrays, and again, with its recurrence
+    table, inside `check_racah_orthogonality`, which takes only (q, table);
+    `check_table_matches_permuted_dual` builds the dual Hahn 3F2 table for
+    itself."""
     q = build_racah_params(d, r)
     p = dual_params(q)
     table = eval_table_4F3(q)

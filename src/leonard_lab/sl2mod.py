@@ -4,9 +4,10 @@ The generators are the squared raising/lowering operators, the Cartan
 element, and the Casimir element, acting on the two families of modules
 (kind 0 on a basis of size floor(n/2)+1, kind 1 on a basis of size
 floor((n+1)/2)).  The Casimir acts as the scalar n(n+2)/2 by construction;
-the commutation identities [H, E^2] = 4 E^2 and [H, F^2] = -4 F^2 are checked
-as exact matrix identities.  For odd n, fixed rational combinations of the
-generators reproduce the dual Hahn Leonard-pair matrices at
+the commutation identities [H, E^2] = 4 E^2 and [H, F^2] = -4 F^2, and the
+products E^2 F^2 and F^2 E^2 as polynomials in H and the Casimir value, are
+checked as exact matrix identities.  For odd n, fixed rational combinations
+of the generators reproduce the dual Hahn Leonard-pair matrices at
 (r, s, d) = (-1/2, 1/2, (n-1)/2) for kind 0 and (1/2, -1/2, (n-1)/2) for
 kind 1; the halved-cube catalog lists which modules occur for diameter D and
 the adjacency/dual-adjacency actions on each.
@@ -52,49 +53,63 @@ def build_even_module(kind: int, n: int) -> EvenModule:
 
     if kind == 0:
         dim = n // 2 + 1
-        raising = [Fraction(2 * i) * (2 * i - 1) for i in range(1, dim)]
-        lowering = [Fraction(n - 2 * i) * (n - 2 * i - 1) for i in range(dim - 1)]
-        cartan = [Fraction(n - 4 * i) for i in range(dim)]
+        raising = [2 * i * (2 * i - 1) for i in range(1, dim)]
+        lowering = [(n - 2 * i) * (n - 2 * i - 1) for i in range(dim - 1)]
+        cartan = [n - 4 * i for i in range(dim)]
     else:
         dim = (n + 1) // 2
-        raising = [Fraction(2 * i) * (2 * i + 1) for i in range(1, dim)]
-        lowering = [Fraction(n - 2 * i - 1) * (n - 2 * i - 2) for i in range(dim - 1)]
-        cartan = [Fraction(n - 4 * i - 2) for i in range(dim)]
+        raising = [2 * i * (2 * i + 1) for i in range(1, dim)]
+        lowering = [(n - 2 * i - 1) * (n - 2 * i - 2) for i in range(dim - 1)]
+        cartan = [n - 4 * i - 2 for i in range(dim)]
 
-    e_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    f_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(1, dim):
-        e_rows[i - 1][i] = raising[i - 1]
-    for i in range(dim - 1):
-        f_rows[i + 1][i] = lowering[i]
-
-    casimir_scalar = Fraction(n) * (n + 2) / 2
+    zeros = [0] * (dim - 1)
     return EvenModule(
         kind=kind,
         n=n,
         dim=dim,
-        e_sq=RationalMatrix.from_rows(e_rows),
-        f_sq=RationalMatrix.from_rows(f_rows),
+        e_sq=RationalMatrix.tridiagonal([0] * dim, zeros, raising),
+        f_sq=RationalMatrix.tridiagonal([0] * dim, lowering, zeros),
         h=RationalMatrix.diagonal(cartan),
-        casimir=RationalMatrix.identity(dim).scaled(casimir_scalar),
+        casimir=RationalMatrix.identity(dim).scaled(Fraction(n * (n + 2), 2)),
     )
 
 
 def check_module_relations(m: EvenModule) -> bool:
-    """[H, E^2] = 4 E^2, [H, F^2] = -4 F^2, Casimir scalar and central."""
+    """[H, E^2] = 4 E^2, [H, F^2] = -4 F^2, H diagonal (a weight basis),
+    Casimir = c I with c = n(n+2)/2, and the two products of the squared
+    generators as polynomials in H:
+
+        E^2 F^2 = (c - (H-2)^2/2 + H - 2)(c - H^2/2 + H)/4,
+        F^2 E^2 = (c - (H+2)^2/2 - H - 2)(c - H^2/2 - H)/4,
+
+    which follow from EF = (c - H^2/2 + H)/2 and EH = (H - 2)E.  With H
+    diagonal, each side is the diagonal matrix of its polynomial at the
+    entries of H.  A scalar Casimir commutes with every matrix, so its
+    centrality tests nothing; the products fix the sizes of E^2 and F^2
+    against c and H."""
     comm_e = m.h @ m.e_sq - m.e_sq @ m.h
     if comm_e != m.e_sq.scaled(4):
         return False
     comm_f = m.h @ m.f_sq - m.f_sq @ m.h
     if comm_f != m.f_sq.scaled(-4):
         return False
-    expected = RationalMatrix.identity(m.dim).scaled(Fraction(m.n) * (m.n + 2) / 2)
-    if m.casimir != expected:
+    h = [m.h.at(i, i) for i in range(m.dim)]
+    c = Fraction(m.n * (m.n + 2), 2)
+    if m.h != RationalMatrix.diagonal(h):
         return False
-    for gen in (m.e_sq, m.f_sq, m.h):
-        if m.casimir @ gen != gen @ m.casimir:
-            return False
-    return True
+    if m.casimir != RationalMatrix.identity(m.dim).scaled(c):
+        return False
+
+    def half_ef(shift: int, sign: int) -> list[Fraction]:
+        """(c - X^2/2 + sign X)/2 at X = H + shift, on the diagonal."""
+        return [(c - (x + shift) ** 2 / 2 + sign * (x + shift)) / 2 for x in h]
+
+    ef = [u * v for u, v in zip(half_ef(-2, 1), half_ef(0, 1))]
+    fe = [u * v for u, v in zip(half_ef(2, -1), half_ef(0, -1))]
+    return (
+        m.e_sq @ m.f_sq == RationalMatrix.diagonal(ef)
+        and m.f_sq @ m.e_sq == RationalMatrix.diagonal(fe)
+    )
 
 
 def example_pair(kind: int, n: int) -> tuple[RationalMatrix, RationalMatrix]:

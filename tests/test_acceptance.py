@@ -31,8 +31,8 @@ from leonard_lab.representations import (
 )
 from leonard_lab.sl2mod import example_pair, verify_example_match
 from test_leonard import diagonal
+from test_params import GRID_RS
 
-FULL_RS = (F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2))
 THEOREM_R = (F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4))
 D_MAX = 12
 
@@ -60,7 +60,7 @@ def _report(num, name, ok, elapsed=None, budget=None):
 def test_criterion_01_closed_form_consistency():
     start = time.perf_counter()
     ok = True
-    for d, r, s in product(range(D_MAX + 1), FULL_RS, FULL_RS):
+    for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
         if not check_closed_forms(_params(d, r, s)):
             ok = False
             break
@@ -71,7 +71,7 @@ def test_criterion_01_closed_form_consistency():
 
 def test_criterion_02_dual_evaluation_oracle():
     ok = True
-    for d, r, s in product(range(D_MAX + 1), FULL_RS, FULL_RS):
+    for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
         p = _params(d, r, s)
         table = _hyper_table(d, r, s)
         if table.values != eval_table_recurrence(p).values:
@@ -88,7 +88,7 @@ def test_criterion_03_orthogonality_and_difference_equations():
     table = _hyper_table(2, F(1, 2), F(-1, 2))
     worked = sum((table.at(2, h) ** 2 * p.k_star[h] for h in range(3)), F(0)) == 16
     ok = worked
-    for d, r, s in product(range(D_MAX + 1), FULL_RS, FULL_RS):
+    for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
         if not ok:
             break
         p = _params(d, r, s)
@@ -103,7 +103,7 @@ def test_criterion_03_orthogonality_and_difference_equations():
 
 def test_criterion_04_square_entries_and_column_sums():
     ok = True
-    for d, r, s in product(range(D_MAX + 1), FULL_RS, FULL_RS):
+    for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
         if not ok:
             break
         p = _params(d, r, s)

@@ -22,6 +22,7 @@ from leonard_lab.leonard import (
 from leonard_lab.params import build_params
 from leonard_lab.racah import build_racah_params, eval_table_4F3
 from leonard_lab.representations import eval_table_hypergeometric, eval_table_recurrence
+from leonard_lab.sl2mod import build_even_module, example_pair, terwilliger_catalog
 
 PACKAGE = pathlib.Path(leonard_lab.__file__).parent
 # Integer-only functions of `math`; everything else there returns floats.
@@ -125,3 +126,18 @@ def test_racah_artifacts_are_exact(d, r):
     q = build_racah_params(d, r)
     assert_exact_array(q)
     assert_exact(eval_table_4F3(q).values.entries, "4F3 table")
+
+
+def test_sl2mod_artifacts_are_exact():
+    for kind in (0, 1):
+        for n in range(kind, 12):
+            m = build_even_module(kind, n)
+            for name in ("e_sq", "f_sq", "h", "casimir"):
+                assert_exact(getattr(m, name).entries, (kind, n, name))
+            if n % 2:
+                for matrix in example_pair(kind, n):
+                    assert_exact(matrix.entries, (kind, n, "example pair"))
+    for D in range(1, 10):
+        for entry in terwilliger_catalog(D):
+            assert_exact(entry.adjacency_action.entries, (D, entry.n, "adjacency"))
+            assert_exact(entry.dual_adjacency_action.entries, (D, entry.n, "dual adjacency"))

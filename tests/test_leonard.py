@@ -33,8 +33,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.scan import scan_tridiagonal_orderings
-
-GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
+from test_params import GRID_RS
 
 
 def is_irreducible_tridiagonal(m):
@@ -146,6 +145,25 @@ def test_candidate_orderings_are_mutual_reversals():
         first, second, third, fourth = (o.perm for o in candidate_orderings(d))
         assert second == tuple(reversed(first))
         assert fourth == tuple(reversed(third))
+
+
+def _candidate_closed_forms(d):
+    """The four candidates as four closed forms, each with its own branch at
+    half of d (the oracle for `candidate_orderings`, which derives them from
+    sigma)."""
+    half_floor = d // 2
+    half_ceil = (d + 1) // 2
+    return [
+        tuple(2 * i if i <= half_floor else 2 * (d - i) + 1 for i in range(d + 1)),
+        tuple(2 * i + 1 if i <= half_ceil - 1 else 2 * (d - i) for i in range(d + 1)),
+        tuple(d - 2 * i if i <= half_floor else 2 * i - d - 1 for i in range(d + 1)),
+        tuple(d - 2 * i - 1 if i <= half_ceil - 1 else 2 * i - d for i in range(d + 1)),
+    ]
+
+
+def test_candidate_orderings_equal_the_four_closed_forms():
+    for d in range(1, 65):
+        assert [o.perm for o in candidate_orderings(d)] == _candidate_closed_forms(d), d
 
 
 def test_verify_theorem_instance_d3():
@@ -520,6 +538,23 @@ def test_search_builds_each_array_once(monkeypatch, grid, runs):
     assert len(built) == runs
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        SearchGrid(d_values=(2, 3), r_values=(F(1, 2),), s_values=()),
+        SearchGrid(d_values=(2, 3), r_values=(F(1, 2),), shift_values=()),
+        SearchGrid(d_values=(2,), r_values=(F(1, 2),), s_values=(F(0),), shift_values=()),
+    ],
+    ids=["no-s", "no-shift", "s-list-no-shift"],
+)
+def test_search_with_an_empty_list_builds_nothing(monkeypatch, grid):
+    built = []
+    monkeypatch.setattr(leonard, "build_params", lambda *args: built.append(args))
+    assert leonard._grid_runs(grid) == []
+    assert list(search_square_preserving(grid)) == []
+    assert built == []
+
+
 def _per_point_records(grid):
     """The search one point at a time: every point rebuilds its array."""
     records = []
@@ -787,16 +822,21 @@ _GRID_VALUES = st.lists(
     shift_values=st.one_of(st.none(), _GRID_VALUES),
 )
 def test_grid_points_equal_the_sorted_points(d_values, r_values, s_values, shift_values):
-    # Unsorted and negative lists in every mode, s = -r and the canonical
-    # shift included (None); the points carry Fractions whatever was given.
+    # The runs, flattened, are the sorted points.  Unsorted and negative
+    # lists in every mode, s = -r and the canonical shift included (None);
+    # the points carry Fractions whatever was given.
     grid = SearchGrid(
         d_values=tuple(d_values),
         r_values=tuple(r_values),
         s_values=None if s_values is None else tuple(s_values),
         shift_values=None if shift_values is None else tuple(shift_values),
     )
-    points = leonard._grid_points(grid)
+    runs = leonard._grid_runs(grid)
+    points = [(d, r, s, lam) for d, r, s, shifts in runs for lam in shifts]
     assert points == _sorted_grid_points(grid)
+    # one nonempty run per distinct (d, r, s), in order
+    assert [run[:3] for run in runs] == sorted({point[:3] for point in points})
+    assert all(shifts for *_, shifts in runs)
     assert all(
         isinstance(d, int) and all(type(v) is F for v in (r, s, lam))
         for d, r, s, lam in points

@@ -25,8 +25,11 @@ from leonard_lab.representations import (
     eval_table_recurrence,
 )
 
-# compact grid for unit tests; the acceptance suite runs the full one
+# The eight-value (r, s) grid, swept here and, with larger d, by the
+# acceptance suite; the other test modules import it from here.
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
+# A nonzero perturbation of one entry, shared by the perturbation tests.
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
 GRID_D = range(0, 6)
 
 
@@ -335,7 +338,6 @@ def _array(kind, d, r, s):
 def array_cases(max_examples=60):
     """Both arrays at d <= 16 and (r, s) up to two-digit denominators, with
     d = 0, 1 and 2 always run for each; `at` picks an index modulo d + 1."""
-    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
 
     def decorate(test):
         for d, kind in product((0, 1, 2), ("dual", "barred")):

@@ -31,6 +31,8 @@ from leonard_lab.representations import (
     check_orthogonality,
     eval_table_hypergeometric,
 )
+from test_params import nonzero
+from test_representations import with_entry
 
 R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
 
@@ -60,9 +62,13 @@ def test_index_map_examples():
     assert index_map(2) == (0, 2, 1)
     assert index_map(1) == (0, 1)
     assert index_map(4) == (0, 2, 4, 3, 1)
-    # the map is exactly the first candidate ordering
-    for d in range(1, 9):
-        assert index_map(d) == candidate_orderings(d)[0].perm
+    assert index_map(0) == (0,)
+    # the map is exactly the first candidate ordering, and equals sigma's
+    # closed form with its own branch at half of d
+    for d in range(1, 65):
+        half = d // 2
+        sigma = tuple(2 * i if i <= half else 2 * (d - i) + 1 for i in range(d + 1))
+        assert index_map(d) == candidate_orderings(d)[0].perm == sigma, d
 
 
 def test_index_mapping_examples():
@@ -345,16 +351,9 @@ def barred_cases(test):
     for d, r0 in [(0, F(3, 7)), (1, F(-5, 11)), (2, F(13, 17))]:
         test = example(q=build_racah_params(d, r0), at=(d, 0), delta=F(1, 2))(test)
     at = st.tuples(st.integers(0, 16), st.integers(0, 16))
-    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
     return settings(deadline=None, max_examples=30)(
         given(q=st.builds(build_racah_params, st.integers(0, 16), r), at=at, delta=nonzero)(test)
     )
-
-
-def with_entry(table, i, j, value):
-    rows = table.values.to_rows()
-    rows[i][j] = value
-    return ValueTable(RationalMatrix.from_rows(rows))
 
 
 @barred_cases

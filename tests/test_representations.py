@@ -27,8 +27,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
     value_row_degree,
 )
-
-GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
+from test_params import GRID_RS, nonzero
 
 
 def divided_differences(nodes, values):
@@ -381,7 +380,6 @@ def top_row_oracle(p, table):
 two_digit = st.fractions(min_value=-1, max_value=3, max_denominator=99).filter(
     lambda x: x > -1
 )
-nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
 
 
 def kernel_cases(test):

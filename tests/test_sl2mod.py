@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,22 @@ def test_build_invalid_arguments():
 @pytest.mark.parametrize("n", range(1, 16))
 def test_module_relations(kind, n):
     assert check_module_relations(build_even_module(kind, n))
+
+
+@pytest.mark.parametrize("kind, n", [(0, 5), (1, 7), (0, 8)])
+def test_module_relations_reject_rescaled_generators(kind, n):
+    # A rescaled E^2 or F^2 keeps both commutators, and a scalar Casimir
+    # commutes with every matrix; only E^2 F^2 and F^2 E^2 as polynomials in
+    # H and the Casimir value see the scale.
+    m = build_even_module(kind, n)
+    assert not check_module_relations(replace(m, e_sq=m.e_sq.scaled(2)))
+    assert not check_module_relations(replace(m, f_sq=m.f_sq.scaled(3)))
+
+
+@pytest.mark.parametrize("kind, n", [(0, 0), (0, 5), (1, 7)])
+def test_module_relations_reject_a_wrong_casimir_value(kind, n):
+    m = build_even_module(kind, n)
+    assert not check_module_relations(replace(m, casimir=m.casimir.plus_scalar(1)))
 
 
 def test_example_pair_kind0_n3_frozen():
