@@ -11,18 +11,18 @@ complete answer on the pattern alone: the off-diagonal nonzeros must form a
 single path through all d+1 indices, nonzero in both directions, and the
 path read from either end is then the only witness (see `scan`).  The four
 closed-form candidate orderings, one permutation sigma (evens up, then odds
-down) with its reversal, its mirror and the mirror's reversal, are checked
-first; the path test serves as the independent oracle behind them.
+down) with its reversal, its mirror and the mirror's reversal, are the
+orderings a verdict reports; the path test serves as the independent oracle
+behind them.
 
-A search point costs O(d) integer operations.  The ordering decision reads
-only which off-diagonal entries of the square are zero, and a product in a
-field is zero exactly when a factor is, so the four off-diagonal cases of
-the paper's five-case closed form are read as a zero pattern
-(`shift_square_pattern`): the factors b*_i, c*_i are tested as they stand,
-and 2 lambda + a*_i + a*_{i+1} over the common denominator of a* and
-lambda.  Each candidate is tested on that pattern (`banded_witness`), and
-the u-basis facts are read from b, c and theta* over one denominator.  The
-five cases as `Fraction` values are written once, in the dense closed form
+A search point costs O(d) integer operations.  The pattern of the square is
+fixed by the parameter array: each off-diagonal entry of the paper's
+five-case closed form is a product of b*_i, c*_i and the middle factors
+2 lambda + a*_i + a*_{i+1}, and a product in a field is zero exactly when a
+factor is.  So the ordering is read off those factors (`ordering_witness`):
+no b* or c* zero, and exactly one nonzero middle factor, at an end.  The
+u-basis facts are read from b, c and theta* over one denominator.  The five
+cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square_closed_form`).  The dense product
 (`lstar_shift_square`), which shares no code with the closed form, and the
 path test on it run only as the `exhaustive` oracle.  The dual
@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .hyper import format_rational
 from .matrices import RationalMatrix
@@ -87,37 +87,6 @@ def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatr
     return m @ m
 
 
-def shift_square_pattern(
-    p: ParameterArray, shift: Fraction | int
-) -> dict[tuple[int, int], bool]:
-    """Which off-diagonal entries (i, j), 0 < |i - j| <= 2, of the square's
-    closed form (`lstar_shift_square_closed_form`) are nonzero, on integers.
-    Every other off-diagonal entry is zero.  The diagonal case is left out: a
-    reordering keeps the diagonal on the diagonal, so no ordering decision
-    reads it.
-
-    Each entry is a product of two factors, nonzero exactly when both are.
-    The b*_i and c*_i are tested as they stand; with a*_i = A_i / E over
-    one denominator and lambda = L / M, the middle factor
-    2 lambda + a*_i + a*_{i+1} is nonzero iff 2 L E + M (A_i + A_{i+1}) is.
-    """
-    L, M = Fraction(shift).as_integer_ratio()
-    A, E = _over_common_denominator(p.a_star)
-    d = p.d
-    b = list(map(bool, p.b_star))
-    c = list(map(bool, p.c_star))
-    twice = 2 * L * E
-    pattern = {}
-    for i in range(d):
-        middle = twice + M * (A[i] + A[i + 1]) != 0
-        pattern[i, i + 1] = c[i + 1] and middle
-        pattern[i + 1, i] = b[i] and middle
-    for i in range(d - 1):
-        pattern[i, i + 2] = c[i + 1] and c[i + 2]
-        pattern[i + 2, i] = b[i] and b[i + 1]
-    return pattern
-
-
 def lstar_shift_square_closed_form(
     p: ParameterArray, shift: Fraction | int
 ) -> RationalMatrix:
@@ -131,8 +100,8 @@ def lstar_shift_square_closed_form(
         (i+2, i): b*_i b*_{i+1}
 
     Every other entry of the square of a tridiagonal matrix is zero.  The
-    verdict reads only which off-diagonal entries vanish
-    (`shift_square_pattern`), never these values.
+    verdict reads only which factors of the off-diagonal cases vanish
+    (`ordering_witness`), never these values.
     """
     lam = Fraction(shift)
     d = p.d
@@ -167,8 +136,8 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 
     sigma_i = 2i if 2i <= d, else 2(d - i) + 1: evens up, then odds down.  It
     is also the index map of the barred array (`racah.index_map`).  A path
-    and its reversal have the same edges, so `banded_witness` can only
-    return the first or the third candidate."""
+    and its reversal have the same edges, so `ordering_witness` returns only
+    the first or the third candidate."""
     if d < 1:
         raise ValueError("candidate orderings need d >= 1")
     sigma = tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
@@ -176,31 +145,47 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
     return [BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1])]
 
 
-def banded_witness(
-    square: Mapping[tuple[int, int], Fraction | bool], d: int
+def ordering_witness(
+    p: ParameterArray, shift: Fraction | int
 ) -> Optional[BasisOrdering]:
-    """The first candidate ordering under which a (d+1)x(d+1) matrix, given
-    by its off-diagonal entries within two of the diagonal (every other
-    off-diagonal entry zero), is irreducible tridiagonal; None if no
-    candidate works.  Only the truth of each entry is read: the verdict
-    hands it the square's zero pattern (`shift_square_pattern`).
+    """The first candidate ordering under which the square (L* + shift)^2 in
+    the u*-basis is irreducible tridiagonal, or None if no candidate works;
+    read in O(d) from the factors of the closed form
+    (`lstar_shift_square_closed_form`).
 
-    An ordering p makes the matrix irreducible tridiagonal exactly when the
-    d pairs (p[k], p[k+1]) are nonzero in both directions and no other
-    off-diagonal entry is nonzero.  Those 2d entries are distinct, so the
-    second part is a count of the nonzero entries: O(d) per candidate.
+    Join i and j when entry (i, j) or (j, i) is nonzero; a witness makes the
+    joins one path, each nonzero both ways (see `scan`).
+    - d = 0: the single ordering.
+    - Some b*_i (i < d) is zero: every entry (j, k) with k <= i < j has the
+      factor b*_i, so no pair across that cut is nonzero both ways and no
+      path crosses it.  A zero c*_i (i > 0) cuts at j < i <= k alike.
+    - Otherwise every entry two off the diagonal is nonzero both ways, so
+      the evens 0-2-4-... and the odds 1-3-5-... form two chains with d - 1
+      joins.  The pair (i, i+1) is nonzero both ways exactly when
+      m_i = 2 shift + a*_i + a*_{i+1} is nonzero.  A path has d joins, so
+      exactly one m_i is nonzero, and it must join two chain ends.  m_{d-1}
+      alone joins the top ends: evens up, then odds down, which is sigma.
+      m_0 alone joins the bottom ends, which is the mirror.  At d = 1 the
+      two coincide and sigma is returned.  The only other such pair is
+      (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so this returns
+      None there and the `exhaustive` oracle raises.
+
+    With a*_i = A_i / E over one denominator and shift = L / M, m_i is
+    nonzero iff 2 L E + M (A_i + A_{i+1}) is.
     """
+    d = p.d
     if d == 0:
         return BasisOrdering((0,))
-    nonzero = {key for key, v in square.items() if v}
-    if len(nonzero) != 2 * d:
+    if not (all(p.b_star[:d]) and all(p.c_star[1:])):
         return None
-    for ordering in candidate_orderings(d):
-        perm = ordering.perm
-        if all(
-            (a, b) in nonzero and (b, a) in nonzero for a, b in zip(perm, perm[1:])
-        ):
-            return ordering
+    L, M = Fraction(shift).as_integer_ratio()
+    A, E = _over_common_denominator(p.a_star)
+    twice = 2 * L * E
+    nonzero = [i for i in range(d) if twice + M * (A[i] + A[i + 1])]
+    if nonzero == [d - 1]:
+        return candidate_orderings(d)[0]
+    if nonzero == [0]:
+        return candidate_orderings(d)[2]
     return None
 
 
@@ -214,8 +199,8 @@ def verify_leonard_pair_square(
     diagonal with entries (theta*_i + shift)^2 = (i + shift)^2; both facts are
     verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
-    candidate orderings on the closed form's zero pattern
-    (`banded_witness` on `shift_square_pattern`).  Every test runs on
+    candidate orderings, read off the closed form's factors
+    (`ordering_witness`).  Every test runs on
     integers: with theta*_i = T_i / E and shift = L / M, (theta*_i + shift)^2
     is x_i^2 / (E M)^2 with x_i = T_i M + L E, so the diagonal condition is
     x_i^2 == ((i M + L) E)^2 and distinctness is that of the x_i^2.  With
@@ -231,7 +216,7 @@ def verify_leonard_pair_square(
     T, E = _over_common_denominator(p.theta_star)
     LE = L * E
     x_sq = [(t * M + LE) ** 2 for t in T]
-    witness = banded_witness(shift_square_pattern(p, lam), d)
+    witness = ordering_witness(p, lam)
     found = witness is not None
     trace = [
         ("u*-basis: matrix of L diagonal with distinct entries", theta_simple),

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from leonard_lab import leonard, racah
 from leonard_lab.leonard import (
     BasisOrdering,
+    InternalInconsistencyError,
     LeonardPairReport,
     SearchGrid,
     SearchRecord,
-    banded_witness,
     candidate_orderings,
     canonical_shift,
     column_sums,
@@ -20,8 +20,8 @@ from leonard_lab.leonard import (
     is_dual_almost_bipartite,
     lstar_shift_square,
     lstar_shift_square_closed_form,
+    ordering_witness,
     search_square_preserving,
-    shift_square_pattern,
     theorem_conditions,
     verify_leonard_pair_square,
 )
@@ -55,16 +55,6 @@ def is_irreducible_tridiagonal(m):
 def diagonal(m):
     """The diagonal entries of a square matrix."""
     return [m.at(i, i) for i in range(m.rows)]
-
-
-def _closed_form_bands(p, lam):
-    """The off-diagonal entries (i, j), 0 < |i - j| <= 2, of the square's
-    closed form: the four cases whose zero pattern the verdict reads."""
-    square = lstar_shift_square_closed_form(p, lam)
-    n = p.d + 1
-    return {
-        (i, j): square.at(i, j) for i in range(n) for j in range(n) if 0 < abs(i - j) <= 2
-    }
 
 
 def test_irreducible_tridiagonal_predicate():
@@ -466,30 +456,28 @@ def _search_points(draw):
 def test_banded_decision_equals_dense_route(point, exhaustive, data):
     d, r, s, lam = point
     p = build_params(d, r, s)
+    lam = data.draw(st.one_of(st.just(lam), st.sampled_from(_zeroing_shifts(p))))
     report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
     assert (report.verdict, report.witness, report.condition_trace) == _dense_verify(
         p, lam, exhaustive
     )
 
-    # The closed form is the dense product, the dense square is zero more
-    # than two off the diagonal, and the pattern is the zero pattern of the
-    # closed form's bands.
+    # The closed form is the dense product, and the dense square is zero
+    # more than two off the diagonal.
     dense = lstar_shift_square(p, lam)
-    assert lstar_shift_square_closed_form(p, lam) == dense
-    bands = _closed_form_bands(p, lam)
-    assert shift_square_pattern(p, lam) == {k: v != 0 for k, v in bands.items()}
+    closed = lstar_shift_square_closed_form(p, lam)
+    assert closed == dense
     assert all(dense.at(i, j) == 0 for i in range(d + 1) for j in range(d + 1)
                if abs(i - j) > 2)
 
-    # Zeroing one nonzero entry changes both sides alike; on a witness path
-    # it breaks the path, so both sides then find none.
-    nonzero = sorted(key for key, v in bands.items() if v != 0)
-    if nonzero:
+    # A witness square is nonzero off the diagonal only on its path, so
+    # zeroing any one of those entries leaves no candidate.
+    if report.witness is not None and d > 0:
+        nonzero = [(i, j) for i in range(d + 1) for j in range(d + 1)
+                   if i != j and closed.at(i, j) != 0]
+        assert len(nonzero) == 2 * d
         i, j = data.draw(st.sampled_from(nonzero))
-        after = banded_witness({**bands, (i, j): F(0)}, d)
-        assert after == _dense_witness(_with_zero(dense, i, j), d)
-        if report.witness is not None:
-            assert after is None
+        assert _dense_witness(_with_zero(closed, i, j), d) is None
 
 
 def test_search_yields_first_record_before_the_last_point_is_evaluated(monkeypatch):
@@ -594,27 +582,12 @@ def test_search_records_equal_the_per_point_oracle(s_list, shift_list, exhaustiv
     assert list(search_square_preserving(grid)) == _per_point_records(grid)
 
 
-def test_banded_witness_needs_both_directions():
-    # Path 0 - 2 - 1, the first candidate at d = 2, with (2, 0) missing and
-    # (1, 0) nonzero instead: still 2d nonzero entries, but no witness.
-    one_way = {(0, 1): F(0), (0, 2): F(1), (1, 0): F(1), (1, 2): F(1), (2, 0): F(0),
-               (2, 1): F(1)}
-    both_ways = {**one_way, (1, 0): F(0), (2, 0): F(1)}
-    for bands in (one_way, both_ways):
-        dense = RationalMatrix.from_rows(
-            [[bands.get((i, j), F(7)) for j in range(3)] for i in range(3)]
-        )
-        assert banded_witness(bands, 2) == _dense_witness(dense, 2)
-    assert banded_witness(one_way, 2) is None
-    assert banded_witness(both_ways, 2) == candidate_orderings(2)[0]
-
-
 # -- the Fraction verdict that the integer verdict replaced --------------------
 
 
 def _fraction_verify(p, shift, exhaustive=False):
     """`verify_leonard_pair_square` as it was decided on Fractions: the
-    ordering on the values of the closed-form bands, the diagonal as squares
+    candidates tried on the dense closed form, the diagonal as squares
     (theta*_i + lam)^2, and distinctness as sets of Fractions."""
     lam = F(shift)
     d = p.d
@@ -628,7 +601,7 @@ def _fraction_verify(p, shift, exhaustive=False):
     trace.append(("u-basis: matrix of (L*+shift)^2 diagonal", diag_ok))
     simple_ok = len(set(diag_vals)) == d + 1
     trace.append(("u-basis: (L*+shift)^2 diagonal entries distinct", simple_ok))
-    witness = banded_witness(_closed_form_bands(p, lam), d)
+    witness = _dense_witness(lstar_shift_square_closed_form(p, lam), d)
     found = witness is not None
     trace.append(
         ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found)
@@ -646,9 +619,6 @@ def _fraction_verify(p, shift, exhaustive=False):
 def _assert_matches_fraction_verdict(p, lam, exhaustive=False):
     report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
     assert report == _fraction_verify(p, lam, exhaustive), (p.d, p.r, p.s, lam)
-    assert shift_square_pattern(p, lam) == {
-        k: v != 0 for k, v in _closed_form_bands(p, lam).items()
-    }
     return report
 
 
@@ -761,32 +731,81 @@ def test_integer_verdict_on_perturbed_arrays(point, data):
     _assert_matches_fraction_verdict(q, lam)
 
 
-@settings(deadline=None, max_examples=150)
-@given(d=st.integers(1, 8), data=st.data())
-def test_banded_witness_on_one_way_paths(d, data):
-    # A candidate's path with one direction of one pair removed and another
-    # band entry added in its place: still 2d entries, but no longer a path
-    # in both directions.
-    perm = data.draw(st.sampled_from(candidate_orderings(d))).perm
-    path = {(a, b) for a, b in zip(perm, perm[1:])}
-    pattern = path | {(b, a) for a, b in path}
-    if data.draw(st.booleans()):
-        pattern.discard(data.draw(st.sampled_from(sorted(pattern))))
-        spare = sorted(
-            (i, j) for i in range(d + 1) for j in range(d + 1)
-            if 0 < abs(i - j) <= 2 and (i, j) not in pattern
-        )
-        if spare:
-            pattern.add(data.draw(st.sampled_from(spare)))
-    bands = {
-        (i, j): (i, j) in pattern
-        for i in range(d + 1) for j in range(d + 1) if 0 < abs(i - j) <= 2
-    }
-    dense = RationalMatrix.from_rows(
-        [[F(1) if i == j or (i, j) in pattern else F(0) for j in range(d + 1)]
-         for i in range(d + 1)]
-    )
-    assert banded_witness(bands, d) == _dense_witness(dense, d)
+# -- the ordering rule ----------------------------------------------------------
+
+
+def _with_middle_factors(p, nonzero):
+    """p with a* replaced so that, at shift 0, the middle factor
+    a*_i + a*_{i+1} is 1 for i in `nonzero` and 0 for every other i."""
+    a_star = [F(0)]
+    for i in range(p.d):
+        a_star.append(F(int(i in nonzero)) - a_star[-1])
+    return replace(p, a_star=tuple(a_star))
+
+
+def _assert_ordering_at_shift_0(q, expected):
+    """The verdict's witness at shift 0 is `expected`, and so are the dense
+    route's and the exhaustive scan's."""
+    d = q.d
+    square = lstar_shift_square(q, 0)
+    report = verify_leonard_pair_square(q, 0, exhaustive=True)
+    assert ordering_witness(q, 0) == report.witness == expected, q
+    assert report.verdict == (expected is not None), q
+    assert _dense_witness(square, d) == expected, q
+    assert scan_tridiagonal_orderings(square) == (
+        [] if expected is None else sorted([expected.perm, expected.perm[::-1]])
+    ), q
+
+
+def test_ordering_witness_at_every_d():
+    # sigma when only the last middle factor is nonzero, the mirror when only
+    # the first is, and no witness for one interior factor, both end factors
+    # or none, or when a b* or c* is zero.  d = 3's interior factor is the
+    # candidates' gap (next test).
+    for d in range(1, 13):
+        p = build_params(d, F(1, 2), F(1, 3))
+        sigma, _, mirror, _ = candidate_orderings(d)
+        cases = [({d - 1}, sigma), ({0}, sigma if d == 1 else mirror), (set(), None)]
+        if d > 1:
+            cases.append(({0, d - 1}, None))
+        if d != 3:
+            cases += [({i}, None) for i in range(1, d - 1)]
+        for nonzero, expected in cases:
+            _assert_ordering_at_shift_0(_with_middle_factors(p, nonzero), expected)
+        q = _with_middle_factors(p, {d - 1})
+        for field, i in product(("b_star", "c_star"), range(d)):
+            values = list(getattr(q, field))
+            values[i if field == "b_star" else i + 1] = F(0)
+            _assert_ordering_at_shift_0(replace(q, **{field: tuple(values)}), None)
+
+
+def test_candidates_miss_the_path_through_the_middle_at_d3():
+    # At d = 3 the middle factor m_1 alone joins the chain ends 2 and 1: the
+    # path 0-2-1-3 is a witness, but none of the four candidates.  This is a
+    # known limit of the candidate verdict, and the exhaustive oracle says so.
+    q = replace(build_params(3, F(1, 2), F(1, 3)), a_star=(F(0), F(0), F(1), F(-1)))
+    assert scan_tridiagonal_orderings(lstar_shift_square(q, 0)) == [
+        (0, 2, 1, 3), (3, 1, 2, 0)
+    ]
+    assert ordering_witness(q, 0) is None
+    assert not verify_leonard_pair_square(q, 0).verdict
+    with pytest.raises(InternalInconsistencyError):
+        verify_leonard_pair_square(q, 0, exhaustive=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(r=_OPEN_RATIONALS, s=_OPEN_RATIONALS, barred_r=_BARRED_R)
+def test_built_arrays_never_reach_the_d3_gap(r, s, barred_r):
+    # m_1 alone needs m_0 = m_2 = 0, so m_0 - m_2 = a*_0 + a*_1 - a*_2 - a*_3,
+    # which does not depend on the shift, must vanish.  On dual Hahn arrays
+    # it is -4(r - s)/(r + s + 4), and at r = s all three m_i are equal; on
+    # barred arrays it is -4 r^2, nonzero on the domain.
+    a = build_params(3, r, s).a_star
+    assert a[0] + a[1] - a[2] - a[3] == -4 * (r - s) / (r + s + 4)
+    a = build_params(3, r, r).a_star
+    assert a[0] + a[1] == a[1] + a[2] == a[2] + a[3]
+    a = racah.build_racah_params(3, barred_r).a_star
+    assert a[0] + a[1] - a[2] - a[3] == -4 * barred_r**2 != 0
 
 
 # -- grid order ---------------------------------------------------------------
