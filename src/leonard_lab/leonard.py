@@ -29,7 +29,12 @@ path test on it run only as the `exhaustive` oracle.  The dual
 almost-bipartite test reads b*, c* and a* directly, in O(d).
 `search_square_preserving` walks the grid once into runs of equal
 (d, r, s), builds each run's array once and decides its shifts on it in
-this process, yielding records run by run.
+this process, yielding records run by run.  A run reads its array facts
+once (`_ArrayFacts`: theta simple, b and c nonzero, theta* and the pair
+sums of a* over one denominator, a zero b* or c*, sigma and its mirror),
+so each shift costs O(d) integer operations: the x_i^2 of the diagonal
+test and the middle factors.  `verify_leonard_pair_square` and
+`ordering_witness` decide one shift on the same facts.
 """
 
 from __future__ import annotations
@@ -130,19 +135,97 @@ def column_sums(m: RationalMatrix) -> list[Fraction]:
     ]
 
 
+def _sigma(d: int) -> tuple[int, ...]:
+    """sigma_i = 2i if 2i <= d, else 2(d - i) + 1: evens up, then odds down."""
+    return tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
+
+
 def candidate_orderings(d: int) -> list[BasisOrdering]:
     """The four closed-form orderings, in display order: sigma, sigma
     reversed, the mirror k -> d - k of sigma, and the mirror reversed.
 
-    sigma_i = 2i if 2i <= d, else 2(d - i) + 1: evens up, then odds down.  It
-    is also the index map of the barred array (`racah.index_map`).  A path
-    and its reversal have the same edges, so `ordering_witness` returns only
-    the first or the third candidate."""
+    sigma (`_sigma`) is also the index map of the barred array
+    (`racah.index_map`).  A path and its reversal have the same edges, so
+    `ordering_witness` returns only the first or the third candidate."""
     if d < 1:
         raise ValueError("candidate orderings need d >= 1")
-    sigma = tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
+    sigma = _sigma(d)
     mirror = tuple(d - k for k in sigma)
     return [BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1])]
+
+
+class _ArrayFacts:
+    """The facts of one parameter array that every shift's verdict reads,
+    read once: whether theta is simple, whether b and c are nonzero, theta*
+    over one denominator, whether a b* or c* is zero, the pair sums
+    A_i + A_{i+1} of a* over one denominator, and sigma and its mirror.  On
+    top of them a shift costs O(d) integer operations (`verify`)."""
+
+    def __init__(self, p: ParameterArray):
+        d = p.d
+        self.p = p
+        self.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
+        self.u_irreducible = all(p.b[:d]) and all(p.c[1:])
+        self.theta_star, self.theta_star_den = _over_common_denominator(p.theta_star)
+        self.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
+        A, self.a_star_den = _over_common_denominator(p.a_star)
+        self.pair_sums = [A[i] + A[i + 1] for i in range(d)]
+        sigma = _sigma(d)
+        self.sigma = BasisOrdering(sigma)
+        self.mirror = BasisOrdering(tuple(d - k for k in sigma))
+
+    def witness(self, L: int, M: int) -> Optional[BasisOrdering]:
+        """`ordering_witness` at the shift L / M (M > 0): m_i is nonzero iff
+        2 L E + M (A_i + A_{i+1}) is, with a*_i = A_i / E."""
+        d = self.p.d
+        if d == 0:
+            return self.sigma
+        if self.cut:
+            return None
+        twice = 2 * L * self.a_star_den
+        nonzero = [i for i, pair in enumerate(self.pair_sums) if twice + M * pair]
+        if nonzero == [d - 1]:
+            return self.sigma
+        if nonzero == [0]:
+            return self.mirror
+        return None
+
+    def verify(self, lam: Fraction, exhaustive: bool) -> LeonardPairReport:
+        """`verify_leonard_pair_square` at the shift `lam`, a Fraction."""
+        p = self.p
+        d = p.d
+        L, M = lam.as_integer_ratio()
+        E = self.theta_star_den
+        LE = L * E
+        x_sq = [(t * M + LE) ** 2 for t in self.theta_star]
+        witness = self.witness(L, M)
+        found = witness is not None
+        trace = [
+            ("u*-basis: matrix of L diagonal with distinct entries", self.theta_simple),
+            ("u-basis: matrix of L irreducible tridiagonal", self.u_irreducible),
+            ("u-basis: matrix of (L*+shift)^2 diagonal",
+             all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))),
+            ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(x_sq)) == d + 1),
+            ("u*-basis: candidate reordering makes the square irreducible tridiagonal",
+             found),
+        ]
+        verdict = all(ok for _, ok in trace)
+
+        if exhaustive:
+            all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
+            agree = witness.perm in all_witnesses if found else not all_witnesses
+            # key name kept as is: readers of the CLI JSON match on it
+            trace.append(("exhaustive permutation oracle agrees with candidates", agree))
+            if not agree:
+                raise InternalInconsistencyError(
+                    f"candidate orderings say {found} but the ordering scan found "
+                    f"{len(all_witnesses)} witnesses at d={d}, r={format_rational(p.r)}, "
+                    f"s={format_rational(p.s)}, shift={format_rational(lam)}"
+                )
+
+        return LeonardPairReport(
+            verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
+        )
 
 
 def ordering_witness(
@@ -173,20 +256,7 @@ def ordering_witness(
     With a*_i = A_i / E over one denominator and shift = L / M, m_i is
     nonzero iff 2 L E + M (A_i + A_{i+1}) is.
     """
-    d = p.d
-    if d == 0:
-        return BasisOrdering((0,))
-    if not (all(p.b_star[:d]) and all(p.c_star[1:])):
-        return None
-    L, M = Fraction(shift).as_integer_ratio()
-    A, E = _over_common_denominator(p.a_star)
-    twice = 2 * L * E
-    nonzero = [i for i in range(d) if twice + M * (A[i] + A[i + 1])]
-    if nonzero == [d - 1]:
-        return candidate_orderings(d)[0]
-    if nonzero == [0]:
-        return candidate_orderings(d)[2]
-    return None
+    return _ArrayFacts(p).witness(*Fraction(shift).as_integer_ratio())
 
 
 def verify_leonard_pair_square(
@@ -207,50 +277,24 @@ def verify_leonard_pair_square(
     `exhaustive` the pattern of the dense product is also decided by path
     recognition, which finds every witness ordering at any d and shares no
     code with the closed form, as an independent oracle; any disagreement
-    raises InternalInconsistencyError.
+    raises InternalInconsistencyError.  The facts that depend on the array
+    alone are read by `_ArrayFacts`, which a search run builds once for all
+    its shifts.
     """
-    lam = Fraction(shift)
-    d = p.d
-    theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
-    L, M = lam.as_integer_ratio()
-    T, E = _over_common_denominator(p.theta_star)
-    LE = L * E
-    x_sq = [(t * M + LE) ** 2 for t in T]
-    witness = ordering_witness(p, lam)
-    found = witness is not None
-    trace = [
-        ("u*-basis: matrix of L diagonal with distinct entries", theta_simple),
-        ("u-basis: matrix of L irreducible tridiagonal", all(p.b[:d]) and all(p.c[1:])),
-        ("u-basis: matrix of (L*+shift)^2 diagonal",
-         all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))),
-        ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(x_sq)) == d + 1),
-        ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found),
-    ]
-    verdict = all(ok for _, ok in trace)
-
-    if exhaustive:
-        all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
-        agree = witness.perm in all_witnesses if found else not all_witnesses
-        # key name kept as is: readers of the CLI JSON match on it
-        trace.append(("exhaustive permutation oracle agrees with candidates", agree))
-        if not agree:
-            raise InternalInconsistencyError(
-                f"candidate orderings say {found} but the ordering scan found "
-                f"{len(all_witnesses)} witnesses at d={d}, r={format_rational(p.r)}, "
-                f"s={format_rational(p.s)}, shift={format_rational(lam)}"
-            )
-
-    return LeonardPairReport(
-        verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
-    )
+    return _ArrayFacts(p).verify(Fraction(shift), exhaustive)
 
 
 def theorem_conditions(
     p: ParameterArray, shift: Fraction | int
 ) -> tuple[bool, bool, bool]:
-    """(r != 0, r + s == 0, 2*shift == r - d)."""
-    lam = Fraction(shift)
-    return (p.r != 0, p.r + p.s == 0, 2 * lam == p.r - p.d)
+    """(r != 0, r + s == 0, 2*shift == r - d), compared on integer pairs: r =
+    R / D and s = S / D' are in lowest terms, so r + s == 0 iff (R, D) ==
+    (-S, D'), and with shift = L / M (D, M > 0) 2 shift == r - d iff
+    2 L D == M (R - d D)."""
+    R, D = p.r.as_integer_ratio()
+    S, D_s = p.s.as_integer_ratio()
+    L, M = Fraction(shift).as_integer_ratio()
+    return (R != 0, R == -S and D == D_s, 2 * L * D == M * (R - p.d * D))
 
 
 def d2_condition(p: ParameterArray, shift: Fraction | int) -> bool:
@@ -340,12 +384,13 @@ def _evaluate_run(
     d: int, r: Fraction, s: Fraction, shifts: list[Fraction], exhaustive: bool
 ) -> list[SearchRecord]:
     """The records of one run: every shift of a (d, r, s), decided on one
-    parameter array."""
+    parameter array, whose facts are read once (`_ArrayFacts`)."""
     p = build_params(d, r, s)
+    facts = _ArrayFacts(p)
     return [
         SearchRecord(
             d=d, r=r, s=s, shift=lam,
-            report=verify_leonard_pair_square(p, lam, exhaustive=exhaustive),
+            report=facts.verify(lam, exhaustive),
             theorem_flags=theorem_conditions(p, lam),
         )
         for lam in shifts

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .hyper import format_rational, hypergeom_terminating
-from .leonard import candidate_orderings, canonical_shift, lstar_shift_square
+from .leonard import _sigma, canonical_shift, lstar_shift_square
 from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
 from .representations import (
@@ -101,7 +101,7 @@ def _assert_4f3_denominators(d: int, R: int, D: int) -> None:
 def index_map(d: int) -> tuple[int, ...]:
     """sigma with bar_theta[i] = theta[sigma(i)]: evens up, then odds down,
     the first candidate ordering of `leonard`."""
-    return candidate_orderings(d)[0].perm if d else (0,)
+    return _sigma(d)
 
 
 def dual_params(q: ParameterArray) -> ParameterArray:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from dataclasses import replace
 from itertools import product
@@ -208,6 +209,54 @@ def test_theorem_conditions_flags():
     assert theorem_conditions(p, F(0)) == (True, True, False)
     p2 = build_params(2, F(1, 2), F(-1, 4))
     assert theorem_conditions(p2, F(-3, 4)) == (True, False, True)
+
+
+def _fraction_theorem_conditions(p, shift):
+    """`theorem_conditions` as it was decided on Fractions."""
+    lam = F(shift)
+    return (p.r != 0, p.r + p.s == 0, 2 * lam == p.r - p.d)
+
+
+_THEOREM_BASE = build_params(0, 0, 0)
+_WIDE_RATIONALS = st.fractions(min_value=-1, max_value=5, max_denominator=10**9).filter(
+    lambda x: x > -1
+)
+
+
+@pytest.mark.parametrize(
+    "d, r, s, lam, flags",
+    [
+        (3, F(0), F(0), F(-3, 2), (False, True, True)),
+        (3, F(0), F(1, 2), F(-3, 2), (False, False, True)),
+        (2, F(1, 2), F(-1, 2), -F(3, 4), (True, True, True)),
+        (2, F(1, 2), F(1, 2), F(3, 4), (True, False, False)),
+        (4, F(-1, 1000003), F(1, 1000003), (F(-1, 1000003) - 4) / 2, (True, True, True)),
+        (4, F(1, 1000003), F(-1, 1000033), (F(1, 1000003) - 4) / 2, (True, False, True)),
+        (4, F(1, 1000003), F(-1, 1000003), (F(1, 1000033) - 4) / 2, (True, True, False)),
+        (7, F(5, 3), F(-5, 3), -F(8, 3), (True, True, True)),
+        (7, F(5, 3), F(-5, 3), -8, (True, True, False)),
+        (0, F(2), F(-2), 1, (True, True, True)),
+    ],
+)
+def test_theorem_conditions_on_integer_pairs(d, r, s, lam, flags):
+    # r = 0, r + s = 0 against s = r or a near denominator, 2 shift = r - d
+    # against a near miss, negative and int shifts, denominators above 10^6.
+    p = replace(_THEOREM_BASE, d=d, r=r, s=s)
+    assert theorem_conditions(p, lam) == _fraction_theorem_conditions(p, lam) == flags
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(0, 40), data=st.data())
+def test_theorem_conditions_equal_the_fraction_formula(d, data):
+    r = data.draw(st.one_of(st.just(F(0)), _OPEN_RATIONALS, _WIDE_RATIONALS))
+    s = data.draw(st.one_of(st.just(-r), st.just(r), _OPEN_RATIONALS, _WIDE_RATIONALS))
+    lam = data.draw(st.one_of(
+        st.just((r - d) / 2),
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+    ))
+    p = replace(_THEOREM_BASE, d=d, r=r, s=s)
+    assert theorem_conditions(p, lam) == _fraction_theorem_conditions(p, lam)
 
 
 def test_d2_condition_both_roots():
@@ -729,6 +778,119 @@ def test_integer_verdict_on_perturbed_arrays(point, data):
         values[i] = F(0)
         q = replace(p, **{field: tuple(values)})
     _assert_matches_fraction_verdict(q, lam)
+
+
+# -- the per-point verdict that a run's shared array facts replaced -------------
+
+
+def _per_point_ordering_witness(p, shift):
+    """`ordering_witness` as each point decided it, a* over its denominator
+    and the candidates built per call."""
+    d = p.d
+    if d == 0:
+        return BasisOrdering((0,))
+    if not (all(p.b_star[:d]) and all(p.c_star[1:])):
+        return None
+    L, M = F(shift).as_integer_ratio()
+    A, E = leonard._over_common_denominator(p.a_star)
+    twice = 2 * L * E
+    nonzero = [i for i in range(d) if twice + M * (A[i] + A[i + 1])]
+    if nonzero == [d - 1]:
+        return candidate_orderings(d)[0]
+    if nonzero == [0]:
+        return candidate_orderings(d)[2]
+    return None
+
+
+def _per_point_verify(p, shift, exhaustive=False):
+    """`verify_leonard_pair_square` as each point decided it, every fact of
+    the array read again for every shift."""
+    lam = F(shift)
+    d = p.d
+    theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
+    L, M = lam.as_integer_ratio()
+    T, E = leonard._over_common_denominator(p.theta_star)
+    LE = L * E
+    x_sq = [(t * M + LE) ** 2 for t in T]
+    witness = _per_point_ordering_witness(p, lam)
+    found = witness is not None
+    trace = [
+        ("u*-basis: matrix of L diagonal with distinct entries", theta_simple),
+        ("u-basis: matrix of L irreducible tridiagonal", all(p.b[:d]) and all(p.c[1:])),
+        ("u-basis: matrix of (L*+shift)^2 diagonal",
+         all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))),
+        ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(x_sq)) == d + 1),
+        ("u*-basis: candidate reordering makes the square irreducible tridiagonal", found),
+    ]
+    verdict = all(ok for _, ok in trace)
+    if exhaustive:
+        all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
+        agree = witness.perm in all_witnesses if found else not all_witnesses
+        trace.append(("exhaustive permutation oracle agrees with candidates", agree))
+        if not agree:
+            raise InternalInconsistencyError((d, p.r, p.s, lam))
+    return LeonardPairReport(
+        verdict=verdict, witness=witness, condition_trace=tuple(trace), shift=lam
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.one_of(st.integers(0, 3), st.integers(0, 12)), barred=st.booleans(),
+       data=st.data())
+def test_a_run_decides_each_shift_like_the_per_point_body(d, barred, data):
+    # Every shift of a run decided on one array: dual Hahn arrays through
+    # `_evaluate_run`, barred arrays (theta*_i != i) on one `_ArrayFacts`.
+    if barred:
+        p = racah.build_racah_params(d, data.draw(_BARRED_R))
+    else:
+        r = data.draw(_OPEN_RATIONALS)
+        s = data.draw(st.one_of(_OPEN_RATIONALS, st.just(-r)) if r < 1 else _OPEN_RATIONALS)
+        p = build_params(d, r, s)
+    shifts = data.draw(st.lists(
+        st.one_of(
+            st.just(canonical_shift(p)),
+            st.sampled_from(_zeroing_shifts(p)),
+            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+        ),
+        min_size=1, max_size=6,
+    ))
+    exhaustive = d <= 6 and data.draw(st.booleans())
+    if barred:
+        facts = leonard._ArrayFacts(p)
+        reports = [facts.verify(lam, exhaustive) for lam in shifts]
+    else:
+        records = leonard._evaluate_run(d, p.r, p.s, shifts, exhaustive)
+        reports = [rec.report for rec in records]
+        assert [rec.theorem_flags for rec in records] == [
+            _fraction_theorem_conditions(p, lam) for lam in shifts]
+    assert reports == [_per_point_verify(p, lam, exhaustive) for lam in shifts]
+    assert [verify_leonard_pair_square(p, lam, exhaustive) for lam in shifts] == reports
+    assert [ordering_witness(p, lam) for lam in shifts] == [
+        _per_point_ordering_witness(p, lam) for lam in shifts]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
+    # Six shifts of one (d, r, s): one array, and theta* and a* put over a
+    # denominator once each, not once per shift.
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(leonard, "build_params", counting("build", leonard.build_params))
+    monkeypatch.setattr(leonard, "_over_common_denominator",
+                        counting("denominator", leonard._over_common_denominator))
+    shifts = (F(0), F(-1), F(-5, 4), F(1, 2), F(-3, 4), F(2, 3))
+    grid = SearchGrid(d_values=(3,), r_values=(F(1, 2),), s_values=(F(-1, 2),),
+                      shift_values=shifts, exhaustive=exhaustive)
+    records = list(search_square_preserving(grid))
+    assert [rec.shift for rec in records] == sorted(shifts)
+    assert sum(rec.report.verdict for rec in records) == 1
+    assert calls == {"build": 1, "denominator": 2}
 
 
 # -- the ordering rule ----------------------------------------------------------
