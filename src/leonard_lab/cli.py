@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -150,6 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--D", type=int, required=True)
 
     return parser
+
+
+# Built on the first call of `main`, not at import, and reused: argparse keeps
+# no parse state on the parser.
+_parser = functools.cache(build_parser)
 
 
 def _add_drs(sub_parser):
@@ -337,7 +343,7 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         try:
             args = parser.parse_args(_preprocess_argv(argv))

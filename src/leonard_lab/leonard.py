@@ -21,33 +21,44 @@ five-case closed form is a product of b*_i, c*_i and the middle factors
 2 lambda + a*_i + a*_{i+1}, and a product in a field is zero exactly when a
 factor is.  So the ordering is read off those factors (`ordering_witness`):
 no b* or c* zero, and exactly one nonzero middle factor, at an end.  The
-u-basis facts are read from b, c and theta* over one denominator.  The five
+u-basis facts are read from b, c and theta*.  The five
 cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square_closed_form`).  The dense product
 (`lstar_shift_square`), which shares no code with the closed form, and the
 path test on it run only as the `exhaustive` oracle.  The dual
 almost-bipartite test reads b*, c* and a* directly, in O(d).
 `search_square_preserving` walks the grid once into runs of equal
-(d, r, s), builds each run's array once and decides its shifts on it in
-this process, yielding records run by run.  A run reads its array facts
-once (`_ArrayFacts`: theta simple, b and c nonzero, theta* and the pair
-sums of a* over one denominator, a zero b* or c*, sigma and its mirror),
-so each shift costs O(d) integer operations: the x_i^2 of the diagonal
-test and the middle factors.  `verify_leonard_pair_square` and
-`ordering_witness` decide one shift on the same facts.
+(d, r, s) and decides each run's shifts in this process, yielding records
+run by run.  A run reads its array facts once, straight from the integer
+pairs of the closed forms (`params._dual_hahn_pairs`), after the invariant
+test that `parameter_array` runs on every array: theta simple, b, c, b*
+and c* nonzero, and the pair sums of a* as integer pairs
+(`_ArrayFacts.from_pairs`).  It builds no Fraction array unless the
+`exhaustive` oracle needs one, and then once per run.  Each shift costs
+O(d) integer operations: the x_i^2 of the diagonal test and the middle
+factors.  `verify_leonard_pair_square` and `ordering_witness` decide one
+shift on the same facts, read from a built array (`_ArrayFacts(p)`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
 from .hyper import format_rational
 from .matrices import RationalMatrix
-from .params import ParameterArray, build_params, check_domain
+from .params import (
+    ParameterArray,
+    _check_invariants,
+    _diagonal_pairs,
+    _dual_hahn_pairs,
+    build_params,
+    check_domain,
+)
 from .representations import _over_common_denominator, matrix_Lstar_ustar_basis
 from .scan import scan_tridiagonal_orderings
 
@@ -140,6 +151,11 @@ def _sigma(d: int) -> tuple[int, ...]:
     return tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
 
 
+def _pair_sums(a):
+    """a_i + a_{i+1} from integer pairs (n_i, q_i), as unreduced pairs."""
+    return [(n * q1 + n1 * q, q * q1) for (n, q), (n1, q1) in zip(a, a[1:])]
+
+
 def candidate_orderings(d: int) -> list[BasisOrdering]:
     """The four closed-form orderings, in display order: sigma, sigma
     reversed, the mirror k -> d - k of sigma, and the mirror reversed.
@@ -157,33 +173,61 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 class _ArrayFacts:
     """The facts of one parameter array that every shift's verdict reads,
     read once: whether theta is simple, whether b and c are nonzero, theta*
-    over one denominator, whether a b* or c* is zero, the pair sums
-    A_i + A_{i+1} of a* over one denominator, and sigma and its mirror.  On
-    top of them a shift costs O(d) integer operations (`verify`)."""
+    over one denominator, whether a b* or c* is zero, and the pair sums
+    a*_i + a*_{i+1} as integer pairs.  On top of them a shift costs O(d)
+    integer operations (`verify`).  `_ArrayFacts(p)` reads them from an
+    array; `from_pairs` reads a dual Hahn array's from its integer pairs and
+    builds the array only if the `exhaustive` oracle needs it."""
 
     def __init__(self, p: ParameterArray):
         d = p.d
-        self.p = p
+        self.d, self.r, self.s, self._array = d, p.r, p.s, p
         self.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
         self.u_irreducible = all(p.b[:d]) and all(p.c[1:])
         self.theta_star, self.theta_star_den = _over_common_denominator(p.theta_star)
         self.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
-        A, self.a_star_den = _over_common_denominator(p.a_star)
-        self.pair_sums = [A[i] + A[i + 1] for i in range(d)]
-        sigma = _sigma(d)
-        self.sigma = BasisOrdering(sigma)
-        self.mirror = BasisOrdering(tuple(d - k for k in sigma))
+        self.pair_sums = _pair_sums([v.as_integer_ratio() for v in p.a_star])
+
+    @classmethod
+    def from_pairs(cls, d: int, r: Fraction, s: Fraction, pairs) -> "_ArrayFacts":
+        """The facts of the dual Hahn array of (d, r, s) from its integer
+        pairs (theta, b, c, b*, c*) (`_dual_hahn_pairs`), checked by the
+        invariant test of `parameter_array`, which raises as it does.  A
+        valid array has theta simple and every interior b, c, b*, c*
+        nonzero; theta*_i = i, so a*_i = -b*_i - c*_i."""
+        theta, b, c, b_star, c_star = pairs
+        _check_invariants(d, theta, b, c, b_star, c_star)
+        facts = cls.__new__(cls)
+        facts.d, facts.r, facts.s, facts._array = d, r, s, None
+        facts.theta_simple = facts.u_irreducible = True
+        facts.theta_star, facts.theta_star_den = range(d + 1), 1
+        facts.cut = False
+        facts.pair_sums = _pair_sums(_diagonal_pairs((0, 1), b_star, c_star))
+        return facts
+
+    def array(self) -> ParameterArray:
+        """The parameter array, built on first use by `from_pairs` facts."""
+        if self._array is None:
+            self._array = build_params(self.d, self.r, self.s)
+        return self._array
+
+    @cached_property
+    def sigma(self) -> BasisOrdering:
+        return BasisOrdering(_sigma(self.d))
+
+    @cached_property
+    def mirror(self) -> BasisOrdering:
+        return BasisOrdering(tuple(self.d - k for k in self.sigma.perm))
 
     def witness(self, L: int, M: int) -> Optional[BasisOrdering]:
         """`ordering_witness` at the shift L / M (M > 0): m_i is nonzero iff
-        2 L E + M (A_i + A_{i+1}) is, with a*_i = A_i / E."""
-        d = self.p.d
+        2 L q_i + M n_i is, with a*_i + a*_{i+1} = n_i / q_i."""
+        d = self.d
         if d == 0:
             return self.sigma
         if self.cut:
             return None
-        twice = 2 * L * self.a_star_den
-        nonzero = [i for i, pair in enumerate(self.pair_sums) if twice + M * pair]
+        nonzero = [i for i, (n, q) in enumerate(self.pair_sums) if 2 * L * q + M * n]
         if nonzero == [d - 1]:
             return self.sigma
         if nonzero == [0]:
@@ -192,8 +236,7 @@ class _ArrayFacts:
 
     def verify(self, lam: Fraction, exhaustive: bool) -> LeonardPairReport:
         """`verify_leonard_pair_square` at the shift `lam`, a Fraction."""
-        p = self.p
-        d = p.d
+        d = self.d
         L, M = lam.as_integer_ratio()
         E = self.theta_star_den
         LE = L * E
@@ -212,15 +255,15 @@ class _ArrayFacts:
         verdict = all(ok for _, ok in trace)
 
         if exhaustive:
-            all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(p, lam))
+            all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(self.array(), lam))
             agree = witness.perm in all_witnesses if found else not all_witnesses
             # key name kept as is: readers of the CLI JSON match on it
             trace.append(("exhaustive permutation oracle agrees with candidates", agree))
             if not agree:
                 raise InternalInconsistencyError(
                     f"candidate orderings say {found} but the ordering scan found "
-                    f"{len(all_witnesses)} witnesses at d={d}, r={format_rational(p.r)}, "
-                    f"s={format_rational(p.s)}, shift={format_rational(lam)}"
+                    f"{len(all_witnesses)} witnesses at d={d}, r={format_rational(self.r)}, "
+                    f"s={format_rational(self.s)}, shift={format_rational(lam)}"
                 )
 
         return LeonardPairReport(
@@ -253,8 +296,8 @@ def ordering_witness(
       (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so this returns
       None there and the `exhaustive` oracle raises.
 
-    With a*_i = A_i / E over one denominator and shift = L / M, m_i is
-    nonzero iff 2 L E + M (A_i + A_{i+1}) is.
+    With a*_i + a*_{i+1} = n_i / q_i and shift = L / M, m_i is nonzero iff
+    2 L q_i + M n_i is.
     """
     return _ArrayFacts(p).witness(*Fraction(shift).as_integer_ratio())
 
@@ -291,10 +334,21 @@ def theorem_conditions(
     R / D and s = S / D' are in lowest terms, so r + s == 0 iff (R, D) ==
     (-S, D'), and with shift = L / M (D, M > 0) 2 shift == r - d iff
     2 L D == M (R - d D)."""
-    R, D = p.r.as_integer_ratio()
-    S, D_s = p.s.as_integer_ratio()
-    L, M = Fraction(shift).as_integer_ratio()
-    return (R != 0, R == -S and D == D_s, 2 * L * D == M * (R - p.d * D))
+    return _theorem_conditions(p.d, p.r, p.s)(Fraction(shift))
+
+
+def _theorem_conditions(d: int, r: Fraction, s: Fraction):
+    """`theorem_conditions` of (d, r, s) as a function of a Fraction shift,
+    with r and s read once."""
+    R, D = r.as_integer_ratio()
+    S, D_s = s.as_integer_ratio()
+    nonzero, opposite, target = R != 0, R == -S and D == D_s, R - d * D
+
+    def flags(shift: Fraction) -> tuple[bool, bool, bool]:
+        L, M = shift.as_integer_ratio()
+        return (nonzero, opposite, 2 * L * D == M * target)
+
+    return flags
 
 
 def d2_condition(p: ParameterArray, shift: Fraction | int) -> bool:
@@ -383,15 +437,19 @@ def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fra
 def _evaluate_run(
     d: int, r: Fraction, s: Fraction, shifts: list[Fraction], exhaustive: bool
 ) -> list[SearchRecord]:
-    """The records of one run: every shift of a (d, r, s), decided on one
-    parameter array, whose facts are read once (`_ArrayFacts`)."""
-    p = build_params(d, r, s)
-    facts = _ArrayFacts(p)
+    """The records of one run: every shift of a (d, r, s), decided on facts
+    read once from the array's integer pairs (`_dual_hahn_pairs`,
+    `_ArrayFacts.from_pairs`), which are checked for every invariant of
+    `parameter_array`.  The Fraction array is built only for the
+    `exhaustive` oracle, once per run; r and s are read once for the
+    theorem flags."""
+    facts = _ArrayFacts.from_pairs(d, r, s, _dual_hahn_pairs(d, r, s))
+    flags = _theorem_conditions(d, r, s)
     return [
         SearchRecord(
             d=d, r=r, s=s, shift=lam,
             report=facts.verify(lam, exhaustive),
-            theorem_flags=theorem_conditions(p, lam),
+            theorem_flags=flags(lam),
         )
         for lam in shifts
     ]

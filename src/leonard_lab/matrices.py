@@ -117,12 +117,12 @@ class RationalMatrix:
             base = i * p
             for k in range(m):
                 a = self.entries[i * m + k]
-                if a == 0:
+                if not a:
                     continue
                 obase = k * p
                 for j in range(p):
                     b = other.entries[obase + j]
-                    if b != 0:
+                    if b:
                         flat[base + j] += a * b
         return RationalMatrix(n, p, tuple(flat))
 

@@ -8,12 +8,17 @@ the same structural invariants for both.
 
 Dual Hahn: theta_i = (d-i)(d-i+r+s+1), theta*_i = i, b_i = (d-i)(d-i+s),
 c_i = i(i+r), and the starred (difference-operator) coefficients, whose
-Pochhammer quotients telescope to a few factors each.  `build_params` forms
-every entry as one integer quotient over the common denominator of r and s,
-so an array costs O(d) operations.  `parameter_array` completes k_i, k*_i and
-nu as running integer products of b/c quotients; `check_closed_forms` checks
-them against the hypergeometric closed forms, evaluated as integer Pochhammer
-products, so the two routes share no code.
+Pochhammer quotients telescope to a few factors each.  These closed forms
+are written once, in `_dual_hahn_pairs`, which returns every entry as one
+unreduced integer pair over the common denominator of r and s, in O(d)
+operations.  `build_params` forms its Fractions from those pairs; a search
+run reads its facts from the pairs directly (`leonard._ArrayFacts`) and
+builds no Fraction array.  Both validate through one O(d) test on integer
+pairs (`_check_invariants`), whose weight test is a sign test.
+`parameter_array` completes k_i, k*_i and nu as running integer products of
+b/c quotients; `check_closed_forms` checks them against the hypergeometric
+closed forms, evaluated as integer Pochhammer products, so the two routes
+share no code.
 
 Boundary conventions: b_d, c_0, b*_d, c*_0 are stored as exact zeros.  The
 out-of-range symbols (theta_{-1}, b*_{-1}, c*_{d+1}, ...) are never
@@ -78,38 +83,40 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Pa
     Requires d >= 0 and r, s > -1; raises ParameterDomainError otherwise.
     """
     r, s = check_domain(d, r, s)
+    theta, b, c, b_star, c_star = map(_quotients, _dual_hahn_pairs(d, r, s))
+    theta_star = tuple(Fraction(i) for i in range(d + 1))
+    return parameter_array(d, r, s, theta, theta_star, b, c, b_star, c_star)
 
-    # Over the common denominator D of r = R/D and s = S/D every entry is one
-    # integer quotient.  The Pochhammer quotients of b*_i and c*_i telescope:
-    # (x+2)_i / (x)_{i+1} = (x+i+1) / (x(x+1)) with x = 2(d-i)+r+s > 0, and
-    # (y)_n / (y+1)_{n+1} = y / ((y+n)(y+n+1)) with y = d-i+r+s+1, n = d-i,
-    # which is 1/(y+1) at n = 0, where y itself vanishes when r+s = -1.
+
+def _dual_hahn_pairs(d: int, r: Fraction, s: Fraction):
+    """theta, b, c, b* and c* of the dual Hahn array (theta*_i = i) as lists
+    of unreduced integer pairs (numerator, denominator), every denominator
+    positive; (d, r, s) must be in the domain (`check_domain`).
+
+    Over the common denominator D of r = R/D and s = S/D every entry is one
+    integer quotient.  The Pochhammer quotients of b*_i and c*_i telescope:
+    (x+2)_i / (x)_{i+1} = (x+i+1) / (x(x+1)) with x = 2(d-i)+r+s > 0, and
+    (y)_n / (y+1)_{n+1} = y / ((y+n)(y+n+1)) with y = d-i+r+s+1, n = d-i,
+    which is 1/(y+1) at n = 0, where y itself vanishes when r+s = -1.
+    """
     D = r.denominator * s.denominator
     R = r.numerator * s.denominator
     S = s.numerator * r.denominator
-    theta = tuple(Fraction((d - i) * ((d - i + 1) * D + R + S), D) for i in range(d + 1))
-    theta_star = tuple(Fraction(i) for i in range(d + 1))
-
-    b = tuple(Fraction((d - i) * ((d - i) * D + S), D) for i in range(d)) + (Fraction(0),)
-    c = (Fraction(0),) + tuple(Fraction(i * (i * D + R), D) for i in range(1, d + 1))
-
+    theta = [((d - i) * ((d - i + 1) * D + R + S), D) for i in range(d + 1)]
+    b = [((d - i) * ((d - i) * D + S), D) for i in range(d)] + [(0, 1)]
+    c = [(0, 1)] + [(i * (i * D + R), D) for i in range(1, d + 1)]
     b_star = []
     for i in range(d):
         X = 2 * (d - i) * D + R + S  # X = x D
-        b_star.append(
-            Fraction((d - i) * ((i - d) * D - S) * (X + (i + 1) * D), X * (X + D))
-        )
-    b_star.append(Fraction(0))
-    c_star = [Fraction(0)]
+        b_star.append(((d - i) * ((i - d) * D - S) * (X + (i + 1) * D), X * (X + D)))
+    b_star.append((0, 1))
+    c_star = [(0, 1)]
     for i in range(1, d + 1):
         n = d - i
         Y = (n + 1) * D + R + S  # Y = y D
         num = i * ((i - d - 1) * D - R)  # = i (i-d-r-1) D
-        c_star.append(
-            Fraction(num * Y, (Y + n * D) * (Y + (n + 1) * D)) if n else Fraction(num, Y + D)
-        )
-
-    return parameter_array(d, r, s, theta, theta_star, b, c, tuple(b_star), tuple(c_star))
+        c_star.append((num * Y, (Y + n * D) * (Y + (n + 1) * D)) if n else (num, Y + D))
+    return theta, b, c, b_star, c_star
 
 
 def parameter_array(
@@ -127,32 +134,18 @@ def parameter_array(
     a_i = theta_0 - b_i - c_i, a*_i likewise, k and k* as cumulative b/c
     quotients, and nu = prod_j (theta_0 - theta_j) / c_j.
 
-    Raises ParameterInvariantError unless the boundary entries b_d, c_0, b*_d,
-    c*_0 are zero, the interior ones nonzero, the theta_i distinct and the
-    weights positive.
+    Raises ParameterInvariantError unless the array passes
+    `_check_invariants`.
     """
-    # Every entry is read once as an integer pair; the checks below run on the
-    # numerators, and each derived entry is one integer quotient.
+    # Every entry is read once as an integer pair; the checks run on the
+    # pairs, and each derived entry is one integer quotient.
     theta_q = [v.as_integer_ratio() for v in theta]
     b_q = [v.as_integer_ratio() for v in b]
     c_q = [v.as_integer_ratio() for v in c]
     b_star_q = [v.as_integer_ratio() for v in b_star]
     c_star_q = [v.as_integer_ratio() for v in c_star]
+    _check_invariants(d, theta_q, b_q, c_q, b_star_q, c_star_q)
 
-    # The zero pattern is checked first: the weights divide by c_i and c*_i.
-    if any(b_q[i][0] == 0 for i in range(d)) or any(c_q[i][0] == 0 for i in range(1, d + 1)):
-        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
-    if any(b_star_q[i][0] == 0 for i in range(d)) or any(
-        c_star_q[i][0] == 0 for i in range(1, d + 1)
-    ):
-        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
-    if b_q[d][0] or c_q[0][0] or b_star_q[d][0] or c_star_q[0][0]:
-        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
-    if len(set(theta_q)) != d + 1:
-        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
-
-    k = _cumulative_quotients(b_q, c_q)
-    k_star = _cumulative_quotients(b_star_q, c_star_q)
     # nu = prod_j (t_0 e_j - t_j e_0) g_j / (e_0 e_j f_j) with theta_j = t_j/e_j
     # and c_j = f_j/g_j.
     t0, e0 = theta_q[0]
@@ -160,16 +153,6 @@ def parameter_array(
     for (t, e), (f, g) in zip(theta_q[1:], c_q[1:]):
         nu_num *= (t0 * e - t * e0) * g
         nu_den *= e0 * e * f
-    nu = Fraction(nu_num, nu_den)
-    # A reduced Fraction has a positive denominator, so its sign is that of
-    # its numerator.
-    if (
-        any(v.numerator <= 0 for v in k)
-        or any(v.numerator <= 0 for v in k_star)
-        or nu_num * nu_den <= 0
-    ):
-        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
-
     return ParameterArray(
         d=d,
         r=r,
@@ -178,23 +161,58 @@ def parameter_array(
         theta_star=theta_star,
         b=b,
         c=c,
-        a=_diagonal(theta_q[0], b_q, c_q),
-        k=k,
-        nu=nu,
+        a=_quotients(_diagonal_pairs(theta_q[0], b_q, c_q)),
+        k=_cumulative_quotients(b_q, c_q),
+        nu=Fraction(nu_num, nu_den),
         b_star=b_star,
         c_star=c_star,
-        a_star=_diagonal(theta_star[0].as_integer_ratio(), b_star_q, c_star_q),
-        k_star=k_star,
+        a_star=_quotients(_diagonal_pairs(theta_star[0].as_integer_ratio(), b_star_q, c_star_q)),
+        k_star=_cumulative_quotients(b_star_q, c_star_q),
     )
 
 
-def _diagonal(first, b, c):
-    """theta_0 - b_i - c_i for every i, from integer pairs, one quotient each."""
+def _check_invariants(d, theta, b, c, b_star, c_star) -> None:
+    """Raise ParameterInvariantError unless the boundary entries b_d, c_0,
+    b*_d, c*_0 are zero, the interior ones nonzero, the theta_i distinct and
+    the weights positive.  Every entry is an integer pair (numerator,
+    denominator) with a positive denominator, reduced or not.
+
+    Each test is O(d) on the pairs.  k_i = prod_{j <= i} b_{j-1} / c_j, so
+    every k_i is positive iff every b_{j-1} c_j is, and k* likewise; nu =
+    prod_j (theta_0 - theta_j) / c_j is positive iff an even number of its
+    factors is negative.
+    """
+    # The zero pattern is checked first: the weights divide by c_i and c*_i.
+    if not (all(n for n, _ in b[:d]) and all(n for n, _ in c[1:])):
+        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
+    if not (all(n for n, _ in b_star[:d]) and all(n for n, _ in c_star[1:])):
+        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
+    if b[d][0] or c[0][0] or b_star[d][0] or c_star[0][0]:
+        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
+    # Equal rationals with positive denominators have equal reduced pairs.
+    if len({(t // g, e // g) for t, e in theta for g in (math.gcd(t, e),)}) != d + 1:
+        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
+    t0, e0 = theta[0]
+    if (
+        any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b, c[1:]))
+        or any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b_star, c_star[1:]))
+        or sum((t0 * e > t * e0) != (f > 0) for (t, e), (f, _) in zip(theta[1:], c[1:])) % 2
+    ):
+        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
+
+
+def _diagonal_pairs(first, b, c):
+    """theta_0 - b_i - c_i for every i as integer pairs, from integer pairs."""
     t, e = first
-    return tuple(
-        Fraction(t * bd * cd - (bn * cd + cn * bd) * e, e * bd * cd)
+    return [
+        (t * bd * cd - (bn * cd + cn * bd) * e, e * bd * cd)
         for (bn, bd), (cn, cd) in zip(b, c)
-    )
+    ]
+
+
+def _quotients(pairs):
+    """The Fractions of integer pairs (numerator, denominator)."""
+    return tuple(Fraction(num, den) for num, den in pairs)
 
 
 def _cumulative_quotients(b, c):

@@ -27,7 +27,7 @@ def scan_tridiagonal_orderings(matrix: RationalMatrix) -> list[tuple[int, ...]]:
     n = matrix.rows
     if n <= 1:
         return [tuple(range(n))]
-    nonzero = [e != 0 for e in matrix.entries]
+    nonzero = [bool(e) for e in matrix.entries]
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

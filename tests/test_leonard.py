@@ -27,7 +27,7 @@ from leonard_lab.leonard import (
     verify_leonard_pair_square,
 )
 from leonard_lab.matrices import RationalMatrix
-from leonard_lab.params import build_params
+from leonard_lab.params import ParameterInvariantError, build_params, parameter_array
 from leonard_lab.representations import (
     matrix_L_u_basis,
     matrix_Lstar_u_basis,
@@ -561,18 +561,21 @@ def test_search_yields_first_record_before_the_last_point_is_evaluated(monkeypat
     ids=["canonical", "lists"],
 )
 def test_search_builds_each_array_once(monkeypatch, grid, runs):
-    built = []
-    build = leonard.build_params
+    # One set of integer pairs per run; no Fraction array without `exhaustive`.
+    paired, built = [], []
+    pairs = leonard._dual_hahn_pairs
 
     def counting(d, r, s):
-        built.append((d, r, s))
-        return build(d, r, s)
+        paired.append((d, r, s))
+        return pairs(d, r, s)
 
-    monkeypatch.setattr(leonard, "build_params", counting)
+    monkeypatch.setattr(leonard, "_dual_hahn_pairs", counting)
+    monkeypatch.setattr(leonard, "build_params", lambda *args: built.append(args))
     records = list(search_square_preserving(grid))
     assert len(records) == len(_sorted_grid_points(grid))
-    assert built == sorted(set(built))
-    assert len(built) == runs
+    assert paired == sorted(set(paired))
+    assert len(paired) == runs
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -871,8 +874,9 @@ def test_a_run_decides_each_shift_like_the_per_point_body(d, barred, data):
 
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
-    # Six shifts of one (d, r, s): one array, and theta* and a* put over a
-    # denominator once each, not once per shift.
+    # Six shifts of one (d, r, s): one set of integer pairs, a Fraction array
+    # only for the exhaustive oracle and then once, and nothing put over a
+    # common denominator.
     calls = Counter()
 
     def counting(name, function):
@@ -881,6 +885,7 @@ def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
             return function(*args)
         return counted
 
+    monkeypatch.setattr(leonard, "_dual_hahn_pairs", counting("pairs", leonard._dual_hahn_pairs))
     monkeypatch.setattr(leonard, "build_params", counting("build", leonard.build_params))
     monkeypatch.setattr(leonard, "_over_common_denominator",
                         counting("denominator", leonard._over_common_denominator))
@@ -890,7 +895,116 @@ def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
     records = list(search_square_preserving(grid))
     assert [rec.shift for rec in records] == sorted(shifts)
     assert sum(rec.report.verdict for rec in records) == 1
-    assert calls == {"build": 1, "denominator": 2}
+    assert calls == Counter(pairs=1, build=int(exhaustive), denominator=0)
+
+
+# -- the integer-pair path -----------------------------------------------------
+
+
+def _fraction_entries(d, r, s):
+    """theta, b, c, b* and c* of the dual Hahn array by the Fraction
+    formulas `build_params` used before the integer-pair kernel, kept as the
+    oracle."""
+    D = r.denominator * s.denominator
+    R = r.numerator * s.denominator
+    S = s.numerator * r.denominator
+    theta = tuple(F((d - i) * ((d - i + 1) * D + R + S), D) for i in range(d + 1))
+    b = tuple(F((d - i) * ((d - i) * D + S), D) for i in range(d)) + (F(0),)
+    c = (F(0),) + tuple(F(i * (i * D + R), D) for i in range(1, d + 1))
+    b_star = []
+    for i in range(d):
+        X = 2 * (d - i) * D + R + S
+        b_star.append(F((d - i) * ((i - d) * D - S) * (X + (i + 1) * D), X * (X + D)))
+    b_star.append(F(0))
+    c_star = [F(0)]
+    for i in range(1, d + 1):
+        n = d - i
+        Y = (n + 1) * D + R + S
+        num = i * ((i - d - 1) * D - R)
+        c_star.append(F(num * Y, (Y + n * D) * (Y + (n + 1) * D)) if n else F(num, Y + D))
+    return theta, b, c, tuple(b_star), tuple(c_star)
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.integers(0, 14), r=_OPEN_RATIONALS, opposite=st.booleans(), data=st.data())
+def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
+    # s = -r needs r < 1; otherwise s is drawn free.
+    s = -r if opposite and r < 1 else data.draw(_OPEN_RATIONALS)
+    pairs = leonard._dual_hahn_pairs(d, r, s)
+    assert all(q > 0 for entries in pairs for _, q in entries)
+    p = build_params(d, r, s)
+    assert tuple(tuple(F(n, q) for n, q in entries) for entries in pairs) == (
+        _fraction_entries(d, r, s)) == (p.theta, p.b, p.c, p.b_star, p.c_star)
+    shifts = data.draw(st.lists(
+        st.one_of(
+            st.just(canonical_shift(p)),
+            st.sampled_from(_zeroing_shifts(p)),
+            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+        ),
+        min_size=1, max_size=6,
+    ))
+    exhaustive = d <= 6 and data.draw(st.booleans())
+    facts = leonard._ArrayFacts.from_pairs(d, r, s, pairs)
+    oracle = leonard._ArrayFacts(p)
+    assert [facts.verify(lam, exhaustive) for lam in shifts] == [
+        oracle.verify(lam, exhaustive) for lam in shifts]
+    assert [facts.witness(*lam.as_integer_ratio()) for lam in shifts] == [
+        ordering_witness(p, lam) for lam in shifts]
+    flags = leonard._theorem_conditions(d, r, s)
+    assert [flags(lam) for lam in shifts] == [
+        _fraction_theorem_conditions(p, lam) for lam in shifts]
+
+
+THETA, B, C, B_STAR, C_STAR = range(5)  # the lists of `_dual_hahn_pairs`
+
+
+def _replaced(field, at, value):
+    """A perturbation that sets entry `at` of list `field` to value(pairs)."""
+    def perturb(pairs):
+        pairs[field][at] = value(pairs)
+    return perturb
+
+
+def _nu_only(pairs):
+    """theta_d moved above theta_0: exactly one factor (theta_0 - theta_j) / c_j
+    of nu turns negative, while theta stays simple and k, k* (which read no
+    theta) keep their signs."""
+    t0, e0 = pairs[THETA][0]
+    pairs[THETA][-1] = (t0 + e0, e0)
+    theta = [F(n, q) for n, q in pairs[THETA]]
+    c = [F(n, q) for n, q in pairs[C]]
+    assert len(set(theta)) == len(theta)
+    assert sum((theta[0] - t) / f < 0 for t, f in zip(theta[1:], c[1:])) == 1
+
+
+_PAIR_PERTURBATIONS = {
+    "zero interior b": (_replaced(B, 1, lambda p: (0, 1)), "interior b_i, c_i must be nonzero"),
+    "zero interior c": (_replaced(C, 4, lambda p: (0, 7)), "interior b_i, c_i must be nonzero"),
+    "zero interior b*": (_replaced(B_STAR, 0, lambda p: (0, 1)),
+                         "interior b*_i, c*_i must be nonzero"),
+    "zero interior c*": (_replaced(C_STAR, 2, lambda p: (0, 1)),
+                         "interior b*_i, c*_i must be nonzero"),
+    # theta_3 = theta_1 as an unreduced pair: equal values, unequal pairs
+    "repeated theta": (_replaced(THETA, 3, lambda p: tuple(2 * v for v in p[THETA][1])),
+                       "eigenvalues theta_i are not distinct"),
+    "flipped c_j": (_replaced(C, 2, lambda p: (-p[C][2][0], p[C][2][1])),
+                    "weights k_i, k*_i and nu must be positive"),
+    "nu only": (_nu_only, "weights k_i, k*_i and nu must be positive"),
+}
+
+
+@pytest.mark.parametrize("perturb, message", _PAIR_PERTURBATIONS.values(),
+                         ids=_PAIR_PERTURBATIONS)
+def test_perturbed_pairs_fail_like_parameter_array(perturb, message):
+    d, r, s = 4, F(1, 3), F(1, 2)
+    pairs = [list(entries) for entries in leonard._dual_hahn_pairs(d, r, s)]
+    perturb(pairs)
+    theta, b, c, b_star, c_star = (tuple(F(n, q) for n, q in entries) for entries in pairs)
+    with pytest.raises(ParameterInvariantError) as from_array:
+        parameter_array(d, r, s, theta, tuple(map(F, range(d + 1))), b, c, b_star, c_star)
+    with pytest.raises(ParameterInvariantError) as from_pairs:
+        leonard._ArrayFacts.from_pairs(d, r, s, pairs)
+    assert str(from_array.value) == str(from_pairs.value) == message
 
 
 # -- the ordering rule ----------------------------------------------------------
