@@ -10,8 +10,9 @@ closing stdout early, as `| head` does), 1 internal inconsistency (the
 exhaustive oracle disagreed, a printed identity is false, or a library check
 failed unexpectedly: one line), 2 parameter domain error, 64 usage
 (malformed flags or rationals, a repeated or ignored list value, an --output
-that cannot be opened).  Rationals on the command line use the exact p/q
-form; decimals are rejected.
+that cannot be opened, a result that cannot be written to stdout or
+--output).  Rationals on the command line use the exact p/q form, with no
+limit on their digits; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -203,8 +204,11 @@ def _emit(text: str, output: str | None = None) -> None:
         fh = open(output, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot open --output {output}: {exc.strerror}") from None
-    with fh:
-        fh.write(text)
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output}: {exc.strerror}") from None
 
 
 def _require(holds: bool, what: str) -> None:
@@ -342,6 +346,28 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An exact result, or a rational on the command line, may have more
+    # digits than int <-> str conversion allows by default (4300): lift the
+    # limit while the command runs.
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's last flush
+    cannot fail again on output that is already lost."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     try:
@@ -353,13 +379,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout early (`| head`).  Point stdout at the
-        # null device so the interpreter's last flush cannot fail again, and
-        # end quietly: the output that was wanted has been delivered.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader closed stdout early (`| head`): end quietly, the output
+        # that was wanted has been delivered.
+        _silence_stdout()
         return EXIT_OK
+    except OSError as exc:
+        # Only stdout is written here (`_emit` reports --output itself), and
+        # a write of it failed: a full disk, say.
+        _silence_stdout()
+        print(f"usage error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, RationalFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,21 +2,23 @@
 
 One `ParameterArray` type holds both arrays: the dual Hahn array of (L, L*),
 built here from (d, r, s), and the barred (Racah) array built in `racah`.  A
-builder supplies closed forms for theta_i, theta*_i, b_i, c_i, b*_i and c*_i;
-`parameter_array` derives a_i, a*_i, k_i, k*_i and nu from them and checks
-the same structural invariants for both.
+builder supplies closed forms for theta_i, theta*_i, b_i, c_i, b*_i and c*_i
+as integer pairs (numerator, positive denominator), reduced or not;
+`parameter_array` checks the same structural invariants on the pairs for
+both, derives a_i, a*_i, k_i, k*_i and nu from them, and forms every stored
+Fraction once.
 
 Dual Hahn: theta_i = (d-i)(d-i+r+s+1), theta*_i = i, b_i = (d-i)(d-i+s),
 c_i = i(i+r), and the starred (difference-operator) coefficients, whose
 Pochhammer quotients telescope to a few factors each.  These closed forms
 are written once, in `_dual_hahn_pairs`, which returns every entry as one
 unreduced integer pair over the common denominator of r and s, in O(d)
-operations.  `build_params` forms its Fractions from those pairs; a search
-run reads its facts from the pairs directly (`leonard._ArrayFacts`) and
+operations.  `build_params` hands those pairs to `parameter_array`; a
+search run reads its facts from them directly (`leonard._ArrayFacts`) and
 builds no Fraction array.  Both validate through one O(d) test on integer
 pairs (`_check_invariants`), whose weight test is a sign test.
-`parameter_array` completes k_i, k*_i and nu as running integer products of
-b/c quotients; `check_closed_forms` checks them against the hypergeometric
+`parameter_array` completes k_i, k*_i and nu as running products of b/c
+quotients; `check_closed_forms` checks them against the hypergeometric
 closed forms, evaluated as integer Pochhammer products, so the two routes
 share no code.
 
@@ -83,8 +85,8 @@ def build_params(d: int, r: Fraction | int | str, s: Fraction | int | str) -> Pa
     Requires d >= 0 and r, s > -1; raises ParameterDomainError otherwise.
     """
     r, s = check_domain(d, r, s)
-    theta, b, c, b_star, c_star = map(_quotients, _dual_hahn_pairs(d, r, s))
-    theta_star = tuple(Fraction(i) for i in range(d + 1))
+    theta, b, c, b_star, c_star = _dual_hahn_pairs(d, r, s)
+    theta_star = [(i, 1) for i in range(d + 1)]
     return parameter_array(d, r, s, theta, theta_star, b, c, b_star, c_star)
 
 
@@ -120,54 +122,39 @@ def _dual_hahn_pairs(d: int, r: Fraction, s: Fraction):
 
 
 def parameter_array(
-    d: int,
-    r: Fraction,
-    s: Fraction,
-    theta: tuple[Fraction, ...],
-    theta_star: tuple[Fraction, ...],
-    b: tuple[Fraction, ...],
-    c: tuple[Fraction, ...],
-    b_star: tuple[Fraction, ...],
-    c_star: tuple[Fraction, ...],
+    d: int, r: Fraction, s: Fraction, theta, theta_star, b, c, b_star, c_star
 ) -> ParameterArray:
-    """Complete an array from its eigenvalues and off-diagonal coefficients:
-    a_i = theta_0 - b_i - c_i, a*_i likewise, k and k* as cumulative b/c
-    quotients, and nu = prod_j (theta_0 - theta_j) / c_j.
+    """Complete an array from its eigenvalues and off-diagonal coefficients,
+    each a sequence of integer pairs (numerator, positive denominator),
+    reduced or not: a_i = theta_0 - b_i - c_i, a*_i likewise, k and k* as
+    cumulative b/c quotients, and nu = prod_j (theta_0 - theta_j) / c_j.
+    Every stored entry is formed as a Fraction once, from its pair.
 
-    Raises ParameterInvariantError unless the array passes
-    `_check_invariants`.
+    Raises ParameterInvariantError unless the pairs pass `_check_invariants`.
     """
-    # Every entry is read once as an integer pair; the checks run on the
-    # pairs, and each derived entry is one integer quotient.
-    theta_q = [v.as_integer_ratio() for v in theta]
-    b_q = [v.as_integer_ratio() for v in b]
-    c_q = [v.as_integer_ratio() for v in c]
-    b_star_q = [v.as_integer_ratio() for v in b_star]
-    c_star_q = [v.as_integer_ratio() for v in c_star]
-    _check_invariants(d, theta_q, b_q, c_q, b_star_q, c_star_q)
-
+    _check_invariants(d, theta, b, c, b_star, c_star)
     # nu = prod_j (t_0 e_j - t_j e_0) g_j / (e_0 e_j f_j) with theta_j = t_j/e_j
     # and c_j = f_j/g_j.
-    t0, e0 = theta_q[0]
+    t0, e0 = theta[0]
     nu_num = nu_den = 1
-    for (t, e), (f, g) in zip(theta_q[1:], c_q[1:]):
+    for (t, e), (f, g) in zip(theta[1:], c[1:]):
         nu_num *= (t0 * e - t * e0) * g
         nu_den *= e0 * e * f
     return ParameterArray(
         d=d,
         r=r,
         s=s,
-        theta=theta,
-        theta_star=theta_star,
-        b=b,
-        c=c,
-        a=_quotients(_diagonal_pairs(theta_q[0], b_q, c_q)),
-        k=_cumulative_quotients(b_q, c_q),
+        theta=_quotients(theta),
+        theta_star=_quotients(theta_star),
+        b=_quotients(b),
+        c=_quotients(c),
+        a=_quotients(_diagonal_pairs(theta[0], b, c)),
+        k=_cumulative_quotients(b, c),
         nu=Fraction(nu_num, nu_den),
-        b_star=b_star,
-        c_star=c_star,
-        a_star=_quotients(_diagonal_pairs(theta_star[0].as_integer_ratio(), b_star_q, c_star_q)),
-        k_star=_cumulative_quotients(b_star_q, c_star_q),
+        b_star=_quotients(b_star),
+        c_star=_quotients(c_star),
+        a_star=_quotients(_diagonal_pairs(theta_star[0], b_star, c_star)),
+        k_star=_cumulative_quotients(b_star, c_star),
     )
 
 
@@ -216,14 +203,14 @@ def _quotients(pairs):
 
 
 def _cumulative_quotients(b, c):
-    """k_i = prod_{j <= i} b_{j-1} / c_j from integer pairs, as running
-    integer products with one Fraction per entry."""
-    out = [Fraction(1)]
-    num = den = 1
+    """k_i = prod_{j <= i} b_{j-1} / c_j from integer pairs, one Fraction
+    per entry: k_i is formed from the reduced terms of k_{i-1}, so the
+    operands stay small when the pairs are not reduced."""
+    k = Fraction(1)
+    out = [k]
     for (bn, bd), (cn, cd) in zip(b, c[1:]):
-        num *= bn * cd
-        den *= bd * cn
-        out.append(Fraction(num, den))
+        k = Fraction(k.numerator * bn * cd, k.denominator * bd * cn)
+        out.append(k)
     return tuple(out)
 
 

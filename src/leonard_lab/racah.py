@@ -4,11 +4,12 @@ dual Hahn data at s = -r.
 Everything here lives in the regime r in (-1, 1) \\ {0}, s = -r, which is
 exactly where the squared-shift construction produces a second Leonard pair,
 (L, (L* + (r-d)/2)^2).  Its barred array is a `ParameterArray` built from its
-own closed forms and validated by `params.parameter_array`, like the dual
-Hahn one.  The index-mapping, product, and orthogonality checks then confirm
-it is a re-indexing and pairwise product of the unbarred data, with the
-evaluation route furnished by a terminating 4F3.  `verify_racah` runs the
-whole barred suite on one set of artifacts.
+own closed forms, written as integer pairs over the denominator of r, and
+completed and validated by `params.parameter_array`, like the dual Hahn one.
+The index-mapping, product, and orthogonality checks then confirm it is a
+re-indexing and pairwise product of the unbarred data, with the evaluation
+route furnished by a terminating 4F3.  `verify_racah` runs the whole barred
+suite on one set of artifacts.
 """
 
 from __future__ import annotations
@@ -47,29 +48,30 @@ def build_racah_params(d: int, r: Fraction | int | str) -> ParameterArray:
             f"r must lie in (-1, 1) and be nonzero, got {format_rational(r)}"
         )
 
-    # Over r = R/D every entry is one integer quotient.
+    # Over r = R/D every entry is one integer pair (numerator, positive
+    # denominator), as `parameter_array` reads them.
     R, D = r.as_integer_ratio()
-    theta = tuple(Fraction((d - 2 * i) * (d - 2 * i + 1)) for i in range(d + 1))
+    theta = [((d - 2 * i) * (d - 2 * i + 1), 1) for i in range(d + 1)]
     # theta*_i = (i + (r-d)/2)^2 = ((2i-d) D + R)^2 / (2D)^2
-    theta_star = tuple(Fraction(((2 * i - d) * D + R) ** 2, 4 * D * D) for i in range(d + 1))
+    theta_star = [(((2 * i - d) * D + R) ** 2, 4 * D * D) for i in range(d + 1)]
+    b = [((d - i) * ((d - i) * D - R), D) for i in range(d)] + [(0, 1)]
+    c = [(0, 1)] + [(i * (i * D + R), D) for i in range(1, d + 1)]
 
-    b = tuple(Fraction((d - i) * ((d - i) * D - R), D) for i in range(d)) + (Fraction(0),)
-    c = (Fraction(0),) + tuple(Fraction(i * (i * D + R), D) for i in range(1, d + 1))
+    def over(num, x):
+        # num / (2 D^2 (x-1)(x+1)) for even x: (x-1)(x+1) = x^2 - 1 is
+        # negative only at x = 0, where it is -1; the sign goes on num.
+        return (num, 2 * D * D * (x * x - 1)) if x else (-num, 2 * D * D)
 
-    b_star = tuple(
-        Fraction(
-            (d - i) * (2 * (d - i) + 1) * ((d - 2 * i - 1) * D - R) * ((d - 2 * i) * D - R),
-            2 * D * D * (2 * d - 4 * i - 1) * (2 * d - 4 * i + 1),
-        )
+    b_star = [
+        over((d - i) * (2 * (d - i) + 1) * ((d - 2 * i - 1) * D - R) * ((d - 2 * i) * D - R),
+             2 * d - 4 * i)
         for i in range(d)
-    ) + (Fraction(0),)
-    c_star = (Fraction(0),) + tuple(
-        Fraction(
-            i * (2 * i - 1) * ((d - 2 * i + 1) * D + R) * ((d - 2 * i + 2) * D + R),
-            2 * D * D * (2 * d - 4 * i + 1) * (2 * d - 4 * i + 3),
-        )
+    ] + [(0, 1)]
+    c_star = [(0, 1)] + [
+        over(i * (2 * i - 1) * ((d - 2 * i + 1) * D + R) * ((d - 2 * i + 2) * D + R),
+             2 * d - 4 * i + 2)
         for i in range(1, d + 1)
-    )
+    ]
 
     _assert_4f3_denominators(d, R, D)
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -370,6 +371,49 @@ def test_library_failure_maps_to_exit_1(capsys, monkeypatch, error):
     assert out == ""
     assert err.startswith("internal error:")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "destination, unbuffered",
+    [("stdout", False), ("stdout", True), ("--output", False)],
+    ids=["stdout", "stdout-unbuffered", "output"],
+)
+def test_failed_write_of_the_result_is_one_line_and_exit_64(destination, unbuffered):
+    # /dev/full fails every write with ENOSPC: buffered stdout fails at the
+    # last flush, unbuffered stdout and a file at the write itself.
+    argv = ["table", "--d", "2", "--r", "1/2", "--s", "1/2"]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        if destination == "stdout":
+            stdout = full
+        else:
+            stdout, argv = subprocess.PIPE, argv + ["--output", "/dev/full"]
+        proc = subprocess.run([sys.executable, "-m", "leonard_lab", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 64
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    named = "stdout" if destination == "stdout" else "--output /dev/full"
+    assert proc.stderr == f"usage error: cannot write {named}: {os.strerror(errno.ENOSPC)}\n"
+    if destination == "--output":
+        assert proc.stdout == ""
+
+
+def test_rationals_beyond_the_int_string_digit_limit(capsys):
+    # 4400 digits are past the 4300 that int <-> str conversion allows by
+    # default; main lifts the limit while it runs and restores it after.
+    r = "1/" + "9" * 4400
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "params", "--d", "1", "--r", r, "--s", "0")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["r"] == r and payload["closedFormsMatch"] is True
+    assert run_cli(capsys, "params", "--d", "1", "--r", "-" + r[2:], "--s", "0")[0] == 2
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(

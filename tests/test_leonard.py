@@ -27,14 +27,14 @@ from leonard_lab.leonard import (
     verify_leonard_pair_square,
 )
 from leonard_lab.matrices import RationalMatrix
-from leonard_lab.params import ParameterInvariantError, build_params, parameter_array
+from leonard_lab.params import ParameterInvariantError, build_params
 from leonard_lab.representations import (
     matrix_L_u_basis,
     matrix_Lstar_u_basis,
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.scan import scan_tridiagonal_orderings
-from test_params import GRID_RS
+from test_params import GRID_RS, complete_fractions
 
 
 def is_irreducible_tridiagonal(m):
@@ -217,7 +217,12 @@ def _fraction_theorem_conditions(p, shift):
     return (p.r != 0, p.r + p.s == 0, 2 * lam == p.r - p.d)
 
 
-_THEOREM_BASE = build_params(0, 0, 0)
+def _carrying(d, r, s):
+    """A built array that carries (d, r, s), all `theorem_conditions` reads;
+    built when a test runs, not when this module is imported."""
+    return replace(build_params(0, 0, 0), d=d, r=r, s=s)
+
+
 _WIDE_RATIONALS = st.fractions(min_value=-1, max_value=5, max_denominator=10**9).filter(
     lambda x: x > -1
 )
@@ -241,7 +246,7 @@ _WIDE_RATIONALS = st.fractions(min_value=-1, max_value=5, max_denominator=10**9)
 def test_theorem_conditions_on_integer_pairs(d, r, s, lam, flags):
     # r = 0, r + s = 0 against s = r or a near denominator, 2 shift = r - d
     # against a near miss, negative and int shifts, denominators above 10^6.
-    p = replace(_THEOREM_BASE, d=d, r=r, s=s)
+    p = _carrying(d, r, s)
     assert theorem_conditions(p, lam) == _fraction_theorem_conditions(p, lam) == flags
 
 
@@ -255,7 +260,7 @@ def test_theorem_conditions_equal_the_fraction_formula(d, data):
         st.integers(-50, 50),
         st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
     ))
-    p = replace(_THEOREM_BASE, d=d, r=r, s=s)
+    p = _carrying(d, r, s)
     assert theorem_conditions(p, lam) == _fraction_theorem_conditions(p, lam)
 
 
@@ -1001,7 +1006,7 @@ def test_perturbed_pairs_fail_like_parameter_array(perturb, message):
     perturb(pairs)
     theta, b, c, b_star, c_star = (tuple(F(n, q) for n, q in entries) for entries in pairs)
     with pytest.raises(ParameterInvariantError) as from_array:
-        parameter_array(d, r, s, theta, tuple(map(F, range(d + 1))), b, c, b_star, c_star)
+        complete_fractions(d, r, s, theta, tuple(map(F, range(d + 1))), b, c, b_star, c_star)
     with pytest.raises(ParameterInvariantError) as from_pairs:
         leonard._ArrayFacts.from_pairs(d, r, s, pairs)
     assert str(from_array.value) == str(from_pairs.value) == message

@@ -33,6 +33,17 @@ nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(boo
 GRID_D = range(0, 6)
 
 
+def built_when_run(test):
+    """`test(p, at, delta)` as a test of (build, at, delta) that calls
+    build() for p as it runs: a builder that breaks then fails each example,
+    not the import of the test's module."""
+    def run(build, at, delta):
+        test(build(), at, delta)
+    for name in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(run, name, getattr(test, name))
+    return run
+
+
 def pochhammer(x, i):
     """Rising factorial (x)_i = x (x+1) ... (x+i-1) as a Fraction loop."""
     acc = F(1)
@@ -152,9 +163,18 @@ def test_telescoped_starred_coefficients_equal_pochhammer_quotients(d, rs):
 
 
 def _inputs(p):
-    """The arguments `parameter_array` completes p from."""
+    """The arguments `parameter_array` completes p from, as Fractions."""
     return dict(d=p.d, r=p.r, s=p.s, theta=p.theta, theta_star=p.theta_star,
                 b=p.b, c=p.c, b_star=p.b_star, c_star=p.c_star)
+
+
+def complete_fractions(d, r, s, theta, theta_star, b, c, b_star, c_star):
+    """`parameter_array` on Fraction entries, each handed over as its
+    integer pair."""
+    return parameter_array(d, r, s, *(
+        tuple(v.as_integer_ratio() for v in values)
+        for values in (theta, theta_star, b, c, b_star, c_star)
+    ))
 
 
 _BUILDERS = {
@@ -167,7 +187,7 @@ _BUILDERS = {
 def test_both_arrays_are_one_type_rebuilt_by_parameter_array(build):
     p = build()
     assert type(p) is type(build_params(3, F(1, 2), F(-1, 2)))
-    assert parameter_array(**_inputs(p)) == p
+    assert complete_fractions(**_inputs(p)) == p
 
 
 _CORRUPTIONS = {
@@ -183,7 +203,7 @@ _CORRUPTIONS = {
 @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
 def test_parameter_array_rejects_corrupted_input(build, corrupt):
     with pytest.raises(ParameterInvariantError):
-        parameter_array(**corrupt(_inputs(build())))
+        complete_fractions(**corrupt(_inputs(build())))
 
 
 def test_astar_sums_d1_is_one():
@@ -363,7 +383,7 @@ def _outcome(complete, inputs):
 def test_integer_completion_matches_fraction_loop(kind, d, r, s, at, delta):
     p = _array(kind, d, r, s)
     inputs = _inputs(p)
-    assert parameter_array(**inputs) == parameter_array_oracle(**inputs) == p
+    assert complete_fractions(**inputs) == parameter_array_oracle(**inputs) == p
     assert all(type(v) is F for v in (*p.a, *p.a_star, *p.k, *p.k_star, p.nu))
 
 
@@ -390,12 +410,28 @@ def test_corrupted_input_is_rejected_like_the_fraction_loop(
         values = list(inputs[field])
         values[i] = replacement(values, i, delta)
         corrupted = {**inputs, field: tuple(values)}
-        assert _outcome(parameter_array, corrupted) == _outcome(parameter_array_oracle, corrupted)
+        assert _outcome(complete_fractions, corrupted) == _outcome(
+            parameter_array_oracle, corrupted)
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(("dual", "barred")), d=st.integers(0, 16), r=_BOTH_R, s=_DUAL_S,
+       data=st.data())
+def test_parameter_array_reads_pairs_reduced_or_not(kind, d, r, s, data):
+    """Each pair of a built array multiplied through by its own positive
+    factor completes to the same array."""
+    p = _array(kind, d, r, s)
+    scaled = {}
+    for name in ("theta", "theta_star", "b", "c", "b_star", "c_star"):
+        factors = data.draw(st.lists(st.integers(1, 10**6), min_size=d + 1, max_size=d + 1))
+        scaled[name] = [(n * m, q * m) for (n, q), m in
+                        zip(map(F.as_integer_ratio, getattr(p, name)), factors)]
+    assert parameter_array(p.d, p.r, p.s, **scaled) == p
 
 
 def test_distinct_theta_is_decided_on_values_not_numerators():
     inputs = {**_inputs(build_params(2, F(1, 2), F(-1, 2))), "theta": (F(1, 2), F(1, 3), F(1, 5))}
-    assert parameter_array(**inputs) == parameter_array_oracle(**inputs)
+    assert complete_fractions(**inputs) == parameter_array_oracle(**inputs)
 
 
 @array_cases()

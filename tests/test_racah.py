@@ -1,5 +1,6 @@
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from leonard_lab import racah
 from leonard_lab.leonard import candidate_orderings
-from leonard_lab.params import ParameterDomainError, build_params, parameter_array
+from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.racah import (
     affine_maps,
     build_racah_params,
@@ -31,7 +32,7 @@ from leonard_lab.representations import (
     check_orthogonality,
     eval_table_hypergeometric,
 )
-from test_params import nonzero
+from test_params import built_when_run, complete_fractions, nonzero
 from test_representations import with_entry
 
 R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
@@ -348,11 +349,13 @@ def barred_cases(test):
     r = st.fractions(min_value=-1, max_value=1, max_denominator=99).filter(
         lambda x: -1 < x < 1 and x != 0
     )
+    test = built_when_run(test)
     for d, r0 in [(0, F(3, 7)), (1, F(-5, 11)), (2, F(13, 17))]:
-        test = example(q=build_racah_params(d, r0), at=(d, 0), delta=F(1, 2))(test)
+        test = example(build=partial(build_racah_params, d, r0), at=(d, 0), delta=F(1, 2))(test)
     at = st.tuples(st.integers(0, 16), st.integers(0, 16))
+    build = st.builds(partial, st.just(build_racah_params), st.integers(0, 16), r)
     return settings(deadline=None, max_examples=30)(
-        given(q=st.builds(build_racah_params, st.integers(0, 16), r), at=at, delta=nonzero)(test)
+        given(build=build, at=at, delta=nonzero)(test)
     )
 
 
@@ -424,7 +427,7 @@ def racah_params_oracle(d, r):
         for i in range(1, d + 1)
     )
     assert_4f3_denominators_oracle(d, r)
-    return parameter_array(d, r, -r, theta, theta_star, b, c, b_star, c_star)
+    return complete_fractions(d, r, -r, theta, theta_star, b, c, b_star, c_star)
 
 
 def assert_4f3_denominators_oracle(d, r):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -27,7 +28,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
     value_row_degree,
 )
-from test_params import GRID_RS, nonzero
+from test_params import GRID_RS, built_when_run, nonzero
 
 
 def divided_differences(nodes, values):
@@ -199,12 +200,19 @@ racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
 )
 
 
+def array_builders(d_max):
+    """Builders, as partials, of dual Hahn arrays at drawn (d, r, s) and
+    barred arrays at drawn (d, r)."""
+    return st.one_of(
+        st.builds(partial, st.just(build_params), st.integers(0, d_max), dual_rationals,
+                  dual_rationals),
+        st.builds(partial, st.just(build_racah_params), st.integers(0, d_max), racah_r),
+    )
+
+
 def parameter_arrays(d_max):
     """Dual Hahn arrays at drawn (d, r, s) and barred arrays at drawn (d, r)."""
-    return st.one_of(
-        st.builds(build_params, st.integers(0, d_max), dual_rationals, dual_rationals),
-        st.builds(build_racah_params, st.integers(0, d_max), racah_r),
-    )
+    return array_builders(d_max).map(lambda build: build())
 
 
 def orthogonality_oracle(p, table):
@@ -388,14 +396,17 @@ def kernel_cases(test):
     c_0 sit next to every entry, are always run.  `at` picks the perturbed
     entry modulo d + 1."""
     d = st.integers(0, 16)
-    arrays = st.one_of(
-        st.builds(lambda d, r: build_params(d, r, -r), d, two_digit.filter(lambda x: x < 1)),
-        st.builds(build_params, d, two_digit, two_digit),
+    builders = st.one_of(
+        st.builds(lambda d, r: partial(build_params, d, r, -r), d,
+                  two_digit.filter(lambda x: x < 1)),
+        st.builds(partial, st.just(build_params), d, two_digit, two_digit),
     )
+    test = built_when_run(test)
     for d, r, s in [(0, F(3, 7), F(-3, 7)), (1, F(-5, 11), F(5, 11)), (2, F(13, 17), F(2, 3))]:
-        test = example(p=build_params(d, r, s), at=(d, 0), delta=F(1, 2))(test)
+        test = example(build=partial(build_params, d, r, s), at=(d, 0), delta=F(1, 2))(test)
     at = st.tuples(st.integers(0, 16), st.integers(0, 16))
-    return settings(deadline=None, max_examples=40)(given(p=arrays, at=at, delta=nonzero)(test))
+    return settings(deadline=None, max_examples=40)(
+        given(build=builders, at=at, delta=nonzero)(test))
 
 
 def replaced(values, index, delta):
@@ -474,12 +485,14 @@ def array_cases(d_max, max_examples):
     `at` picks an index modulo d + 1 (modulo d for a coupling)."""
 
     def decorate(test):
+        test = built_when_run(test)
         for d in (0, 1, 2):
-            test = example(p=build_params(d, F(3, 7), F(-5, 11)), at=(d, 0), delta=F(1, 2))(test)
-            test = example(p=build_racah_params(d, F(-5, 11)), at=(d, 0), delta=F(1, 2))(test)
+            for build in (partial(build_params, d, F(3, 7), F(-5, 11)),
+                          partial(build_racah_params, d, F(-5, 11))):
+                test = example(build=build, at=(d, 0), delta=F(1, 2))(test)
         at = st.tuples(st.integers(0, 16), st.integers(0, 16))
         return settings(deadline=None, max_examples=max_examples)(
-            given(p=parameter_arrays(d_max), at=at, delta=nonzero)(test)
+            given(build=array_builders(d_max), at=at, delta=nonzero)(test)
         )
 
     return decorate
