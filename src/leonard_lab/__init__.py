@@ -5,6 +5,7 @@ from .hyper import (
     RationalFormatError,
     SeriesDivisionError,
     format_rational,
+    hypergeom_table,
     hypergeom_terminating,
     parse_rational,
 )

@@ -10,15 +10,17 @@ closing stdout early, as `| head` does), 1 internal inconsistency (the
 exhaustive oracle disagreed, a printed identity is false, or a library check
 failed unexpectedly: one line), 2 parameter domain error, 64 usage
 (malformed flags or rationals, a repeated or ignored list value, an --output
-that cannot be opened, a result that cannot be written to stdout or
---output).  Rationals on the command line use the exact p/q form, with no
-limit on their digits; decimals are rejected.
+that cannot be opened, a result or help text that cannot be written to
+stdout or --output, a stdout closed from the start).  Rationals on the
+command line use the exact p/q form, with no limit on their digits;
+decimals are rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -75,6 +77,12 @@ class _Parser(argparse.ArgumentParser):
         # Only the help action gets here (error is overridden above): end in
         # main with exit 0 instead of raising SystemExit out of it.
         raise _HelpShown
+
+    def _print_message(self, message, file=None):
+        # Only the help text comes here, bound for stdout.  argparse would
+        # swallow a failed write of it; let `_run` report it instead.
+        if message:
+            _stdout().write(message)
 
 
 def _rational_list(flag: str, text: str) -> tuple[Fraction, ...]:
@@ -195,10 +203,18 @@ def _json(payload, encoder: json.JSONEncoder = _INDENTED) -> str:
     return encoder.encode(payload) + "\n"
 
 
+def _stdout():
+    """sys.stdout, which Python sets to None when it starts with fd 1 closed:
+    then an OSError, as for any stdout that cannot be written."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _emit(text: str, output: str | None = None) -> None:
     """Write a result to stdout, or to the --output file."""
     if output is None:
-        sys.stdout.write(text)
+        _stdout().write(text)
         return
     try:
         fh = open(output, "w", encoding="utf-8")
@@ -361,7 +377,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _silence_stdout() -> None:
     """Point stdout at the null device, so that the interpreter's last flush
-    cannot fail again on output that is already lost."""
+    cannot fail again on output that is already lost.  A stdout that was
+    closed at start-up (None) has nothing to flush."""
+    if sys.stdout is None:
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
@@ -376,7 +395,8 @@ def _run(argv: list[str] | None) -> int:
             code = _HANDLERS[args.command](args)
         except _HelpShown:
             code = EXIT_OK
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): end quietly, the output

@@ -189,12 +189,18 @@ def _check_invariants(d, theta, b, c, b_star, c_star) -> None:
 
 
 def _diagonal_pairs(first, b, c):
-    """theta_0 - b_i - c_i for every i as integer pairs, from integer pairs."""
+    """theta_0 - b_i - c_i for every i as integer pairs, from integer pairs.
+    b_i and c_i are first put over the lcm of their denominators, not their
+    product: on the unreduced starred pairs the product makes a*_i's
+    denominator about half again as long, for its Fraction to reduce."""
     t, e = first
-    return [
-        (t * bd * cd - (bn * cd + cn * bd) * e, e * bd * cd)
-        for (bn, bd), (cn, cd) in zip(b, c)
-    ]
+    pairs = []
+    for (bn, bd), (cn, cd) in zip(b, c):
+        if bd != cd:
+            g = math.gcd(bd, cd)
+            bn, cn, bd = bn * (cd // g), cn * (bd // g), bd // g * cd
+        pairs.append((t * bd - (bn + cn) * e, e * bd))
+    return pairs
 
 
 def _quotients(pairs):

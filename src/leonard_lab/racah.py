@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .hyper import format_rational, hypergeom_terminating
+from .hyper import format_rational, hypergeom_table, hypergeom_terminating
 from .leonard import _sigma, canonical_shift, lstar_shift_square
 from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
@@ -191,20 +191,22 @@ def check_varphi(q: ParameterArray) -> bool:
 
 
 def eval_table_4F3(q: ParameterArray) -> ValueTable:
-    """u_i(bar_theta_j) as the terminating 4F3 at unit argument.
+    """u_i(bar_theta_j) as the terminating 4F3 at unit argument, with
+    numerator parameters -i, i - d + r, -j, j - d - 1/2 and denominator
+    parameters -d, (r - d)/2, (r - d + 1)/2.
 
-    The parameters i - d + r and j - d - 1/2 are built once per row and once
-    per column, and the denominator parameters once per table."""
+    One `hypergeom_table` call evaluates the whole table: the row pair
+    (-i, i - d + r), the column pair (-j, j - d - 1/2) and the denominators
+    each give their term factors once, and an entry multiplies a row factor
+    by a column factor per term.  Truncating every entry at d terms changes
+    nothing, because row i terminates at term i <= d, and the denominator
+    parameter -d vanishes only at term d, past every entry's end."""
     d, r = q.d, q.r
-    rows = [i - d + r for i in range(d + 1)]
-    columns = [Fraction(2 * (j - d) - 1, 2) for j in range(d + 1)]
+    rows = [(-i, i - d + r) for i in range(d + 1)]
+    columns = [(-j, Fraction(2 * (j - d) - 1, 2)) for j in range(d + 1)]
     dens = (-d, (r - d) / 2, (r - d + 1) / 2)
-    entries = [
-        hypergeom_terminating((-i, rows[i], -j, columns[j]), dens, terms=i)
-        for i in range(d + 1)
-        for j in range(d + 1)
-    ]
-    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
+    table = hypergeom_table(rows, columns, dens, terms=d)
+    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(x for row in table for x in row)))
 
 
 def check_table_matches_permuted_dual(

@@ -376,19 +376,20 @@ def test_library_failure_maps_to_exit_1(capsys, monkeypatch, error):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "destination, unbuffered",
-    [("stdout", False), ("stdout", True), ("--output", False)],
-    ids=["stdout", "stdout-unbuffered", "output"],
+    [("stdout", False), ("stdout", True), ("--output", False), ("help", False), ("help", True)],
+    ids=["stdout", "stdout-unbuffered", "output", "help", "help-unbuffered"],
 )
 def test_failed_write_of_the_result_is_one_line_and_exit_64(destination, unbuffered):
     # /dev/full fails every write with ENOSPC: buffered stdout fails at the
-    # last flush, unbuffered stdout and a file at the write itself.
-    argv = ["table", "--d", "2", "--r", "1/2", "--s", "1/2"]
+    # last flush, unbuffered stdout and a file at the write itself.  The
+    # help text goes to stdout like a result.
+    argv = ["--help"] if destination == "help" else ["table", "--d", "2", "--r", "1/2", "--s", "1/2"]
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        if destination == "stdout":
+        if destination != "--output":
             stdout = full
         else:
             stdout, argv = subprocess.PIPE, argv + ["--output", "/dev/full"]
@@ -396,10 +397,34 @@ def test_failed_write_of_the_result_is_one_line_and_exit_64(destination, unbuffe
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     assert proc.returncode == 64
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    named = "stdout" if destination == "stdout" else "--output /dev/full"
+    named = "--output /dev/full" if destination == "--output" else "stdout"
     assert proc.stderr == f"usage error: cannot write {named}: {os.strerror(errno.ENOSPC)}\n"
     if destination == "--output":
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("params", "--d", "1", "--r", "1/2", "--s", "0"), ("--help",)],
+    ids=["params", "help"],
+)
+def test_closed_stdout_is_one_line_and_exit_64(argv):
+    # With fd 1 closed at start-up, Python sets sys.stdout to None.
+    proc = subprocess.run([sys.executable, "-m", "leonard_lab", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 64
+    assert proc.stderr == f"usage error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+
+
+def test_closed_stdout_is_no_error_when_the_result_goes_to_output(tmp_path):
+    target = tmp_path / "table.json"
+    argv = ["table", "--d", "1", "--r", "1/2", "--s", "0", "--output", str(target)]
+    proc = subprocess.run([sys.executable, "-m", "leonard_lab", *argv],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(target.read_text())["d"] == 1
 
 
 def test_rationals_beyond_the_int_string_digit_limit(capsys):

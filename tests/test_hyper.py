@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonard_lab import racah, representations
 from leonard_lab.hyper import (
     RationalFormatError,
     SeriesDivisionError,
     format_rational,
+    hypergeom_table,
     hypergeom_terminating,
     parse_rational,
 )
+from leonard_lab.params import build_params
+from leonard_lab.racah import build_racah_params, eval_table_4F3
+from leonard_lab.representations import eval_table_hypergeometric
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=12
@@ -211,3 +216,105 @@ def test_hypergeom_mixed_call_keeps_both_errors():
     with pytest.raises(SeriesDivisionError) as fraction_info:
         hypergeom_terminating([F(-5), F(3)], [F(-1, 2), F(-2)], terms=5)
     assert (fraction_info.value.term_index, fraction_info.value.parameter) == (3, -2)
+
+
+# -- the table kernel -----------------------------------------------------------
+
+
+def _table_outcome(fn, *args):
+    """The table, or the first failure with its type, message and (for a
+    series division) location."""
+    try:
+        return ("value", fn(*args))
+    except SeriesDivisionError as exc:
+        return ("division", exc.term_index, exc.parameter, str(exc))
+    except ValueError as exc:
+        return ("value error", str(exc))
+
+
+def per_entry_table(rows, columns, denominators, terms):
+    """`hypergeom_terminating` once per entry, in row-major order."""
+    return [
+        [hypergeom_terminating(list(row) + list(column), denominators, terms) for column in columns]
+        for row in rows
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_hypergeom_table_matches_per_entry_calls(data):
+    # Row i leads with -i and column j with -j, as in the 3F2 and 4F3
+    # tables; either may be drawn without it, so that a row and a column
+    # that cannot terminate meet.  The other parameters are drawn per row
+    # and per column, and denominators include non-positive integers, so
+    # that zero factors come before, at and after termination.
+    d = data.draw(st.integers(min_value=0, max_value=16), label="d")
+    row_width, column_width, den_count = data.draw(
+        st.sampled_from([(1, 2, 2), (2, 2, 3)]), label="3F2 or 4F3 shape"
+    )
+    terms = data.draw(st.integers(min_value=max(d - 1, 0), max_value=d + 1), label="terms")
+
+    def group(k, width):
+        lead = F(-k) if data.draw(st.integers(0, 19)) else data.draw(rationals)
+        return [lead] + data.draw(st.lists(rationals, min_size=width - 1, max_size=width - 1))
+
+    rows = [group(i, row_width) for i in range(d + 1)]
+    columns = [group(j, column_width) for j in range(d + 1)]
+    dens = data.draw(st.lists(
+        st.one_of(rationals, st.integers(min_value=-d - 2, max_value=0).map(F)),
+        min_size=den_count, max_size=den_count,
+    ))
+    expected = _table_outcome(per_entry_table, rows, columns, dens, terms)
+    assert _table_outcome(hypergeom_table, rows, columns, dens, terms) == expected
+
+
+def test_hypergeom_table_zero_denominator_before_termination_raises_like_entries():
+    # -1 + h vanishes at h = 1: entries (i, j) with i, j >= 2 would still be
+    # running there, and (2, 2) is the first of them in row-major order.
+    args = ([(F(-i),) for i in range(4)], [(F(-j), F(1, 2)) for j in range(4)], [F(-1)], 3)
+    with pytest.raises(SeriesDivisionError) as table_info:
+        hypergeom_table(*args)
+    with pytest.raises(SeriesDivisionError) as entry_info:
+        per_entry_table(*args)
+    assert (table_info.value.term_index, table_info.value.parameter) == (2, -1)
+    assert (entry_info.value.term_index, entry_info.value.parameter) == (2, -1)
+
+
+def test_hypergeom_table_zero_denominator_after_termination_raises_nothing():
+    # -3 + h vanishes at h = 3, after every row (-i, i <= 2) has terminated.
+    args = ([(F(-i), F(1, 3)) for i in range(3)], [(F(5, 2),), (F(-1),)], [F(-3)], 5)
+    assert hypergeom_table(*args) == per_entry_table(*args)
+
+
+def test_hypergeom_table_nonterminating_entry_raises_like_entries():
+    # Row 1 cannot terminate; column 0 rescues entry (1, 0) but not (1, 1).
+    rows, columns = [(F(-1),), (F(1, 2),)], [(F(-2),), (F(1, 3),)]
+    with pytest.raises(ValueError, match=r"\{-2, \.\.\., 0\}") as table_info:
+        hypergeom_table(rows, columns, [F(1, 5)], 2)
+    with pytest.raises(ValueError) as entry_info:
+        per_entry_table(rows, columns, [F(1, 5)], 2)
+    assert str(table_info.value) == str(entry_info.value)
+    with pytest.raises(ValueError, match="natural number"):
+        hypergeom_table(rows, columns, [F(1, 5)], -1)
+
+
+@pytest.mark.parametrize("d", [0, 1, 5, 12])
+def test_only_the_3f2_table_calls_the_per_entry_kernel(monkeypatch, d):
+    """`eval_table_4F3` evaluates through `hypergeom_table`, while
+    `eval_table_hypergeometric` keeps one `hypergeom_terminating` call per
+    entry: the benchmark's `grid` workload reaches its `hyper.hypergeom`
+    span only through those calls, and its self-test pins that span as
+    present on `grid` (perfbench `ABSENT["grid"]`).  The 3F2 table moves to
+    the table kernel once the benchmark times the tables as a whole."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hypergeom_terminating(*args, **kwargs)
+
+    monkeypatch.setattr(racah, "hypergeom_terminating", counted)
+    monkeypatch.setattr(representations, "hypergeom_terminating", counted)
+    eval_table_4F3(build_racah_params(d, F(7, 13)))
+    assert calls == []
+    eval_table_hypergeometric(build_params(d, F(7, 13), F(-7, 13)))
+    assert len(calls) == (d + 1) ** 2
