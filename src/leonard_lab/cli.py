@@ -87,9 +87,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational_list(flag: str, text: str) -> tuple[Fraction, ...]:
     values = tuple(parse_rational(part) for part in text.split(","))
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise UsageError(f"{flag} repeats {format_rational(repeated[0])}")
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise UsageError(f"{flag} repeats {format_rational(v)}")
+        seen.add(v)
     return values
 
 

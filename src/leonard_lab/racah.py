@@ -6,10 +6,8 @@ exactly where the squared-shift construction produces a second Leonard pair,
 (L, (L* + (r-d)/2)^2).  Its barred array is a `ParameterArray` built from its
 own closed forms, written as integer pairs over the denominator of r, and
 completed and validated by `params.parameter_array`, like the dual Hahn one.
-The index-mapping, product, and orthogonality checks then confirm it is a
-re-indexing and pairwise product of the unbarred data, with the evaluation
-route furnished by a terminating 4F3.  `verify_racah` runs the whole barred
-suite on one set of artifacts.
+It is a re-indexing and pairwise product of the unbarred data, with values
+from a terminating 4F3; `verify_racah` decides each barred identity once.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ from .representations import (
     _three_term_holds,
     check_orthogonality,
     eval_table_hypergeometric,
-    eval_table_recurrence,
-    matrix_L_u_basis,
     matrix_Lstar_ustar_basis,
 )
 
@@ -226,38 +222,8 @@ def check_table_matches_permuted_dual(
 
 
 def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
-    """Barred orthogonality sum_h u_i u_j bar_k*_h == delta_ij bar_nu/bar_k_i,
-    and each summand is the sigma re-indexing of a dual Hahn summand:
-
-        table_i(h) table_j(h) bar_k*_h == U_i(sigma(h)) U_j(sigma(h)) k*_sigma(h)
-
-    for all i, j, h, where U is the dual Hahn table (recurrence route).
-
-    The summand identity is decided in O(d^2) by an equivalent form: row 0
-    of both tables is all 1 (u_0 = 1), bar_k*_h == k*_sigma(h), and
-    table_i(h) == U_i(sigma(h)).  Proof, given the rows of 1: the form
-    implies every summand identity by substitution.  Conversely, i = j = 0
-    gives bar_k*_h == k*_sigma(h); then j = 0 gives
-    table_i(h) k*_sigma(h) == U_i(sigma(h)) k*_sigma(h), and k*_sigma(h) != 0
-    (the dual Hahn weights are checked nonzero when the array is built), so
-    table_i(h) == U_i(sigma(h)).  Every evaluation route gives u_0 = 1; a
-    table without it is rejected here, even where its summands, which are
-    quadratic in the table, would all agree.
-    """
-    d = q.d
-    p = dual_params(q)
-    U = eval_table_recurrence(p)
-    sigma = index_map(d)
-    if any(table.at(0, h) != 1 or U.at(0, h) != 1 for h in range(d + 1)):
-        return False
-    if any(q.k_star[h] != p.k_star[sigma[h]] for h in range(d + 1)):
-        return False
-    if any(
-        table.at(i, h) != U.at(i, sigma[h])
-        for i in range(1, d + 1)
-        for h in range(d + 1)
-    ):
-        return False
+    """Barred orthogonality sum_h u_i u_j bar_k*_h == delta_ij bar_nu/bar_k_i;
+    other `verify_racah` fields tie its weights and values to the dual Hahn ones."""
     return check_orthogonality(q, table)
 
 
@@ -269,29 +235,12 @@ def check_barred_recurrence(q: ParameterArray, table: ValueTable) -> bool:
 
 
 def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
-    """The two barred representation pairs, rebuilt from the unbarred
-    machinery.
-
-    u-basis: the tridiagonal matrix of L equals tridiag(bar_a, bar_b, bar_c)
-    and the diagonal of the shifted square equals diag(bar_theta*).
-    u*-basis reordered by sigma (`index_map`): the shifted square equals
-    tridiag(bar_a*, bar_b*, bar_c*) and the diagonal of L equals
-    diag(bar_theta).
-    """
+    """The dual Hahn shifted square (L* + (r-d)/2)^2, reordered by sigma
+    (`index_map`), equals tridiag(bar_a*, bar_b*, bar_c*), the barred u*-basis
+    matrix.  Other fields of `verify_racah` decide the other barred matrices."""
     _require_shared(p, q)
-    d = q.d
-    shift = canonical_shift(q)
-
-    if matrix_L_u_basis(p) != matrix_L_u_basis(q):
-        return False
-    expected_diag = tuple((p.theta_star[i] + shift) ** 2 for i in range(d + 1))
-    if expected_diag != q.theta_star:
-        return False
-
-    sigma = index_map(d)
-    if lstar_shift_square(p, shift).permuted(sigma) != matrix_Lstar_ustar_basis(q):
-        return False
-    return tuple(p.theta[sigma[i]] for i in range(d + 1)) == q.theta
+    square = lstar_shift_square(p, canonical_shift(q)).permuted(index_map(q.d))
+    return square == matrix_Lstar_ustar_basis(q)
 
 
 # -- the barred suite ---------------------------------------------------------
@@ -299,7 +248,7 @@ def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
 
 @dataclass(frozen=True)
 class RacahVerdict:
-    """The eight barred identities at (d, r, s = -r), one field per check."""
+    """The eight barred identities at (d, r, s = -r), each in one field only."""
 
     d: int
     r: Fraction
@@ -319,12 +268,16 @@ class RacahVerdict:
 
 
 def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
-    """Every barred identity.  The barred array and the 4F3 table are built
-    once and shared.  The dual Hahn array is built twice: here, for the
-    checks that compare the two arrays, and again, with its recurrence
-    table, inside `check_racah_orthogonality`, which takes only (q, table);
-    `check_table_matches_permuted_dual` builds the dual Hahn 3F2 table for
-    itself."""
+    """Every barred identity, each checked in one field only, on one barred
+    array, one dual Hahn array p and one 4F3 table.  "The same inner
+    product" is `starred_products` (bar_k* = k* o sigma),
+    `table4F3_matches_permuted_dual_hahn` (the values) and `orthogonality`.
+    For any barred array and table, the fields imply that L in the u-basis
+    and both diagonals equal those rebuilt from p (`unbarred_identities`,
+    `index_mapping`), and that table == U o sigma, U the dual Hahn
+    recurrence table: each column obeys U's recurrence (those two and
+    `barred_recurrence`), starts at u_0 = 1 (matched with the 3F2 row 0),
+    and b_i != 0 fixes row i + 1."""
     q = build_racah_params(d, r)
     p = dual_params(q)
     table = eval_table_4F3(q)

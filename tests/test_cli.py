@@ -237,6 +237,8 @@ def test_search_usage_error_for_missing_lambda_list(capsys):
         (("--s-mode", "list", "--s-values", "-1/2,1/3,-2/4"), "--s-values repeats -1/2"),
         (("--lambda-mode", "list", "--lambda-values", "0,-9/8,0/3"),
          "--lambda-values repeats 0"),
+        # 1/3 comes first, but 1/2 is the first value that repeats
+        (("--r-values", "1/3,1/2,2/3,2/4,1/3,1/2"), "--r-values repeats 1/2"),
     ],
 )
 def test_search_rejects_ignored_or_repeated_values(capsys, argv, named):

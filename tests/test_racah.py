@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction as F
 from functools import partial
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leonard_lab import racah
-from leonard_lab.leonard import candidate_orderings
+from leonard_lab import racah, representations
+from leonard_lab.leonard import candidate_orderings, canonical_shift, lstar_shift_square
 from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.racah import (
     affine_maps,
     build_racah_params,
+    check_barred_matrices,
     check_barred_recurrence,
     check_index_mapping,
     check_racah_orthogonality,
     check_starred_products,
+    check_table_matches_permuted_dual,
     check_unbarred_identities,
     check_varphi,
     dual_params,
@@ -31,6 +34,9 @@ from leonard_lab.representations import (
     ValueTable,
     check_orthogonality,
     eval_table_hypergeometric,
+    eval_table_recurrence,
+    matrix_L_u_basis,
+    matrix_Lstar_ustar_basis,
 )
 from test_params import built_when_run, complete_fractions, nonzero
 from test_representations import with_entry
@@ -205,8 +211,8 @@ def test_aff2_at_zero_is_top_barred_node():
 
 
 def racah_orthogonality_oracle(q, table):
-    """`check_racah_orthogonality` with its O(d^3) summand-by-summand loop
-    against the 3F2 dual Hahn table."""
+    """The summand identity as the O(d^3) summand-by-summand loop against
+    the 3F2 dual Hahn table, then the barred orthogonality."""
     d = q.d
     p = dual_params(q)
     U = eval_table_hypergeometric(p)
@@ -222,12 +228,23 @@ def racah_orthogonality_oracle(q, table):
     return check_orthogonality(q, table)
 
 
+def summand_conjunction(q, table):
+    """The fields of `verify_racah` that carry the summand identity: the
+    weights, the values and the orthogonality."""
+    p = dual_params(q)
+    return (
+        check_starred_products(p, q)
+        and check_table_matches_permuted_dual(p, q, table)
+        and check_racah_orthogonality(q, table)
+    )
+
+
 racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
     lambda x: -1 < x < 1 and x != 0
 )
 # Positive, so that no perturbation turns a 1 of row 0 into -1.  The cubic
 # loop cannot see that sign (at d = 0 every summand is unchanged); the
-# quadratic form rejects it, because it requires u_0 = 1.
+# conjunction rejects it, because the 3F2 row 0 it is matched with is all 1.
 deltas = st.fractions(min_value=0, max_value=3, max_denominator=20).filter(bool)
 
 
@@ -236,26 +253,30 @@ deltas = st.fractions(min_value=0, max_value=3, max_denominator=20).filter(bool)
 def test_quadratic_summand_form_matches_cubic_loop(d, r, data):
     q = build_racah_params(d, r)
     table = eval_table_4F3(q)
-    assert check_racah_orthogonality(q, table) == racah_orthogonality_oracle(q, table) is True
+    assert summand_conjunction(q, table) == racah_orthogonality_oracle(q, table) is True
 
     i, h = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
     rows = table.values.to_rows()
     rows[i][h] += data.draw(deltas)
     perturbed = ValueTable(RationalMatrix.from_rows(rows))
     assert (
-        check_racah_orthogonality(q, perturbed)
+        summand_conjunction(q, perturbed)
         == racah_orthogonality_oracle(q, perturbed)
         is False
     )
+    # The orthogonality field rejects both changes on its own: the norm of
+    # row 0, or its sum with the changed row, moves by a nonzero amount.
+    assert not check_racah_orthogonality(q, perturbed)
 
     k_star = list(q.k_star)
     k_star[h] += data.draw(deltas)
     reweighted = replace(q, k_star=tuple(k_star))
     assert (
-        check_racah_orthogonality(reweighted, table)
+        summand_conjunction(reweighted, table)
         == racah_orthogonality_oracle(reweighted, table)
         is False
     )
+    assert not check_racah_orthogonality(reweighted, table)
 
 
 @settings(deadline=None, max_examples=20)
@@ -263,24 +284,159 @@ def test_quadratic_summand_form_matches_cubic_loop(d, r, data):
 def test_summand_forms_reject_what_orthogonality_alone_accepts(d, r, data):
     """Two changes that keep every orthogonality sum exact but break the
     summand identity: scaling all weights and nu by one factor, and negating
-    a row of the table (for row 0 the sign breaks u_0 = 1)."""
+    a row of the table.  The orthogonality field accepts both; the weights
+    field rejects the first, the values and recurrence fields the second."""
     q = build_racah_params(d, r)
+    p = dual_params(q)
     table = eval_table_4F3(q)
     factor = 1 + data.draw(deltas)
     scaled = replace(q, k_star=tuple(factor * w for w in q.k_star), nu=factor * q.nu)
-    assert check_orthogonality(scaled, table)
-    assert check_racah_orthogonality(scaled, table) == racah_orthogonality_oracle(
-        scaled, table
-    ) is False
+    assert check_racah_orthogonality(scaled, table)
+    assert not check_starred_products(p, scaled)
+    assert racah_orthogonality_oracle(scaled, table) is False
 
     i = data.draw(st.integers(0, d))
     rows = table.values.to_rows()
     rows[i] = [-v for v in rows[i]]
     negated = ValueTable(RationalMatrix.from_rows(rows))
-    assert check_orthogonality(q, negated)
-    assert check_racah_orthogonality(q, negated) == racah_orthogonality_oracle(
-        q, negated
-    ) is False
+    assert check_racah_orthogonality(q, negated)
+    assert not check_table_matches_permuted_dual(p, q, negated)
+    assert not check_barred_recurrence(q, negated)
+    assert racah_orthogonality_oracle(q, negated) is False
+
+
+# -- each barred identity in one field: the copied checks as oracles ------------
+
+
+def racah_orthogonality_with_copies(q, table):
+    """`check_racah_orthogonality` with the sub-checks that other fields
+    make: row 0 of the 4F3 and recurrence tables all 1, bar_k*_h ==
+    k*_sigma(h) and table_i(h) == U_i(sigma(h)), U the dual Hahn recurrence
+    table of a second dual Hahn array."""
+    d = q.d
+    p = dual_params(q)
+    U = eval_table_recurrence(p)
+    sigma = index_map(d)
+    if any(table.at(0, h) != 1 or U.at(0, h) != 1 for h in range(d + 1)):
+        return False
+    if any(q.k_star[h] != p.k_star[sigma[h]] for h in range(d + 1)):
+        return False
+    if any(
+        table.at(i, h) != U.at(i, sigma[h])
+        for i in range(1, d + 1)
+        for h in range(d + 1)
+    ):
+        return False
+    return check_orthogonality(q, table)
+
+
+def barred_matrices_with_copies(p, q):
+    """`check_barred_matrices` with the comparisons that other fields make:
+    L in the u-basis of both arrays, diag((theta* + lambda)^2) == bar_theta*
+    and theta o sigma == bar_theta."""
+    d = q.d
+    shift = canonical_shift(q)
+    if matrix_L_u_basis(p) != matrix_L_u_basis(q):
+        return False
+    expected_diag = tuple((p.theta_star[i] + shift) ** 2 for i in range(d + 1))
+    if expected_diag != q.theta_star:
+        return False
+    sigma = index_map(d)
+    if lstar_shift_square(p, shift).permuted(sigma) != matrix_Lstar_ustar_basis(q):
+        return False
+    return tuple(p.theta[sigma[i]] for i in range(d + 1)) == q.theta
+
+
+def barred_suite(p, q, table, orthogonality, matrices):
+    """The eight fields of `verify_racah` on given artifacts, with the
+    orthogonality and matrix checks passed in."""
+    return [
+        check_index_mapping(p, q),
+        check_unbarred_identities(p, q),
+        check_starred_products(p, q),
+        check_varphi(q),
+        check_table_matches_permuted_dual(p, q, table),
+        orthogonality(q, table),
+        check_barred_recurrence(q, table),
+        matrices(p, q),
+    ]
+
+
+PERTURBED_FIELDS = (
+    "theta", "theta_star", "a", "b", "c", "k_star", "nu", "b_star", "c_star", "a_star",
+)
+CHANGE_KINDS = PERTURBED_FIELDS + ("table", "scale", "negate")
+
+
+def changes_of(kind, d):
+    """One change to a barred array or its 4F3 table: an entry of a field
+    or of the table moved by a nonzero delta, every weight and nu scaled by
+    one factor, or a table row negated."""
+    return st.tuples(st.just(kind), st.integers(0, d), st.integers(0, d), nonzero)
+
+
+def perturbed(q, table, changes):
+    rows = table.values.to_rows()
+    for kind, i, h, delta in changes:
+        if kind == "table":
+            rows[i][h] += delta
+        elif kind == "negate":
+            rows[i] = [-v for v in rows[i]]
+        elif kind == "scale":
+            q = replace(q, k_star=tuple(delta * w for w in q.k_star), nu=delta * q.nu)
+        elif kind == "nu":
+            q = replace(q, nu=q.nu + delta)
+        else:
+            values = getattr(q, kind)
+            q = replace(q, **{kind: tuple(v + delta * (n == i) for n, v in enumerate(values))})
+    return q, ValueTable(RationalMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("kind", (None,) + CHANGE_KINDS)
+@settings(deadline=None, max_examples=15)
+@given(d=st.integers(0, 10), r=racah_r, data=st.data())
+def test_suite_without_copied_checks_decides_as_with_them(kind, d, r, data):
+    """The suite with each identity in one field passes exactly when the
+    suite with the copied checks does: nothing changed, or one change of
+    `kind` plus at most two drawn changes of any kind."""
+    q0 = build_racah_params(d, r)
+    p = build_params(d, r, -r)
+    changes = []
+    if kind is not None:
+        others = st.sampled_from(CHANGE_KINDS).flatmap(lambda k: changes_of(k, d))
+        changes = [data.draw(changes_of(kind, d))] + data.draw(st.lists(others, max_size=2))
+    q, table = perturbed(q0, eval_table_4F3(q0), changes)
+    new = barred_suite(p, q, table, check_racah_orthogonality, check_barred_matrices)
+    with_copies = barred_suite(
+        p, q, table, racah_orthogonality_with_copies, barred_matrices_with_copies
+    )
+    assert all(new) == all(with_copies)
+    if kind is None:
+        verdict = verify_racah(d, r)
+        assert new == with_copies == [getattr(verdict, f.name) for f in fields(verdict)[2:]]
+        assert verdict.ok
+
+
+def test_verify_racah_builds_one_dual_array_and_no_recurrence_table(monkeypatch):
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(racah, "build_params", counting("build", racah.build_params))
+    # raising=False: racah need not import the recurrence route at all
+    monkeypatch.setattr(racah, "eval_table_recurrence",
+                        counting("recurrence", representations.eval_table_recurrence),
+                        raising=False)
+    monkeypatch.setattr(representations, "eval_table_recurrence",
+                        counting("recurrence", representations.eval_table_recurrence))
+    for d in (0, 1, 4, 7):
+        calls.clear()
+        assert verify_racah(d, F(-2, 7)).ok
+        assert calls == Counter(build=1), d
 
 
 @pytest.mark.parametrize(
