@@ -52,6 +52,13 @@ def parse_rational(text: str) -> Fraction:
         raise RationalFormatError(f"zero denominator: {text!r}") from None
 
 
+def exact_rational(name: str, value: Fraction | int | str) -> Fraction:
+    """value as a Fraction; a float is refused, since Fraction(0.1) is not 1/10."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be an int, Fraction or str, got the float {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Serialize to ``"p/q"``, omitting ``/q`` when the denominator is one."""
     q = value if isinstance(value, Fraction) else Fraction(value)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyper import format_rational
+from .hyper import exact_rational, format_rational
 
 
 class ParameterDomainError(ValueError):
@@ -67,11 +67,11 @@ def check_domain(
     d: int, r: Fraction | int | str, s: Fraction | int | str
 ) -> tuple[Fraction, Fraction]:
     """(r, s) as Fractions if (d, r, s) is in the dual Hahn domain d >= 0,
-    r, s > -1; raises ParameterDomainError otherwise."""
+    r, s > -1; raises ParameterDomainError otherwise (TypeError for a float)."""
     if not isinstance(d, int) or d < 0:
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
-    r = Fraction(r)
-    s = Fraction(s)
+    r = exact_rational("r", r)
+    s = exact_rational("s", s)
     if r <= -1:
         raise ParameterDomainError(f"r must exceed -1, got {format_rational(r)}")
     if s <= -1:

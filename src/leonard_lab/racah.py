@@ -6,8 +6,9 @@ exactly where the squared-shift construction produces a second Leonard pair,
 (L, (L* + (r-d)/2)^2).  Its barred array is a `ParameterArray` built from its
 own closed forms, written as integer pairs over the denominator of r, and
 completed and validated by `params.parameter_array`, like the dual Hahn one.
-It is a re-indexing and pairwise product of the unbarred data, with values
-from a terminating 4F3; `verify_racah` decides each barred identity once.
+It is a re-indexing of the unbarred data, with bar_b* and bar_c* the
+sigma-consecutive entries of the dual Hahn shifted square and values from a
+terminating 4F3; `verify_racah` decides each barred identity once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .hyper import format_rational, hypergeom_table, hypergeom_terminating
+from .hyper import exact_rational, format_rational, hypergeom_table, hypergeom_terminating
 from .leonard import _sigma, canonical_shift, lstar_shift_square
 from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
@@ -33,12 +34,12 @@ from .representations import (
 def build_racah_params(d: int, r: Fraction | int | str) -> ParameterArray:
     """Build and validate the barred array from (d, r); s = -r is hard-coded.
 
-    Requires r != 0 and -1 < r < 1.  Also asserts, term by term, that no
-    denominator parameter of the 4F3 evaluation can vanish within range.
+    Requires r != 0 and -1 < r < 1, else ParameterDomainError (TypeError for
+    a float r); the domain holds no integer, see `eval_table_4F3`.
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
-    r = Fraction(r)
+    r = exact_rational("r", r)
     if r == 0 or not (-1 < r < 1):
         raise ParameterDomainError(
             f"r must lie in (-1, 1) and be nonzero, got {format_rational(r)}"
@@ -68,9 +69,6 @@ def build_racah_params(d: int, r: Fraction | int | str) -> ParameterArray:
              2 * d - 4 * i + 2)
         for i in range(1, d + 1)
     ]
-
-    _assert_4f3_denominators(d, R, D)
-
     return parameter_array(d, r, -r, theta, theta_star, b, c, b_star, c_star)
 
 
@@ -82,29 +80,10 @@ def varphi(q: ParameterArray, i: int) -> Fraction:
     return Fraction(i) * (i - d - 1) * (d - 2 * i - r + 1) * (d - 2 * i - r + 2)
 
 
-def _assert_4f3_denominators(d: int, R: int, D: int) -> None:
-    # Denominator parameters of the 4F3: -d, (r-d)/2, (r-d+1)/2 with r = R/D.
-    # The first vanishes only beyond the truncation window; the half-shifted
-    # ones could vanish only for integer r, excluded by the domain.  Checked,
-    # not assumed: beta + h = 0 iff its numerator over 2D, plus 2hD, is zero.
-    for h in range(d + 1):
-        for beta in (R - d * D, R + (1 - d) * D):
-            if beta + 2 * h * D == 0:
-                raise ParameterDomainError(
-                    f"4F3 denominator parameter {format_rational(Fraction(beta, 2 * D))} "
-                    f"vanishes at term {h}"
-                )
-
-
 def index_map(d: int) -> tuple[int, ...]:
     """sigma with bar_theta[i] = theta[sigma(i)]: evens up, then odds down,
     the first candidate ordering of `leonard`."""
     return _sigma(d)
-
-
-def dual_params(q: ParameterArray) -> ParameterArray:
-    """The unbarred parameter array at (d, r, s=-r)."""
-    return build_params(q.d, q.r, q.s)
 
 
 def _require_shared(p: ParameterArray, q: ParameterArray) -> None:
@@ -137,34 +116,15 @@ def check_unbarred_identities(p: ParameterArray, q: ParameterArray) -> bool:
 
 
 def check_starred_products(p: ParameterArray, q: ParameterArray) -> bool:
-    """bar_b*, bar_c* as pairwise products of b*, c* (with the parity-split
-    middle cases), and bar_k* as the sigma re-indexing of k*."""
+    """The starred facts no other field decides: bar_k* is k* re-indexed by
+    sigma, and at d > 0 the one nonzero middle factor of the shifted square,
+    2 lambda + a*_{d-1} + a*_d at lambda = (r-d)/2, is (d+1) r/2.  bar_b* and
+    bar_c* are the square's sigma-consecutive entries, products of b*, c*
+    and that factor; `check_barred_matrices` decides them."""
     _require_shared(p, q)
-    d, r = q.d, q.r
-    half = d // 2
-    middle = Fraction(d + 1) * r / 2
-
-    for i in range(d):
-        if i <= half - 1:
-            expected = p.b_star[2 * i] * p.b_star[2 * i + 1]
-        elif i == half:
-            expected = middle * (p.b_star[d - 1] if d % 2 == 1 else p.c_star[d])
-        else:
-            expected = p.c_star[2 * (d - i)] * p.c_star[2 * (d - i) + 1]
-        if q.b_star[i] != expected:
-            return False
-
-    for i in range(1, d + 1):
-        if i <= half:
-            expected = p.c_star[2 * i] * p.c_star[2 * i - 1]
-        elif i == half + 1:
-            expected = middle * (p.c_star[d] if d % 2 == 1 else p.b_star[d - 1])
-        else:
-            expected = p.b_star[2 * (d - i + 1)] * p.b_star[2 * (d - i) + 1]
-        if q.c_star[i] != expected:
-            return False
-
-    sigma = index_map(d)
+    d, sigma = q.d, index_map(q.d)
+    if d and 2 * canonical_shift(q) + p.a_star[d - 1] + p.a_star[d] != Fraction(d + 1) * q.r / 2:
+        return False
     return all(q.k_star[i] == p.k_star[sigma[i]] for i in range(d + 1))
 
 
@@ -195,8 +155,11 @@ def eval_table_4F3(q: ParameterArray) -> ValueTable:
     (-i, i - d + r), the column pair (-j, j - d - 1/2) and the denominators
     each give their term factors once, and an entry multiplies a row factor
     by a column factor per term.  Truncating every entry at d terms changes
-    nothing, because row i terminates at term i <= d, and the denominator
-    parameter -d vanishes only at term d, past every entry's end."""
+    nothing, because row i terminates at term i <= d.  No denominator factor
+    vanishes: term h < d divides by -d + h, zero only at h = d, and by
+    (r - d)/2 + h and (r - d + 1)/2 + h, zero only at an integer r, which
+    `build_racah_params` excludes (r in (-1, 1) \\ {0}).  Were one to
+    vanish, `hypergeom_table` would raise `SeriesDivisionError`."""
     d, r = q.d, q.r
     rows = [(-i, i - d + r) for i in range(d + 1)]
     columns = [(-j, Fraction(2 * (j - d) - 1, 2)) for j in range(d + 1)]
@@ -236,8 +199,8 @@ def check_barred_recurrence(q: ParameterArray, table: ValueTable) -> bool:
 
 def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
     """The dual Hahn shifted square (L* + (r-d)/2)^2, reordered by sigma
-    (`index_map`), equals tridiag(bar_a*, bar_b*, bar_c*), the barred u*-basis
-    matrix.  Other fields of `verify_racah` decide the other barred matrices."""
+    (`index_map`), equals the barred u*-basis matrix tridiag(bar_a*, bar_b*,
+    bar_c*); of the `verify_racah` fields, only this one decides bar_b*, bar_c*."""
     _require_shared(p, q)
     square = lstar_shift_square(p, canonical_shift(q)).permuted(index_map(q.d))
     return square == matrix_Lstar_ustar_basis(q)
@@ -248,7 +211,8 @@ def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
 
 @dataclass(frozen=True)
 class RacahVerdict:
-    """The eight barred identities at (d, r, s = -r), each in one field only."""
+    """The eight barred identities at (d, r, s = -r), each in one field only;
+    bar_b* and bar_c* are in `barred_matrices`."""
 
     d: int
     r: Fraction
@@ -277,9 +241,13 @@ def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
     `index_mapping`), and that table == U o sigma, U the dual Hahn
     recurrence table: each column obeys U's recurrence (those two and
     `barred_recurrence`), starts at u_0 = 1 (matched with the 3F2 row 0),
-    and b_i != 0 fixes row i + 1."""
+    and b_i != 0 fixes row i + 1.
+
+    `barred_matrices` makes each bar_b*_i, bar_c*_i a sigma-consecutive entry
+    of the shifted square: b* b*, c* c*, or b*_{d-1} m, c*_d m where sigma
+    turns, m the middle factor, which `starred_products` fixes at (d+1) r/2."""
     q = build_racah_params(d, r)
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     table = eval_table_4F3(q)
     return RacahVerdict(
         d=q.d,

@@ -10,6 +10,7 @@ import pathlib
 from dataclasses import fields
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,8 @@ from leonard_lab.leonard import (
     lstar_shift_square_closed_form,
     verify_leonard_pair_square,
 )
-from leonard_lab.params import build_params
-from leonard_lab.racah import build_racah_params, eval_table_4F3
+from leonard_lab.params import build_params, check_domain
+from leonard_lab.racah import build_racah_params, eval_table_4F3, verify_racah
 from leonard_lab.representations import eval_table_hypergeometric, eval_table_recurrence
 from leonard_lab.sl2mod import build_even_module, example_pair, terwilliger_catalog
 
@@ -126,6 +127,27 @@ def test_racah_artifacts_are_exact(d, r):
     q = build_racah_params(d, r)
     assert_exact_array(q)
     assert_exact(eval_table_4F3(q).values.entries, "4F3 table")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_params(2, 0.1, F(-1, 10)),
+    lambda: build_params(2, F(1, 10), -0.1),
+    lambda: check_domain(3, 0.5, 0),
+    lambda: build_racah_params(2, 0.1),
+    lambda: verify_racah(2, 0.1),
+], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah"])
+def test_a_float_parameter_is_refused(call):
+    """Fraction(0.1) is the binary fraction 3602879701896397/2**55, so a
+    float r or s would be decided exactly, but for the wrong value."""
+    with pytest.raises(TypeError, match=r"got the float -?0\.[15]"):
+        call()
+
+
+def test_exact_parameters_of_every_type_are_accepted():
+    assert build_params(2, "1/10", 0) == build_params(2, F(1, 10), 0)
+    assert build_params(2, 1, 0).r == 1
+    assert verify_racah(2, "1/10") == verify_racah(2, F(1, 10))
+    assert verify_racah(2, "1/10").ok
 
 
 def test_sl2mod_artifacts_are_exact():

@@ -21,14 +21,13 @@ from leonard_lab.racah import (
     check_table_matches_permuted_dual,
     check_unbarred_identities,
     check_varphi,
-    dual_params,
     eval_table_4F3,
     index_map,
     standard_racah_eval,
     varphi,
     verify_racah,
 )
-from leonard_lab.hyper import format_rational, hypergeom_terminating
+from leonard_lab.hyper import hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.representations import (
     ValueTable,
@@ -57,12 +56,12 @@ def test_build_frozen_values():
 
 
 def test_domain_errors():
-    with pytest.raises(ParameterDomainError):
-        build_racah_params(2, F(0))
-    with pytest.raises(ParameterDomainError):
-        build_racah_params(2, F(3, 2))
-    with pytest.raises(ParameterDomainError):
-        build_racah_params(2, F(-1))
+    # No integer r is admitted, so no half-shifted 4F3 denominator parameter
+    # (r - d)/2 + h or (r - d + 1)/2 + h can vanish (`eval_table_4F3`).
+    for d in range(4):
+        for r in (F(0), F(1), F(-1), F(2), F(3, 2)):
+            with pytest.raises(ParameterDomainError):
+                build_racah_params(d, r)
 
 
 def test_index_map_examples():
@@ -80,13 +79,14 @@ def test_index_map_examples():
 
 def test_index_mapping_examples():
     q = build_racah_params(2, F(1, 2))
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     assert p.theta == (6, 2, 0)
     assert q.theta == tuple(p.theta[j] for j in index_map(2))
     assert check_index_mapping(p, q)
     q1 = build_racah_params(1, F(1, 2))
-    assert q1.theta == dual_params(q1).theta
-    assert check_index_mapping(dual_params(q1), q1)
+    p1 = build_params(q1.d, q1.r, q1.s)
+    assert q1.theta == p1.theta
+    assert check_index_mapping(p1, q1)
 
 
 def test_index_mapping_rejects_mismatched_inputs():
@@ -99,7 +99,7 @@ def test_index_mapping_rejects_mismatched_inputs():
 
 def test_unbarred_identities_worked():
     q = build_racah_params(2, F(1, 2))
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     assert q.b == p.b
     assert q.nu == p.nu == F(16, 5)
     assert check_unbarred_identities(p, q)
@@ -107,7 +107,7 @@ def test_unbarred_identities_worked():
 
 def test_starred_products_worked_even_middle():
     q = build_racah_params(2, F(1, 2))
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     middle = F(2 + 1) * F(1, 2) / 2
     assert q.b_star[1] == middle * p.c_star[2] == F(-9, 8)
     assert q.k_star == tuple(p.k_star[j] for j in index_map(2))
@@ -116,7 +116,7 @@ def test_starred_products_worked_even_middle():
 
 def test_starred_products_worked_odd_middle():
     q = build_racah_params(3, F(1, 2))
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     middle = F(3 + 1) * F(1, 2) / 2
     assert q.b_star[1] == middle * p.b_star[2]
     assert q.c_star[2] == middle * p.c_star[3]
@@ -214,7 +214,7 @@ def racah_orthogonality_oracle(q, table):
     """The summand identity as the O(d^3) summand-by-summand loop against
     the 3F2 dual Hahn table, then the barred orthogonality."""
     d = q.d
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     U = eval_table_hypergeometric(p)
     sigma = index_map(d)
     for i in range(d + 1):
@@ -231,7 +231,7 @@ def racah_orthogonality_oracle(q, table):
 def summand_conjunction(q, table):
     """The fields of `verify_racah` that carry the summand identity: the
     weights, the values and the orthogonality."""
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     return (
         check_starred_products(p, q)
         and check_table_matches_permuted_dual(p, q, table)
@@ -287,7 +287,7 @@ def test_summand_forms_reject_what_orthogonality_alone_accepts(d, r, data):
     a row of the table.  The orthogonality field accepts both; the weights
     field rejects the first, the values and recurrence fields the second."""
     q = build_racah_params(d, r)
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     table = eval_table_4F3(q)
     factor = 1 + data.draw(deltas)
     scaled = replace(q, k_star=tuple(factor * w for w in q.k_star), nu=factor * q.nu)
@@ -314,7 +314,7 @@ def racah_orthogonality_with_copies(q, table):
     k*_sigma(h) and table_i(h) == U_i(sigma(h)), U the dual Hahn recurrence
     table of a second dual Hahn array."""
     d = q.d
-    p = dual_params(q)
+    p = build_params(q.d, q.r, q.s)
     U = eval_table_recurrence(p)
     sigma = index_map(d)
     if any(table.at(0, h) != 1 or U.at(0, h) != 1 for h in range(d + 1)):
@@ -347,13 +347,46 @@ def barred_matrices_with_copies(p, q):
     return tuple(p.theta[sigma[i]] for i in range(d + 1)) == q.theta
 
 
-def barred_suite(p, q, table, orthogonality, matrices):
+def starred_products_with_copies(p, q):
+    """`check_starred_products` as it was: bar_b*, bar_c* as pairwise
+    products of b*, c* (with the parity-split middle cases), which
+    `check_barred_matrices` decides, and bar_k* as the sigma re-indexing
+    of k*."""
+    d, r = q.d, q.r
+    half = d // 2
+    middle = F(d + 1) * r / 2
+
+    for i in range(d):
+        if i <= half - 1:
+            expected = p.b_star[2 * i] * p.b_star[2 * i + 1]
+        elif i == half:
+            expected = middle * (p.b_star[d - 1] if d % 2 == 1 else p.c_star[d])
+        else:
+            expected = p.c_star[2 * (d - i)] * p.c_star[2 * (d - i) + 1]
+        if q.b_star[i] != expected:
+            return False
+
+    for i in range(1, d + 1):
+        if i <= half:
+            expected = p.c_star[2 * i] * p.c_star[2 * i - 1]
+        elif i == half + 1:
+            expected = middle * (p.c_star[d] if d % 2 == 1 else p.b_star[d - 1])
+        else:
+            expected = p.b_star[2 * (d - i + 1)] * p.b_star[2 * (d - i) + 1]
+        if q.c_star[i] != expected:
+            return False
+
+    sigma = index_map(d)
+    return all(q.k_star[i] == p.k_star[sigma[i]] for i in range(d + 1))
+
+
+def barred_suite(p, q, table, starred, orthogonality, matrices):
     """The eight fields of `verify_racah` on given artifacts, with the
-    orthogonality and matrix checks passed in."""
+    starred-products, orthogonality and matrix checks passed in."""
     return [
         check_index_mapping(p, q),
         check_unbarred_identities(p, q),
-        check_starred_products(p, q),
+        starred(p, q),
         check_varphi(q),
         check_table_matches_permuted_dual(p, q, table),
         orthogonality(q, table),
@@ -406,15 +439,42 @@ def test_suite_without_copied_checks_decides_as_with_them(kind, d, r, data):
         others = st.sampled_from(CHANGE_KINDS).flatmap(lambda k: changes_of(k, d))
         changes = [data.draw(changes_of(kind, d))] + data.draw(st.lists(others, max_size=2))
     q, table = perturbed(q0, eval_table_4F3(q0), changes)
-    new = barred_suite(p, q, table, check_racah_orthogonality, check_barred_matrices)
+    new = barred_suite(
+        p, q, table, check_starred_products, check_racah_orthogonality, check_barred_matrices
+    )
     with_copies = barred_suite(
-        p, q, table, racah_orthogonality_with_copies, barred_matrices_with_copies
+        p, q, table, starred_products_with_copies, racah_orthogonality_with_copies,
+        barred_matrices_with_copies,
     )
     assert all(new) == all(with_copies)
     if kind is None:
         verdict = verify_racah(d, r)
         assert new == with_copies == [getattr(verdict, f.name) for f in fields(verdict)[2:]]
         assert verdict.ok
+
+
+@settings(deadline=None, max_examples=25)
+@given(d=st.integers(1, 10), r=racah_r, data=st.data())
+def test_starred_b_and_c_are_decided_by_the_matrix_field(d, r, data):
+    """A changed bar_b*_i (i < d) or bar_c*_i (i > 0) is rejected by
+    `check_barred_matrices`, as by the pairwise products of
+    `starred_products_with_copies`, and accepted by `check_starred_products`;
+    a dual array whose a*_{d-1} moved, which changes the square's middle
+    factor, is rejected by the latter."""
+    q = build_racah_params(d, r)
+    p = build_params(d, r, -r)
+    assert check_starred_products(p, q) and check_barred_matrices(p, q)
+
+    kind = data.draw(st.sampled_from(("b_star", "c_star")))
+    i = data.draw(st.integers(0, d - 1) if kind == "b_star" else st.integers(1, d))
+    changed, _ = perturbed(q, eval_table_4F3(q), [(kind, i, 0, data.draw(nonzero))])
+    assert not check_barred_matrices(p, changed)
+    assert not starred_products_with_copies(p, changed)
+    assert check_starred_products(p, changed)
+
+    a_star = list(p.a_star)
+    a_star[d - 1] += data.draw(nonzero)
+    assert not check_starred_products(replace(p, a_star=tuple(a_star)), q)
 
 
 def test_verify_racah_builds_one_dual_array_and_no_recurrence_table(monkeypatch):
@@ -567,7 +627,7 @@ def test_barred_recurrence_worked_instance():
 
 def racah_params_oracle(d, r):
     """`build_racah_params` as it was: every entry built from Fraction closed
-    forms, and the 4F3 denominator parameters checked as Fractions."""
+    forms."""
     theta = tuple(F(d - 2 * i) * (d - 2 * i + 1) for i in range(d + 1))
     theta_star = tuple((F(i) + (r - d) / 2) ** 2 for i in range(d + 1))
     b = tuple(F(d - i) * (d - i - r) for i in range(d)) + (F(0),)
@@ -582,18 +642,7 @@ def racah_params_oracle(d, r):
         / (2 * (2 * d - 4 * i + 1) * (2 * d - 4 * i + 3))
         for i in range(1, d + 1)
     )
-    assert_4f3_denominators_oracle(d, r)
     return complete_fractions(d, r, -r, theta, theta_star, b, c, b_star, c_star)
-
-
-def assert_4f3_denominators_oracle(d, r):
-    for h in range(d + 1):
-        for beta in ((r - d) / 2, (r - d + 1) / 2):
-            if beta + h == 0:
-                raise ParameterDomainError(
-                    f"4F3 denominator parameter {format_rational(beta)} vanishes "
-                    f"at term {h}"
-                )
 
 
 @barred_cases
@@ -603,21 +652,3 @@ def test_integer_entries_match_fraction_closed_forms(q, at, delta):
         type(v) is F
         for v in (*q.theta, *q.theta_star, *q.b, *q.c, *q.b_star, *q.c_star)
     )
-
-
-@pytest.mark.parametrize("d", range(0, 7))
-@pytest.mark.parametrize("r", [F(-3), F(-2), F(0), F(1), F(2), F(3, 2), F(5)])
-def test_integer_4f3_denominator_check_matches_fraction_loop(d, r):
-    """Outside the domain an integer r can make a half-shifted denominator
-    parameter vanish; both checks then raise the same message, else neither."""
-    def outcome(check, *args):
-        try:
-            check(*args)
-        except ParameterDomainError as exc:
-            return str(exc)
-        return None
-
-    expected = outcome(assert_4f3_denominators_oracle, d, r)
-    assert outcome(racah._assert_4f3_denominators, d, *r.as_integer_ratio()) == expected
-    if r.denominator == 1 and d >= 1 and abs(r) <= d:
-        assert expected is not None
