@@ -24,7 +24,7 @@ from .params import ParameterArray, ParameterDomainError, build_params, paramete
 from .representations import (
     ValueTable,
     _over_common_denominator,
-    _three_term_holds,
+    _recurrence_holds,
     check_orthogonality,
     eval_table_hypergeometric,
     matrix_Lstar_ustar_basis,
@@ -186,15 +186,25 @@ def check_table_matches_permuted_dual(
 
 def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
     """Barred orthogonality sum_h u_i u_j bar_k*_h == delta_ij bar_nu/bar_k_i;
-    other `verify_racah` fields tie its weights and values to the dual Hahn ones."""
+    other `verify_racah` fields tie its weights and values to the dual Hahn ones.
+
+    It is `check_orthogonality(q, table)`, which sums only row 0 of the Gram
+    matrix under three premises.  On an array of `build_racah_params` two
+    hold by construction: bar_b_i = (d - i)(d - i - r) != 0 for i < d, since
+    |r| < 1 (and `parameter_array` refuses a zero interior bar_b), and
+    bar_k is the running product of bar_b_i / bar_c_{i+1}, so bar_k_i bar_b_i
+    == bar_k_{i+1} bar_c_{i+1}.  The third is the recurrence that
+    `check_barred_recurrence` decides, with the same helper.  So wherever
+    the `barred_recurrence` field holds, row 0 decides this field in
+    O(d^2); where it fails, the full Gram loop decides, so this field
+    never leans on that one."""
     return check_orthogonality(q, table)
 
 
 def check_barred_recurrence(q: ParameterArray, table: ValueTable) -> bool:
     """x u_i(x) = bar_b_i u_{i+1}(x) + bar_a_i u_i(x) + bar_c_i u_{i-1}(x) at
     the barred nodes, boundary terms dropped through zero coefficients."""
-    columns = [table.values.column(j) for j in range(q.d + 1)]
-    return _three_term_holds(columns, q.theta, q.a, q.b, q.c, range(q.d + 1))
+    return _recurrence_holds(q, table)
 
 
 def check_barred_matrices(p: ParameterArray, q: ParameterArray) -> bool:
@@ -272,8 +282,8 @@ def standard_racah_eval(
     """Textbook Racah 4F3 with parameter set
     (N, alpha, beta, gamma, delta) = (d, -d-1, r, (r-d-1)/2, -(r+d)/2 - 1),
     evaluated at node index x."""
-    r = Fraction(r)
-    x = Fraction(x)
+    r = exact_rational("r", r)
+    x = exact_rational("x", x)
     alpha = Fraction(-d - 1)
     beta = r
     gamma = (r - d - 1) / 2
@@ -291,7 +301,7 @@ def affine_maps(
     """(slope, intercept) pairs carrying the standard dual Hahn and Racah
     node variables onto theta and bar_theta: x -> x + d(d+r+s+1) with s = -r,
     and x -> 4x + d(d+1)."""
-    r = Fraction(r)
+    r = exact_rational("r", r)
     s = -r
     aff1 = (Fraction(1), Fraction(d) * (d + r + s + 1))
     aff2 = (Fraction(4), Fraction(d) * (d + 1))

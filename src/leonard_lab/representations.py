@@ -2,9 +2,10 @@
 representations, and the exact orthogonality / difference-equation checks.
 
 Polynomials are represented only by their value tables at the d+1 nodes:
-values at distinct nodes determine a polynomial of degree <= d uniquely, and
-the exact degree is recovered through Newton divided differences.  No
-coefficient lists, no floating point.
+values at distinct nodes determine a polynomial of degree <= d uniquely.  A
+table that obeys its array's recurrence has its orthogonality read from
+row 0 of its Gram matrix and its exact degrees from its own row 0; any other
+table goes through all the Gram sums and the Newton divided differences.  No coefficient lists, no floating point.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,6 +34,24 @@ class ValueTable:
 
     def at(self, i: int, j: int) -> Fraction:
         return self.values.at(i, j)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Each row as (integers, den) over its own common denominator,
+        formed on first use and then kept for every check of this table."""
+        return tuple(
+            _over_common_denominator(self.values.row(i)) for i in range(self.values.rows)
+        )
+
+    @cached_property
+    def int_columns(self) -> tuple[list[int], ...]:
+        """Each column's integers over its own common denominator; only
+        identities linear in a column read them, so the denominator is
+        dropped."""
+        return tuple(
+            _over_common_denominator(self.values.column(j))[0]
+            for j in range(self.values.cols)
+        )
 
 
 def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:
@@ -95,7 +115,7 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 
 
 def _three_term_holds(
-    lines: Sequence[Sequence[Fraction]],
+    lines: Sequence[Sequence[int]],
     eigenvalues: Sequence[Fraction],
     a: Sequence[Fraction],
     b: Sequence[Fraction],
@@ -106,16 +126,15 @@ def _three_term_holds(
     line v of `lines` with its eigenvalue lam (in zip order) and every index
     n of `at`; the terms beyond either end of a line drop.
 
-    The identity is linear in v, so each line is put over one denominator,
-    which cancels, and each index's triple (a[n], b[n], c[n]) over one lcm L:
-    the test is lam_num L v[n] == lam_den (B v[n+1] + A v[n] + C v[n-1]) on
-    integers."""
-    ints = [_over_common_denominator(line)[0] for line in lines]
+    The identity is linear in v, so each line comes as integers over a
+    denominator that cancels (a `ValueTable` view), and each index's triple
+    (a[n], b[n], c[n]) goes over one lcm L: the test is
+    lam_num L v[n] == lam_den (B v[n+1] + A v[n] + C v[n-1]) on integers."""
     lams = [lam.as_integer_ratio() for lam in eigenvalues]
-    last = len(ints[0]) - 1
+    last = len(lines[0]) - 1
     for n in at:
         (A, B, C), L = _over_common_denominator((a[n], b[n], c[n]))
-        for v, (lam_num, lam_den) in zip(ints, lams):
+        for v, (lam_num, lam_den) in zip(lines, lams):
             rhs = A * v[n]
             if n < last:
                 rhs += B * v[n + 1]
@@ -126,6 +145,25 @@ def _three_term_holds(
     return True
 
 
+def _int_rows(table: ValueTable, n: int) -> tuple[tuple[list[int], int], ...]:
+    """The first n rows of the table's integer view; a row past the table's
+    end reads as empty, as `RationalMatrix.row` returns it."""
+    rows = table.int_rows
+    return rows[:n] + (([], 1),) * (n - len(rows))
+
+
+def _recurrence_holds(p: ParameterArray, table: ValueTable) -> bool:
+    """A U == U Theta for a table U of p's shape (False for any other shape)
+    and A = tridiag(c, a, b), A[i][i+1] = b_i: every column obeys
+    theta_j u_i(theta_j) == b_i u_{i+1}(theta_j) + a_i u_i(theta_j)
+    + c_i u_{i-1}(theta_j) at every row i = 0..d, the terms past either end
+    dropped."""
+    d = p.d
+    if not table.values.rows == table.values.cols == d + 1:
+        return False
+    return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, range(d + 1))
+
+
 def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
     """Recurrence at i = d, where b_d = 0 closes the system:
     theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j).
@@ -133,25 +171,61 @@ def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
     Each column is cut to its rows d-1 and d (row 0 alone at d = 0)."""
     d = p.d
     lo = max(d - 1, 0)
-    tails = [table.values.column(j)[lo:] for j in range(d + 1)]
+    tails = [column[lo:] for column in table.int_columns[: d + 1]]
     return _three_term_holds(tails, p.theta, p.a[lo:], p.b[lo:], p.c[lo:], (d - lo,))
 
 
 def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
-    """sum_h u_i(theta_h) u_j(theta_h) k*_h == delta_ij nu / k_i, exactly.
+    """sum_h u_i(theta_h) u_j(theta_h) k*_h == delta_ij nu / k_i, exactly:
+    the Gram matrix G = U M U^T, with M = diag(k*), equals nu K^-1, with
+    K = diag(k).
 
-    Each row of the table and k* are put over one common denominator first,
-    so every sum is an integer dot product; only the diagonal sums are turned
-    back into a Fraction."""
+    If b_i != 0 for i < d, k_i b_i == k_{i+1} c_{i+1} for i < d and the
+    table obeys p's full recurrence, row 0 of G decides, in d + 1 integer
+    dot products; otherwise every row does (`_gram_orthogonality`).  The
+    proof is Favard's theorem in matrix form (Chihara, An Introduction to
+    Orthogonal Polynomials, 1978, ch. I), each premise where it is used:
+
+    - the recurrence A U == U Theta (`_recurrence_holds`) gives
+      A G = U Theta M U^T = U M Theta U^T = G A^T;
+    - the symmetrizer k_i b_i == k_{i+1} c_{i+1} gives A^T = K A K^-1 once
+      K is invertible, so X = G K commutes with A.  k_0 != 0 needs no test:
+      both paths form nu / k_0 first and raise the same ZeroDivisionError
+      when it is zero; from k_0 != 0, k_{i+1} c_{i+1} = k_i b_i != 0 gives
+      every k_i != 0;
+    - b_i != 0 makes the rows e_0^T A^n, n = 0..d, a basis: row n is zero
+      past entry n and b_0 b_1 ... b_{n-1} there.
+
+    If row 0 of G is (nu / k_0, 0, ..., 0), then e_0^T X = nu e_0^T, so
+    e_0^T A^n X = e_0^T X A^n = nu e_0^T A^n for every n: X = nu I on a
+    basis, which is G = nu K^-1.  The converse is row 0 of that identity.
+    A table that is orthogonal but breaks the recurrence, such as one with
+    a row's signs flipped, goes to the full loop and passes."""
+    d = p.d
+    favard = (
+        all(p.b[:d])
+        and all(k * b == k1 * c for k, b, k1, c in zip(p.k, p.b, p.k[1:], p.c[1:]))
+        and _recurrence_holds(p, table)
+    )
+    return _gram_orthogonality(p, table, rows=1 if favard else None)
+
+
+def _gram_orthogonality(p: ParameterArray, table: ValueTable, rows: int | None = None) -> bool:
+    """The first `rows` rows (all by default) of G = U diag(k*) U^T against
+    those of nu K^-1: the full orthogonality when every row is summed.
+
+    Each row of the table (its `int_rows` view) and k* are over one common
+    denominator, so every sum is an integer dot product; only the diagonal
+    sums are turned back into a Fraction."""
     d = p.d
     weights, weights_den = _over_common_denominator(p.k_star)
-    rows = [_over_common_denominator(table.values.row(i)) for i in range(d + 1)]
-    for i, (row_i, den_i) in enumerate(rows):
+    table_rows = _int_rows(table, d + 1)
+    for i, (row_i, den_i) in enumerate(table_rows[:rows]):
         weighted = [u * w for u, w in zip(row_i, weights)]
         norm = sum(map(operator.mul, weighted, row_i))
         if Fraction(norm, den_i * den_i * weights_den) != p.nu / p.k[i]:
             return False
-        for row_j, _ in rows[i + 1 :]:
+        for row_j, _ in table_rows[i + 1 :]:
             if sum(map(operator.mul, weighted, row_j)) != 0:
                 return False
     return True
@@ -160,7 +234,7 @@ def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
 def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
     """theta*_i u_i(theta_j) == b*_j u_i(theta_{j+1}) + a*_j u_i(theta_j)
     + c*_j u_i(theta_{j-1}); boundary terms drop via b*_d = c*_0 = 0."""
-    rows = [table.values.row(i) for i in range(p.d + 1)]
+    rows = [row for row, _ in _int_rows(table, p.d + 1)]
     return _three_term_holds(
         rows, p.theta_star, p.a_star, p.b_star, p.c_star, range(p.d + 1)
     )
@@ -220,11 +294,36 @@ def _triangle_degree(row: list[int], scales: list[list[int]]) -> int:
 def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     """Row i of the table must be the values of a polynomial of exact degree i.
 
-    The node scales are computed once for all rows."""
+    If the nodes theta are distinct and the table obeys p's full recurrence
+    (`_recurrence_holds`), the verdict is whether row 0 is a nonzero
+    constant; otherwise every row's divided-difference triangle decides
+    (`_triangle_degree_invariant`), which also names a repeated node.
+
+    Exact degrees make row 0 a nonzero constant.  Conversely, let row 0 be
+    a constant P_0 != 0, and let i < d be the first index with b_i == 0, if
+    there is one.  Below it, u_{i'+1} = ((theta - a_i') u_i' - c_i' u_{i'-1})
+    / b_i' carries polynomials of exact degrees i' and i' - 1 to one of
+    exact degree i' + 1 <= d, which is the row's interpolating polynomial,
+    since d + 1 distinct nodes fix a polynomial of degree <= d.  So rows
+    0..i are the values of P_0..P_i of exact degrees 0..i, and row i's
+    recurrence says that (x - a_i) P_i - c_i P_{i-1}, of exact degree
+    i + 1 <= d, vanishes at d + 1 distinct nodes, which it cannot.  Hence
+    every b_i != 0 (i < d), needing no test of its own, and the same step
+    runs up to row d."""
+    d = p.d
+    if len(set(p.theta)) == d + 1 and _recurrence_holds(p, table):
+        first = table.values.row(0)
+        return first[0] != 0 and first.count(first[0]) == d + 1
+    return _triangle_degree_invariant(p, table)
+
+
+def _triangle_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
+    """The degree of every row by its integer divided-difference triangle;
+    the node scales are computed once for all rows."""
     scales = _node_scales(p.theta)
     return all(
-        _triangle_degree(_over_common_denominator(table.values.row(i))[0], scales) == i
-        for i in range(p.d + 1)
+        _triangle_degree(row, scales) == i
+        for i, (row, _) in enumerate(_int_rows(table, p.d + 1))
     )
 
 

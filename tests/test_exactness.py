@@ -21,7 +21,13 @@ from leonard_lab.leonard import (
     verify_leonard_pair_square,
 )
 from leonard_lab.params import build_params, check_domain
-from leonard_lab.racah import build_racah_params, eval_table_4F3, verify_racah
+from leonard_lab.racah import (
+    affine_maps,
+    build_racah_params,
+    eval_table_4F3,
+    standard_racah_eval,
+    verify_racah,
+)
 from leonard_lab.representations import eval_table_hypergeometric, eval_table_recurrence
 from leonard_lab.sl2mod import build_even_module, example_pair, terwilliger_catalog
 
@@ -135,7 +141,11 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: check_domain(3, 0.5, 0),
     lambda: build_racah_params(2, 0.1),
     lambda: verify_racah(2, 0.1),
-], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah"])
+    lambda: standard_racah_eval(2, 0.1, 1, 1),
+    lambda: standard_racah_eval(2, F(1, 10), 1, 0.5),
+    lambda: affine_maps(2, 0.1),
+], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
+        "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps"])
 def test_a_float_parameter_is_refused(call):
     """Fraction(0.1) is the binary fraction 3602879701896397/2**55, so a
     float r or s would be decided exactly, but for the wrong value."""

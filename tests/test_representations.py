@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 from dataclasses import replace
 from functools import partial
@@ -8,13 +9,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from leonard_lab import representations
 from leonard_lab.cli import main
 from leonard_lab.hyper import hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from leonard_lab.params import build_params
-from leonard_lab.racah import build_racah_params
+from leonard_lab.racah import (
+    build_racah_params,
+    check_barred_recurrence,
+    check_racah_orthogonality,
+    eval_table_4F3,
+)
 from leonard_lab.representations import (
     ValueTable,
+    _gram_orthogonality,
+    _recurrence_holds,
+    _triangle_degree_invariant,
     check_basis_consistency,
     check_degree_invariant,
     check_difference_eq,
@@ -547,3 +557,180 @@ def test_degree_invariant_names_a_repeated_node():
     q = replace(p, theta=(p.theta[0],) + p.theta[:-1])
     with pytest.raises(ValueError, match="is repeated"):
         check_degree_invariant(q, eval_table_recurrence(p))
+
+
+# -- orthogonality and degree from the recurrence, against the full loops ----
+
+
+def outcome(check, p, table):
+    """check(p, table), or the class and message of the error it raises."""
+    try:
+        return check(p, table)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def scaled_columns(table, factors):
+    """Column j times factors[j]; every column still obeys the recurrence,
+    which is linear in it."""
+    return ValueTable(RationalMatrix.from_rows(
+        [[u * f for u, f in zip(row, factors)] for row in table.values.to_rows()]
+    ))
+
+
+MUTATIONS = ("none", "k", "zero k", "k*", "nu", "b", "c", "entry", "flipped row",
+             "rows combined", "scaled column", "scaled table", "zero table", "repeated theta")
+
+
+def mutated(p, table, mutation, i, delta):
+    """(array, table) with one change; i is taken modulo the index range."""
+    d = p.d
+    i %= d + 1
+    if mutation in ("k", "k*", "b", "c"):
+        field = {"k*": "k_star"}.get(mutation, mutation)
+        return replace(p, **{field: replaced(getattr(p, field), i, delta)}), table
+    if mutation == "zero k":
+        return replace(p, k=p.k[:i] + (F(0),) + p.k[i + 1 :]), table
+    if mutation == "nu":
+        return replace(p, nu=p.nu + delta), table
+    if mutation == "entry":
+        h = (3 * i + 1) % (d + 1)
+        return p, with_entry(table, i, h, table.at(i, h) + delta)
+    if mutation == "flipped row":
+        return p, with_row(table, i, [-u for u in table.values.row(i)])
+    if mutation == "rows combined" and d >= 2:
+        # Row j += delta row m for rows j != m >= 1: row 0 of the Gram matrix
+        # stays, row j's norm moves, and the recurrence breaks.
+        j = 1 + i % d
+        m = 1 + j % d
+        row = [u + delta * v for u, v in zip(table.values.row(j), table.values.row(m))]
+        return p, with_row(table, j, row)
+    if mutation == "scaled column":
+        return p, scaled_columns(table, [delta if j == i else 1 for j in range(d + 1)])
+    if mutation == "scaled table":
+        return p, scaled_columns(table, [delta] * (d + 1))
+    if mutation == "zero table":
+        return p, scaled_columns(table, [0] * (d + 1))
+    if mutation == "repeated theta" and d >= 1:
+        # Column 0 becomes column 1 with its node, so the recurrence holds.
+        rows = [[row[1], *row[1:]] for row in table.values.to_rows()]
+        return replace(p, theta=(p.theta[1],) + p.theta[1:]), ValueTable(
+            RationalMatrix.from_rows(rows))
+    return p, table
+
+
+@settings(deadline=None, max_examples=150)
+@given(build=array_builders(10), mutation=st.sampled_from(MUTATIONS),
+       i=st.integers(0, 10), delta=nonzero)
+@example(build=partial(build_params, 3, F(2, 7), F(1, 3)), mutation="repeated theta", i=0,
+         delta=F(1))
+@example(build=partial(build_racah_params, 4, F(-3, 5)), mutation="flipped row", i=2,
+         delta=F(1))
+def test_recurrence_paths_decide_as_the_full_loops(build, mutation, i, delta):
+    p = build()
+    q, table = mutated(p, eval_table_recurrence(p), mutation, i, delta)
+    orthogonal = outcome(check_orthogonality, q, table)
+    assert orthogonal == outcome(_gram_orthogonality, q, table)
+    assert orthogonal == outcome(orthogonality_oracle, q, table)
+    degree = outcome(check_degree_invariant, q, table)
+    assert degree == outcome(_triangle_degree_invariant, q, table)
+    if degree in (True, False):
+        assert degree == all(degree_oracle(q.theta, table.values.row(n)) == n
+                             for n in range(q.d + 1))
+    if mutation in ("none", "k*", "nu", "scaled column", "scaled table", "zero table",
+                    "repeated theta"):
+        # These keep every premise, so row 0 decides on both checks.
+        assert _recurrence_holds(q, table)
+    # A row's signs flipped breaks the recurrence and keeps both identities.
+    if mutation in ("none", "flipped row"):
+        assert orthogonal is degree is True
+    if mutation == "scaled table":
+        assert degree is True
+
+
+def test_each_premise_of_the_row_zero_test_is_needed():
+    """Tables on which row 0 of the Gram matrix, or of the table, looks
+    right while the full check fails; a path that skipped the premise named
+    would pass them."""
+    p = build_params(3, F(2, 7), F(-2, 7))
+    table = eval_table_recurrence(p)
+    assert check_orthogonality(p, table) and check_degree_invariant(p, table)
+
+    def row_zero_passes(q, t):
+        return _recurrence_holds(q, t) and _gram_orthogonality(q, t, rows=1)
+
+    # The symmetrizer k_i b_i == k_{i+1} c_{i+1}: k_2 doubled leaves row 0.
+    q = replace(p, k=replaced(p.k, 2, p.k[2]))
+    assert row_zero_passes(q, table)
+    assert not check_orthogonality(q, table) and not orthogonality_oracle(q, table)
+    # The recurrence: row 2 += row 1 keeps row 0 of G, not row 2.
+    combined = with_row(table, 2, [u + v for u, v in zip(table.values.row(2),
+                                                         table.values.row(1))])
+    assert _gram_orthogonality(p, combined, rows=1) and not _recurrence_holds(p, combined)
+    assert not check_orthogonality(p, combined) and not orthogonality_oracle(p, combined)
+    # The norm: nu doubled keeps every premise and every zero of row 0.
+    q = replace(p, nu=2 * p.nu)
+    assert _recurrence_holds(q, table) and not check_orthogonality(q, table)
+    # The zeros of row 0: moving weight from k*_2 to k*_1 keeps every premise
+    # and the norm sum_h u_0^2 k*_h, as u_0 == 1, but not sum_h u_1 k*_h.
+    q = replace(p, k_star=(p.k_star[0], p.k_star[1] + 1, p.k_star[2] - 1, *p.k_star[3:]))
+    assert _recurrence_holds(q, table) and not check_orthogonality(q, table)
+    assert not orthogonality_oracle(q, table)
+    # b_i != 0: with b = c = 0 and a = theta, the identity table obeys the
+    # recurrence, and the symmetrizer holds as 0 == 0; row 0 of G is
+    # (k*_0, 0, ..., 0) == (nu / k_0, 0, ..., 0), but k*_1 != nu / k_1.
+    zeros = (F(0),) * (p.d + 1)
+    q = replace(p, a=p.theta, b=zeros, c=zeros, nu=p.k[0] * p.k_star[0])
+    identity = ValueTable(RationalMatrix.identity(p.d + 1))
+    assert row_zero_passes(q, identity) and p.k_star[1] != q.nu / p.k[1]
+    assert not check_orthogonality(q, identity) and not orthogonality_oracle(q, identity)
+    # k_i != 0 needs no test: a zero k_0 raises on both paths, and a zero
+    # k_i at i >= 1 breaks the symmetrizer next to it, since b != 0 and c != 0.
+    for i in range(p.d + 1):
+        q = replace(p, k=p.k[:i] + (F(0),) + p.k[i + 1 :])
+        assert outcome(check_orthogonality, q, table) == outcome(orthogonality_oracle, q, table)
+    zero_k0 = replace(p, k=(F(0),) + p.k[1:])
+    assert outcome(check_orthogonality, zero_k0, table)[0] is ZeroDivisionError
+    # The recurrence, for the degrees: a changed entry of row 1 gives row 1
+    # degree d and leaves row 0 a nonzero constant.
+    moved = with_entry(table, 1, 2, table.at(1, 2) + 1)
+    assert not check_degree_invariant(p, moved) and not _recurrence_holds(p, moved)
+    # Distinct nodes: theta_0 := theta_1 with column 0 := column 1 keeps the
+    # recurrence and row 0, and the triangle names the repeated node.
+    q, repeated = mutated(p, table, "repeated theta", 0, F(1))
+    assert _recurrence_holds(q, repeated)
+    with pytest.raises(ValueError, match="is repeated"):
+        check_degree_invariant(q, repeated)
+    # Row 0 a nonzero constant: scaling one column keeps the recurrence and
+    # moves row 0 off a constant; a zero table is constant but zero.
+    for factors in ([2, 1, 1, 1], [0] * 4):
+        scaled = scaled_columns(table, factors)
+        assert _recurrence_holds(p, scaled)
+        assert not check_degree_invariant(p, scaled)
+        assert not _triangle_degree_invariant(p, scaled)
+
+
+def test_each_table_line_is_put_over_a_common_denominator_once(monkeypatch):
+    lines = Counter()
+    original = representations._over_common_denominator
+
+    def counted(values):
+        lines[tuple(values)] += 1
+        return original(values)
+
+    def lines_of(table):
+        expected = Counter(table.values.row(i) for i in range(table.d + 1))
+        expected.update(table.values.column(j) for j in range(table.d + 1))
+        return expected
+
+    p = build_params(5, F(2, 7), F(-2, 7))
+    q = build_racah_params(5, F(2, 7))
+    table, table4 = eval_table_hypergeometric(p), eval_table_4F3(q)
+    monkeypatch.setattr(representations, "_over_common_denominator", counted)
+    for check in (check_top_row, check_difference_eq, check_orthogonality,
+                  check_degree_invariant, _gram_orthogonality, _triangle_degree_invariant):
+        assert check(p, table)
+    assert {line: lines[line] for line in lines_of(table)} == lines_of(table)
+    lines.clear()
+    assert check_racah_orthogonality(q, table4) and check_barred_recurrence(q, table4)
+    assert {line: lines[line] for line in lines_of(table4)} == lines_of(table4)
