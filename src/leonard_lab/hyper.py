@@ -53,7 +53,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def exact_rational(name: str, value: Fraction | int | str) -> Fraction:
-    """value as a Fraction; a float is refused, since Fraction(0.1) is not 1/10."""
+    """value as a Fraction, a Fraction itself kept as it is; a float is
+    refused, since Fraction(0.1) is not 1/10."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{name} must be an int, Fraction or str, got the float {value!r}")
     return Fraction(value)

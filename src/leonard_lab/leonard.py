@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
-from .hyper import format_rational
+from .hyper import exact_rational, format_rational
 from .matrices import RationalMatrix
 from .params import (
     ParameterArray,
@@ -99,7 +99,7 @@ def canonical_shift(p: ParameterArray) -> Fraction:
 
 def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatrix:
     """([L*]_{u*-basis} + shift I)^2 by explicit matrix multiplication."""
-    m = matrix_Lstar_ustar_basis(p).plus_scalar(Fraction(shift))
+    m = matrix_Lstar_ustar_basis(p).plus_scalar(shift)
     return m @ m
 
 
@@ -119,7 +119,7 @@ def lstar_shift_square_closed_form(
     verdict reads only which factors of the off-diagonal cases vanish
     (`ordering_witness`), never these values.
     """
-    lam = Fraction(shift)
+    lam = exact_rational("shift", shift)
     d = p.d
     n = d + 1
     a, b, c = p.a_star, p.b_star, p.c_star
@@ -299,7 +299,7 @@ def ordering_witness(
     With a*_i + a*_{i+1} = n_i / q_i and shift = L / M, m_i is nonzero iff
     2 L q_i + M n_i is.
     """
-    return _ArrayFacts(p).witness(*Fraction(shift).as_integer_ratio())
+    return _ArrayFacts(p).witness(*exact_rational("shift", shift).as_integer_ratio())
 
 
 def verify_leonard_pair_square(
@@ -324,7 +324,7 @@ def verify_leonard_pair_square(
     alone are read by `_ArrayFacts`, which a search run builds once for all
     its shifts.
     """
-    return _ArrayFacts(p).verify(Fraction(shift), exhaustive)
+    return _ArrayFacts(p).verify(exact_rational("shift", shift), exhaustive)
 
 
 def theorem_conditions(
@@ -334,7 +334,7 @@ def theorem_conditions(
     R / D and s = S / D' are in lowest terms, so r + s == 0 iff (R, D) ==
     (-S, D'), and with shift = L / M (D, M > 0) 2 shift == r - d iff
     2 L D == M (R - d D)."""
-    return _theorem_conditions(p.d, p.r, p.s)(Fraction(shift))
+    return _theorem_conditions(p.d, p.r, p.s)(exact_rational("shift", shift))
 
 
 def _theorem_conditions(d: int, r: Fraction, s: Fraction):
@@ -356,7 +356,7 @@ def d2_condition(p: ParameterArray, shift: Fraction | int) -> bool:
     (r-s)/(r+s+2), (s-r)/(r+s+4)."""
     if p.d != 2:
         raise ValueError(f"d=2 condition evaluated at d={p.d}")
-    lam = Fraction(shift)
+    lam = exact_rational("shift", shift)
     if p.r == p.s:
         return False
     roots = {(p.r - p.s) / (p.r + p.s + 2), (p.s - p.r) / (p.r + p.s + 4)}
@@ -368,7 +368,7 @@ def is_dual_almost_bipartite(p: ParameterArray, shift: Fraction | int) -> bool:
     diagonal except a nonzero last entry.  Read from the array in O(d): the
     matrix is tridiagonal with subdiagonal b*_0..b*_{d-1}, superdiagonal
     c*_1..c*_d and diagonal a*_i + shift."""
-    lam = Fraction(shift)
+    lam = exact_rational("shift", shift)
     d = p.d
     return (
         all(p.b_star[:d])

@@ -1,15 +1,22 @@
 """Dense exact matrices over arbitrary-precision rationals.
 
-Sizes here are tiny (at most a few dozen rows), so everything is a plain
-row-major tuple of Fractions; no attempt at sparsity beyond skipping zero
-factors during multiplication.
+Sizes here are tiny (at most a few dozen rows), so a matrix is a plain
+row-major tuple of Fractions.  Only the product looks at sparsity: it puts
+each operand over one integer denominator, keeps the nonzero entries of each
+row, and sums on Python ints (`RationalMatrix.__matmul__`).  No float is
+accepted as an entry or a scalar (`hyper.exact_rational`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .hyper import exact_rational
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,7 @@ class RationalMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        flat = tuple(Fraction(x) for row in rows for x in row)
+        flat = tuple(exact_rational("matrix entry", x) for row in rows for x in row)
         return cls(nrows, ncols, flat)
 
     @classmethod
@@ -43,9 +50,9 @@ class RationalMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[Fraction | int]) -> "RationalMatrix":
         n = len(values)
-        flat = [Fraction(0)] * (n * n)
+        flat = [_ZERO] * (n * n)
         for i, v in enumerate(values):
-            flat[i * n + i] = Fraction(v)
+            flat[i * n + i] = exact_rational("matrix entry", v)
         return cls(n, n, tuple(flat))
 
     @classmethod
@@ -59,13 +66,13 @@ class RationalMatrix:
         n = len(diag)
         if len(sub) != max(n - 1, 0) or len(sup) != max(n - 1, 0):
             raise ValueError("sub/super diagonals must have length n-1")
-        flat = [Fraction(0)] * (n * n)
+        flat = [_ZERO] * (n * n)
         for i, v in enumerate(diag):
-            flat[i * n + i] = Fraction(v)
+            flat[i * n + i] = exact_rational("matrix entry", v)
         for i, v in enumerate(sub):
-            flat[(i + 1) * n + i] = Fraction(v)
+            flat[(i + 1) * n + i] = exact_rational("matrix entry", v)
         for i, v in enumerate(sup):
-            flat[i * n + i + 1] = Fraction(v)
+            flat[i * n + i + 1] = exact_rational("matrix entry", v)
         return cls(n, n, tuple(flat))
 
     # -- access ---------------------------------------------------------
@@ -107,34 +114,55 @@ class RationalMatrix:
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The exact product, formed on integers over the nonzero entries.
+
+        Each operand is put over one common denominator (`_integer_rows`), so
+        row i of the product sums a * b over the nonzero pairs (i, k), (k, j)
+        on Python ints, and each nonzero sum v becomes Fraction(v, D D') once.
+        The zeros of the product share one Fraction(0).
+        """
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, m, p = self.rows, self.cols, other.cols
-        flat = [Fraction(0)] * (n * p)
-        for i in range(n):
+        p = other.cols
+        left, den = self._integer_rows()
+        right, other_den = (left, den) if other is self else other._integer_rows()
+        den *= other_den
+        flat = [_ZERO] * (self.rows * p)
+        for i, row in enumerate(left):
+            if not row:
+                continue
+            sums = [0] * p
+            for k, a in row:
+                for j, b in right[k]:
+                    sums[j] += a * b
             base = i * p
-            for k in range(m):
-                a = self.entries[i * m + k]
-                if not a:
-                    continue
-                obase = k * p
-                for j in range(p):
-                    b = other.entries[obase + j]
-                    if b:
-                        flat[base + j] += a * b
-        return RationalMatrix(n, p, tuple(flat))
+            for j, v in enumerate(sums):
+                if v:
+                    flat[base + j] = Fraction(v, den)
+        return RationalMatrix(self.rows, p, tuple(flat))
+
+    def _integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """(rows, D): D is the lcm of the entries' denominators, and rows[i]
+        lists (j, D * entry) for each nonzero entry (i, j), in column order."""
+        ratios = [e.as_integer_ratio() for e in self.entries]
+        den = math.lcm(*{q for _, q in ratios})
+        m = self.cols
+        return [
+            [(j, n * (den // q)) for j, (n, q) in enumerate(ratios[i * m : (i + 1) * m]) if n]
+            for i in range(self.rows)
+        ], den
 
     def scaled(self, factor: Fraction | int) -> "RationalMatrix":
-        f = Fraction(factor)
+        f = exact_rational("factor", factor)
         return RationalMatrix(self.rows, self.cols, tuple(f * e for e in self.entries))
 
     def plus_scalar(self, shift: Fraction | int) -> "RationalMatrix":
         """self + shift * I."""
         if not self.is_square:
             raise ValueError("scalar shift of a non-square matrix")
-        s = Fraction(shift)
+        s = exact_rational("shift", shift)
         flat = list(self.entries)
         for i in range(self.rows):
             flat[i * self.cols + i] += s
@@ -147,9 +175,8 @@ class RationalMatrix:
         n = self.rows
         if sorted(perm) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-        return RationalMatrix(
-            n, n, tuple(self.at(perm[i], perm[j]) for i in range(n) for j in range(n))
-        )
+        e = self.entries
+        return RationalMatrix(n, n, tuple(e[i * n + j] for i in perm for j in perm))
 
     def trace(self) -> Fraction:
         if not self.is_square:

@@ -16,10 +16,15 @@ from hypothesis import strategies as st
 
 import leonard_lab
 from leonard_lab.leonard import (
+    d2_condition,
+    is_dual_almost_bipartite,
     lstar_shift_square,
     lstar_shift_square_closed_form,
+    ordering_witness,
+    theorem_conditions,
     verify_leonard_pair_square,
 )
+from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params, check_domain
 from leonard_lab.racah import (
     affine_maps,
@@ -144,11 +149,27 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: standard_racah_eval(2, 0.1, 1, 1),
     lambda: standard_racah_eval(2, F(1, 10), 1, 0.5),
     lambda: affine_maps(2, 0.1),
+    lambda: verify_leonard_pair_square(build_params(2, 1, 0), 0.1),
+    lambda: lstar_shift_square(build_params(2, 1, 0), 0.1),
+    lambda: lstar_shift_square_closed_form(build_params(2, 1, 0), 0.1),
+    lambda: ordering_witness(build_params(2, 1, 0), 0.1),
+    lambda: theorem_conditions(build_params(2, 1, 0), 0.1),
+    lambda: d2_condition(build_params(2, 1, 0), 0.1),
+    lambda: is_dual_almost_bipartite(build_params(2, 1, 0), 0.1),
+    lambda: RationalMatrix.from_rows([[1, 0.1]]),
+    lambda: RationalMatrix.diagonal([0.1]),
+    lambda: RationalMatrix.tridiagonal([1, 2], [0.5], [1]),
+    lambda: RationalMatrix.identity(2).scaled(0.5),
+    lambda: RationalMatrix.identity(2).plus_scalar(0.1),
 ], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
-        "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps"])
+        "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
+        "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
+        "ordering_witness", "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
+        "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar"])
 def test_a_float_parameter_is_refused(call):
     """Fraction(0.1) is the binary fraction 3602879701896397/2**55, so a
-    float r or s would be decided exactly, but for the wrong value."""
+    float r, s, shift, matrix entry or scalar would be decided exactly, but
+    for the wrong value."""
     with pytest.raises(TypeError, match=r"got the float -?0\.[15]"):
         call()
 

@@ -15,6 +15,14 @@ def square_matrices(n):
     ).map(RationalMatrix.from_rows)
 
 
+def test_constructors_keep_a_fraction_entry():
+    half = F(1, 2)
+    assert RationalMatrix.diagonal([half]).entries[0] is half
+    assert RationalMatrix.tridiagonal([half, 1], [half], [half]).entries[1] is half
+    assert RationalMatrix.from_rows([["1/3", 2]]).entries == (F(1, 3), F(2))
+    assert all(type(e) is F for e in RationalMatrix.tridiagonal([1, 2], [3], [4]).entries)
+
+
 def test_constructors_and_access():
     m = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert (m.rows, m.cols) == (2, 2)
@@ -43,6 +51,112 @@ def test_matmul_exact():
     assert a @ b == RationalMatrix.from_rows([[F(7, 2), F(0)], [F(12), F(-3)]])
 
 
+def triple_loop_product(a, b):
+    """The dense Fraction triple loop that `RationalMatrix.__matmul__` replaced,
+    kept as its oracle."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    n, m, p = a.rows, a.cols, b.cols
+    flat = [F(0)] * (n * p)
+    for i in range(n):
+        base = i * p
+        for k in range(m):
+            x = a.entries[i * m + k]
+            if not x:
+                continue
+            obase = k * p
+            for j in range(p):
+                y = b.entries[obase + j]
+                if y:
+                    flat[base + j] += x * y
+    return RationalMatrix(n, p, tuple(flat))
+
+
+def assert_kernel_product(a, b, expected):
+    """a @ b equals `expected` entry for entry, every entry is a Fraction, and
+    the zeros of the product are one shared object."""
+    product = a @ b
+    assert (product.rows, product.cols) == (expected.rows, expected.cols)
+    assert product.entries == expected.entries
+    assert all(type(e) is F for e in product.entries)
+    assert len({id(e) for e in product.entries if not e}) <= 1
+
+
+# Unrelated denominators, so that each operand's common denominator is a
+# product of primes; small numerators and zeros, so that sums cancel.
+kernel_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7, 11, 13])),
+)
+
+
+def kernel_matrices(draw, rows, cols):
+    entries = draw(st.lists(kernel_entries, min_size=rows * cols, max_size=rows * cols))
+    as_fractions = draw(st.booleans())
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols:
+                entries[i * cols + j] = 0
+            elif as_fractions:
+                entries[i * cols + j] = F(entries[i * cols + j])
+    return RationalMatrix(rows, cols, tuple(entries))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_matmul_matches_the_triple_loop(data):
+    n, m, p = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = kernel_matrices(data.draw, n, m)
+    b = kernel_matrices(data.draw, m, p)
+    assert_kernel_product(a, b, triple_loop_product(a, b))
+    # a product of one matrix with itself reads its integer rows once
+    if n == m:
+        assert_kernel_product(a, a, triple_loop_product(a, a))
+    # a zero-sum row: b's column 0 is orthogonal to a's row 0
+    if n and m >= 2 and p:
+        x, y = a.entries[0], a.entries[1]
+        column = [y, -x] + [0] * (m - 2)
+        c = RationalMatrix(m, p, tuple(
+            column[k] if j == 0 else b.entries[k * p + j] for k in range(m) for j in range(p)
+        ))
+        expected = triple_loop_product(a, c)
+        assert expected.at(0, 0) == 0
+        assert_kernel_product(a, c, expected)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        a @ RationalMatrix(m + 1, p, (0,) * ((m + 1) * p))
+
+
+def test_matmul_scales_each_operand_by_its_own_denominator():
+    a = RationalMatrix.from_rows([[F(1, 2), F(1, 3)], [F(-1, 5), 1]])
+    b = RationalMatrix.from_rows([[F(1, 7), F(2)], [F(3, 11), F(-1, 13)]])
+    assert_kernel_product(a, b, RationalMatrix.from_rows(
+        [[F(1, 14) + F(1, 11), 1 - F(1, 39)], [F(-1, 35) + F(3, 11), F(-2, 5) - F(1, 13)]]
+    ))
+    assert_kernel_product(a, a, RationalMatrix.from_rows(
+        [[F(1, 4) - F(1, 15), F(1, 6) + F(1, 3)], [F(-1, 10) - F(1, 5), F(-1, 15) + 1]]
+    ))
+
+
+def test_matmul_reads_the_last_nonzero_of_each_row():
+    a = RationalMatrix.from_rows([[0, 2], [3, 0]])
+    b = RationalMatrix.from_rows([[0, 5], [7, 0]])
+    assert_kernel_product(a, b, RationalMatrix.from_rows([[14, 0], [0, 15]]))
+
+
+def test_matmul_shares_one_zero_for_cancelled_and_empty_entries():
+    a = RationalMatrix.from_rows([[1, 1], [0, 0]])
+    b = RationalMatrix.from_rows([[1, 0], [-1, 0]])
+    product = a @ b
+    assert product == RationalMatrix.from_rows([[0, 0], [0, 0]])
+    assert len({id(e) for e in product.entries}) == 1
+    empty = RationalMatrix(0, 3, ()) @ RationalMatrix(3, 2, (F(1),) * 6)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 2, ())
+    assert RationalMatrix(2, 0, ()) @ RationalMatrix(0, 2, ()) == RationalMatrix.diagonal([0, 0])
+
+
 def test_plus_scalar_and_scaled():
     m = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert m.plus_scalar(F(1, 2)) == RationalMatrix.from_rows([[F(3, 2), 2], [3, F(9, 2)]])
@@ -56,6 +170,8 @@ def test_permuted_conjugation():
     for i in range(3):
         for j in range(3):
             assert q.at(i, j) == m.at(p[i], p[j])
+    wide = RationalMatrix.from_rows([[4 * i + j for j in range(4)] for i in range(4)])
+    assert wide.permuted((1, 3, 0, 2)).row(0) == (5, 7, 4, 6)
     with pytest.raises(ValueError):
         m.permuted((0, 0, 1))
 
