@@ -64,7 +64,7 @@ def exact_rational(name: str, value: Fraction | int | str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Serialize to ``"p/q"``, omitting ``/q`` when the denominator is one."""
-    q = value if isinstance(value, Fraction) else Fraction(value)
+    q = exact_rational("value", value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -72,10 +72,10 @@ def format_rational(value: Fraction | int) -> str:
 
 def _integer_ratio(x: Fraction | int) -> tuple[int, int]:
     """(p, q) with x == p/q, q > 0, in lowest terms; an int or a Fraction is
-    read as it is, anything else goes through Fraction first."""
+    read as it is, anything else goes through `exact_rational` first."""
     if isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
-    return Fraction(x).as_integer_ratio()
+    return exact_rational("parameter", x).as_integer_ratio()
 
 
 def _nonterminating(terms: int) -> ValueError:

@@ -418,14 +418,15 @@ def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fra
     repeats as often as its coordinates do, and a (d, r, s) without shifts
     gives no run."""
 
-    def ordered(values):
-        return None if values is None else sorted(Counter(map(Fraction, values)).items())
+    def ordered(name, values):
+        return None if values is None else sorted(
+            Counter(exact_rational(name, v) for v in values).items())
 
-    s_values = ordered(grid.s_values)
-    shift_values = ordered(grid.shift_values)
+    s_values = ordered("s", grid.s_values)
+    shift_values = ordered("shift", grid.shift_values)
     runs = []
     for (d, nd), (r, nr) in product(sorted(Counter(grid.d_values).items()),
-                                    ordered(grid.r_values)):
+                                    ordered("r", grid.r_values)):
         for s, ns in s_values if s_values is not None else ((-r, 1),):
             shifts = shift_values if shift_values is not None else (((r - d) / 2, 1),)
             run = [lam for lam, nl in shifts for _ in range(nd * nr * ns * nl)]

@@ -25,6 +25,7 @@ from .representations import (
     ValueTable,
     _over_common_denominator,
     _recurrence_holds,
+    _require_table_shape,
     check_orthogonality,
     eval_table_hypergeometric,
     matrix_Lstar_ustar_basis,
@@ -172,38 +173,35 @@ def check_table_matches_permuted_dual(
     p: ParameterArray, q: ParameterArray, table: ValueTable
 ) -> bool:
     """The 4F3 table equals the sigma-permuted 3F2 table of the dual Hahn
-    array: u_i(bar_theta_j) == u_i(theta_sigma(j)), by two independent
-    hypergeometric routes."""
+    array, column j against column sigma(j): u_i(bar_theta_j) ==
+    u_i(theta_sigma(j)), by two independent hypergeometric routes."""
     _require_shared(p, q)
-    dual_table = eval_table_hypergeometric(p)
-    sigma = index_map(q.d)
-    return all(
-        table.at(i, j) == dual_table.at(i, sigma[j])
-        for i in range(q.d + 1)
-        for j in range(q.d + 1)
-    )
+    _require_table_shape(q, table)
+    dual = eval_table_hypergeometric(p).values
+    return all(table.values.column(j) == dual.column(k) for j, k in enumerate(index_map(q.d)))
 
 
 def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
     """Barred orthogonality sum_h u_i u_j bar_k*_h == delta_ij bar_nu/bar_k_i;
     other `verify_racah` fields tie its weights and values to the dual Hahn ones.
 
-    It is `check_orthogonality(q, table)`, which sums only row 0 of the Gram
-    matrix under three premises.  On an array of `build_racah_params` two
-    hold by construction: bar_b_i = (d - i)(d - i - r) != 0 for i < d, since
-    |r| < 1 (and `parameter_array` refuses a zero interior bar_b), and
-    bar_k is the running product of bar_b_i / bar_c_{i+1}, so bar_k_i bar_b_i
-    == bar_k_{i+1} bar_c_{i+1}.  The third is the recurrence that
-    `check_barred_recurrence` decides, with the same helper.  So wherever
-    the `barred_recurrence` field holds, row 0 decides this field in
-    O(d^2); where it fails, the full Gram loop decides, so this field
-    never leans on that one."""
+    It is `check_orthogonality(q, table)`, which refuses a table of another
+    shape and sums only row 0 of the Gram matrix under three premises.  On an
+    array of `build_racah_params` two hold by construction: bar_b_i =
+    (d - i)(d - i - r) != 0 for i < d, since |r| < 1 (and `parameter_array`
+    refuses a zero interior bar_b), and bar_k is the running product of
+    bar_b_i / bar_c_{i+1}, so bar_k_i bar_b_i == bar_k_{i+1} bar_c_{i+1}.
+    The third is the recurrence that `check_barred_recurrence` decides, with
+    the same helper.  So wherever the `barred_recurrence` field holds, row 0
+    decides this field in O(d^2); where it fails, the full Gram loop decides,
+    so this field never leans on that one."""
     return check_orthogonality(q, table)
 
 
 def check_barred_recurrence(q: ParameterArray, table: ValueTable) -> bool:
     """x u_i(x) = bar_b_i u_{i+1}(x) + bar_a_i u_i(x) + bar_c_i u_{i-1}(x) at
     the barred nodes, boundary terms dropped through zero coefficients."""
+    _require_table_shape(q, table)
     return _recurrence_holds(q, table)
 
 

@@ -2,10 +2,12 @@
 representations, and the exact orthogonality / difference-equation checks.
 
 Polynomials are represented only by their value tables at the d+1 nodes:
-values at distinct nodes determine a polynomial of degree <= d uniquely.  A
-table that obeys its array's recurrence has its orthogonality read from
+values at distinct nodes determine a polynomial of degree <= d uniquely, so
+every table check refuses a table that is not (d+1)x(d+1) with a ValueError.
+A table that obeys its array's recurrence has its orthogonality read from
 row 0 of its Gram matrix and its exact degrees from its own row 0; any other
-table goes through all the Gram sums and the Newton divided differences.  No coefficient lists, no floating point.
+table goes through all the Gram sums and the Newton divided differences.
+No coefficient lists, no floating point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .params import ParameterArray
 
 @dataclass(frozen=True)
 class ValueTable:
-    """values.at(i, j) = u_i(theta_j) for 0 <= i, j <= d."""
+    """values.at(i, j) = u_i(theta_j) for 0 <= i, j <= d, d the d of the
+    array it is checked against; every table check refuses another shape
+    with a ValueError (`_require_table_shape`)."""
 
     values: RationalMatrix
 
@@ -145,34 +149,27 @@ def _three_term_holds(
     return True
 
 
-def _int_rows(table: ValueTable, n: int) -> tuple[tuple[list[int], int], ...]:
-    """The first n rows of the table's integer view; a row past the table's
-    end reads as empty, as `RationalMatrix.row` returns it."""
-    rows = table.int_rows
-    return rows[:n] + (([], 1),) * (n - len(rows))
+def _require_table_shape(p: ParameterArray, table: ValueTable) -> None:
+    if not table.values.rows == table.values.cols == p.d + 1:
+        raise ValueError(
+            f"table shape mismatch: expected {p.d + 1}x{p.d + 1} for d={p.d}, "
+            f"got {table.values.rows}x{table.values.cols}"
+        )
 
 
 def _recurrence_holds(p: ParameterArray, table: ValueTable) -> bool:
-    """A U == U Theta for a table U of p's shape (False for any other shape)
-    and A = tridiag(c, a, b), A[i][i+1] = b_i: every column obeys
-    theta_j u_i(theta_j) == b_i u_{i+1}(theta_j) + a_i u_i(theta_j)
-    + c_i u_{i-1}(theta_j) at every row i = 0..d, the terms past either end
-    dropped."""
-    d = p.d
-    if not table.values.rows == table.values.cols == d + 1:
-        return False
-    return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, range(d + 1))
+    """A U == U Theta for the table U and A = tridiag(c, a, b),
+    A[i][i+1] = b_i: every column obeys theta_j u_i(theta_j) ==
+    b_i u_{i+1}(theta_j) + a_i u_i(theta_j) + c_i u_{i-1}(theta_j) at every
+    row i = 0..d, the terms past either end dropped."""
+    return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, range(p.d + 1))
 
 
 def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
     """Recurrence at i = d, where b_d = 0 closes the system:
-    theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j).
-
-    Each column is cut to its rows d-1 and d (row 0 alone at d = 0)."""
-    d = p.d
-    lo = max(d - 1, 0)
-    tails = [column[lo:] for column in table.int_columns[: d + 1]]
-    return _three_term_holds(tails, p.theta, p.a[lo:], p.b[lo:], p.c[lo:], (d - lo,))
+    theta_j u_d(theta_j) = a_d u_d(theta_j) + c_d u_{d-1}(theta_j)."""
+    _require_table_shape(p, table)
+    return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, (p.d,))
 
 
 def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
@@ -201,6 +198,7 @@ def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
     basis, which is G = nu K^-1.  The converse is row 0 of that identity.
     A table that is orthogonal but breaks the recurrence, such as one with
     a row's signs flipped, goes to the full loop and passes."""
+    _require_table_shape(p, table)
     d = p.d
     favard = (
         all(p.b[:d])
@@ -217,9 +215,8 @@ def _gram_orthogonality(p: ParameterArray, table: ValueTable, rows: int | None =
     Each row of the table (its `int_rows` view) and k* are over one common
     denominator, so every sum is an integer dot product; only the diagonal
     sums are turned back into a Fraction."""
-    d = p.d
     weights, weights_den = _over_common_denominator(p.k_star)
-    table_rows = _int_rows(table, d + 1)
+    table_rows = table.int_rows
     for i, (row_i, den_i) in enumerate(table_rows[:rows]):
         weighted = [u * w for u, w in zip(row_i, weights)]
         norm = sum(map(operator.mul, weighted, row_i))
@@ -234,10 +231,9 @@ def _gram_orthogonality(p: ParameterArray, table: ValueTable, rows: int | None =
 def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
     """theta*_i u_i(theta_j) == b*_j u_i(theta_{j+1}) + a*_j u_i(theta_j)
     + c*_j u_i(theta_{j-1}); boundary terms drop via b*_d = c*_0 = 0."""
-    rows = [row for row, _ in _int_rows(table, p.d + 1)]
-    return _three_term_holds(
-        rows, p.theta_star, p.a_star, p.b_star, p.c_star, range(p.d + 1)
-    )
+    _require_table_shape(p, table)
+    rows = [row for row, _ in table.int_rows]
+    return _three_term_holds(rows, p.theta_star, p.a_star, p.b_star, p.c_star, range(p.d + 1))
 
 
 # -- degrees via divided differences --------------------------------------
@@ -310,6 +306,7 @@ def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     i + 1 <= d, vanishes at d + 1 distinct nodes, which it cannot.  Hence
     every b_i != 0 (i < d), needing no test of its own, and the same step
     runs up to row d."""
+    _require_table_shape(p, table)
     d = p.d
     if len(set(p.theta)) == d + 1 and _recurrence_holds(p, table):
         first = table.values.row(0)
@@ -323,7 +320,7 @@ def _triangle_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     scales = _node_scales(p.theta)
     return all(
         _triangle_degree(row, scales) == i
-        for i, (row, _) in enumerate(_int_rows(table, p.d + 1))
+        for i, (row, _) in enumerate(table.int_rows)
     )
 
 

@@ -15,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leonard_lab
+from leonard_lab.hyper import format_rational, hypergeom_table, hypergeom_terminating
 from leonard_lab.leonard import (
+    SearchGrid,
     d2_condition,
     is_dual_almost_bipartite,
     lstar_shift_square,
     lstar_shift_square_closed_form,
     ordering_witness,
+    search_square_preserving,
     theorem_conditions,
     verify_leonard_pair_square,
 )
@@ -161,15 +164,29 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: RationalMatrix.tridiagonal([1, 2], [0.5], [1]),
     lambda: RationalMatrix.identity(2).scaled(0.5),
     lambda: RationalMatrix.identity(2).plus_scalar(0.1),
+    lambda: hypergeom_terminating([-1, 0.1], [1], terms=1),
+    lambda: hypergeom_terminating([-1], [0.5], terms=1),
+    lambda: hypergeom_table([[-1, 0.1]], [[1]], [1], terms=1),
+    lambda: hypergeom_table([[-1]], [[0.1]], [1], terms=1),
+    lambda: hypergeom_table([[-1]], [[1]], [0.5], terms=1),
+    lambda: format_rational(0.1),
+    lambda: list(search_square_preserving(SearchGrid(d_values=(2,), r_values=(0.1,)))),
+    lambda: list(search_square_preserving(
+        SearchGrid(d_values=(2,), r_values=(F(1, 10),), s_values=(0.1,)))),
+    lambda: list(search_square_preserving(
+        SearchGrid(d_values=(2,), r_values=(F(1, 10),), shift_values=(0.5,)))),
 ], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
         "ordering_witness", "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
-        "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar"])
+        "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
+        "hypergeom_terminating-numerator", "hypergeom_terminating-denominator",
+        "hypergeom_table-row", "hypergeom_table-column", "hypergeom_table-denominator",
+        "format_rational", "SearchGrid-r", "SearchGrid-s", "SearchGrid-shift"])
 def test_a_float_parameter_is_refused(call):
     """Fraction(0.1) is the binary fraction 3602879701896397/2**55, so a
-    float r, s, shift, matrix entry or scalar would be decided exactly, but
-    for the wrong value."""
+    float r, s, shift, matrix entry, scalar or hypergeometric parameter would
+    be decided exactly, but for the wrong value, and printed as that value."""
     with pytest.raises(TypeError, match=r"got the float -?0\.[15]"):
         call()
 

@@ -180,6 +180,20 @@ def test_racah_orthogonality_worked_instance():
     assert q.nu / q.k[2] == 16
 
 
+def test_barred_table_checks_read_the_shape_from_the_barred_array():
+    """A whole 4F3 table of another d is refused, not read as far as the
+    barred array reaches; the shared-parameter check still comes first."""
+    q = build_racah_params(3, F(2, 7))
+    p = build_params(3, q.r, q.s)
+    other = eval_table_4F3(build_racah_params(4, q.r))
+    for check in (partial(check_table_matches_permuted_dual, p, q),
+                  partial(check_racah_orthogonality, q), partial(check_barred_recurrence, q)):
+        with pytest.raises(ValueError, match="expected 4x4 for d=3, got 5x5"):
+            check(other)
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        check_table_matches_permuted_dual(build_params(4, q.r, q.s), q, other)
+
+
 def test_standard_racah_route():
     for d, r in [(2, F(1, 2)), (3, F(-1, 4)), (5, F(3, 4))]:
         q = build_racah_params(d, r)

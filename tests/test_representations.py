@@ -18,6 +18,7 @@ from leonard_lab.racah import (
     build_racah_params,
     check_barred_recurrence,
     check_racah_orthogonality,
+    check_table_matches_permuted_dual,
     eval_table_4F3,
 )
 from leonard_lab.representations import (
@@ -734,3 +735,46 @@ def test_each_table_line_is_put_over_a_common_denominator_once(monkeypatch):
     lines.clear()
     assert check_racah_orthogonality(q, table4) and check_barred_recurrence(q, table4)
     assert {line: lines[line] for line in lines_of(table4)} == lines_of(table4)
+
+
+# -- the table shape contract --------------------------------------------------
+
+
+def table_checks():
+    """Each public table check at d = 3 as (call(table), the table it passes)."""
+    p = build_params(3, F(2, 7), F(-2, 7))
+    q = build_racah_params(3, F(2, 7))
+    dual, barred = eval_table_recurrence(p), eval_table_4F3(q)
+    return {
+        "check_top_row": (partial(check_top_row, p), dual),
+        "check_orthogonality": (partial(check_orthogonality, p), dual),
+        "check_difference_eq": (partial(check_difference_eq, p), dual),
+        "check_degree_invariant": (partial(check_degree_invariant, p), dual),
+        "check_table_matches_permuted_dual":
+            (partial(check_table_matches_permuted_dual, p, q), barred),
+        "check_racah_orthogonality": (partial(check_racah_orthogonality, q), barred),
+        "check_barred_recurrence": (partial(check_barred_recurrence, q), barred),
+    }
+
+
+def reshaped(table, rows, cols):
+    """The table's top-left rows x cols block, with junk past its end."""
+    return ValueTable(RationalMatrix.from_rows([
+        [table.at(i, j) if i <= table.d and j <= table.d else F(7, 3) for j in range(cols)]
+        for i in range(rows)
+    ]))
+
+
+# At d = 3: the right 4x4 block with a junk row and column, its 3x3 block,
+# and the right block with a junk column.
+SHAPES = {"(d+2)x(d+2)": (5, 5), "dxd": (3, 3), "(d+1)x(d+2)": (4, 5)}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", table_checks())
+def test_every_table_check_refuses_another_shape(name, shape):
+    check, table = table_checks()[name]
+    assert check(table) is True
+    rows, cols = SHAPES[shape]
+    with pytest.raises(ValueError, match=rf"expected 4x4 for d=3, got {rows}x{cols}\Z"):
+        check(reshaped(table, rows, cols))
