@@ -48,7 +48,7 @@ from .representations import (
     matrix_Lstar_u_basis,
     matrix_Lstar_ustar_basis,
 )
-from .scan import SCAN_BACKEND, scan_tridiagonal_orderings
+from .scan import scan_tridiagonal_orderings
 from .sl2mod import (
     EvenModule,
     build_even_module,

@@ -305,8 +305,6 @@ def cmd_verify_racah(args) -> int:
 
 
 def cmd_verify_sl2(args) -> int:
-    if args.n % 2 == 0 or args.n < 1:
-        raise ParameterDomainError(f"example match needs odd n >= 1, got {args.n}")
     module = sl2mod.build_even_module(args.kind, args.n)
     payload = {
         "kind": args.kind,
@@ -314,7 +312,7 @@ def cmd_verify_sl2(args) -> int:
         "dim": module.dim,
         "relations": sl2mod.check_module_relations(module),
         "match": sl2mod.verify_example_match(args.kind, args.n),
-        "casimirScalar": Fraction(args.n) * (args.n + 2) / 2,
+        "casimirScalar": module.casimir.at(0, 0),
     }
     _emit(_json(payload))
     _require(payload["relations"] and payload["match"], "an sl2 identity fails")

@@ -83,9 +83,13 @@ class RationalMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
         return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:

@@ -1,16 +1,20 @@
 """Even-subalgebra modules realized as explicit rational matrices.
 
-The generators are the squared raising/lowering operators, the Cartan
-element, and the Casimir element, acting on the two families of modules
-(kind 0 on a basis of size floor(n/2)+1, kind 1 on a basis of size
-floor((n+1)/2)).  The Casimir acts as the scalar n(n+2)/2 by construction;
-the commutation identities [H, E^2] = 4 E^2 and [H, F^2] = -4 F^2, and the
-products E^2 F^2 and F^2 E^2 as polynomials in H and the Casimir value, are
-checked as exact matrix identities.  For odd n, fixed rational combinations
-of the generators reproduce the dual Hahn Leonard-pair matrices at
-(r, s, d) = (-1/2, 1/2, (n-1)/2) for kind 0 and (1/2, -1/2, (n-1)/2) for
-kind 1; the halved-cube catalog lists which modules occur for diameter D and
-the adjacency/dual-adjacency actions on each.
+Both kinds of module of degree n are read off one sl2 module V_n with weight
+vectors w_0..w_n:
+
+    E^2 w_j = j(j-1) w_{j-2},  F^2 w_j = (n-j)(n-j-1) w_{j+2},  H w_j = (n-2j) w_j.
+
+The kind-k module (k = 0 or 1, n >= k) has basis v_i = w_{2i+k}, the weight
+vectors of parity k, so its dimension is (n-k)//2 + 1.  The Casimir acts as
+the scalar n(n+2)/2 by construction; the commutation identities
+[H, E^2] = 4 E^2 and [H, F^2] = -4 F^2, and the products E^2 F^2 and F^2 E^2
+as polynomials in H and the Casimir value, are checked as exact matrix
+identities.  For odd n, fixed rational combinations of the generators
+reproduce the dual Hahn Leonard-pair matrices at
+(r, s, d) = (k - 1/2, 1/2 - k, (n-1)/2); the halved-cube catalog lists which
+modules occur for diameter D and the adjacency/dual-adjacency actions on
+each.  Every (kind, n) outside these domains is a `ParameterDomainError`.
 """
 
 from __future__ import annotations
@@ -34,34 +38,35 @@ class EvenModule:
     casimir: RationalMatrix
 
 
+def _require_module(kind: int, n: int) -> None:
+    if kind not in (0, 1) or not isinstance(n, int) or n < kind:
+        raise ParameterDomainError(
+            f"a module needs kind 0 or 1 and an integer n >= kind, got kind {kind!r}, n {n!r}"
+        )
+
+
+def _require_example(kind: int, n: int) -> None:
+    _require_module(kind, n)
+    if n % 2 == 0:
+        raise ParameterDomainError(f"the example needs odd n, got {n}")
+
+
+def _casimir_value(n: int) -> Fraction:
+    return Fraction(n * (n + 2), 2)
+
+
 def build_even_module(kind: int, n: int) -> EvenModule:
     """Generator matrices on the kind-(0|1) module of degree n.
 
-    kind 0 (n >= 0), basis v_0..v_{floor(n/2)}:
-        E^2 v_i = 2i(2i-1) v_{i-1},  F^2 v_i = (n-2i)(n-2i-1) v_{i+1},
-        H v_i = (n-4i) v_i.
-    kind 1 (n >= 1), basis v_0..v_{floor((n-1)/2)}:
-        E^2 v_i = 2i(2i+1) v_{i-1},  F^2 v_i = (n-2i-1)(n-2i-2) v_{i+1},
-        H v_i = (n-4i-2) v_i.
+    Basis v_i = w_j with j = 2i + kind, for j = kind, kind+2, ... <= n:
+        E^2 v_i = j(j-1) v_{i-1},  F^2 v_i = (n-j)(n-j-1) v_{i+1},
+        H v_i = (n-2j) v_i.
     """
-    if kind not in (0, 1):
-        raise ValueError(f"kind must be 0 or 1, got {kind!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a natural number, got {n!r}")
-    if kind == 1 and n < 1:
-        raise ValueError("kind 1 modules need n >= 1")
-
-    if kind == 0:
-        dim = n // 2 + 1
-        raising = [2 * i * (2 * i - 1) for i in range(1, dim)]
-        lowering = [(n - 2 * i) * (n - 2 * i - 1) for i in range(dim - 1)]
-        cartan = [n - 4 * i for i in range(dim)]
-    else:
-        dim = (n + 1) // 2
-        raising = [2 * i * (2 * i + 1) for i in range(1, dim)]
-        lowering = [(n - 2 * i - 1) * (n - 2 * i - 2) for i in range(dim - 1)]
-        cartan = [n - 4 * i - 2 for i in range(dim)]
-
+    _require_module(kind, n)
+    weights = range(kind, n + 1, 2)  # j of v_0, v_1, ...
+    dim = len(weights)
+    raising = [j * (j - 1) for j in weights[1:]]
+    lowering = [(n - j) * (n - j - 1) for j in weights[:-1]]
     zeros = [0] * (dim - 1)
     return EvenModule(
         kind=kind,
@@ -69,8 +74,8 @@ def build_even_module(kind: int, n: int) -> EvenModule:
         dim=dim,
         e_sq=RationalMatrix.tridiagonal([0] * dim, zeros, raising),
         f_sq=RationalMatrix.tridiagonal([0] * dim, lowering, zeros),
-        h=RationalMatrix.diagonal(cartan),
-        casimir=RationalMatrix.identity(dim).scaled(Fraction(n * (n + 2), 2)),
+        h=RationalMatrix.diagonal([n - 2 * j for j in weights]),
+        casimir=RationalMatrix.identity(dim).scaled(_casimir_value(n)),
     )
 
 
@@ -94,7 +99,7 @@ def check_module_relations(m: EvenModule) -> bool:
     if comm_f != m.f_sq.scaled(-4):
         return False
     h = [m.h.at(i, i) for i in range(m.dim)]
-    c = Fraction(m.n * (m.n + 2), 2)
+    c = _casimir_value(m.n)
     if m.h != RationalMatrix.diagonal(h):
         return False
     if m.casimir != RationalMatrix.identity(m.dim).scaled(c):
@@ -112,35 +117,29 @@ def check_module_relations(m: EvenModule) -> bool:
     )
 
 
+def _generator_combination(m: EvenModule, shift: int, scale: Fraction) -> RationalMatrix:
+    """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2."""
+    combined = (m.e_sq + m.f_sq + m.casimir).plus_scalar(-shift)
+    return combined.scaled(scale) - (m.h @ m.h).scaled(scale / 2)
+
+
 def example_pair(kind: int, n: int) -> tuple[RationalMatrix, RationalMatrix]:
     """The rational generator combinations that reproduce the dual Hahn
     Leonard pair on the odd-degree modules:
-    (E^2 + F^2 + Casimir - 1)/4 - H^2/8, paired with (n - H)/4 for kind 0 and
-    (n - H)/4 - 1/2 for kind 1."""
-    if n % 2 == 0:
-        raise ValueError(f"example pair needs odd n, got {n}")
+    (E^2 + F^2 + Casimir - 1)/4 - H^2/8, paired with (n - H)/4 - kind/2,
+    which is i on v_i."""
+    _require_example(kind, n)
     m = build_even_module(kind, n)
-    ident = RationalMatrix.identity(m.dim)
-    first = (
-        (m.e_sq + m.f_sq + m.casimir - ident).scaled(Fraction(1, 4))
-        - (m.h @ m.h).scaled(Fraction(1, 8))
-    )
-    second = (ident.scaled(n) - m.h).scaled(Fraction(1, 4))
-    if kind == 1:
-        second = second - ident.scaled(Fraction(1, 2))
+    first = _generator_combination(m, 1, Fraction(1, 4))
+    second = m.h.scaled(Fraction(-1, 4)).plus_scalar(Fraction(n - 2 * kind, 4))
     return first, second
 
 
 def example_parameters(kind: int, n: int) -> tuple[Fraction, Fraction, int]:
     """(r, s, d) matched by the odd-n example of the given kind."""
-    if n % 2 == 0:
-        raise ValueError(f"example parameters need odd n, got {n}")
-    d = (n - 1) // 2
-    if kind == 0:
-        return Fraction(-1, 2), Fraction(1, 2), d
-    if kind == 1:
-        return Fraction(1, 2), Fraction(-1, 2), d
-    raise ValueError(f"kind must be 0 or 1, got {kind!r}")
+    _require_example(kind, n)
+    r = Fraction(2 * kind - 1, 2)
+    return r, -r, (n - 1) // 2
 
 
 def verify_example_match(kind: int, n: int) -> bool:
@@ -162,23 +161,18 @@ class CatalogEntry:
 
 def terwilliger_catalog(D: int) -> list[CatalogEntry]:
     """Isomorphism classes of irreducible modules for the halved D-cube:
-    kind 0 of degree D-2k for even k up to floor(D/2), kind 1 of degree D-2k
-    for odd k up to floor((D-1)/2).  Each entry carries the adjacency action
+    kind k mod 2 of degree D-2k for k = 0..floor(D/2), wherever that module
+    exists (degree >= kind).  Each entry carries the adjacency action
     (E^2 + F^2 + Casimir - D)/2 - H^2/4 and the dual adjacency action H."""
     if D < 1:
         raise ParameterDomainError(f"catalog needs D >= 1, got {D}")
     entries = []
     for k in range(D // 2 + 1):
-        kind = 0 if k % 2 == 0 else 1
-        if kind == 1 and k > (D - 1) // 2:
+        kind, n = k % 2, D - 2 * k
+        if n < kind:
             continue
-        n = D - 2 * k
         m = build_even_module(kind, n)
-        ident = RationalMatrix.identity(m.dim)
-        adjacency = (
-            (m.e_sq + m.f_sq + m.casimir - ident.scaled(D)).scaled(Fraction(1, 2))
-            - (m.h @ m.h).scaled(Fraction(1, 4))
-        )
+        adjacency = _generator_combination(m, D, Fraction(1, 2))
         entries.append(
             CatalogEntry(
                 kind=kind, n=n, adjacency_action=adjacency, dual_adjacency_action=m.h

@@ -183,8 +183,12 @@ def test_verify_sl2(capsys):
 
 
 def test_verify_sl2_rejects_even_n(capsys):
-    code, _, _ = run_cli(capsys, "verify-sl2", "--kind", "0", "--n", "4")
-    assert code == 2
+    # An even n, and an n below the kind, are domain errors of the library:
+    # exit 2, never an internal inconsistency.
+    for kind, n in ((0, 4), (0, 0), (1, 0), (1, 2), (0, -1)):
+        code, out, err = run_cli(capsys, "verify-sl2", "--kind", str(kind), "--n", str(n))
+        assert (code, out) == (2, ""), (kind, n, err)
+        assert err.startswith("domain error: "), (kind, n, err)
 
 
 def test_search_canonical_only_theorem_hits(capsys):

@@ -30,6 +30,11 @@ def test_constructors_and_access():
     assert m.row(0) == (1, 2)
     assert m.column(1) == (2, 4)
     assert RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).column(2) == (3, 6)
+    square = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for access, index in ((square.row, 5), (square.row, -1), (square.column, 4),
+                          (square.column, -1)):
+        with pytest.raises(IndexError):
+            access(index)
     assert RationalMatrix.identity(2) == RationalMatrix.from_rows([[1, 0], [0, 1]])
     assert RationalMatrix.diagonal([5, 6]).at(0, 1) == 0
     tri = RationalMatrix.tridiagonal(diag=[1, 2, 3], sub=[7, 8], sup=[4, 5])

@@ -45,13 +45,51 @@ def test_build_kind0_n0():
     assert m.e_sq == RationalMatrix.from_rows([[0]])
 
 
+def _per_kind_module(kind, n):
+    """(dim, E^2 raising, F^2 lowering, H) from one index formula per kind,
+    the oracle for the weight-vector rule of `build_even_module`."""
+    if kind == 0:
+        dim = n // 2 + 1
+        raising = [2 * i * (2 * i - 1) for i in range(1, dim)]
+        lowering = [(n - 2 * i) * (n - 2 * i - 1) for i in range(dim - 1)]
+        cartan = [n - 4 * i for i in range(dim)]
+    else:
+        dim = (n + 1) // 2
+        raising = [2 * i * (2 * i + 1) for i in range(1, dim)]
+        lowering = [(n - 2 * i - 1) * (n - 2 * i - 2) for i in range(dim - 1)]
+        cartan = [n - 4 * i - 2 for i in range(dim)]
+    return dim, raising, lowering, cartan
+
+
+@pytest.mark.parametrize("kind", (0, 1))
+def test_weight_vector_rule_matches_the_per_kind_formulas(kind):
+    for n in range(kind, 26):
+        dim, raising, lowering, cartan = _per_kind_module(kind, n)
+        zeros = [0] * (dim - 1)
+        m = build_even_module(kind, n)
+        assert m.dim == dim, n
+        assert m.e_sq == RationalMatrix.tridiagonal([0] * dim, zeros, raising), n
+        assert m.f_sq == RationalMatrix.tridiagonal([0] * dim, lowering, zeros), n
+        assert m.h == RationalMatrix.diagonal(cartan), n
+        assert m.casimir == RationalMatrix.identity(dim).scaled(F(n * (n + 2), 2)), n
+
+
 def test_build_invalid_arguments():
-    with pytest.raises(ValueError):
+    # Every sl2 domain error is a ParameterDomainError (a ValueError), which
+    # the CLI maps to exit 2.
+    with pytest.raises(ParameterDomainError):
         build_even_module(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         build_even_module(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         build_even_module(0, -1)
+    with pytest.raises(ParameterDomainError):
+        build_even_module(0, 3.0)
+    for kind, n in ((0, 4), (0, 0), (1, 2), (1, 0), (0, -1), (2, 3), (-1, 3)):
+        with pytest.raises(ParameterDomainError):
+            example_pair(kind, n)
+        with pytest.raises(ParameterDomainError):
+            example_parameters(kind, n)
 
 
 @pytest.mark.parametrize("kind", (0, 1))
