@@ -305,13 +305,14 @@ def cmd_verify_racah(args) -> int:
 
 
 def cmd_verify_sl2(args) -> int:
+    match = sl2mod.verify_example_match(args.kind, args.n)  # decides the domain first
     module = sl2mod.build_even_module(args.kind, args.n)
     payload = {
         "kind": args.kind,
         "n": args.n,
         "dim": module.dim,
         "relations": sl2mod.check_module_relations(module),
-        "match": sl2mod.verify_example_match(args.kind, args.n),
+        "match": match,
         "casimirScalar": module.casimir.at(0, 0),
     }
     _emit(_json(payload))

@@ -20,7 +20,7 @@ import operator
 import re
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -76,6 +76,15 @@ def _integer_ratio(x: Fraction | int) -> tuple[int, int]:
     if isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
     return exact_rational("parameter", x).as_integer_ratio()
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integers, den) with values[h] == integers[h] / den, den the lcm of
+    the denominators."""
+    den = 1
+    for v in values:  # not math.lcm(*...), which builds an argument tuple per call
+        den = math.lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _nonterminating(terms: int) -> ValueError:

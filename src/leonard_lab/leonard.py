@@ -19,7 +19,7 @@ A search point costs O(d) integer operations.  The pattern of the square is
 fixed by the parameter array: each off-diagonal entry of the paper's
 five-case closed form is a product of b*_i, c*_i and the middle factors
 2 lambda + a*_i + a*_{i+1}, and a product in a field is zero exactly when a
-factor is.  So the ordering is read off those factors (`ordering_witness`):
+factor is.  So the ordering is read off those factors (`_ArrayFacts.witness`):
 no b* or c* zero, and exactly one nonzero middle factor, at an end.  The
 u-basis facts are read from b, c and theta*.  The five
 cases as `Fraction` values are written once, in the dense closed form
@@ -36,8 +36,8 @@ and c* nonzero, and the pair sums of a* as integer pairs
 (`_ArrayFacts.from_pairs`).  It builds no Fraction array unless the
 `exhaustive` oracle needs one, and then once per run.  Each shift costs
 O(d) integer operations: the x_i^2 of the diagonal test and the middle
-factors.  `verify_leonard_pair_square` and `ordering_witness` decide one
-shift on the same facts, read from a built array (`_ArrayFacts(p)`).
+factors.  `verify_leonard_pair_square` decides one shift on the same
+facts, read from a built array (`_ArrayFacts(p)`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
-from .hyper import exact_rational, format_rational
+from .hyper import _over_common_denominator, exact_rational, format_rational
 from .matrices import RationalMatrix
 from .params import (
     ParameterArray,
@@ -59,7 +59,7 @@ from .params import (
     build_params,
     check_domain,
 )
-from .representations import _over_common_denominator, matrix_Lstar_ustar_basis
+from .representations import matrix_Lstar_ustar_basis
 from .scan import scan_tridiagonal_orderings
 
 
@@ -117,7 +117,7 @@ def lstar_shift_square_closed_form(
 
     Every other entry of the square of a tridiagonal matrix is zero.  The
     verdict reads only which factors of the off-diagonal cases vanish
-    (`ordering_witness`), never these values.
+    (`_ArrayFacts.witness`), never these values.
     """
     lam = exact_rational("shift", shift)
     d = p.d
@@ -162,7 +162,7 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 
     sigma (`_sigma`) is also the index map of the barred array
     (`racah.index_map`).  A path and its reversal have the same edges, so
-    `ordering_witness` returns only the first or the third candidate."""
+    a verdict's witness is only ever the first or the third candidate."""
     if d < 1:
         raise ValueError("candidate orderings need d >= 1")
     sigma = _sigma(d)
@@ -220,8 +220,31 @@ class _ArrayFacts:
         return BasisOrdering(tuple(self.d - k for k in self.sigma.perm))
 
     def witness(self, L: int, M: int) -> Optional[BasisOrdering]:
-        """`ordering_witness` at the shift L / M (M > 0): m_i is nonzero iff
-        2 L q_i + M n_i is, with a*_i + a*_{i+1} = n_i / q_i."""
+        """The first candidate ordering under which the square
+        (L* + shift)^2, shift = L / M (M > 0), in the u*-basis is irreducible
+        tridiagonal, or None if no candidate works; read in O(d) from the
+        factors of the closed form (`lstar_shift_square_closed_form`).
+
+        Join i and j when entry (i, j) or (j, i) is nonzero; a witness makes
+        the joins one path, each nonzero both ways (see `scan`).
+        - d = 0: the single ordering.
+        - Some b*_i (i < d) is zero: every entry (j, k) with k <= i < j has
+          the factor b*_i, so no pair across that cut is nonzero both ways
+          and no path crosses it.  A zero c*_i (i > 0) cuts at j < i <= k
+          alike.
+        - Otherwise every entry two off the diagonal is nonzero both ways,
+          so the evens 0-2-4-... and the odds 1-3-5-... form two chains with
+          d - 1 joins.  The pair (i, i+1) is nonzero both ways exactly when
+          m_i = 2 shift + a*_i + a*_{i+1} is nonzero.  A path has d joins, so
+          exactly one m_i is nonzero, and it must join two chain ends.
+          m_{d-1} alone joins the top ends: evens up, then odds down, which
+          is sigma.  m_0 alone joins the bottom ends, which is the mirror.
+          At d = 1 the two coincide and sigma is returned.  The only other
+          such pair is (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so
+          this returns None there and the `exhaustive` oracle raises.
+
+        With a*_i + a*_{i+1} = n_i / q_i, m_i is nonzero iff 2 L q_i + M n_i
+        is."""
         d = self.d
         if d == 0:
             return self.sigma
@@ -271,37 +294,6 @@ class _ArrayFacts:
         )
 
 
-def ordering_witness(
-    p: ParameterArray, shift: Fraction | int
-) -> Optional[BasisOrdering]:
-    """The first candidate ordering under which the square (L* + shift)^2 in
-    the u*-basis is irreducible tridiagonal, or None if no candidate works;
-    read in O(d) from the factors of the closed form
-    (`lstar_shift_square_closed_form`).
-
-    Join i and j when entry (i, j) or (j, i) is nonzero; a witness makes the
-    joins one path, each nonzero both ways (see `scan`).
-    - d = 0: the single ordering.
-    - Some b*_i (i < d) is zero: every entry (j, k) with k <= i < j has the
-      factor b*_i, so no pair across that cut is nonzero both ways and no
-      path crosses it.  A zero c*_i (i > 0) cuts at j < i <= k alike.
-    - Otherwise every entry two off the diagonal is nonzero both ways, so
-      the evens 0-2-4-... and the odds 1-3-5-... form two chains with d - 1
-      joins.  The pair (i, i+1) is nonzero both ways exactly when
-      m_i = 2 shift + a*_i + a*_{i+1} is nonzero.  A path has d joins, so
-      exactly one m_i is nonzero, and it must join two chain ends.  m_{d-1}
-      alone joins the top ends: evens up, then odds down, which is sigma.
-      m_0 alone joins the bottom ends, which is the mirror.  At d = 1 the
-      two coincide and sigma is returned.  The only other such pair is
-      (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so this returns
-      None there and the `exhaustive` oracle raises.
-
-    With a*_i + a*_{i+1} = n_i / q_i and shift = L / M, m_i is nonzero iff
-    2 L q_i + M n_i is.
-    """
-    return _ArrayFacts(p).witness(*exact_rational("shift", shift).as_integer_ratio())
-
-
 def verify_leonard_pair_square(
     p: ParameterArray, shift: Fraction | int, exhaustive: bool = False
 ) -> LeonardPairReport:
@@ -313,7 +305,7 @@ def verify_leonard_pair_square(
     verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
     candidate orderings, read off the closed form's factors
-    (`ordering_witness`).  Every test runs on
+    (`_ArrayFacts.witness`).  Every test runs on
     integers: with theta*_i = T_i / E and shift = L / M, (theta*_i + shift)^2
     is x_i^2 / (E M)^2 with x_i = T_i M + L E, so the diagonal condition is
     x_i^2 == ((i M + L) E)^2 and distinctness is that of the x_i^2.  With

@@ -17,13 +17,18 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .hyper import exact_rational, format_rational, hypergeom_table, hypergeom_terminating
+from .hyper import (
+    _over_common_denominator,
+    exact_rational,
+    format_rational,
+    hypergeom_table,
+    hypergeom_terminating,
+)
 from .leonard import _sigma, canonical_shift, lstar_shift_square
 from .matrices import RationalMatrix
 from .params import ParameterArray, ParameterDomainError, build_params, parameter_array
 from .representations import (
     ValueTable,
-    _over_common_denominator,
     _recurrence_holds,
     _require_table_shape,
     check_orthogonality,

@@ -4,9 +4,12 @@ representations, and the exact orthogonality / difference-equation checks.
 Polynomials are represented only by their value tables at the d+1 nodes:
 values at distinct nodes determine a polynomial of degree <= d uniquely, so
 every table check refuses a table that is not (d+1)x(d+1) with a ValueError.
-A table that obeys its array's recurrence has its orthogonality read from
-row 0 of its Gram matrix and its exact degrees from its own row 0; any other
-table goes through all the Gram sums and the Newton divided differences.
+Each table has one integer form, all its entries over one common denominator,
+formed once and read by every table check: its rows, and its columns as their
+transpose.  A table that obeys its array's recurrence has its orthogonality
+read from row 0 of its Gram matrix and its exact degrees from its own row 0;
+any other table goes through all the Gram sums and the Newton divided
+differences.
 No coefficient lists, no floating point.
 """
 
@@ -19,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hyper import format_rational, hypergeom_terminating
+from .hyper import _over_common_denominator, format_rational, hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from .params import ParameterArray
 
@@ -28,7 +31,8 @@ from .params import ParameterArray
 class ValueTable:
     """values.at(i, j) = u_i(theta_j) for 0 <= i, j <= d, d the d of the
     array it is checked against; every table check refuses another shape
-    with a ValueError (`_require_table_shape`)."""
+    with a ValueError (`_require_table_shape`) and reads the table's one
+    integer form (`int_rows`, `int_columns`)."""
 
     values: RationalMatrix
 
@@ -40,22 +44,18 @@ class ValueTable:
         return self.values.at(i, j)
 
     @cached_property
-    def int_rows(self) -> tuple[tuple[list[int], int], ...]:
-        """Each row as (integers, den) over its own common denominator,
-        formed on first use and then kept for every check of this table."""
-        return tuple(
-            _over_common_denominator(self.values.row(i)) for i in range(self.values.rows)
-        )
+    def int_rows(self) -> tuple[tuple[list[int], ...], int]:
+        """(rows, D): every entry over one common denominator D, as integer
+        rows, formed on first use and then kept for every check of this
+        table."""
+        ints, den = _over_common_denominator(self.values.entries)
+        n = self.values.cols
+        return tuple(ints[i : i + n] for i in range(0, len(ints), n)), den
 
     @cached_property
-    def int_columns(self) -> tuple[list[int], ...]:
-        """Each column's integers over its own common denominator; only
-        identities linear in a column read them, so the denominator is
-        dropped."""
-        return tuple(
-            _over_common_denominator(self.values.column(j))[0]
-            for j in range(self.values.cols)
-        )
+    def int_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of `int_rows`, over the same D: its transpose."""
+        return tuple(zip(*self.int_rows[0]))
 
 
 def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:
@@ -110,14 +110,6 @@ def eval_table_recurrence(p: ParameterArray) -> ValueTable:
     return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(integers, den) with values[h] == integers[h] / den."""
-    den = 1
-    for v in values:  # not math.lcm(*...), which builds an argument tuple per call
-        den = math.lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _three_term_holds(
     lines: Sequence[Sequence[int]],
     eigenvalues: Sequence[Fraction],
@@ -131,8 +123,8 @@ def _three_term_holds(
     n of `at`; the terms beyond either end of a line drop.
 
     The identity is linear in v, so each line comes as integers over a
-    denominator that cancels (a `ValueTable` view), and each index's triple
-    (a[n], b[n], c[n]) goes over one lcm L: the test is
+    denominator that cancels (a table's integer form), and each index's
+    triple (a[n], b[n], c[n]) goes over one lcm L: the test is
     lam_num L v[n] == lam_den (B v[n+1] + A v[n] + C v[n-1]) on integers."""
     lams = [lam.as_integer_ratio() for lam in eigenvalues]
     last = len(lines[0]) - 1
@@ -212,17 +204,17 @@ def _gram_orthogonality(p: ParameterArray, table: ValueTable, rows: int | None =
     """The first `rows` rows (all by default) of G = U diag(k*) U^T against
     those of nu K^-1: the full orthogonality when every row is summed.
 
-    Each row of the table (its `int_rows` view) and k* are over one common
-    denominator, so every sum is an integer dot product; only the diagonal
-    sums are turned back into a Fraction."""
+    The table (its `int_rows` form, over D) and k* are each over one common
+    denominator, so every sum is an integer dot product over D^2 times that
+    of k*; only the diagonal sums are turned back into a Fraction."""
     weights, weights_den = _over_common_denominator(p.k_star)
-    table_rows = table.int_rows
-    for i, (row_i, den_i) in enumerate(table_rows[:rows]):
+    table_rows, den = table.int_rows
+    for i, row_i in enumerate(table_rows[:rows]):
         weighted = [u * w for u, w in zip(row_i, weights)]
         norm = sum(map(operator.mul, weighted, row_i))
-        if Fraction(norm, den_i * den_i * weights_den) != p.nu / p.k[i]:
+        if Fraction(norm, den * den * weights_den) != p.nu / p.k[i]:
             return False
-        for row_j, _ in table_rows[i + 1 :]:
+        for row_j in table_rows[i + 1 :]:
             if sum(map(operator.mul, weighted, row_j)) != 0:
                 return False
     return True
@@ -232,7 +224,7 @@ def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
     """theta*_i u_i(theta_j) == b*_j u_i(theta_{j+1}) + a*_j u_i(theta_j)
     + c*_j u_i(theta_{j-1}); boundary terms drop via b*_d = c*_0 = 0."""
     _require_table_shape(p, table)
-    rows = [row for row, _ in table.int_rows]
+    rows, _ = table.int_rows
     return _three_term_holds(rows, p.theta_star, p.a_star, p.b_star, p.c_star, range(p.d + 1))
 
 
@@ -309,7 +301,8 @@ def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     _require_table_shape(p, table)
     d = p.d
     if len(set(p.theta)) == d + 1 and _recurrence_holds(p, table):
-        first = table.values.row(0)
+        rows, _ = table.int_rows
+        first = rows[0]
         return first[0] != 0 and first.count(first[0]) == d + 1
     return _triangle_degree_invariant(p, table)
 
@@ -318,10 +311,8 @@ def _triangle_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     """The degree of every row by its integer divided-difference triangle;
     the node scales are computed once for all rows."""
     scales = _node_scales(p.theta)
-    return all(
-        _triangle_degree(row, scales) == i
-        for i, (row, _) in enumerate(table.int_rows)
-    )
+    rows, _ = table.int_rows
+    return all(_triangle_degree(row, scales) == i for i, row in enumerate(rows))
 
 
 # -- matrix representations ------------------------------------------------

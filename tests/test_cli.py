@@ -182,9 +182,14 @@ def test_verify_sl2(capsys):
     assert payload["casimirScalar"] == "15/2"
 
 
-def test_verify_sl2_rejects_even_n(capsys):
+def test_verify_sl2_rejects_even_n(capsys, monkeypatch):
     # An even n, and an n below the kind, are domain errors of the library:
-    # exit 2, never an internal inconsistency.
+    # exit 2, never an internal inconsistency, decided before any module
+    # relation is checked.
+    def unreachable(module):
+        raise AssertionError(f"relations checked at n = {module.n}")
+
+    monkeypatch.setattr(sl2mod, "check_module_relations", unreachable)
     for kind, n in ((0, 4), (0, 0), (1, 0), (1, 2), (0, -1)):
         code, out, err = run_cli(capsys, "verify-sl2", "--kind", str(kind), "--n", str(n))
         assert (code, out) == (2, ""), (kind, n, err)

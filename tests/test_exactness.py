@@ -22,7 +22,6 @@ from leonard_lab.leonard import (
     is_dual_almost_bipartite,
     lstar_shift_square,
     lstar_shift_square_closed_form,
-    ordering_witness,
     search_square_preserving,
     theorem_conditions,
     verify_leonard_pair_square,
@@ -155,7 +154,6 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: verify_leonard_pair_square(build_params(2, 1, 0), 0.1),
     lambda: lstar_shift_square(build_params(2, 1, 0), 0.1),
     lambda: lstar_shift_square_closed_form(build_params(2, 1, 0), 0.1),
-    lambda: ordering_witness(build_params(2, 1, 0), 0.1),
     lambda: theorem_conditions(build_params(2, 1, 0), 0.1),
     lambda: d2_condition(build_params(2, 1, 0), 0.1),
     lambda: is_dual_almost_bipartite(build_params(2, 1, 0), 0.1),
@@ -178,7 +176,7 @@ def test_racah_artifacts_are_exact(d, r):
 ], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
-        "ordering_witness", "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
+        "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
         "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
         "hypergeom_terminating-numerator", "hypergeom_terminating-denominator",
         "hypergeom_table-row", "hypergeom_table-column", "hypergeom_table-denominator",

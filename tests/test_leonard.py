@@ -21,7 +21,6 @@ from leonard_lab.leonard import (
     is_dual_almost_bipartite,
     lstar_shift_square,
     lstar_shift_square_closed_form,
-    ordering_witness,
     search_square_preserving,
     theorem_conditions,
     verify_leonard_pair_square,
@@ -792,8 +791,8 @@ def test_integer_verdict_on_perturbed_arrays(point, data):
 
 
 def _per_point_ordering_witness(p, shift):
-    """`ordering_witness` as each point decided it, a* over its denominator
-    and the candidates built per call."""
+    """The verdict's witness as each point decided it, a* over its
+    denominator and the candidates built per call."""
     d = p.d
     if d == 0:
         return BasisOrdering((0,))
@@ -873,7 +872,7 @@ def test_a_run_decides_each_shift_like_the_per_point_body(d, barred, data):
             _fraction_theorem_conditions(p, lam) for lam in shifts]
     assert reports == [_per_point_verify(p, lam, exhaustive) for lam in shifts]
     assert [verify_leonard_pair_square(p, lam, exhaustive) for lam in shifts] == reports
-    assert [ordering_witness(p, lam) for lam in shifts] == [
+    assert [verify_leonard_pair_square(p, lam).witness for lam in shifts] == [
         _per_point_ordering_witness(p, lam) for lam in shifts]
 
 
@@ -954,7 +953,7 @@ def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
     assert [facts.verify(lam, exhaustive) for lam in shifts] == [
         oracle.verify(lam, exhaustive) for lam in shifts]
     assert [facts.witness(*lam.as_integer_ratio()) for lam in shifts] == [
-        ordering_witness(p, lam) for lam in shifts]
+        verify_leonard_pair_square(p, lam).witness for lam in shifts]
     flags = leonard._theorem_conditions(d, r, s)
     assert [flags(lam) for lam in shifts] == [
         _fraction_theorem_conditions(p, lam) for lam in shifts]
@@ -1030,7 +1029,7 @@ def _assert_ordering_at_shift_0(q, expected):
     d = q.d
     square = lstar_shift_square(q, 0)
     report = verify_leonard_pair_square(q, 0, exhaustive=True)
-    assert ordering_witness(q, 0) == report.witness == expected, q
+    assert verify_leonard_pair_square(q, 0).witness == report.witness == expected, q
     assert report.verdict == (expected is not None), q
     assert _dense_witness(square, d) == expected, q
     assert scan_tridiagonal_orderings(square) == (
@@ -1068,7 +1067,7 @@ def test_candidates_miss_the_path_through_the_middle_at_d3():
     assert scan_tridiagonal_orderings(lstar_shift_square(q, 0)) == [
         (0, 2, 1, 3), (3, 1, 2, 0)
     ]
-    assert ordering_witness(q, 0) is None
+    assert verify_leonard_pair_square(q, 0).witness is None
     assert not verify_leonard_pair_square(q, 0).verdict
     with pytest.raises(InternalInconsistencyError):
         verify_leonard_pair_square(q, 0, exhaustive=True)

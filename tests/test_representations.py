@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction as F
 from dataclasses import replace
@@ -711,18 +712,17 @@ def test_each_premise_of_the_row_zero_test_is_needed():
         assert not _triangle_degree_invariant(p, scaled)
 
 
-def test_each_table_line_is_put_over_a_common_denominator_once(monkeypatch):
-    lines = Counter()
+def test_each_table_is_put_over_one_denominator_once(monkeypatch):
+    calls = Counter()
     original = representations._over_common_denominator
 
     def counted(values):
-        lines[tuple(values)] += 1
+        calls[tuple(values)] += 1
         return original(values)
 
     def lines_of(table):
-        expected = Counter(table.values.row(i) for i in range(table.d + 1))
-        expected.update(table.values.column(j) for j in range(table.d + 1))
-        return expected
+        return ([table.values.row(i) for i in range(table.d + 1)]
+                + [table.values.column(j) for j in range(table.d + 1)])
 
     p = build_params(5, F(2, 7), F(-2, 7))
     q = build_racah_params(5, F(2, 7))
@@ -731,10 +731,35 @@ def test_each_table_line_is_put_over_a_common_denominator_once(monkeypatch):
     for check in (check_top_row, check_difference_eq, check_orthogonality,
                   check_degree_invariant, _gram_orthogonality, _triangle_degree_invariant):
         assert check(p, table)
-    assert {line: lines[line] for line in lines_of(table)} == lines_of(table)
-    lines.clear()
     assert check_racah_orthogonality(q, table4) and check_barred_recurrence(q, table4)
-    assert {line: lines[line] for line in lines_of(table4)} == lines_of(table4)
+    for t in (table, table4):
+        assert calls[t.values.entries] == 1
+        assert not any(calls[line] for line in lines_of(t))
+
+
+@st.composite
+def junk_tables(draw):
+    """A table of arbitrary rationals, of any shape up to 6x6."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = rows * cols
+    entries = draw(st.lists(st.fractions(max_denominator=10**6), min_size=size, max_size=size))
+    return ValueTable(RationalMatrix(rows, cols, tuple(entries)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(build=array_builders(12), junk=junk_tables())
+def test_a_table_is_its_integer_rows_over_the_lcm_of_its_denominators(build, junk):
+    p = build()
+    value_table = eval_table_4F3 if build.func is build_racah_params else eval_table_hypergeometric
+    for table in (value_table(p), eval_table_recurrence(p), junk):
+        rows, den = table.int_rows
+        entries = table.values.entries
+        assert den == math.lcm(*(x.denominator for x in entries))
+        assert [len(row) for row in rows] == [table.values.cols] * table.values.rows
+        assert all(type(u) is int and u == table.at(i, j) * den
+                   for i, row in enumerate(rows) for j, u in enumerate(row))
+        assert table.int_columns == tuple(
+            tuple(u * den for u in table.values.column(j)) for j in range(table.values.cols))
 
 
 # -- the table shape contract --------------------------------------------------
