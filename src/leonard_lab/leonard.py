@@ -15,38 +15,46 @@ down) with its reversal, its mirror and the mirror's reversal, are the
 orderings a verdict reports; the path test serves as the independent oracle
 behind them.
 
-A search point costs O(d) integer operations.  The pattern of the square is
-fixed by the parameter array: each off-diagonal entry of the paper's
-five-case closed form is a product of b*_i, c*_i and the middle factors
-2 lambda + a*_i + a*_{i+1}, and a product in a field is zero exactly when a
-factor is.  So the ordering is read off those factors (`_ArrayFacts.witness`):
-no b* or c* zero, and exactly one nonzero middle factor, at an end.  The
-u-basis facts are read from b, c and theta*.  The five
+A search run costs O(d) integer operations once per array, and then O(1)
+per shift when theta*_i = i, as on every dual Hahn array; for any other
+theta* a shift costs O(d).  The pattern of the square is fixed by the
+parameter array: each off-diagonal entry of the paper's five-case closed
+form is a product of b*_i, c*_i and the middle factors
+m_i = 2 lambda + a*_i + a*_{i+1}, and a product in a field is zero exactly
+when a factor is.  So the ordering is read off those factors
+(`_ArrayFacts.witness`): no b* or c* zero, and exactly one nonzero middle
+factor, at an end.  Each m_i vanishes at one shift, its root; the array's
+facts hold every root and the one shift, if any, at which all but the last
+(or all but the first) vanish, so a shift's ordering is a few comparisons of
+integer pairs.  The u-basis facts are read from b, c and theta*: with
+theta*_i = i the diagonal test always holds and the entries (i + lambda)^2
+are distinct unless 2 lambda is an integer in [-(2d - 1), -1].  The five
 cases as `Fraction` values are written once, in the dense closed form
 (`lstar_shift_square_closed_form`).  The dense product
 (`lstar_shift_square`), which shares no code with the closed form, and the
-path test on it run only as the `exhaustive` oracle.  The dual
-almost-bipartite test reads b*, c* and a* directly, in O(d).
-`search_square_preserving` walks the grid once into runs of equal
+path test on it run only as the `exhaustive` oracle, which still decides
+every shift.  The dual almost-bipartite test reads b*, c* and a* directly,
+in O(d).  `search_square_preserving` walks the grid once into runs of equal
 (d, r, s) and decides each run's shifts in this process, yielding records
 run by run.  A run reads its array facts once, straight from the integer
 pairs of the closed forms (`params._dual_hahn_pairs`), after the invariant
-test that `parameter_array` runs on every array: theta simple, b, c, b*
-and c* nonzero, and the pair sums of a* as integer pairs
-(`_ArrayFacts.from_pairs`).  It builds no Fraction array unless the
-`exhaustive` oracle needs one, and then once per run.  Each shift costs
-O(d) integer operations: the x_i^2 of the diagonal test and the middle
-factors.  `verify_leonard_pair_square` decides one shift on the same
-facts, read from a built array (`_ArrayFacts(p)`).
+test that `parameter_array` runs on every array: theta simple, b, c, b* and
+c* nonzero, and the roots of the m_i from the pair sums of a* as integer
+pairs (`_ArrayFacts.from_pairs`).  It builds no Fraction array unless the
+`exhaustive` oracle needs one, and then once per run.  The four candidate
+orderings are built once per d (`_candidates`) and shared by every run.
+`verify_leonard_pair_square` decides one shift on the same facts, read from
+a built array (`_ArrayFacts(p)`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Iterator, Optional
 
 from .hyper import _over_common_denominator, exact_rational, format_rational
@@ -151,9 +159,30 @@ def _sigma(d: int) -> tuple[int, ...]:
     return tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
 
 
-def _pair_sums(a):
-    """a_i + a_{i+1} from integer pairs (n_i, q_i), as unreduced pairs."""
-    return [(n * q1 + n1 * q, q * q1) for (n, q), (n1, q1) in zip(a, a[1:])]
+def _middle_roots(a):
+    """The shift at which each middle factor 2 shift + a_i + a_{i+1}
+    vanishes, from integer pairs (n_i, q_i) with q_i > 0, as the reduced
+    pair (numerator, denominator > 0) of `Fraction.as_integer_ratio`."""
+    roots = []
+    for (n, q), (n1, q1) in zip(a, a[1:]):
+        num, den = -(n * q1 + n1 * q), 2 * q * q1
+        g = gcd(num, den)
+        roots.append((num // g, den // g))
+    return roots
+
+
+def _common_root(roots):
+    """The one shift at which every one of `roots` lies, or None."""
+    return roots[0] if roots and roots.count(roots[0]) == len(roots) else None
+
+
+@cache
+def _candidates(d: int) -> tuple[BasisOrdering, ...]:
+    """The four candidate orderings of `candidate_orderings`, built and
+    validated once per d."""
+    sigma = _sigma(d)
+    mirror = tuple(d - k for k in sigma)
+    return tuple(BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1]))
 
 
 def candidate_orderings(d: int) -> list[BasisOrdering]:
@@ -162,22 +191,25 @@ def candidate_orderings(d: int) -> list[BasisOrdering]:
 
     sigma (`_sigma`) is also the index map of the barred array
     (`racah.index_map`).  A path and its reversal have the same edges, so
-    a verdict's witness is only ever the first or the third candidate."""
+    a verdict's witness is only ever the first or the third candidate, and
+    it is that very object (`_candidates`)."""
     if d < 1:
         raise ValueError("candidate orderings need d >= 1")
-    sigma = _sigma(d)
-    mirror = tuple(d - k for k in sigma)
-    return [BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1])]
+    return list(_candidates(d))
 
 
 class _ArrayFacts:
     """The facts of one parameter array that every shift's verdict reads,
-    read once: whether theta is simple, whether b and c are nonzero, theta*
-    over one denominator, whether a b* or c* is zero, and the pair sums
-    a*_i + a*_{i+1} as integer pairs.  On top of them a shift costs O(d)
-    integer operations (`verify`).  `_ArrayFacts(p)` reads them from an
-    array; `from_pairs` reads a dual Hahn array's from its integer pairs and
-    builds the array only if the `exhaustive` oracle needs it."""
+    read once in O(d): whether theta is simple, whether b and c are nonzero,
+    theta* over one denominator and whether it is the index (theta*_i = i),
+    whether a b* or c* is zero, the root of each middle factor
+    m_i = 2 shift + a*_i + a*_{i+1}, the one shift, if any, at which
+    m_0..m_{d-2} all vanish (`sigma_shift`), and the one at which
+    m_1..m_{d-1} all vanish (`mirror_shift`).  On top of them a shift costs
+    O(1) when theta* is the index and O(d) otherwise (`verify`).
+    `_ArrayFacts(p)` reads them from an array; `from_pairs` reads a dual
+    Hahn array's from its integer pairs and builds the array only if the
+    `exhaustive` oracle needs it."""
 
     def __init__(self, p: ParameterArray):
         d = p.d
@@ -185,8 +217,10 @@ class _ArrayFacts:
         self.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
         self.u_irreducible = all(p.b[:d]) and all(p.c[1:])
         self.theta_star, self.theta_star_den = _over_common_denominator(p.theta_star)
+        self.theta_star_is_index = (
+            self.theta_star_den == 1 and self.theta_star == list(range(d + 1)))
         self.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
-        self.pair_sums = _pair_sums([v.as_integer_ratio() for v in p.a_star])
+        self._read_ordering_facts(_middle_roots([v.as_integer_ratio() for v in p.a_star]))
 
     @classmethod
     def from_pairs(cls, d: int, r: Fraction, s: Fraction, pairs) -> "_ArrayFacts":
@@ -201,9 +235,17 @@ class _ArrayFacts:
         facts.d, facts.r, facts.s, facts._array = d, r, s, None
         facts.theta_simple = facts.u_irreducible = True
         facts.theta_star, facts.theta_star_den = range(d + 1), 1
+        facts.theta_star_is_index = True
         facts.cut = False
-        facts.pair_sums = _pair_sums(_diagonal_pairs((0, 1), b_star, c_star))
+        facts._read_ordering_facts(_middle_roots(_diagonal_pairs((0, 1), b_star, c_star)))
         return facts
+
+    def _read_ordering_facts(self, roots):
+        self.roots = roots
+        self.sigma_shift = _common_root(roots[:-1])
+        self.mirror_shift = _common_root(roots[1:])
+        candidates = _candidates(self.d)
+        self.sigma, self.mirror = candidates[0], candidates[2]
 
     def array(self) -> ParameterArray:
         """The parameter array, built on first use by `from_pairs` facts."""
@@ -211,19 +253,12 @@ class _ArrayFacts:
             self._array = build_params(self.d, self.r, self.s)
         return self._array
 
-    @cached_property
-    def sigma(self) -> BasisOrdering:
-        return BasisOrdering(_sigma(self.d))
-
-    @cached_property
-    def mirror(self) -> BasisOrdering:
-        return BasisOrdering(tuple(self.d - k for k in self.sigma.perm))
-
     def witness(self, L: int, M: int) -> Optional[BasisOrdering]:
         """The first candidate ordering under which the square
-        (L* + shift)^2, shift = L / M (M > 0), in the u*-basis is irreducible
-        tridiagonal, or None if no candidate works; read in O(d) from the
-        factors of the closed form (`lstar_shift_square_closed_form`).
+        (L* + shift)^2, shift = L / M in lowest terms (M > 0), in the
+        u*-basis is irreducible tridiagonal, or None if no candidate works;
+        read in O(1) from the roots of the closed form's factors
+        (`lstar_shift_square_closed_form`).
 
         Join i and j when entry (i, j) or (j, i) is nonzero; a witness makes
         the joins one path, each nonzero both ways (see `scan`).
@@ -235,47 +270,65 @@ class _ArrayFacts:
         - Otherwise every entry two off the diagonal is nonzero both ways,
           so the evens 0-2-4-... and the odds 1-3-5-... form two chains with
           d - 1 joins.  The pair (i, i+1) is nonzero both ways exactly when
-          m_i = 2 shift + a*_i + a*_{i+1} is nonzero.  A path has d joins, so
-          exactly one m_i is nonzero, and it must join two chain ends.
-          m_{d-1} alone joins the top ends: evens up, then odds down, which
-          is sigma.  m_0 alone joins the bottom ends, which is the mirror.
-          At d = 1 the two coincide and sigma is returned.  The only other
-          such pair is (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so
-          this returns None there and the `exhaustive` oracle raises.
-
-        With a*_i + a*_{i+1} = n_i / q_i, m_i is nonzero iff 2 L q_i + M n_i
-        is."""
+          m_i = 2 shift + a*_i + a*_{i+1} is nonzero, that is, when the
+          shift is not m_i's root.  A path has d joins, so exactly one m_i
+          is nonzero, and it must join two chain ends.  m_{d-1} alone joins
+          the top ends: evens up, then odds down, which is sigma.  That is
+          the shift at which m_0..m_{d-2} all vanish (`sigma_shift`; at
+          d = 1 there is none to vanish, so any shift) when it is not
+          m_{d-1}'s root.  m_0 alone joins the bottom ends, which is the
+          mirror: the shift at which m_1..m_{d-1} all vanish
+          (`mirror_shift`) when it is not m_0's root.  At d = 1 the two
+          coincide and sigma is returned.  The only other such pair is
+          (1, 2) at d = 3; its path 0-2-1-3 is no candidate, so this
+          returns None there and the `exhaustive` oracle raises."""
         d = self.d
         if d == 0:
             return self.sigma
         if self.cut:
             return None
-        nonzero = [i for i, (n, q) in enumerate(self.pair_sums) if 2 * L * q + M * n]
-        if nonzero == [d - 1]:
+        shift = (L, M)
+        if (d == 1 or shift == self.sigma_shift) and shift != self.roots[-1]:
             return self.sigma
-        if nonzero == [0]:
+        if shift == self.mirror_shift and shift != self.roots[0]:
             return self.mirror
         return None
 
-    def verify(self, lam: Fraction, exhaustive: bool) -> LeonardPairReport:
-        """`verify_leonard_pair_square` at the shift `lam`, a Fraction."""
-        d = self.d
-        L, M = lam.as_integer_ratio()
+    def _diagonal_conditions(self, L: int, M: int) -> tuple[bool, bool]:
+        """The diagonal test and the distinctness of its entries for any
+        theta*, in O(d): with theta*_i = T_i / E, (theta*_i + shift)^2 is
+        x_i^2 / (E M)^2 with x_i = T_i M + L E."""
         E = self.theta_star_den
         LE = L * E
         x_sq = [(t * M + LE) ** 2 for t in self.theta_star]
+        return (all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq)),
+                len(set(x_sq)) == self.d + 1)
+
+    def verify(self, lam: Fraction, exhaustive: bool) -> LeonardPairReport:
+        """`verify_leonard_pair_square` at the shift `lam`, a Fraction, in
+        O(1) when theta* is the index and O(d) otherwise (without the
+        `exhaustive` oracle).  With theta*_i = i the diagonal test holds,
+        and (i + lam)^2 == (j + lam)^2 for i < j exactly when
+        lam = -(i + j)/2, so the entries are distinct unless 2 lam is an
+        integer in [-(2d - 1), -1]; with lam = L / M in lowest terms, 2 lam
+        is an integer iff M <= 2."""
+        d = self.d
+        L, M = lam.as_integer_ratio()
+        if self.theta_star_is_index:
+            diagonal, distinct = True, not (M <= 2 and 1 <= -2 * L // M <= 2 * d - 1)
+        else:
+            diagonal, distinct = self._diagonal_conditions(L, M)
         witness = self.witness(L, M)
         found = witness is not None
+        verdict = self.theta_simple and self.u_irreducible and diagonal and distinct and found
         trace = [
             ("u*-basis: matrix of L diagonal with distinct entries", self.theta_simple),
             ("u-basis: matrix of L irreducible tridiagonal", self.u_irreducible),
-            ("u-basis: matrix of (L*+shift)^2 diagonal",
-             all(x == ((i * M + L) * E) ** 2 for i, x in enumerate(x_sq))),
-            ("u-basis: (L*+shift)^2 diagonal entries distinct", len(set(x_sq)) == d + 1),
+            ("u-basis: matrix of (L*+shift)^2 diagonal", diagonal),
+            ("u-basis: (L*+shift)^2 diagonal entries distinct", distinct),
             ("u*-basis: candidate reordering makes the square irreducible tridiagonal",
              found),
         ]
-        verdict = all(ok for _, ok in trace)
 
         if exhaustive:
             all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(self.array(), lam))
@@ -304,17 +357,19 @@ def verify_leonard_pair_square(
     diagonal with entries (theta*_i + shift)^2 = (i + shift)^2; both facts are
     verified rather than assumed, including distinctness of the diagonal.
     The ordered-basis condition on the u*-side is decided by the four
-    candidate orderings, read off the closed form's factors
-    (`_ArrayFacts.witness`).  Every test runs on
-    integers: with theta*_i = T_i / E and shift = L / M, (theta*_i + shift)^2
-    is x_i^2 / (E M)^2 with x_i = T_i M + L E, so the diagonal condition is
-    x_i^2 == ((i M + L) E)^2 and distinctness is that of the x_i^2.  With
+    candidate orderings, read off the roots of the closed form's middle
+    factors (`_ArrayFacts.witness`).  Every test runs on integers.  When
+    theta*_i = i the diagonal conditions are decided in O(1) from shift =
+    L / M alone (`_ArrayFacts.verify`); for any other theta*, with
+    theta*_i = T_i / E, (theta*_i + shift)^2 is x_i^2 / (E M)^2 with
+    x_i = T_i M + L E, so the diagonal condition is x_i^2 == ((i M + L) E)^2
+    and distinctness is that of the x_i^2.  With
     `exhaustive` the pattern of the dense product is also decided by path
     recognition, which finds every witness ordering at any d and shares no
     code with the closed form, as an independent oracle; any disagreement
     raises InternalInconsistencyError.  The facts that depend on the array
-    alone are read by `_ArrayFacts`, which a search run builds once for all
-    its shifts.
+    alone are read in O(d) by `_ArrayFacts`, which a search run builds once
+    for all its shifts.
     """
     return _ArrayFacts(p).verify(exact_rational("shift", shift), exhaustive)
 

@@ -352,7 +352,7 @@ def test_dual_almost_bipartite_equals_dense_test(d, data):
     lam = data.draw(st.one_of(
         st.just(canonical_shift(p)),
         st.sampled_from([-a for a in p.a_star]),
-        st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+        _generic_shifts(d),
     ))
     change = data.draw(st.sampled_from(["none", "b_star", "c_star", "a_star", "a_star_off"]))
     if change in ("b_star", "c_star") and d > 0:
@@ -500,16 +500,66 @@ def _search_points(draw):
         root = draw(st.sampled_from([(r - s) / (r + s + 2), (s - r) / (r + s + 4)]))
         lam = root / 2 - 1
     else:
-        lam = draw(st.fractions(min_value=-d - 2, max_value=2, max_denominator=12))
+        lam = draw(_generic_shifts(d))
     return d, r, s, lam
+
+
+def _generic_shifts(d):
+    return st.fractions(min_value=-d - 2, max_value=2, max_denominator=12)
+
+
+def _critical_shifts(p):
+    """The shifts at which a verdict can change, which drawn shifts almost
+    never hit, sorted and without repeats: the root -(a*_i + a*_{i+1})/2 of
+    each middle factor, every -(theta*_i + theta*_j)/2 (i < j) where two
+    diagonal entries (theta*_i + lam)^2 meet, every -(theta*_i + i)/2 where
+    (theta*_i + lam)^2 meets (i + lam)^2 (on the index these are the -i,
+    0 and -d among them, just outside the collisions), and the canonical
+    (r - d)/2."""
+    d, a, t = p.d, p.a_star, p.theta_star
+    shifts = [-(a[i] + a[i + 1]) / 2 for i in range(d)]
+    shifts += [-(t[i] + t[j]) / 2 for i in range(d + 1) for j in range(i + 1, d + 1)]
+    shifts += [-(t[i] + i) / 2 for i in range(d + 1)]
+    shifts.append((p.r - p.d) / 2)
+    return sorted(set(shifts))
+
+
+def _some_critical_shifts(p):
+    return st.lists(st.sampled_from(_critical_shifts(p)), min_size=1, max_size=3)
+
+
+@st.composite
+def _perturbed(draw, p):
+    """p as it is, with a zero interior b* or c*, or with theta* moved off
+    the index: some entries reflected to -2 lam0 - i about a drawn lam0,
+    where (theta*_i + lam0)^2 still equals (i + lam0)^2, or moved to a drawn
+    rational."""
+    d = p.d
+    kind = draw(st.sampled_from(["as is", "cut", "theta* off the index"]))
+    if kind == "cut" and d > 0:
+        field = draw(st.sampled_from(["b_star", "c_star"]))
+        i = draw(st.integers(0, d - 1)) + (field == "c_star")
+        values = list(getattr(p, field))
+        values[i] = F(0)
+        return replace(p, **{field: tuple(values)})
+    if kind == "theta* off the index":
+        lam0 = draw(_generic_shifts(d))
+        reflect = draw(st.booleans())
+        theta_star = list(p.theta_star)
+        for i in draw(st.sets(st.integers(0, d), min_size=1)):
+            theta_star[i] = -2 * lam0 - i if reflect else draw(_generic_shifts(d))
+        return replace(p, theta_star=tuple(theta_star))
+    return p
 
 
 @settings(deadline=None, max_examples=120)
 @given(point=_search_points(), exhaustive=st.booleans(), data=st.data())
 def test_banded_decision_equals_dense_route(point, exhaustive, data):
+    # Dual Hahn arrays, a zero b* or c*, or theta* off the index; at the
+    # drawn shift and at one of the array's critical shifts.
     d, r, s, lam = point
-    p = build_params(d, r, s)
-    lam = data.draw(st.one_of(st.just(lam), st.sampled_from(_zeroing_shifts(p))))
+    p = data.draw(_perturbed(build_params(d, r, s)))
+    lam = data.draw(st.one_of(st.just(lam), st.sampled_from(_critical_shifts(p))))
     report = verify_leonard_pair_square(p, lam, exhaustive=exhaustive)
     assert (report.verdict, report.witness, report.condition_trace) == _dense_verify(
         p, lam, exhaustive
@@ -679,23 +729,12 @@ def _assert_matches_fraction_verdict(p, lam, exhaustive=False):
 
 
 @settings(deadline=None, max_examples=150)
-@given(point=_search_points(), exhaustive=st.booleans())
-def test_integer_verdict_equals_fraction_verdict(point, exhaustive):
+@given(point=_search_points(), exhaustive=st.booleans(), data=st.data())
+def test_integer_verdict_equals_fraction_verdict(point, exhaustive, data):
     d, r, s, lam = point
-    _assert_matches_fraction_verdict(build_params(d, r, s), lam, exhaustive)
-
-
-def _zeroing_shifts(p):
-    """Shifts at which some band or diagonal condition changes: each middle
-    factor 2 lam + a*_i + a*_{i+1} vanishes, two diagonal entries collapse,
-    (theta*_i + lam)^2 meets (i + lam)^2 from the other side, and the
-    canonical (r - d)/2."""
-    d, a, t = p.d, p.a_star, p.theta_star
-    shifts = [-(a[i] + a[i + 1]) / 2 for i in range(d)]
-    shifts += [-(t[i] + t[j]) / 2 for i in range(d + 1) for j in range(i + 1, d + 1)]
-    shifts += [-(t[i] + i) / 2 for i in range(d + 1)]
-    shifts.append((p.r - p.d) / 2)
-    return shifts
+    p = build_params(d, r, s)
+    for shift in [lam, *data.draw(_some_critical_shifts(p))]:
+        _assert_matches_fraction_verdict(p, shift, exhaustive)
 
 
 _BARRED_R = st.fractions(min_value=-1, max_value=1, max_denominator=30).filter(
@@ -709,13 +748,8 @@ def test_integer_verdict_on_barred_arrays(d, r, exhaustive, data):
     # The barred theta*_i = (i + (r - d)/2)^2 are not integers, so theta* and
     # a* have a common denominator E > 1.
     p = racah.build_racah_params(d, r)
-    lam = data.draw(
-        st.one_of(
-            st.sampled_from(_zeroing_shifts(p)),
-            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
-        )
-    )
-    _assert_matches_fraction_verdict(p, lam, exhaustive)
+    for lam in [data.draw(_generic_shifts(d)), *data.draw(_some_critical_shifts(p))]:
+        _assert_matches_fraction_verdict(p, lam, exhaustive)
 
 
 @settings(deadline=None, max_examples=80)
@@ -733,6 +767,8 @@ def test_integer_diagonal_condition_with_fractional_theta_star(point, data):
     q = replace(p, theta_star=theta_star)
     report = _assert_matches_fraction_verdict(q, lam)
     assert dict(report.condition_trace)["u-basis: matrix of (L*+shift)^2 diagonal"]
+    for shift in data.draw(_some_critical_shifts(q)):
+        _assert_matches_fraction_verdict(q, shift)
 
 
 def test_integer_verdict_at_the_small_d_points():
@@ -784,7 +820,8 @@ def test_integer_verdict_on_perturbed_arrays(point, data):
         values = list(getattr(p, field))
         values[i] = F(0)
         q = replace(p, **{field: tuple(values)})
-    _assert_matches_fraction_verdict(q, lam)
+    for shift in [lam, *data.draw(_some_critical_shifts(q))]:
+        _assert_matches_fraction_verdict(q, shift)
 
 
 # -- the per-point verdict that a run's shared array facts replaced -------------
@@ -811,7 +848,10 @@ def _per_point_ordering_witness(p, shift):
 
 def _per_point_verify(p, shift, exhaustive=False):
     """`verify_leonard_pair_square` as each point decided it, every fact of
-    the array read again for every shift."""
+    the array read again for every shift: the O(d) scan of the middle
+    factors and the x_i^2 of the diagonal test, at every shift and for any
+    theta*, which the roots read once per array and the O(1) diagonal rule
+    of an index theta* replaced."""
     lam = F(shift)
     d = p.d
     theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
@@ -842,34 +882,31 @@ def _per_point_verify(p, shift, exhaustive=False):
 
 
 @settings(deadline=None, max_examples=150)
-@given(d=st.one_of(st.integers(0, 3), st.integers(0, 12)), barred=st.booleans(),
-       data=st.data())
-def test_a_run_decides_each_shift_like_the_per_point_body(d, barred, data):
-    # Every shift of a run decided on one array: dual Hahn arrays through
-    # `_evaluate_run`, barred arrays (theta*_i != i) on one `_ArrayFacts`.
-    if barred:
+@given(d=st.one_of(st.integers(0, 3), st.integers(0, 12)),
+       kind=st.sampled_from(["dual Hahn", "barred", "perturbed"]), data=st.data())
+def test_a_run_decides_each_shift_like_the_per_point_body(d, kind, data):
+    # Every critical shift of one array, and a few drawn ones: dual Hahn
+    # arrays through `_evaluate_run`, barred arrays (theta*_i != i) and
+    # perturbed ones (a zero b* or c*, theta* off the index) on one
+    # `_ArrayFacts`.
+    if kind == "barred":
         p = racah.build_racah_params(d, data.draw(_BARRED_R))
     else:
         r = data.draw(_OPEN_RATIONALS)
         s = data.draw(st.one_of(_OPEN_RATIONALS, st.just(-r)) if r < 1 else _OPEN_RATIONALS)
         p = build_params(d, r, s)
-    shifts = data.draw(st.lists(
-        st.one_of(
-            st.just(canonical_shift(p)),
-            st.sampled_from(_zeroing_shifts(p)),
-            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
-        ),
-        min_size=1, max_size=6,
-    ))
+        if kind == "perturbed":
+            p = data.draw(_perturbed(p))
+    shifts = _critical_shifts(p) + data.draw(st.lists(_generic_shifts(d), max_size=4))
     exhaustive = d <= 6 and data.draw(st.booleans())
-    if barred:
-        facts = leonard._ArrayFacts(p)
-        reports = [facts.verify(lam, exhaustive) for lam in shifts]
-    else:
+    if kind == "dual Hahn":
         records = leonard._evaluate_run(d, p.r, p.s, shifts, exhaustive)
         reports = [rec.report for rec in records]
         assert [rec.theorem_flags for rec in records] == [
             _fraction_theorem_conditions(p, lam) for lam in shifts]
+    else:
+        facts = leonard._ArrayFacts(p)
+        reports = [facts.verify(lam, exhaustive) for lam in shifts]
     assert reports == [_per_point_verify(p, lam, exhaustive) for lam in shifts]
     assert [verify_leonard_pair_square(p, lam, exhaustive) for lam in shifts] == reports
     assert [verify_leonard_pair_square(p, lam).witness for lam in shifts] == [
@@ -900,6 +937,70 @@ def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
     assert [rec.shift for rec in records] == sorted(shifts)
     assert sum(rec.report.verdict for rec in records) == 1
     assert calls == Counter(pairs=1, build=int(exhaustive), denominator=0)
+
+
+class _IndexedOnly:
+    """A sequence that can be indexed at one place but not iterated or
+    sliced: a shift that loops over it raises."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            raise AssertionError("sliced at a shift")
+        return self._items[i]
+
+    def __iter__(self):
+        raise AssertionError("iterated at a shift")
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.integers(0, 12), r=_OPEN_RATIONALS, opposite=st.booleans(), data=st.data())
+def test_a_dual_hahn_shift_runs_no_per_index_loop(d, r, opposite, data):
+    # theta*_i = i: the diagonal conditions and the ordering are decided at
+    # every shift, the critical ones too, without a loop over theta* or the
+    # roots of the middle factors.
+    s = -r if opposite and r < 1 else data.draw(_OPEN_RATIONALS)
+    p = build_params(d, r, s)
+    facts = leonard._ArrayFacts.from_pairs(d, r, s, leonard._dual_hahn_pairs(d, r, s))
+    facts.theta_star = _IndexedOnly(facts.theta_star)
+    facts.roots = _IndexedOnly(facts.roots)
+    shifts = _critical_shifts(p) + data.draw(st.lists(_generic_shifts(d), max_size=4))
+    assert [facts.verify(lam, False) for lam in shifts] == [
+        _per_point_verify(p, lam) for lam in shifts]
+
+
+def test_sigma_is_built_once_per_d(monkeypatch):
+    # Four runs at each of d = 1, 2 build sigma once per d, and every
+    # witness is the very sigma or mirror that `candidate_orderings` lists
+    # first and third.  At d = 2 the two roots of `d2_condition` give one
+    # witness each.
+    built = []
+    sigma = leonard._sigma
+
+    def counting(d):
+        built.append(d)
+        return sigma(d)
+
+    monkeypatch.setattr(leonard, "_sigma", counting)
+    leonard._candidates.cache_clear()
+    r_values, s_values = (F(1, 2), F(-1, 3)), (F(1, 3), F(-1, 4))
+    roots = {root / 2 - 1 for r, s in product(r_values, s_values)
+             for root in ((r - s) / (r + s + 2), (s - r) / (r + s + 4))}
+    grid = SearchGrid(d_values=(1, 2, 1), r_values=r_values, s_values=s_values,
+                      shift_values=tuple(sorted(roots)) + (F(0),))
+    witnesses = Counter()
+    try:
+        for rec in search_square_preserving(grid):
+            if rec.report.witness is not None:
+                sigma_d, _, mirror_d, _ = candidate_orderings(rec.d)
+                assert rec.report.witness is sigma_d or rec.report.witness is mirror_d
+                witnesses[rec.d, rec.report.witness is sigma_d] += 1
+    finally:
+        leonard._candidates.cache_clear()
+    assert built == [1, 2]
+    assert set(witnesses) == {(1, True), (2, True), (2, False)}
 
 
 # -- the integer-pair path -----------------------------------------------------
@@ -942,8 +1043,8 @@ def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
     shifts = data.draw(st.lists(
         st.one_of(
             st.just(canonical_shift(p)),
-            st.sampled_from(_zeroing_shifts(p)),
-            st.fractions(min_value=-d - 2, max_value=2, max_denominator=12),
+            st.sampled_from(_critical_shifts(p)),
+            _generic_shifts(d),
         ),
         min_size=1, max_size=6,
     ))
