@@ -236,15 +236,18 @@ def _require(holds: bool, what: str) -> None:
 
 
 def _verdict_payload(
-    d: int, r: Fraction, s: Fraction, report: LeonardPairReport, theorem_flags, **details
+    d: int, r: Fraction | str, s: Fraction | str, lam: Fraction | str,
+    report: LeonardPairReport, theorem_flags, **details,
 ) -> dict:
-    """The verdict record shared by verify-lp and search; command-specific
-    `details` go between the witness and the theorem block."""
+    """The verdict record shared by verify-lp and search; r, s and lam are
+    the Fractions or their p/q strings (`format_rational`), and
+    command-specific `details` go between the witness and the theorem
+    block."""
     return {
         "d": d,
         "r": r,
         "s": s,
-        "lambda": report.shift,
+        "lambda": lam,
         "verdict": report.verdict,
         "witness": report.witness.perm if report.witness is not None else None,
         **details,
@@ -288,7 +291,7 @@ def cmd_verify_lp(args) -> int:
     shift = parse_rational(args.shift) if args.shift is not None else canonical_shift(p)
     report = verify_leonard_pair_square(p, shift, exhaustive=args.exhaustive)
     payload = _verdict_payload(
-        p.d, p.r, p.s, report, theorem_conditions(p, shift),
+        p.d, p.r, p.s, report.shift, report, theorem_conditions(p, shift),
         conditions=dict(report.condition_trace),
         firstFailed=report.first_failed(),
     )
@@ -332,10 +335,22 @@ def cmd_search(args) -> int:
         shift_values=_mode_values("lambda", args.lambda_mode, args.lambda_values),
         exhaustive=args.exhaustive,
     )
+    # Each distinct r, s and lambda is formatted once per command, keyed by
+    # its reduced integer pair: hashing a Fraction costs more than
+    # formatting it.  The lines then hold only strings, ints and bools.
+    texts = {}
+
+    def text(value: Fraction) -> str:
+        key = value.as_integer_ratio()
+        if key not in texts:
+            texts[key] = format_rational(value)
+        return texts[key]
+
     for rec in search_square_preserving(grid):
         if args.hits_only and not rec.report.verdict:
             continue
-        payload = _verdict_payload(rec.d, rec.r, rec.s, rec.report, rec.theorem_flags)
+        payload = _verdict_payload(rec.d, text(rec.r), text(rec.s), text(rec.shift),
+                                   rec.report, rec.theorem_flags)
         payload["theoremPredicted"] = rec.theorem_predicted
         payload["notes"] = {"squaredFirstOperatorBranch": "unexamined"}
         _emit(_json(payload, _ONE_LINE))

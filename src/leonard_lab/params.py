@@ -15,7 +15,7 @@ are written once, in `_dual_hahn_pairs`, which returns every entry as one
 unreduced integer pair over the common denominator of r and s, in O(d)
 operations.  `build_params` hands those pairs to `parameter_array`; a
 search run reads its facts from them directly (`leonard._ArrayFacts`) and
-builds no Fraction array.  Both validate through one O(d) test on integer
+builds no Fraction array.  Both validate through one pass over the integer
 pairs (`_check_invariants`), whose weight test is a sign test.
 `parameter_array` completes k_i, k*_i and nu as running products of b/c
 quotients; `check_closed_forms` checks them against the hypergeometric
@@ -164,27 +164,53 @@ def _check_invariants(d, theta, b, c, b_star, c_star) -> None:
     the weights positive.  Every entry is an integer pair (numerator,
     denominator) with a positive denominator, reduced or not.
 
-    Each test is O(d) on the pairs.  k_i = prod_{j <= i} b_{j-1} / c_j, so
-    every k_i is positive iff every b_{j-1} c_j is, and k* likewise; nu =
-    prod_j (theta_0 - theta_j) / c_j is positive iff an even number of its
-    factors is negative.
+    One pass over the five lists reads, at each j = 1..d, theta_j, the pair
+    (b_{j-1}, c_j) and the pair (b*_{j-1}, c*_j), and notes every failure;
+    the first failure in the order above is raised after the pass.
+    k_i = prod_{j <= i} b_{j-1} / c_j, so every k_i is positive iff every
+    b_{j-1} c_j is, and k* likewise: a product that is not positive has a
+    zero factor, or two of opposite sign.  nu = prod_j (theta_0 - theta_j)
+    / c_j is positive iff an even number of its factors is negative.  Over
+    one denominator, as both builders give theta, equal values have equal
+    numerators and theta_0 > theta_j iff its numerator is larger; a theta
+    with another denominator is compared cross-multiplied, and then the
+    distinctness is decided on reduced pairs after the pass.
     """
-    # The zero pattern is checked first: the weights divide by c_i and c*_i.
-    if not (all(n for n, _ in b[:d]) and all(n for n, _ in c[1:])):
+    t0, e0 = theta[0]
+    zero = zero_star = opposite = mixed = False
+    negative = 0  # parity of the negative factors of nu
+    distinct = {t0}  # the theta numerators, or reduced pairs if `mixed`
+    for (t, e), (bn, _), (cn, _), (sn, _), (un, _) in zip(
+        theta[1:], b, c[1:], b_star, c_star[1:]
+    ):
+        if bn * cn <= 0:
+            if bn and cn:
+                opposite = True
+            else:
+                zero = True
+        if sn * un <= 0:
+            if sn and un:
+                opposite = True
+            else:
+                zero_star = True
+        if e == e0:
+            distinct.add(t)
+            negative ^= (t0 > t) != (cn > 0)
+        else:
+            mixed = True
+            negative ^= (t0 * e > t * e0) != (cn > 0)
+    if zero:
         raise ParameterInvariantError("interior b_i, c_i must be nonzero")
-    if not (all(n for n, _ in b_star[:d]) and all(n for n, _ in c_star[1:])):
+    if zero_star:
         raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
     if b[d][0] or c[0][0] or b_star[d][0] or c_star[0][0]:
         raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
-    # Equal rationals with positive denominators have equal reduced pairs.
-    if len({(t // g, e // g) for t, e in theta for g in (math.gcd(t, e),)}) != d + 1:
+    if mixed:
+        # Equal rationals with positive denominators have equal reduced pairs.
+        distinct = {(t // g, e // g) for t, e in theta for g in (math.gcd(t, e),)}
+    if len(distinct) != d + 1:
         raise ParameterInvariantError("eigenvalues theta_i are not distinct")
-    t0, e0 = theta[0]
-    if (
-        any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b, c[1:]))
-        or any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b_star, c_star[1:]))
-        or sum((t0 * e > t * e0) != (f > 0) for (t, e), (f, _) in zip(theta[1:], c[1:])) % 2
-    ):
+    if opposite or negative:
         raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
 
 

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import leonard_lab
 from leonard_lab import cli, racah, sl2mod
 from leonard_lab.cli import main
-from leonard_lab.hyper import SeriesDivisionError
+from leonard_lab.hyper import SeriesDivisionError, format_rational
+from leonard_lab.leonard import SearchGrid, search_square_preserving
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import ParameterInvariantError
 from leonard_lab.representations import ValueTable
@@ -220,6 +222,80 @@ def test_search_d2_extra_root(capsys):
     assert len(lines) == 1
     assert lines[0]["lambda"] == "-9/8"
     assert lines[0]["theoremPredicted"] is False
+
+
+_GRID_VALUES = st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(
+    lambda x: x > -1)
+
+
+@st.composite
+def _shared_value_grids(draw):
+    """A list-mode search grid at d <= 5 in which one rational is an r, an s
+    and a lambda at once, with up to two more values of each, drawn with
+    or without --hits-only and --exhaustive; returns (argv, grid, hits_only)."""
+    shared = draw(_GRID_VALUES)
+
+    def values():
+        return tuple(dict.fromkeys([shared, *draw(st.lists(_GRID_VALUES, max_size=2))]))
+
+    d_max = draw(st.integers(1, 5))
+    grid = SearchGrid(d_values=tuple(range(1, d_max + 1)), r_values=values(),
+                      s_values=values(), shift_values=values(), exhaustive=draw(st.booleans()))
+    hits_only = draw(st.booleans())
+    argv = ["search", "--d-max", str(d_max), "--s-mode", "list", "--lambda-mode", "list"]
+    for flag, listed in (("--r-values", grid.r_values), ("--s-values", grid.s_values),
+                         ("--lambda-values", grid.shift_values)):
+        argv.append(f"{flag}={','.join(map(format_rational, listed))}")
+    argv += ["--exhaustive"] * grid.exhaustive + ["--hits-only"] * hits_only
+    return argv, grid, hits_only
+
+
+def _printed_records(grid, hits_only):
+    return [rec for rec in search_square_preserving(grid)
+            if rec.report.verdict or not hits_only]
+
+
+def _search_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shared_value_grids())
+def test_search_lines_are_the_generic_encoding_of_its_records(case):
+    # search hands r, s and lambda to the encoder as strings, formatted once
+    # per command; each line is still what the generic encoder makes of the
+    # record's Fractions.
+    argv, grid, hits_only = case
+    expected = []
+    for rec in _printed_records(grid, hits_only):
+        payload = cli._verdict_payload(rec.d, rec.r, rec.s, rec.shift, rec.report,
+                                       rec.theorem_flags)
+        payload["theoremPredicted"] = rec.theorem_predicted
+        payload["notes"] = {"squaredFirstOperatorBranch": "unexamined"}
+        expected.append(cli._json(payload, cli._ONE_LINE))
+    assert _search_stdout(argv) == (0, "".join(expected))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shared_value_grids())
+def test_search_formats_each_rational_once_per_command(case):
+    argv, grid, hits_only = case
+    printed = {value for rec in _printed_records(grid, hits_only)
+               for value in (rec.r, rec.s, rec.shift)}
+    formatted = Counter()
+
+    def counting(value):
+        formatted[value] += 1
+        return format_rational(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "format_rational", counting)
+        code, _ = _search_stdout(argv)
+    assert code == 0
+    assert formatted == Counter(printed)
 
 
 def test_search_domain_error_prints_no_record(capsys):

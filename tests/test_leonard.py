@@ -33,7 +33,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.scan import scan_tridiagonal_orderings
-from test_params import GRID_RS, complete_fractions
+from test_params import GRID_RS, complete_fractions, multi_pass_check_invariants
 
 
 def is_irreducible_tridiagonal(m):
@@ -1082,19 +1082,41 @@ def _nu_only(pairs):
     assert sum((theta[0] - t) / f < 0 for t, f in zip(theta[1:], c[1:])) == 1
 
 
+def _both(first, second):
+    """Two perturbations applied in turn, for two invariants broken at once."""
+    def perturb(pairs):
+        first(pairs)
+        second(pairs)
+    return perturb
+
+
+_ZERO_C = _replaced(C, 4, lambda p: (0, 7))
+_ZERO_B_STAR = _replaced(B_STAR, 0, lambda p: (0, 1))
+_ZERO_C_STAR = _replaced(C_STAR, 2, lambda p: (0, 1))
+_BOUNDARY_B = _replaced(B, -1, lambda p: (1, 1))
+# theta_3 = theta_1 as an unreduced pair: equal values, unequal pairs
+_REPEATED_THETA = _replaced(THETA, 3, lambda p: tuple(2 * v for v in p[THETA][1]))
+_FLIPPED_C = _replaced(C, 2, lambda p: (-p[C][2][0], p[C][2][1]))
+
 _PAIR_PERTURBATIONS = {
     "zero interior b": (_replaced(B, 1, lambda p: (0, 1)), "interior b_i, c_i must be nonzero"),
-    "zero interior c": (_replaced(C, 4, lambda p: (0, 7)), "interior b_i, c_i must be nonzero"),
-    "zero interior b*": (_replaced(B_STAR, 0, lambda p: (0, 1)),
-                         "interior b*_i, c*_i must be nonzero"),
-    "zero interior c*": (_replaced(C_STAR, 2, lambda p: (0, 1)),
-                         "interior b*_i, c*_i must be nonzero"),
-    # theta_3 = theta_1 as an unreduced pair: equal values, unequal pairs
-    "repeated theta": (_replaced(THETA, 3, lambda p: tuple(2 * v for v in p[THETA][1])),
-                       "eigenvalues theta_i are not distinct"),
-    "flipped c_j": (_replaced(C, 2, lambda p: (-p[C][2][0], p[C][2][1])),
-                    "weights k_i, k*_i and nu must be positive"),
+    "zero interior c": (_ZERO_C, "interior b_i, c_i must be nonzero"),
+    "zero interior b*": (_ZERO_B_STAR, "interior b*_i, c*_i must be nonzero"),
+    "zero interior c*": (_ZERO_C_STAR, "interior b*_i, c*_i must be nonzero"),
+    "nonzero boundary b_d": (_BOUNDARY_B, "boundary entries b_d, c_0, b*_d, c*_0 must be zero"),
+    "repeated theta": (_REPEATED_THETA, "eigenvalues theta_i are not distinct"),
+    "flipped c_j": (_FLIPPED_C, "weights k_i, k*_i and nu must be positive"),
     "nu only": (_nu_only, "weights k_i, k*_i and nu must be positive"),
+    # Two invariants broken at once: the first in the order zero pattern,
+    # boundary, theta distinct, weights is the one reported.
+    "zero b* and zero c": (_both(_ZERO_B_STAR, _ZERO_C), "interior b_i, c_i must be nonzero"),
+    "flipped c_j and zero c": (_both(_FLIPPED_C, _ZERO_C), "interior b_i, c_i must be nonzero"),
+    "zero c* and nonzero boundary": (_both(_BOUNDARY_B, _ZERO_C_STAR),
+                                     "interior b*_i, c*_i must be nonzero"),
+    "repeated theta and nonzero boundary": (_both(_REPEATED_THETA, _BOUNDARY_B),
+                                            "boundary entries b_d, c_0, b*_d, c*_0 must be zero"),
+    "flipped c_j and repeated theta": (_both(_FLIPPED_C, _REPEATED_THETA),
+                                       "eigenvalues theta_i are not distinct"),
 }
 
 
@@ -1109,7 +1131,9 @@ def test_perturbed_pairs_fail_like_parameter_array(perturb, message):
         complete_fractions(d, r, s, theta, tuple(map(F, range(d + 1))), b, c, b_star, c_star)
     with pytest.raises(ParameterInvariantError) as from_pairs:
         leonard._ArrayFacts.from_pairs(d, r, s, pairs)
-    assert str(from_array.value) == str(from_pairs.value) == message
+    with pytest.raises(ParameterInvariantError) as from_oracle:
+        multi_pass_check_invariants(d, *pairs)
+    assert str(from_array.value) == str(from_pairs.value) == str(from_oracle.value) == message
 
 
 # -- the ordering rule ----------------------------------------------------------

@@ -222,9 +222,9 @@ entries = st.one_of(st.just(F(0)), small_fractions)
 @given(st.data())
 def test_continuant_matches_faddeev_leverrier(data):
     n = data.draw(st.integers(min_value=0, max_value=7))
-    diag = data.draw(st.lists(entries, min_size=n, max_size=n))
-    sub = data.draw(st.lists(entries, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
-    sup = data.draw(st.lists(entries, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    off = max(n - 1, 0)
+    flat = data.draw(st.lists(entries, min_size=n + 2 * off, max_size=n + 2 * off))
+    diag, sub, sup = flat[:n], flat[n:n + off], flat[n + off:]
     oracle = RationalMatrix.tridiagonal(diag, sub, sup).charpoly()
     assert tridiagonal_charpoly(diag, sub, sup) == oracle
 

@@ -13,6 +13,8 @@ from leonard_lab.params import (
     ParameterArray,
     ParameterDomainError,
     ParameterInvariantError,
+    _check_invariants,
+    _dual_hahn_pairs,
     build_astar_sums,
     build_params,
     check_closed_forms,
@@ -456,3 +458,102 @@ def test_closed_forms_raise_on_a_vanishing_denominator():
         closed_forms_oracle(p)
     with pytest.raises(ZeroDivisionError):
         check_closed_forms(p)
+
+
+def multi_pass_check_invariants(d, theta, b, c, b_star, c_star) -> None:
+    """`params._check_invariants` as it was: one pass per invariant over the
+    integer pairs, each raising as soon as it fails, kept as the oracle of
+    the one-pass test."""
+    # The zero pattern is checked first: the weights divide by c_i and c*_i.
+    if not (all(n for n, _ in b[:d]) and all(n for n, _ in c[1:])):
+        raise ParameterInvariantError("interior b_i, c_i must be nonzero")
+    if not (all(n for n, _ in b_star[:d]) and all(n for n, _ in c_star[1:])):
+        raise ParameterInvariantError("interior b*_i, c*_i must be nonzero")
+    if b[d][0] or c[0][0] or b_star[d][0] or c_star[0][0]:
+        raise ParameterInvariantError("boundary entries b_d, c_0, b*_d, c*_0 must be zero")
+    # Equal rationals with positive denominators have equal reduced pairs.
+    if len({(t // g, e // g) for t, e in theta for g in (math.gcd(t, e),)}) != d + 1:
+        raise ParameterInvariantError("eigenvalues theta_i are not distinct")
+    t0, e0 = theta[0]
+    if (
+        any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b, c[1:]))
+        or any((bn > 0) != (cn > 0) for (bn, _), (cn, _) in zip(b_star, c_star[1:]))
+        or sum((t0 * e > t * e0) != (f > 0) for (t, e), (f, _) in zip(theta[1:], c[1:])) % 2
+    ):
+        raise ParameterInvariantError("weights k_i, k*_i and nu must be positive")
+
+
+def _raised(check, *args):
+    """The class and message of what `check(*args)` raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:  # any exception, to compare the two versions
+        return type(exc), str(exc)
+    return None
+
+
+_PAIR_FIELDS = ("theta", "b", "c", "b_star", "c_star")
+
+
+def _checked_pairs(source, d, r, s):
+    """The five lists `_check_invariants` reads: the dual Hahn kernel's own
+    pairs, unreduced over one denominator, or a built array's reduced
+    pairs, whose denominators differ."""
+    if source == "kernel":
+        return [list(pairs) for pairs in _dual_hahn_pairs(d, r, s)]
+    p = _array(source, d, r, s)
+    return [[v.as_integer_ratio() for v in getattr(p, name)] for name in _PAIR_FIELDS]
+
+
+def _perturb_one_entry(data, lists, d):
+    """Replace one drawn entry by zero, its negation, a copy of an entry of
+    the same list multiplied through by a drawn factor, or its value
+    shifted by a nonzero rational."""
+    pairs = lists[data.draw(st.integers(0, 4))]
+    at = data.draw(st.integers(0, d))
+    n, q = pairs[at]
+    how = data.draw(st.sampled_from(("zero", "negated", "copied", "shifted")))
+    if how == "zero":
+        pairs[at] = (0, q)
+    elif how == "negated":
+        pairs[at] = (-n, q)
+    elif how == "copied":
+        m, e = pairs[data.draw(st.integers(0, d))]
+        k = data.draw(st.integers(1, 3))
+        pairs[at] = (m * k, e * k)
+    else:
+        delta = data.draw(nonzero)
+        pairs[at] = (n * delta.denominator + delta.numerator * q, q * delta.denominator)
+
+
+@st.composite
+def _between(draw, low, high):
+    """A rational in the open interval (low, high) with a denominator of at
+    most 99, drawn as two integers: `st.fractions` costs most of a cheap
+    example."""
+    q = draw(st.integers(1, 99))
+    return F(draw(st.integers(low * q + 1, high * q - 1)), q)
+
+
+@settings(deadline=None, max_examples=250)
+@given(source=st.sampled_from(("kernel", "dual", "barred")), d=st.integers(0, 12),
+       r=_between(-1, 1).filter(bool), s=_between(-1, 3), scaled=st.booleans(),
+       perturbed=st.integers(0, 2), data=st.data())
+def test_one_pass_invariants_raise_like_the_multi_pass_oracle(
+    source, d, r, s, scaled, perturbed, data
+):
+    """Valid lists, and lists with one or two entries perturbed: the one-pass
+    test raises the class and message of the multi-pass one, or neither
+    raises.  Two perturbations can break two invariants at once, which pins
+    the order in which the failures are reported."""
+    lists = _checked_pairs(source, d, r, s)
+    if scaled:  # each pair multiplied through by its own positive factor
+        factors = iter(data.draw(st.lists(st.integers(1, 50), min_size=5 * (d + 1),
+                                          max_size=5 * (d + 1))))
+        lists = [[(n * m, q * m) for (n, q), m in zip(pairs, factors)] for pairs in lists]
+    for _ in range(perturbed):
+        _perturb_one_entry(data, lists, d)
+    expected = _raised(multi_pass_check_invariants, d, *lists)
+    assert _raised(_check_invariants, d, *lists) == expected
+    if not perturbed:
+        assert expected is None
