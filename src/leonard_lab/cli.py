@@ -308,8 +308,7 @@ def cmd_verify_racah(args) -> int:
 
 
 def cmd_verify_sl2(args) -> int:
-    match = sl2mod.verify_example_match(args.kind, args.n)  # decides the domain first
-    module = sl2mod.build_even_module(args.kind, args.n)
+    module, match = sl2mod._matched_example(args.kind, args.n)  # decides the domain first
     payload = {
         "kind": args.kind,
         "n": args.n,

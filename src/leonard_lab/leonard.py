@@ -509,6 +509,23 @@ def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fra
     return runs
 
 
+def _check_run_domains(runs) -> None:
+    """`check_domain` of every run, in order, with each distinct d, r and s
+    decided once.  A run whose d, r and s have each been seen in a run that
+    passed passes too, since the domain is a condition on each coordinate
+    alone; any other run is checked in full, so the first failing run raises
+    its own message.  r and s are keyed by their integer pairs, which hash
+    faster than a Fraction."""
+    seen_d, seen_r, seen_s = set(), set(), set()
+    for d, r, s, _ in runs:
+        r_key, s_key = r.as_integer_ratio(), s.as_integer_ratio()
+        if d not in seen_d or r_key not in seen_r or s_key not in seen_s:
+            check_domain(d, r, s)
+            seen_d.add(d)
+            seen_r.add(r_key)
+            seen_s.add(s_key)
+
+
 def _evaluate_run(
     d: int, r: Fraction, s: Fraction, shifts: list[Fraction], exhaustive: bool
 ) -> list[SearchRecord]:
@@ -537,12 +554,12 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     The grid is walked once into runs of equal (d, r, s) (`_grid_runs`);
     each run builds its parameter array once and decides all its shifts on
     it, and its records are yielded before the next run starts.  The domain
-    of every run is checked before the first record is yielded.  Only the
-    (L, (L*+shift)^2) branch of square preservation is examined; the
-    (L^2, L*) branch is reported as unexamined downstream.
+    of every run is checked before the first record is yielded
+    (`_check_run_domains`).  Only the (L, (L*+shift)^2) branch of square
+    preservation is examined; the (L^2, L*) branch is reported as
+    unexamined downstream.
     """
     runs = _grid_runs(grid)
-    for d, r, s, _ in runs:
-        check_domain(d, r, s)
+    _check_run_domains(runs)
     for d, r, s, shifts in runs:
         yield from _evaluate_run(d, r, s, shifts, grid.exhaustive)

@@ -1,10 +1,23 @@
 """Dense exact matrices over arbitrary-precision rationals.
 
 Sizes here are tiny (at most a few dozen rows), so a matrix is a plain
-row-major tuple of Fractions.  Only the product looks at sparsity: it puts
-each operand over one integer denominator, keeps the nonzero entries of each
-row, and sums on Python ints (`RationalMatrix.__matmul__`).  No float is
+row-major tuple of Fractions.  Every operation works on the nonzero entries
+only, by one rule: a zero is the one shared `_ZERO`.  The constructors and
+every operation emit it for each zero they compute, a zero from cancellation
+included, and form a new Fraction only where an operand entry is not it.  A
+sum, difference or scaling passes over an entry that is `_ZERO` in every
+operand and takes the other operand's entry where one of two is `_ZERO`; a
+product puts each operand over one integer denominator, keeps the nonzero
+entries of each row, and sums on Python ints (`RationalMatrix.__matmul__`).
+Only speed depends on the sharing: any other zero, such as a caller's
+Fraction(0) or int 0, takes the ordinary arithmetic path.  No float is
 accepted as an entry or a scalar (`hyper.exact_rational`).
+
+An entry tuple is built from a list, never from a generator: CPython sizes
+`tuple(generator)` by a guess and resizes it, and once freed the resized
+tuple stays on the free list of its new size, which only a full garbage
+collection empties.  The fewer Fractions a run allocates, the rarer those
+collections, and the more memory such free lists would keep.
 """
 
 from __future__ import annotations
@@ -17,6 +30,15 @@ from typing import Iterable, Sequence
 from .hyper import exact_rational
 
 _ZERO = Fraction(0)
+
+
+def _entry(value: Fraction | int | str) -> Fraction:
+    """value as a matrix entry: a Fraction (`exact_rational`), a zero the
+    shared `_ZERO`, which an int zero, such as the zero band of an sl2
+    generator, becomes without forming a Fraction."""
+    if type(value) is int and not value:
+        return _ZERO
+    return exact_rational("matrix entry", value) or _ZERO
 
 
 @dataclass(frozen=True)
@@ -40,8 +62,7 @@ class RationalMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        flat = tuple(exact_rational("matrix entry", x) for row in rows for x in row)
-        return cls(nrows, ncols, flat)
+        return cls(nrows, ncols, tuple([_entry(x) for row in rows for x in row]))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -52,7 +73,7 @@ class RationalMatrix:
         n = len(values)
         flat = [_ZERO] * (n * n)
         for i, v in enumerate(values):
-            flat[i * n + i] = exact_rational("matrix entry", v)
+            flat[i * n + i] = _entry(v)
         return cls(n, n, tuple(flat))
 
     @classmethod
@@ -68,11 +89,11 @@ class RationalMatrix:
             raise ValueError("sub/super diagonals must have length n-1")
         flat = [_ZERO] * (n * n)
         for i, v in enumerate(diag):
-            flat[i * n + i] = exact_rational("matrix entry", v)
+            flat[i * n + i] = _entry(v)
         for i, v in enumerate(sub):
-            flat[(i + 1) * n + i] = exact_rational("matrix entry", v)
+            flat[(i + 1) * n + i] = _entry(v)
         for i, v in enumerate(sup):
-            flat[i * n + i + 1] = exact_rational("matrix entry", v)
+            flat[i * n + i + 1] = _entry(v)
         return cls(n, n, tuple(flat))
 
     # -- access ---------------------------------------------------------
@@ -106,7 +127,9 @@ class RationalMatrix:
         return RationalMatrix(
             self.rows,
             self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            tuple([_ZERO if a is b is _ZERO
+                   else _entry(b if a is _ZERO else a if b is _ZERO else a + b)
+                   for a, b in zip(self.entries, other.entries)]),
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -114,7 +137,9 @@ class RationalMatrix:
         return RationalMatrix(
             self.rows,
             self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
+            tuple([_ZERO if a is b is _ZERO
+                   else _entry(-b if a is _ZERO else a if b is _ZERO else a - b)
+                   for a, b in zip(self.entries, other.entries)]),
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -150,26 +175,32 @@ class RationalMatrix:
     def _integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
         """(rows, D): D is the lcm of the entries' denominators, and rows[i]
         lists (j, D * entry) for each nonzero entry (i, j), in column order."""
-        ratios = [e.as_integer_ratio() for e in self.entries]
-        den = math.lcm(*{q for _, q in ratios})
-        m = self.cols
-        return [
-            [(j, n * (den // q)) for j, (n, q) in enumerate(ratios[i * m : (i + 1) * m]) if n]
+        m, e = self.cols, self.entries
+        ratios = [
+            [(j, x.as_integer_ratio()) for j, x in enumerate(e[i * m : (i + 1) * m])
+             if x is not _ZERO]
             for i in range(self.rows)
-        ], den
+        ]
+        den = math.lcm(*{q for row in ratios for _, (_, q) in row})
+        return [[(j, n * (den // q)) for j, (n, q) in row if n] for row in ratios], den
 
     def scaled(self, factor: Fraction | int) -> "RationalMatrix":
         f = exact_rational("factor", factor)
-        return RationalMatrix(self.rows, self.cols, tuple(f * e for e in self.entries))
+        return RationalMatrix(
+            self.rows,
+            self.cols,
+            tuple([_ZERO if e is _ZERO else _entry(f * e) for e in self.entries]),
+        )
 
     def plus_scalar(self, shift: Fraction | int) -> "RationalMatrix":
-        """self + shift * I."""
+        """self + shift * I.  The entries off the diagonal are carried over
+        as they are."""
         if not self.is_square:
             raise ValueError("scalar shift of a non-square matrix")
         s = exact_rational("shift", shift)
         flat = list(self.entries)
-        for i in range(self.rows):
-            flat[i * self.cols + i] += s
+        for k in range(0, self.rows * self.cols, self.cols + 1):
+            flat[k] = _entry(flat[k] + s)
         return RationalMatrix(self.rows, self.cols, tuple(flat))
 
     def permuted(self, perm: Sequence[int]) -> "RationalMatrix":
@@ -180,7 +211,7 @@ class RationalMatrix:
         if sorted(perm) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
         e = self.entries
-        return RationalMatrix(n, n, tuple(e[i * n + j] for i in perm for j in perm))
+        return RationalMatrix(n, n, tuple([e[i * n + j] for i in perm for j in perm]))
 
     def trace(self) -> Fraction:
         if not self.is_square:

@@ -230,8 +230,9 @@ def _diagonal_pairs(first, b, c):
 
 
 def _quotients(pairs):
-    """The Fractions of integer pairs (numerator, denominator)."""
-    return tuple(Fraction(num, den) for num, den in pairs)
+    """The Fractions of integer pairs (numerator, denominator), as a tuple
+    built from a list (see the `matrices` module docstring)."""
+    return tuple([Fraction(num, den) for num, den in pairs])
 
 
 def _cumulative_quotients(b, c):

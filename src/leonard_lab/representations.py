@@ -50,7 +50,7 @@ class ValueTable:
         table."""
         ints, den = _over_common_denominator(self.values.entries)
         n = self.values.cols
-        return tuple(ints[i : i + n] for i in range(0, len(ints), n)), den
+        return tuple([ints[i : i + n] for i in range(0, len(ints), n)]), den
 
     @cached_property
     def int_columns(self) -> tuple[tuple[int, ...], ...]:

@@ -123,16 +123,20 @@ def _generator_combination(m: EvenModule, shift: int, scale: Fraction) -> Ration
     return combined.scaled(scale) - (m.h @ m.h).scaled(scale / 2)
 
 
+def _example_pair(m: EvenModule) -> tuple[RationalMatrix, RationalMatrix]:
+    """`example_pair` on a built module."""
+    first = _generator_combination(m, 1, Fraction(1, 4))
+    second = m.h.scaled(Fraction(-1, 4)).plus_scalar(Fraction(m.n - 2 * m.kind, 4))
+    return first, second
+
+
 def example_pair(kind: int, n: int) -> tuple[RationalMatrix, RationalMatrix]:
     """The rational generator combinations that reproduce the dual Hahn
     Leonard pair on the odd-degree modules:
     (E^2 + F^2 + Casimir - 1)/4 - H^2/8, paired with (n - H)/4 - kind/2,
     which is i on v_i."""
     _require_example(kind, n)
-    m = build_even_module(kind, n)
-    first = _generator_combination(m, 1, Fraction(1, 4))
-    second = m.h.scaled(Fraction(-1, 4)).plus_scalar(Fraction(n - 2 * kind, 4))
-    return first, second
+    return _example_pair(build_even_module(kind, n))
 
 
 def example_parameters(kind: int, n: int) -> tuple[Fraction, Fraction, int]:
@@ -145,10 +149,17 @@ def example_parameters(kind: int, n: int) -> tuple[Fraction, Fraction, int]:
 def verify_example_match(kind: int, n: int) -> bool:
     """Entrywise equality of the example pair with the u-basis matrices of
     (L, L*) at the matched (r, s, d)."""
-    first, second = example_pair(kind, n)
+    return _matched_example(kind, n)[1]
+
+
+def _matched_example(kind: int, n: int) -> tuple[EvenModule, bool]:
+    """The module of the odd-n example, built once after its domain is
+    decided, and `verify_example_match` on it."""
     r, s, d = example_parameters(kind, n)
+    m = build_even_module(kind, n)
+    first, second = _example_pair(m)
     p = build_params(d, r, s)
-    return first == matrix_L_u_basis(p) and second == matrix_Lstar_u_basis(p)
+    return m, first == matrix_L_u_basis(p) and second == matrix_Lstar_u_basis(p)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,10 @@ def _false(*args, **kwargs):
     return False
 
 
+def _unmatched_example(kind, n):
+    return sl2mod.build_even_module(kind, n), False
+
+
 def _identity_table(p):
     return ValueTable(RationalMatrix.identity(p.d + 1))
 
@@ -352,7 +356,7 @@ def _identity_table(p):
         (("verify-sl2", "--kind", "0", "--n", "3"),
          sl2mod, "check_module_relations", _false, "relations"),
         (("verify-sl2", "--kind", "1", "--n", "3"),
-         sl2mod, "verify_example_match", _false, "match"),
+         sl2mod, "_matched_example", _unmatched_example, "match"),
     ],
     ids=["table", "params", "verify-racah", "verify-sl2 relations", "verify-sl2 match"],
 )

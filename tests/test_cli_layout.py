@@ -72,6 +72,16 @@ LAYOUT_CASES = [
     (("search", "--d-max", "3", "--r-values", "1/2,-1/3", "--s-mode", "list",
       "--s-values", "1/3,-1/2,0", "--lambda-mode", "list", "--lambda-values", "0,-5/4,-1/2"),
      13236, "07691d3665a581f735fce5cb877ad8c1adf47fbb62d1b6c257e61b4daa029168"),
+    # The largest sl2 modules and catalogs of the benchmark's grid, where the
+    # matrix sums and scalings meet long zero-filled rows.
+    (("verify-sl2", "--kind", "0", "--n", "25"),
+     106, "00e88ea7808637f099f5b6f73fe6078435b239d3a8d74c17cdddc2394d5022e7"),
+    (("verify-sl2", "--kind", "1", "--n", "25"),
+     106, "d9784fec19cb3200c8d8d4cd9a0eb49a718aaff8437108f5156ea4988ecb9fb9"),
+    (("catalog", "--D", "12"),
+     5276, "ec0ddd575d7af68c4c334dc74913c58d48aa10467d7726c5ad33505b48900bb6"),
+    (("catalog", "--D", "25"),
+     29746, "d156a5db54fbeb570869b97fdbf29f4e2b30635df445d1b86e1a203d07f08e43"),
 ]
 
 

@@ -26,7 +26,12 @@ from leonard_lab.leonard import (
     verify_leonard_pair_square,
 )
 from leonard_lab.matrices import RationalMatrix
-from leonard_lab.params import ParameterInvariantError, build_params
+from leonard_lab.params import (
+    ParameterDomainError,
+    ParameterInvariantError,
+    build_params,
+    check_domain,
+)
 from leonard_lab.representations import (
     matrix_L_u_basis,
     matrix_Lstar_u_basis,
@@ -647,6 +652,79 @@ def test_search_with_an_empty_list_builds_nothing(monkeypatch, grid):
     assert leonard._grid_runs(grid) == []
     assert list(search_square_preserving(grid)) == []
     assert built == []
+
+
+def _per_run_check_domain(runs):
+    """`check_domain` of every run in turn, the loop that
+    `leonard._check_run_domains` replaced, kept as its oracle."""
+    for d, r, s, _ in runs:
+        check_domain(d, r, s)
+
+
+def _domain_message(check, runs):
+    try:
+        check(runs)
+    except ParameterDomainError as exc:
+        return str(exc)
+    return None
+
+
+_IN_DOMAIN = st.builds(F, st.integers(-5, 12), st.integers(1, 6)).filter(lambda x: x > -1)
+_OUT_OF_DOMAIN = st.builds(F, st.integers(-12, -6), st.integers(1, 6))
+
+
+def _with_value_at(data, values, bad):
+    """values with `bad` put at the first, a middle or the last position."""
+    at = data.draw(st.sampled_from((0, len(values) // 2, len(values))))
+    return values[:at] + [bad] + values[at:]
+
+
+@settings(deadline=None, max_examples=200)
+@given(bad_r=st.booleans(), bad_s=st.booleans(), data=st.data())
+def test_run_domains_raise_like_the_per_run_oracle(bad_r, bad_s, data):
+    # Runs in drawn order, not sorted, with repeated values, so the first
+    # failing run may come first, in the middle or last, and may follow runs
+    # whose d, r or s alone were already seen to pass.
+    d_values = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    r_values = data.draw(st.lists(_IN_DOMAIN, min_size=1, max_size=4))
+    s_values = data.draw(st.lists(_IN_DOMAIN, min_size=1, max_size=4))
+    if bad_r:
+        r_values = _with_value_at(data, r_values, data.draw(_OUT_OF_DOMAIN))
+    if bad_s:
+        s_values = _with_value_at(data, s_values, data.draw(_OUT_OF_DOMAIN))
+    if data.draw(st.booleans()):
+        d_values = _with_value_at(data, d_values, -1)
+    runs = [(d, r, s, [F(0)]) for d, r, s in product(d_values, r_values, s_values)]
+    expected = _domain_message(_per_run_check_domain, runs)
+    assert _domain_message(leonard._check_run_domains, runs) == expected
+    if not (bad_r or bad_s or -1 in d_values):
+        assert expected is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(s_list=st.booleans(), data=st.data())
+def test_search_rejects_the_first_run_out_of_domain(s_list, data):
+    # Through the grid: r <= -1, or s <= -1 (with s = -r, any r >= 1), at
+    # the first, a middle or the last position of its list.
+    r_in_domain = _IN_DOMAIN if s_list else _IN_DOMAIN.filter(lambda r: r < 1)
+    r_values = data.draw(st.lists(r_in_domain, min_size=1, max_size=4))
+    s_values = data.draw(st.lists(_IN_DOMAIN, min_size=1, max_size=4)) if s_list else None
+    bad = data.draw(st.sampled_from(("r", "s", "none")))
+    if bad == "r":
+        r_values = _with_value_at(data, r_values, data.draw(_OUT_OF_DOMAIN))
+    elif bad == "s" and s_list:
+        s_values = _with_value_at(data, s_values, data.draw(_OUT_OF_DOMAIN))
+    elif bad == "s":
+        r_values = _with_value_at(data, r_values, -data.draw(_OUT_OF_DOMAIN))
+    grid = SearchGrid(
+        d_values=tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))),
+        r_values=tuple(r_values),
+        s_values=None if s_values is None else tuple(s_values),
+        shift_values=(F(0),),
+    )
+    expected = _domain_message(_per_run_check_domain, leonard._grid_runs(grid))
+    assert (expected is None) == (bad == "none")
+    assert _domain_message(lambda runs: list(search_square_preserving(grid)), None) == expected
 
 
 def _per_point_records(grid):

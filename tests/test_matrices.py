@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
+from leonard_lab.matrices import _ZERO, RationalMatrix, poly_from_roots, tridiagonal_charpoly
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -160,6 +160,124 @@ def test_matmul_shares_one_zero_for_cancelled_and_empty_entries():
     empty = RationalMatrix(0, 3, ()) @ RationalMatrix(3, 2, (F(1),) * 6)
     assert (empty.rows, empty.cols, empty.entries) == (0, 2, ())
     assert RationalMatrix(2, 0, ()) @ RationalMatrix(0, 2, ()) == RationalMatrix.diagonal([0, 0])
+
+
+# Entries of every kind the sparse rule meets: the shared zero, a caller's
+# fresh Fraction(0) and int 0, ints and Fractions.
+mixed_entries = st.one_of(
+    st.just(_ZERO),
+    st.builds(F, st.just(0)),
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7])),
+)
+
+
+def mixed_matrix(draw, rows, cols):
+    return RationalMatrix(rows, cols, tuple(
+        draw(st.lists(mixed_entries, min_size=rows * cols, max_size=rows * cols))))
+
+
+def with_cancelling_entries(draw, a, b, sign):
+    """b with some entries set to sign * (-a): a + b (sign 1) or a - b
+    (sign -1) cancels there, and a shared zero meets a fresh one."""
+    flat = list(b.entries)
+    for k in draw(st.sets(st.integers(0, max(len(flat) - 1, 0)), max_size=len(flat))):
+        flat[k] = -sign * a.entries[k]
+    return RationalMatrix(b.rows, b.cols, tuple(flat))
+
+
+def assert_sparse_result(result, expected):
+    """result equals `expected` entry for entry, every entry is a Fraction,
+    and every zero is the shared one."""
+    assert (result.rows, result.cols) == (expected.rows, expected.cols)
+    assert result.entries == expected.entries
+    assert all(type(e) is F for e in result.entries)
+    assert all(e is _ZERO for e in result.entries if not e)
+
+
+def dense_entrywise(a, b, op):
+    """The dense entrywise sum or difference that `__add__` and `__sub__`
+    replaced, kept as their oracle."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return RationalMatrix(a.rows, a.cols, tuple(op(x, y) for x, y in zip(a.entries, b.entries)))
+
+
+def dense_scaled(m, factor):
+    """The dense `f * e` of every entry that `scaled` replaced."""
+    return RationalMatrix(m.rows, m.cols, tuple(F(factor) * e for e in m.entries))
+
+
+def dense_plus_scalar(m, shift):
+    """The dense diagonal shift that `plus_scalar` replaced."""
+    flat = list(m.entries)
+    for i in range(m.rows):
+        flat[i * m.cols + i] += F(shift)
+    return RationalMatrix(m.rows, m.cols, tuple(flat))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_sparse_operations_match_the_dense_oracle(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    a = mixed_matrix(data.draw, rows, cols)
+    b = mixed_matrix(data.draw, rows, cols)
+    for sign, op, dense in ((1, RationalMatrix.__add__, lambda x, y: x + y),
+                            (-1, RationalMatrix.__sub__, lambda x, y: x - y)):
+        c = with_cancelling_entries(data.draw, a, b, sign)
+        expected = dense_entrywise(a, c, dense)
+        assert_sparse_result(op(a, c), expected)
+        assert_sparse_result(op(c, a), dense_entrywise(c, a, dense))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, RationalMatrix(rows + 1, cols, (F(1),) * ((rows + 1) * cols)))
+    factor = data.draw(st.one_of(st.just(0), st.just(F(0)), mixed_entries))
+    assert_sparse_result(a.scaled(factor), dense_scaled(a, factor))
+    with pytest.raises(TypeError):
+        a.scaled(0.5)
+    with pytest.raises(TypeError):
+        a.scaled(0.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_plus_scalar_matches_the_dense_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    m = mixed_matrix(data.draw, n, n)
+    diagonal = {i * n + i for i in range(n)}
+    # a shift that cancels a diagonal entry, or one of every kind
+    shift = data.draw(st.one_of(st.sampled_from([-e for e in m.entries[::n + 1]] or [0]),
+                                st.just(F(0)), mixed_entries))
+    shifted = m.plus_scalar(shift)
+    assert shifted.entries == dense_plus_scalar(m, shift).entries
+    for k, e in enumerate(shifted.entries):
+        if k in diagonal:
+            assert type(e) is F and (e or e is _ZERO)
+        else:
+            assert e is m.entries[k]
+    # from the constructors every entry is a Fraction and every zero shared
+    canonical = RationalMatrix.from_rows(m.to_rows())
+    assert_sparse_result(canonical, m)
+    assert_sparse_result(canonical.plus_scalar(shift), dense_plus_scalar(m, shift))
+    with pytest.raises(TypeError):
+        m.plus_scalar(0.5)
+    with pytest.raises(ValueError, match="non-square"):
+        RationalMatrix(n, n + 1, (F(1),) * (n * (n + 1))).plus_scalar(1)
+
+
+def test_constructors_share_one_zero():
+    for m in (
+        RationalMatrix.from_rows([[0, F(0)], ["0", "1/2"]]),
+        RationalMatrix.diagonal([0, F(0), 3]),
+        RationalMatrix.tridiagonal([0, F(0), 1], [0, "0"], [F(0), 2]),
+        RationalMatrix.identity(3),
+    ):
+        assert all(type(e) is F for e in m.entries)
+        assert all(e is _ZERO for e in m.entries if not e)
+    with pytest.raises(TypeError):
+        RationalMatrix.diagonal([0.0])
+    with pytest.raises(TypeError):
+        RationalMatrix.tridiagonal([1, 1], [0.0], [0])
 
 
 def test_plus_scalar_and_scaled():

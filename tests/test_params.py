@@ -346,11 +346,17 @@ def closed_forms_oracle(p):
     return True
 
 
+@st.composite
+def _up_to(draw, low, high):
+    """A rational in (low, high] with a denominator of at most 99, drawn as
+    two integers, as `_between` does."""
+    q = draw(st.integers(1, 99))
+    return F(draw(st.integers(low * q + 1, high * q)), q)
+
+
 # r in (-1, 1) \ {0} serves both builders; the barred array ignores s.
-_BOTH_R = st.fractions(min_value=-1, max_value=1, max_denominator=99).filter(
-    lambda x: -1 < x < 1 and x != 0
-)
-_DUAL_S = st.fractions(min_value=-1, max_value=3, max_denominator=99).filter(lambda x: x > -1)
+_BOTH_R = _up_to(-1, 1).filter(lambda x: -1 < x < 1 and x != 0)
+_DUAL_S = _up_to(-1, 3).filter(lambda x: x > -1)
 
 
 def _array(kind, d, r, s):

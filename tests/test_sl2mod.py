@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from leonard_lab import sl2mod
 from leonard_lab.cli import main
 from leonard_lab.leonard import canonical_shift, is_dual_almost_bipartite
-from leonard_lab.matrices import RationalMatrix
+from leonard_lab.matrices import _ZERO, RationalMatrix
 from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.representations import matrix_L_u_basis, matrix_Lstar_u_basis
 from leonard_lab.sl2mod import (
+    _generator_combination,
     build_even_module,
     check_module_relations,
     example_pair,
@@ -72,6 +74,75 @@ def test_weight_vector_rule_matches_the_per_kind_formulas(kind):
         assert m.f_sq == RationalMatrix.tridiagonal([0] * dim, lowering, zeros), n
         assert m.h == RationalMatrix.diagonal(cartan), n
         assert m.casimir == RationalMatrix.identity(dim).scaled(F(n * (n + 2), 2)), n
+
+
+def _dense_module(kind, n):
+    """E^2, F^2, H and the Casimir as dense row-major lists of Fractions,
+    from the per-kind formulas."""
+    dim, raising, lowering, cartan = _per_kind_module(kind, n)
+    e_sq, f_sq, h, casimir = ([F(0)] * (dim * dim) for _ in range(4))
+    for i in range(dim - 1):
+        e_sq[i * dim + i + 1] = F(raising[i])
+        f_sq[(i + 1) * dim + i] = F(lowering[i])
+    for i in range(dim):
+        h[i * dim + i] = F(cartan[i])
+        casimir[i * dim + i] = F(n * (n + 2), 2)
+    return dim, e_sq, f_sq, h, casimir
+
+
+def _dense_generator_combination(kind, n, shift, scale):
+    """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2 entry by entry over
+    the dense lists, as the matrix sums and scalings formed it before they
+    skipped zeros; kept as the oracle of `_generator_combination`."""
+    dim, e_sq, f_sq, h, casimir = _dense_module(kind, n)
+    h_sq = [sum((h[i * dim + k] * h[k * dim + j] for k in range(dim)), F(0))
+            for i in range(dim) for j in range(dim)]
+    return tuple(
+        (e_sq[k] + f_sq[k] + casimir[k] - (shift if k % (dim + 1) == 0 else 0)) * scale
+        - h_sq[k] * scale / 2
+        for k in range(dim * dim)
+    )
+
+
+def _dense_catalog(D):
+    """(kind, n, adjacency action, dual adjacency action) of every module
+    of the halved D-cube, over dense lists."""
+    return [
+        (k % 2, D - 2 * k, _dense_generator_combination(k % 2, D - 2 * k, D, F(1, 2)),
+         tuple(_dense_module(k % 2, D - 2 * k)[3]))
+        for k in range(D // 2 + 1) if D - 2 * k >= k % 2
+    ]
+
+
+def _assert_sparse_entries(m):
+    assert all(type(e) is F for e in m.entries)
+    assert all(e is _ZERO for e in m.entries if not e)
+
+
+@pytest.mark.parametrize("kind", (0, 1))
+def test_generator_combination_matches_the_dense_oracle(kind):
+    for n in range(kind, 26):
+        m = build_even_module(kind, n)
+        for matrix in (m.e_sq, m.f_sq, m.h, m.casimir):
+            _assert_sparse_entries(matrix)
+        for shift, scale in ((1, F(1, 4)), (n, F(1, 2)), (0, F(-3, 7))):
+            combined = _generator_combination(m, shift, scale)
+            assert combined.entries == _dense_generator_combination(kind, n, shift, scale), n
+            _assert_sparse_entries(combined)
+        if n % 2:
+            first, second = example_pair(kind, n)
+            assert first.entries == _dense_generator_combination(kind, n, 1, F(1, 4)), n
+            _assert_sparse_entries(first)
+            _assert_sparse_entries(second)
+
+
+def test_catalog_matches_the_dense_oracle():
+    for D in range(1, 26):
+        catalog = terwilliger_catalog(D)
+        assert [(e.kind, e.n, e.adjacency_action.entries, e.dual_adjacency_action.entries)
+                for e in catalog] == _dense_catalog(D), D
+        for e in catalog:
+            _assert_sparse_entries(e.adjacency_action)
 
 
 def test_build_invalid_arguments():
@@ -191,3 +262,21 @@ def test_json_serialization(capsys):
     entries = json.loads(capsys.readouterr().out)["modules"]
     assert entries[0]["kind"] == 0 and entries[0]["n"] == 3
     assert entries[1]["AStar"] == [["-1"]]
+
+
+@pytest.mark.parametrize("kind, n", [(0, 5), (1, 25)])
+def test_verify_sl2_builds_its_module_once(monkeypatch, capsys, kind, n):
+    built = []
+    build = sl2mod.build_even_module
+
+    def counting(kind, n):
+        built.append((kind, n))
+        return build(kind, n)
+
+    monkeypatch.setattr(sl2mod, "build_even_module", counting)
+    assert main(["verify-sl2", "--kind", str(kind), "--n", str(n)]) == 0
+    assert built == [(kind, n)]
+    assert json.loads(capsys.readouterr().out)["match"] is True
+    built.clear()
+    assert main(["verify-sl2", "--kind", str(kind), "--n", str(n + 1)]) == 2
+    assert built == []
