@@ -62,6 +62,14 @@ def exact_rational(name: str, value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
+def _refuse_floats(name: str, *sequences: Iterable[object]) -> None:
+    """A TypeError in `exact_rational`'s words for the first float in the
+    sequences, for the routines that compute in their inputs' own type."""
+    for value in (v for values in sequences for v in values):
+        if isinstance(value, float):
+            raise TypeError(f"{name} must be an int or Fraction, got the float {value!r}")
+
+
 def format_rational(value: Fraction | int) -> str:
     """Serialize to ``"p/q"``, omitting ``/q`` when the denominator is one."""
     q = exact_rational("value", value)

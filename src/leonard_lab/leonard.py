@@ -35,13 +35,14 @@ cases as `Fraction` values are written once, in the dense closed form
 path test on it run only as the `exhaustive` oracle, which still decides
 every shift.  The dual almost-bipartite test reads b*, c* and a* directly,
 in O(d).  `search_square_preserving` walks the grid once into runs of equal
-(d, r, s) and decides each run's shifts in this process, yielding records
-run by run.  A run reads its array facts once, straight from the integer
-pairs of the closed forms (`params._dual_hahn_pairs`), in two sweeps
+(d, r, s), checks each run's domain as `build_params` does (`check_domain`),
+and decides each run's shifts in this process, yielding records run by run.
+A run reads its array facts once, straight from the integer pairs of the
+closed forms (`params._dual_hahn_pairs`), in two sweeps
 (`_ArrayFacts.from_pairs`): the one-pass invariant test that
 `parameter_array` runs on every array (theta simple, b, c, b* and c*
-nonzero), then one sweep over b* and c* that forms each a*_i and the root
-of each m_i as integer pairs.  A run builds no Fraction array unless the
+nonzero), then one sweep over b* and c* that forms each a*_i and the root of
+each m_i as integer pairs.  A run builds no Fraction array unless the
 `exhaustive` oracle needs one, and then once per run.  The four candidate
 orderings are built once per d (`_candidates`) and shared by every run, and
 the `search` command formats each distinct r, s and shift once per command
@@ -509,23 +510,6 @@ def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fra
     return runs
 
 
-def _check_run_domains(runs) -> None:
-    """`check_domain` of every run, in order, with each distinct d, r and s
-    decided once.  A run whose d, r and s have each been seen in a run that
-    passed passes too, since the domain is a condition on each coordinate
-    alone; any other run is checked in full, so the first failing run raises
-    its own message.  r and s are keyed by their integer pairs, which hash
-    faster than a Fraction."""
-    seen_d, seen_r, seen_s = set(), set(), set()
-    for d, r, s, _ in runs:
-        r_key, s_key = r.as_integer_ratio(), s.as_integer_ratio()
-        if d not in seen_d or r_key not in seen_r or s_key not in seen_s:
-            check_domain(d, r, s)
-            seen_d.add(d)
-            seen_r.add(r_key)
-            seen_s.add(s_key)
-
-
 def _evaluate_run(
     d: int, r: Fraction, s: Fraction, shifts: list[Fraction], exhaustive: bool
 ) -> list[SearchRecord]:
@@ -553,13 +537,14 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
 
     The grid is walked once into runs of equal (d, r, s) (`_grid_runs`);
     each run builds its parameter array once and decides all its shifts on
-    it, and its records are yielded before the next run starts.  The domain
-    of every run is checked before the first record is yielded
-    (`_check_run_domains`).  Only the (L, (L*+shift)^2) branch of square
-    preservation is examined; the (L^2, L*) branch is reported as
-    unexamined downstream.
+    it, and its records are yielded before the next run starts.  Every
+    run's domain is checked (`check_domain`) before the first record is
+    yielded, so the first run out of the domain raises.  Only the
+    (L, (L*+shift)^2) branch of square preservation is examined; the
+    (L^2, L*) branch is reported as unexamined downstream.
     """
     runs = _grid_runs(grid)
-    _check_run_domains(runs)
+    for d, r, s, _ in runs:
+        check_domain(d, r, s)
     for d, r, s, shifts in runs:
         yield from _evaluate_run(d, r, s, shifts, grid.exhaustive)

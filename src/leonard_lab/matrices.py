@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hyper import exact_rational
+from .hyper import _refuse_floats, exact_rational
 
 _ZERO = Fraction(0)
 
@@ -248,8 +248,9 @@ class RationalMatrix:
 def poly_from_roots(roots: Iterable[Fraction | int]) -> tuple[Fraction | int, ...]:
     """Coefficients of prod (x - root), descending powers, leading 1.
 
-    Exact in the roots' own type: ints give ints, Fractions give Fractions."""
+    Exact in the roots' own type, int or Fraction; a float is a TypeError."""
     roots = tuple(roots)
+    _refuse_floats("root", roots)
     coeffs = [_one_like(roots)]
     for root in roots:
         new = coeffs + [0]
@@ -265,7 +266,7 @@ def tridiagonal_charpoly(
     sup: Sequence[Fraction | int],
 ) -> tuple[Fraction | int, ...]:
     """Characteristic polynomial of `RationalMatrix.tridiagonal(diag, sub, sup)`,
-    monic, coefficients in descending powers, exact in the entries' own type.
+    monic, descending powers, exact in the entries' own type (no float).
 
     Expanding det(xI - T) along its last row gives the continuant recurrence
     p_0 = 1, p_1 = x - diag[0] and
@@ -274,6 +275,7 @@ def tridiagonal_charpoly(
     n = len(diag)
     if len(sub) != max(n - 1, 0) or len(sup) != max(n - 1, 0):
         raise ValueError("sub/super diagonals must have length n-1")
+    _refuse_floats("entry", diag, sub, sup)
     prev: list = []
     coeffs = [_one_like(diag)]
     for k, a in enumerate(diag):

@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hyper import _over_common_denominator, format_rational, hypergeom_terminating
+from .hyper import _over_common_denominator, _refuse_floats, format_rational, hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from .params import ParameterArray
 
@@ -231,52 +231,35 @@ def check_difference_eq(p: ParameterArray, table: ValueTable) -> bool:
 # -- degrees via divided differences --------------------------------------
 
 
-def value_row_degree(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> int:
+def value_row_degree(nodes: Sequence[Fraction | int], values: Sequence[Fraction | int]) -> int:
     """Exact degree of the interpolating polynomial (-1 for identically zero):
-    the highest order m with a nonzero order-m divided difference.
+    the highest order m with a nonzero order-m divided difference.  The nodes
+    must be distinct: a repeated node is named in a ValueError.  A float node
+    or value is refused with a TypeError.
 
     Only which differences vanish matters, so the triangle runs on integers.
     Nodes and values are scaled to integers by common denominators, which
     carries a polynomial of degree m to one of degree m.  Each order is then
     multiplied by the lcm of its node gaps instead of divided by each gap, so
     row m holds the order-m divided differences times one positive factor.
-    The nodes must be distinct.
+    The triangle stops at the first order that is all zero: every higher
+    order is a difference of it, so it is zero too.
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
-    scales = _node_scales(nodes)
-    return _triangle_degree(_over_common_denominator(values)[0], scales)
-
-
-def _node_scales(nodes: Sequence[Fraction]) -> list[list[int]]:
-    """For each order m >= 1, the factors lcm(gaps) // gap over the order-m
-    gaps x[t+m] - x[t] of the nodes scaled to integers x; they depend only on
-    the nodes.  Raises ValueError naming a repeated node."""
+    _refuse_floats("node or value", nodes, values)
     xs, _ = _over_common_denominator(nodes)
     if len(set(xs)) != len(xs):
         repeated = next(x for t, x in enumerate(nodes) if x in nodes[:t])
         raise ValueError(f"nodes must be distinct: {format_rational(repeated)} is repeated")
-    scales = []
-    for m in range(1, len(xs)):
-        gaps = [xs[t + m] - xs[t] for t in range(len(xs) - m)]
-        lcm = 1
-        for gap in gaps:
-            lcm = math.lcm(lcm, gap)
-        scales.append([lcm // gap for gap in gaps])
-    return scales
-
-
-def _triangle_degree(row: list[int], scales: list[list[int]]) -> int:
-    """Degree of the integer values `row` at the nodes of `scales`.  The
-    triangle stops at the first order that is all zero: every higher order is
-    a difference of it, so it is zero too."""
-    if not any(row):
-        return -1
-    for m, factors in enumerate(scales, 1):
-        row = [(v - u) * f for u, v, f in zip(row, row[1:], factors)]
-        if not any(row):
-            return m - 1
-    return len(scales)
+    row, _ = _over_common_denominator(values)
+    m = 0
+    while any(row):  # row holds the order-m differences
+        m += 1
+        gaps = [x - y for x, y in zip(xs[m:], xs)]
+        lcm = math.lcm(*gaps)
+        row = [(v - u) * (lcm // gap) for u, v, gap in zip(row, row[1:], gaps)]
+    return m - 1
 
 
 def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
@@ -284,8 +267,8 @@ def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
 
     If the nodes theta are distinct and the table obeys p's full recurrence
     (`_recurrence_holds`), the verdict is whether row 0 is a nonzero
-    constant; otherwise every row's divided-difference triangle decides
-    (`_triangle_degree_invariant`), which also names a repeated node.
+    constant; otherwise every integer row's divided-difference triangle
+    decides (`value_row_degree`), which also names a repeated node.
 
     Exact degrees make row 0 a nonzero constant.  Conversely, let row 0 be
     a constant P_0 != 0, and let i < d be the first index with b_i == 0, if
@@ -300,19 +283,11 @@ def check_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
     runs up to row d."""
     _require_table_shape(p, table)
     d = p.d
+    rows, _ = table.int_rows
     if len(set(p.theta)) == d + 1 and _recurrence_holds(p, table):
-        rows, _ = table.int_rows
         first = rows[0]
         return first[0] != 0 and first.count(first[0]) == d + 1
-    return _triangle_degree_invariant(p, table)
-
-
-def _triangle_degree_invariant(p: ParameterArray, table: ValueTable) -> bool:
-    """The degree of every row by its integer divided-difference triangle;
-    the node scales are computed once for all rows."""
-    scales = _node_scales(p.theta)
-    rows, _ = table.int_rows
-    return all(_triangle_degree(row, scales) == i for i, row in enumerate(rows))
+    return all(value_row_degree(p.theta, row) == i for i, row in enumerate(rows))
 
 
 # -- matrix representations ------------------------------------------------

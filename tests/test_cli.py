@@ -21,6 +21,7 @@ from leonard_lab.leonard import SearchGrid, search_square_preserving
 from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import ParameterInvariantError
 from leonard_lab.representations import ValueTable
+from test_params import fractions_in
 
 
 def run_cli(capsys, *argv):
@@ -224,8 +225,7 @@ def test_search_d2_extra_root(capsys):
     assert lines[0]["theoremPredicted"] is False
 
 
-_GRID_VALUES = st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(
-    lambda x: x > -1)
+_GRID_VALUES = fractions_in(-1, 3, 6).filter(lambda x: x > -1)
 
 
 @st.composite

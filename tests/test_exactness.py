@@ -6,6 +6,7 @@ so the artifacts are checked by type, not by value.
 """
 
 import ast
+import inspect
 import pathlib
 from dataclasses import fields
 from fractions import Fraction as F
@@ -26,7 +27,7 @@ from leonard_lab.leonard import (
     theorem_conditions,
     verify_leonard_pair_square,
 )
-from leonard_lab.matrices import RationalMatrix
+from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
 from leonard_lab.params import build_params, check_domain
 from leonard_lab.racah import (
     affine_maps,
@@ -35,8 +36,13 @@ from leonard_lab.racah import (
     standard_racah_eval,
     verify_racah,
 )
-from leonard_lab.representations import eval_table_hypergeometric, eval_table_recurrence
+from leonard_lab.representations import (
+    eval_table_hypergeometric,
+    eval_table_recurrence,
+    value_row_degree,
+)
 from leonard_lab.sl2mod import build_even_module, example_pair, terwilliger_catalog
+from test_params import fractions_in
 
 PACKAGE = pathlib.Path(leonard_lab.__file__).parent
 # Integer-only functions of `math`; everything else there returns floats.
@@ -107,14 +113,10 @@ def assert_exact_array(p):
         assert_exact(value if isinstance(value, tuple) else (value,), f.name)
 
 
-dual_rationals = st.fractions(min_value=-1, max_value=3, max_denominator=40).filter(
-    lambda x: x > -1
-)
-racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=40).filter(
-    lambda x: -1 < x < 1 and x != 0
-)
+dual_rationals = fractions_in(-1, 3, 40).filter(lambda x: x > -1)
+racah_r = fractions_in(-1, 1, 40).filter(lambda x: -1 < x < 1 and x != 0)
 # Integers too, so that an int argument must be turned into a Fraction.
-shifts = st.one_of(st.integers(-4, 2), st.fractions(-6, 2, max_denominator=12))
+shifts = st.one_of(st.integers(-4, 2), fractions_in(-6, 2, 12))
 
 
 @settings(deadline=None, max_examples=60)
@@ -173,6 +175,10 @@ def test_racah_artifacts_are_exact(d, r):
         SearchGrid(d_values=(2,), r_values=(F(1, 10),), s_values=(0.1,)))),
     lambda: list(search_square_preserving(
         SearchGrid(d_values=(2,), r_values=(F(1, 10),), shift_values=(0.5,)))),
+    lambda: poly_from_roots([0.1, 0.2]),
+    lambda: tridiagonal_charpoly([0.5, 1], [0.25], [2]),
+    lambda: value_row_degree([F(0), 0.5], [F(1), F(2)]),
+    lambda: value_row_degree([F(0), F(1, 2)], [1, 0.5]),
 ], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
@@ -180,13 +186,96 @@ def test_racah_artifacts_are_exact(d, r):
         "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
         "hypergeom_terminating-numerator", "hypergeom_terminating-denominator",
         "hypergeom_table-row", "hypergeom_table-column", "hypergeom_table-denominator",
-        "format_rational", "SearchGrid-r", "SearchGrid-s", "SearchGrid-shift"])
+        "format_rational", "SearchGrid-r", "SearchGrid-s", "SearchGrid-shift",
+        "poly_from_roots", "tridiagonal_charpoly", "value_row_degree-node",
+        "value_row_degree-value"])
 def test_a_float_parameter_is_refused(call):
     """Fraction(0.1) is the binary fraction 3602879701896397/2**55, so a
     float r, s, shift, matrix entry, scalar or hypergeometric parameter would
     be decided exactly, but for the wrong value, and printed as that value."""
     with pytest.raises(TypeError, match=r"got the float -?0\.[15]"):
         call()
+
+
+def _fraction_parameters(module):
+    """{name: [parameter, ...]} for each callable the module exports and its
+    parameters whose annotation names Fraction.  The exception classes have
+    no signature to read and take no Fraction argument."""
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:
+            continue
+        named = [key for key, p in parameters.items() if "Fraction" in str(p.annotation)]
+        if named:
+            found[name] = named
+    return found
+
+
+_P = build_params(2, 1, 0)
+# Valid arguments of every root export with a Fraction parameter; the sweep
+# puts a float at each such parameter in turn.
+SWEPT = {
+    "build_params": dict(d=2, r=F(1, 10), s=F(-1, 10)),
+    "build_racah_params": dict(d=2, r=F(1, 10)),
+    "d2_condition": dict(p=_P, shift=F(1, 10)),
+    "format_rational": dict(value=F(1, 10)),
+    "hypergeom_table": dict(rows=[[-1]], columns=[[F(1, 10)]], denominators=[F(3, 2)],
+                            terms=1),
+    "hypergeom_terminating": dict(numerators=[-1, F(1, 10)], denominators=[F(3, 2)],
+                                  terms=1),
+    "is_dual_almost_bipartite": dict(p=_P, shift=F(1, 10)),
+    "lstar_shift_square": dict(p=_P, shift=F(1, 10)),
+    "lstar_shift_square_closed_form": dict(p=_P, shift=F(1, 10)),
+    "poly_from_roots": dict(roots=[1, F(1, 2)]),
+    "theorem_conditions": dict(p=_P, shift=F(1, 10)),
+    "tridiagonal_charpoly": dict(diag=[1, F(1, 2)], sub=[F(1, 4)], sup=[2]),
+    "verify_leonard_pair_square": dict(p=_P, shift=F(1, 10)),
+}
+# Root exports with a Fraction parameter that the sweep does not call.  An
+# export with none (a check of a built array or table, an sl2 builder on ints)
+# has nothing to sweep.
+EXEMPT = {
+    "LeonardPairReport": "a verdict's record, built with a shift already read by exact_rational",
+    "ParameterArray": "raw dataclass; build_params and build_racah_params build it from exact r, s",
+    "RationalMatrix": "raw dataclass; from_rows, diagonal, tridiagonal and every operation "
+                      "refuse a float entry (cases above), and a scan of every constructed "
+                      "matrix's entries cost `grid` about 10% of its verdicts/s",
+    "SearchGrid": "raw dataclass; search_square_preserving refuses a float r, s or shift "
+                  "when it reads the grid (cases above)",
+    "SearchRecord": "a search's record, built from grid values already read by exact_rational",
+    "SeriesDivisionError": "raised with a denominator parameter already read exactly",
+}
+FRACTION_PARAMETERS = _fraction_parameters(leonard_lab)
+
+
+def _with_float(value):
+    """value with its last exact number, however deeply nested, made a float
+    of the same value: a guard that reads only the first entry's type misses
+    it."""
+    if isinstance(value, (int, F)):
+        return float(value)
+    return [*value[:-1], _with_float(value[-1])]
+
+
+def test_every_root_export_is_swept_or_exempt():
+    assert not set(SWEPT) & set(EXEMPT)
+    assert sorted(FRACTION_PARAMETERS) == sorted({*SWEPT, *EXEMPT})
+
+
+@pytest.mark.parametrize("name, parameter", [
+    (name, parameter)
+    for name, parameters in sorted(FRACTION_PARAMETERS.items()) if name in SWEPT
+    for parameter in parameters
+])
+def test_a_float_is_refused_at_every_fraction_parameter(name, parameter):
+    call, valid = getattr(leonard_lab, name), SWEPT[name]
+    call(**valid)
+    with pytest.raises(TypeError, match="got the float"):
+        call(**{**valid, parameter: _with_float(valid[parameter])})
 
 
 def test_exact_parameters_of_every_type_are_accepted():

@@ -16,10 +16,9 @@ from leonard_lab.hyper import (
 from leonard_lab.params import build_params
 from leonard_lab.racah import build_racah_params, eval_table_4F3
 from leonard_lab.representations import eval_table_hypergeometric
+from test_params import fractions_in
 
-rationals = st.fractions(
-    min_value=-6, max_value=6, max_denominator=12
-)
+rationals = fractions_in(-6, 6, 12)
 
 
 def hypergeom_oracle(numerators, denominators, terms):

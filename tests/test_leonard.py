@@ -38,7 +38,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.scan import scan_tridiagonal_orderings
-from test_params import GRID_RS, complete_fractions, multi_pass_check_invariants
+from test_params import GRID_RS, complete_fractions, fractions_in, multi_pass_check_invariants
 
 
 def is_irreducible_tridiagonal(m):
@@ -227,9 +227,7 @@ def _carrying(d, r, s):
     return replace(build_params(0, 0, 0), d=d, r=r, s=s)
 
 
-_WIDE_RATIONALS = st.fractions(min_value=-1, max_value=5, max_denominator=10**9).filter(
-    lambda x: x > -1
-)
+_WIDE_RATIONALS = fractions_in(-1, 5, 10**9).filter(lambda x: x > -1)
 
 
 @pytest.mark.parametrize(
@@ -262,7 +260,7 @@ def test_theorem_conditions_equal_the_fraction_formula(d, data):
     lam = data.draw(st.one_of(
         st.just((r - d) / 2),
         st.integers(-50, 50),
-        st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+        fractions_in(-50, 50, 10**9),
     ))
     p = _carrying(d, r, s)
     assert theorem_conditions(p, lam) == _fraction_theorem_conditions(p, lam)
@@ -368,7 +366,7 @@ def test_dual_almost_bipartite_equals_dense_test(d, data):
     elif change.startswith("a_star"):
         i = data.draw(st.integers(0, d))
         off = 0 if change == "a_star" else data.draw(
-            st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(bool))
+            fractions_in(-2, 2, 6).filter(bool))
         values = list(p.a_star)
         values[i] = -lam + off
         p = replace(p, a_star=tuple(values))
@@ -486,9 +484,7 @@ def _with_zero(square, i, j):
     return RationalMatrix(n, n, tuple(entries))
 
 
-_OPEN_RATIONALS = st.fractions(min_value=-1, max_value=3, max_denominator=24).filter(
-    lambda x: x > -1
-)
+_OPEN_RATIONALS = fractions_in(-1, 3, 24).filter(lambda x: x > -1)
 
 
 @st.composite
@@ -510,7 +506,7 @@ def _search_points(draw):
 
 
 def _generic_shifts(d):
-    return st.fractions(min_value=-d - 2, max_value=2, max_denominator=12)
+    return fractions_in(-d - 2, 2, 12)
 
 
 def _critical_shifts(p):
@@ -655,8 +651,8 @@ def test_search_with_an_empty_list_builds_nothing(monkeypatch, grid):
 
 
 def _per_run_check_domain(runs):
-    """`check_domain` of every run in turn, the loop that
-    `leonard._check_run_domains` replaced, kept as its oracle."""
+    """`check_domain` of every run in turn, the oracle of the search's own
+    domain check."""
     for d, r, s, _ in runs:
         check_domain(d, r, s)
 
@@ -682,9 +678,10 @@ def _with_value_at(data, values, bad):
 @settings(deadline=None, max_examples=200)
 @given(bad_r=st.booleans(), bad_s=st.booleans(), data=st.data())
 def test_run_domains_raise_like_the_per_run_oracle(bad_r, bad_s, data):
-    # Runs in drawn order, not sorted, with repeated values, so the first
-    # failing run may come first, in the middle or last, and may follow runs
-    # whose d, r or s alone were already seen to pass.
+    # Lists in drawn order, with repeated values, so the first failing run
+    # may come first, in the middle or last, and may follow runs whose d, r
+    # or s alone were already seen to pass.  The first record is asked for
+    # once every run's domain has been checked.
     d_values = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     r_values = data.draw(st.lists(_IN_DOMAIN, min_size=1, max_size=4))
     s_values = data.draw(st.lists(_IN_DOMAIN, min_size=1, max_size=4))
@@ -694,9 +691,10 @@ def test_run_domains_raise_like_the_per_run_oracle(bad_r, bad_s, data):
         s_values = _with_value_at(data, s_values, data.draw(_OUT_OF_DOMAIN))
     if data.draw(st.booleans()):
         d_values = _with_value_at(data, d_values, -1)
-    runs = [(d, r, s, [F(0)]) for d, r, s in product(d_values, r_values, s_values)]
-    expected = _domain_message(_per_run_check_domain, runs)
-    assert _domain_message(leonard._check_run_domains, runs) == expected
+    grid = SearchGrid(d_values=tuple(d_values), r_values=tuple(r_values),
+                      s_values=tuple(s_values), shift_values=(F(0),))
+    expected = _domain_message(_per_run_check_domain, leonard._grid_runs(grid))
+    assert _domain_message(lambda _: next(search_square_preserving(grid)), None) == expected
     if not (bad_r or bad_s or -1 in d_values):
         assert expected is None
 
@@ -754,7 +752,7 @@ def test_search_records_equal_the_per_point_oracle(s_list, shift_list, exhaustiv
     canonical = sorted({(r - d) / 2 for d in d_values for r in r_values})
     shift_values = data.draw(st.lists(
         st.one_of(st.sampled_from(canonical),
-                  st.fractions(min_value=-6, max_value=2, max_denominator=8)),
+                  fractions_in(-6, 2, 8)),
         min_size=1, max_size=4)) if shift_list else None
     grid = SearchGrid(
         d_values=tuple(d_values),
@@ -815,9 +813,7 @@ def test_integer_verdict_equals_fraction_verdict(point, exhaustive, data):
         _assert_matches_fraction_verdict(p, shift, exhaustive)
 
 
-_BARRED_R = st.fractions(min_value=-1, max_value=1, max_denominator=30).filter(
-    lambda x: -1 < x < 1 and x != 0
-)
+_BARRED_R = fractions_in(-1, 1, 30).filter(lambda x: -1 < x < 1 and x != 0)
 
 
 @settings(deadline=None, max_examples=80)
@@ -1312,7 +1308,7 @@ def _sorted_grid_points(grid):
 
 
 _GRID_VALUES = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=4
+    fractions_in(-3, 3, 6), min_size=1, max_size=4
 )
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.matrices import _ZERO, RationalMatrix, poly_from_roots, tridiagonal_charpoly
+from test_params import fractions_in
 
-small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+small_fractions = fractions_in(-5, 5, 6)
 
 
 def square_matrices(n):

@@ -27,11 +27,20 @@ from leonard_lab.representations import (
     eval_table_recurrence,
 )
 
+@st.composite
+def fractions_in(draw, low, high, max_denominator, *, open_low=False, open_high=False):
+    """A rational p/q, q <= max_denominator, between the integers low and
+    high, each end included unless it is open, drawn as two integers:
+    `st.fractions` costs most of a cheap example."""
+    q = draw(st.integers(1, max_denominator))
+    return F(draw(st.integers(low * q + int(open_low), high * q - int(open_high))), q)
+
+
 # The eight-value (r, s) grid, swept here and, with larger d, by the
 # acceptance suite; the other test modules import it from here.
 GRID_RS = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(2)]
 # A nonzero perturbation of one entry, shared by the perturbation tests.
-nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool)
+nonzero = fractions_in(-3, 3, 20).filter(bool)
 GRID_D = range(0, 6)
 
 
@@ -112,8 +121,8 @@ def test_closed_forms_on_grid():
 @settings(deadline=None, max_examples=40)
 @given(
     d=st.integers(0, 8),
-    r=st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(lambda x: x > -1),
-    s=st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(lambda x: x > -1),
+    r=fractions_in(-1, 3, 60).filter(lambda x: x > -1),
+    s=fractions_in(-1, 3, 60).filter(lambda x: x > -1),
 )
 def test_dual_hahn_identities_for_drawn_rationals(d, r, s):
     p = build_params(d, r, s)
@@ -141,14 +150,11 @@ def _pochhammer_c_star(d, r, s):
     )
 
 
-_OPEN_RATIONALS = st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(
-    lambda x: x > -1
-)
+_OPEN_RATIONALS = fractions_in(-1, 3, 60).filter(lambda x: x > -1)
 
 
-_R_PLUS_S_MINUS_ONE = st.fractions(min_value=-1, max_value=0, max_denominator=60).filter(
-    lambda x: -1 < x < 0
-).map(lambda r: (r, -1 - r))
+_R_PLUS_S_MINUS_ONE = fractions_in(-1, 0, 60).filter(lambda x: -1 < x < 0).map(
+    lambda r: (r, -1 - r))
 
 
 @settings(deadline=None, max_examples=150)
@@ -346,17 +352,9 @@ def closed_forms_oracle(p):
     return True
 
 
-@st.composite
-def _up_to(draw, low, high):
-    """A rational in (low, high] with a denominator of at most 99, drawn as
-    two integers, as `_between` does."""
-    q = draw(st.integers(1, 99))
-    return F(draw(st.integers(low * q + 1, high * q)), q)
-
-
 # r in (-1, 1) \ {0} serves both builders; the barred array ignores s.
-_BOTH_R = _up_to(-1, 1).filter(lambda x: -1 < x < 1 and x != 0)
-_DUAL_S = _up_to(-1, 3).filter(lambda x: x > -1)
+_BOTH_R = fractions_in(-1, 1, 99, open_low=True).filter(lambda x: -1 < x < 1 and x != 0)
+_DUAL_S = fractions_in(-1, 3, 99, open_low=True).filter(lambda x: x > -1)
 
 
 def _array(kind, d, r, s):
@@ -532,18 +530,10 @@ def _perturb_one_entry(data, lists, d):
         pairs[at] = (n * delta.denominator + delta.numerator * q, q * delta.denominator)
 
 
-@st.composite
-def _between(draw, low, high):
-    """A rational in the open interval (low, high) with a denominator of at
-    most 99, drawn as two integers: `st.fractions` costs most of a cheap
-    example."""
-    q = draw(st.integers(1, 99))
-    return F(draw(st.integers(low * q + 1, high * q - 1)), q)
-
-
 @settings(deadline=None, max_examples=250)
 @given(source=st.sampled_from(("kernel", "dual", "barred")), d=st.integers(0, 12),
-       r=_between(-1, 1).filter(bool), s=_between(-1, 3), scaled=st.booleans(),
+       r=fractions_in(-1, 1, 99, open_low=True, open_high=True).filter(bool),
+       s=fractions_in(-1, 3, 99, open_low=True, open_high=True), scaled=st.booleans(),
        perturbed=st.integers(0, 2), data=st.data())
 def test_one_pass_invariants_raise_like_the_multi_pass_oracle(
     source, d, r, s, scaled, perturbed, data

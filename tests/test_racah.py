@@ -37,7 +37,7 @@ from leonard_lab.representations import (
     matrix_L_u_basis,
     matrix_Lstar_ustar_basis,
 )
-from test_params import built_when_run, complete_fractions, nonzero
+from test_params import built_when_run, complete_fractions, fractions_in, nonzero
 from test_representations import with_entry
 
 R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
@@ -164,9 +164,7 @@ def test_full_identity_suite_on_grid():
 @settings(deadline=None, max_examples=40)
 @given(
     d=st.integers(0, 8),
-    r=st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
-        lambda x: -1 < x < 1 and x != 0
-    ),
+    r=fractions_in(-1, 1, 60).filter(lambda x: -1 < x < 1 and x != 0),
 )
 def test_full_identity_suite_for_drawn_rationals(d, r):
     assert_identity_suite(d, r)
@@ -253,13 +251,11 @@ def summand_conjunction(q, table):
     )
 
 
-racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
-    lambda x: -1 < x < 1 and x != 0
-)
+racah_r = fractions_in(-1, 1, 60).filter(lambda x: -1 < x < 1 and x != 0)
 # Positive, so that no perturbation turns a 1 of row 0 into -1.  The cubic
 # loop cannot see that sign (at d = 0 every summand is unchanged); the
 # conjunction rejects it, because the 3F2 row 0 it is matched with is all 1.
-deltas = st.fractions(min_value=0, max_value=3, max_denominator=20).filter(bool)
+deltas = fractions_in(0, 3, 20).filter(bool)
 
 
 @settings(deadline=None, max_examples=40)
@@ -576,9 +572,7 @@ def varphi_oracle(q):
 def barred_cases(test):
     """Barred arrays at d <= 16 and r up to two-digit denominators, with
     d = 0, 1 and 2 always run; `at` picks the perturbed entry modulo d + 1."""
-    r = st.fractions(min_value=-1, max_value=1, max_denominator=99).filter(
-        lambda x: -1 < x < 1 and x != 0
-    )
+    r = fractions_in(-1, 1, 99).filter(lambda x: -1 < x < 1 and x != 0)
     test = built_when_run(test)
     for d, r0 in [(0, F(3, 7)), (1, F(-5, 11)), (2, F(13, 17))]:
         test = example(build=partial(build_racah_params, d, r0), at=(d, 0), delta=F(1, 2))(test)

@@ -26,7 +26,6 @@ from leonard_lab.representations import (
     ValueTable,
     _gram_orthogonality,
     _recurrence_holds,
-    _triangle_degree_invariant,
     check_basis_consistency,
     check_degree_invariant,
     check_difference_eq,
@@ -40,7 +39,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
     value_row_degree,
 )
-from test_params import GRID_RS, built_when_run, nonzero
+from test_params import GRID_RS, built_when_run, fractions_in, nonzero
 
 
 def divided_differences(nodes, values):
@@ -145,6 +144,7 @@ def test_divided_differences_detect_degree():
     constant = [F(7)] * 4
     assert value_row_degree(nodes, constant) == 0
     assert value_row_degree(nodes, [F(0)] * 4) == -1
+    assert value_row_degree([0, 1, 2, 3], [1, 3, 5, 7]) == 1  # int nodes and values
     triangle = divided_differences(nodes, quadratic)
     assert all(v == 0 for v in triangle[3])
 
@@ -204,12 +204,8 @@ def test_json_and_csv_export(capsys):
 
 # -- fast paths against the code they replaced --------------------------------
 
-dual_rationals = st.fractions(min_value=-1, max_value=3, max_denominator=60).filter(
-    lambda x: x > -1
-)
-racah_r = st.fractions(min_value=-1, max_value=1, max_denominator=60).filter(
-    lambda x: -1 < x < 1 and x != 0
-)
+dual_rationals = fractions_in(-1, 3, 60).filter(lambda x: x > -1)
+racah_r = fractions_in(-1, 1, 60).filter(lambda x: -1 < x < 1 and x != 0)
 
 
 def array_builders(d_max):
@@ -261,6 +257,14 @@ def degree_oracle(nodes, values):
     return degree
 
 
+def full_degree_read(p, table):
+    """`value_row_degree` on every integer row: the full loop that
+    `check_degree_invariant` falls back to when its row 0 test has no
+    premise."""
+    rows, _ = table.int_rows
+    return all(value_row_degree(p.theta, row) == i for i, row in enumerate(rows))
+
+
 def with_entry(table, i, h, value):
     rows = table.values.to_rows()
     rows[i][h] = value
@@ -288,7 +292,7 @@ def test_integer_orthogonality_matches_triple_loop(data):
     assert check_orthogonality(p, table) == orthogonality_oracle(p, table) is True
     i = data.draw(st.integers(0, p.d))
     h = data.draw(st.integers(0, p.d))
-    delta = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=20))
+    delta = data.draw(fractions_in(-3, 3, 20))
     # delta = -2 u flips the sign of the entry, which leaves sum_h u_i^2 k*_h
     # unchanged; any other nonzero delta changes it.
     assume(delta != 0 and delta != -2 * table.at(i, h))
@@ -310,13 +314,17 @@ def test_integer_orthogonality_matches_triple_loop(data):
 def test_integer_scaled_degree_matches_divided_differences(data):
     n = data.draw(st.integers(1, 7))
     nodes = data.draw(
-        st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n,
+        st.lists(fractions_in(-9, 9, 12), min_size=n, max_size=n,
                  unique=True)
     )
     # Values of a drawn polynomial of degree < n, so every degree occurs.
-    coeffs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=12), max_size=n))
+    coeffs = data.draw(st.lists(fractions_in(-4, 4, 12), max_size=n))
     values = [sum((c * x**e for e, c in enumerate(coeffs)), F(0)) for x in nodes]
     assert value_row_degree(nodes, values) == degree_oracle(nodes, values)
+    # The same values over their common denominator, as integers.
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    assert value_row_degree(nodes, ints) == degree_oracle(nodes, values)
 
 
 def test_integer_scaled_degree_keeps_the_errors():
@@ -334,9 +342,14 @@ def test_integer_scaled_degree_keeps_the_errors():
 @given(parameter_arrays(10))
 def test_integer_scaled_degree_matches_on_table_rows(p):
     table = eval_table_recurrence(p)
+    int_rows, _ = table.int_rows
     for i in range(p.d + 1):
         row = table.values.row(i)
         assert value_row_degree(p.theta, row) == degree_oracle(p.theta, row) == i
+        # The integer row, as `check_degree_invariant`'s fallback feeds it.
+        int_row = int_rows[i]
+        assert value_row_degree(p.theta, int_row) == degree_oracle(
+            p.theta, [F(u) for u in int_row]) == i
 
 
 # -- integer tables and three-term kernels against the Fraction loops ---------
@@ -397,9 +410,7 @@ def top_row_oracle(p, table):
     return True
 
 
-two_digit = st.fractions(min_value=-1, max_value=3, max_denominator=99).filter(
-    lambda x: x > -1
-)
+two_digit = fractions_in(-1, 3, 99).filter(lambda x: x > -1)
 
 
 def kernel_cases(test):
@@ -635,7 +646,7 @@ def test_recurrence_paths_decide_as_the_full_loops(build, mutation, i, delta):
     assert orthogonal == outcome(_gram_orthogonality, q, table)
     assert orthogonal == outcome(orthogonality_oracle, q, table)
     degree = outcome(check_degree_invariant, q, table)
-    assert degree == outcome(_triangle_degree_invariant, q, table)
+    assert degree == outcome(full_degree_read, q, table)
     if degree in (True, False):
         assert degree == all(degree_oracle(q.theta, table.values.row(n)) == n
                              for n in range(q.d + 1))
@@ -709,7 +720,7 @@ def test_each_premise_of_the_row_zero_test_is_needed():
         scaled = scaled_columns(table, factors)
         assert _recurrence_holds(p, scaled)
         assert not check_degree_invariant(p, scaled)
-        assert not _triangle_degree_invariant(p, scaled)
+        assert not full_degree_read(p, scaled)
 
 
 def test_each_table_is_put_over_one_denominator_once(monkeypatch):
@@ -729,7 +740,7 @@ def test_each_table_is_put_over_one_denominator_once(monkeypatch):
     table, table4 = eval_table_hypergeometric(p), eval_table_4F3(q)
     monkeypatch.setattr(representations, "_over_common_denominator", counted)
     for check in (check_top_row, check_difference_eq, check_orthogonality,
-                  check_degree_invariant, _gram_orthogonality, _triangle_degree_invariant):
+                  check_degree_invariant, _gram_orthogonality, full_degree_read):
         assert check(p, table)
     assert check_racah_orthogonality(q, table4) and check_barred_recurrence(q, table4)
     for t in (table, table4):
