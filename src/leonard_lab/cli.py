@@ -25,14 +25,15 @@ import functools
 import io
 import json
 import os
-import re
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import racah as racah_mod
 from . import sl2mod
-from .hyper import RationalFormatError, SeriesDivisionError, format_rational, parse_rational
+from .hyper import (
+    _RATIONAL_PATTERN, RationalFormatError, SeriesDivisionError, format_rational, parse_rational,
+)
 from .leonard import (
     InternalInconsistencyError,
     LeonardPairReport,
@@ -57,7 +58,6 @@ EXIT_INTERNAL = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-_RATIONAL_LIST_PATTERN = re.compile(r"-?\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*\Z")
 _RATIONAL_FLAGS = {"--r", "--s", "--lambda", "--r-values", "--s-values", "--lambda-values"}
 
 
@@ -103,8 +103,9 @@ def _mode_values(name: str, mode: str, text: str | None) -> tuple[Fraction, ...]
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:
-    # argparse mistakes "-1/2" for an option; glue rational values onto their
-    # flag so both "--r -1/2" and "--r=-1/2" work.
+    # argparse mistakes "-1/2" for an option; glue a value that opens with a
+    # p/q rational (`parse_rational`'s grammar) onto its flag, so "--r -1/2"
+    # and "--r=-1/2" read alike, a list and its errors included.
     out = []
     i = 0
     while i < len(argv):
@@ -112,7 +113,7 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
         if (
             tok in _RATIONAL_FLAGS
             and i + 1 < len(argv)
-            and _RATIONAL_LIST_PATTERN.fullmatch(argv[i + 1])
+            and _RATIONAL_PATTERN.fullmatch(argv[i + 1].partition(",")[0])
         ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2

@@ -38,15 +38,15 @@ in O(d).  `search_square_preserving` walks the grid once into runs of equal
 (d, r, s), checks each run's domain as `build_params` does (`check_domain`),
 and decides each run's shifts in this process, yielding records run by run.
 A run reads its array facts once, straight from the integer pairs of the
-closed forms (`params._dual_hahn_pairs`), in two sweeps
-(`_ArrayFacts.from_pairs`): the one-pass invariant test that
-`parameter_array` runs on every array (theta simple, b, c, b* and c*
-nonzero), then one sweep over b* and c* that forms each a*_i and the root of
-each m_i as integer pairs.  A run builds no Fraction array unless the
-`exhaustive` oracle needs one, and then once per run.  The four candidate
-orderings are built once per d (`_candidates`) and shared by every run, and
-the `search` command formats each distinct r, s and shift once per command
-(`format_rational`).
+closed forms (`params._dual_hahn_pairs`, `_ArrayFacts.from_pairs`): the
+one-pass invariant test that `parameter_array` runs on every array (theta
+simple, b, c, b* and c* nonzero), then a* as `parameter_array` completes it
+(`params._diagonal_pairs`), whose pairs give the root of each m_i
+(`_middle_roots`), as a built array's do.  A run builds no Fraction array
+unless the `exhaustive` oracle needs one, and then once per run.  The four
+candidate orderings are built once per d (`_candidates`) and shared by every
+run, and the `search` command formats each distinct r, s and shift once per
+command (`format_rational`).
 `verify_leonard_pair_square` decides one shift on the same facts, read from
 a built array (`_ArrayFacts(p)`).
 """
@@ -66,6 +66,7 @@ from .matrices import RationalMatrix
 from .params import (
     ParameterArray,
     _check_invariants,
+    _diagonal_pairs,
     _dual_hahn_pairs,
     build_params,
     check_domain,
@@ -174,28 +175,6 @@ def _middle_roots(a):
     return roots
 
 
-def _index_middle_roots(b_star, c_star):
-    """`_middle_roots` of an array with theta*_0 = 0, in one sweep over the
-    integer pairs of b* and c*: a*_i = -(b*_i + c*_i), with b*_i and c*_i
-    put over the lcm of their denominators as `params._diagonal_pairs`
-    does, so m_i vanishes at (b*_i + c*_i + b*_{i+1} + c*_{i+1}) / 2, read
-    as a reduced pair as soon as a*_{i+1} is formed."""
-    roots = []
-    prev = None
-    for (bn, bd), (cn, cd) in zip(b_star, c_star):
-        if bd != cd:
-            g = gcd(bd, cd)
-            bn, cn, bd = bn * (cd // g), cn * (bd // g), bd // g * cd
-        n = bn + cn  # -a*_i = n / bd
-        if prev is not None:
-            pn, pd = prev
-            num, den = pn * bd + n * pd, 2 * pd * bd
-            g = gcd(num, den)
-            roots.append((num // g, den // g))
-        prev = n, bd
-    return roots
-
-
 def _common_root(roots):
     """The one shift at which every one of `roots` lies, or None."""
     return roots[0] if roots and roots.count(roots[0]) == len(roots) else None
@@ -250,13 +229,12 @@ class _ArrayFacts:
     @classmethod
     def from_pairs(cls, d: int, r: Fraction, s: Fraction, pairs) -> "_ArrayFacts":
         """The facts of the dual Hahn array of (d, r, s) from its integer
-        pairs (theta, b, c, b*, c*) (`_dual_hahn_pairs`), read in two
-        sweeps: the one-pass invariant test of `parameter_array`
-        (`params._check_invariants`), which raises as it does, and one
-        sweep over b* and c* that forms each a*_i and the root of each
-        middle factor (`_index_middle_roots`).  A valid array has theta
-        simple and every interior b, c, b*, c* nonzero; theta*_i = i, so
-        a*_i = -b*_i - c*_i."""
+        pairs (theta, b, c, b*, c*) (`_dual_hahn_pairs`): the one-pass
+        invariant test of `parameter_array` (`params._check_invariants`),
+        which raises as it does, then the root of each middle factor
+        (`_middle_roots`) from a* as `parameter_array` completes it
+        (`params._diagonal_pairs`; theta*_0 = 0).  A valid array has theta
+        simple and every interior b, c, b*, c* nonzero, and theta*_i = i."""
         theta, b, c, b_star, c_star = pairs
         _check_invariants(d, theta, b, c, b_star, c_star)
         facts = cls.__new__(cls)
@@ -265,7 +243,7 @@ class _ArrayFacts:
         facts.theta_star, facts.theta_star_den = range(d + 1), 1
         facts.theta_star_is_index = True
         facts.cut = False
-        facts._read_ordering_facts(_index_middle_roots(b_star, c_star))
+        facts._read_ordering_facts(_middle_roots(_diagonal_pairs((0, 1), b_star, c_star)))
         return facts
 
     def _read_ordering_facts(self, roots):

@@ -67,14 +67,16 @@ def check_domain(
     d: int, r: Fraction | int | str, s: Fraction | int | str
 ) -> tuple[Fraction, Fraction]:
     """(r, s) as Fractions if (d, r, s) is in the dual Hahn domain d >= 0,
-    r, s > -1; raises ParameterDomainError otherwise (TypeError for a float)."""
+    r, s > -1; raises ParameterDomainError otherwise (TypeError for a float).
+    With a positive denominator, r <= -1 iff its numerator is at most minus
+    its denominator, a comparison of two ints."""
     if not isinstance(d, int) or d < 0:
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
     r = exact_rational("r", r)
     s = exact_rational("s", s)
-    if r <= -1:
+    if r.numerator <= -r.denominator:
         raise ParameterDomainError(f"r must exceed -1, got {format_rational(r)}")
-    if s <= -1:
+    if s.numerator <= -s.denominator:
         raise ParameterDomainError(f"s must exceed -1, got {format_rational(s)}")
     return r, s
 

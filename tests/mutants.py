@@ -1,0 +1,173 @@
+"""The mutation register: small edits to `src/` that named tests must catch.
+
+Each mutant is one exact `old -> new` edit of one file of the package, the
+test node ids that must each fail once it is applied, and a line on why it
+matters.  The runner copies `src/`, `tests/` and the pytest configuration
+(`conftest.py`, `pyproject.toml`) to a temporary directory, runs every named
+test once on the unmutated copy (they must pass), then for each mutant
+applies its edit, runs only its tests and restores the file.  It exits 1 if
+a mutant survives (a named test passes), if an `old` snippet is missing or
+not unique (the register is stale), or if the unmutated run fails; else 0.
+
+    python tests/mutants.py
+
+The file name does not match `test_*`, so the test suite does not collect
+it.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = "src/leonard_lab"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str  # relative to the package
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    why: str
+
+
+MUTANTS = (
+    Mutant(
+        "leonard.py",
+        "num, den = -(n * q1 + n1 * q), 2 * q * q1",
+        "num, den = n * q1 + n1 * q, 2 * q * q1",
+        ("tests/test_leonard.py::test_middle_roots_of_the_completed_a_star_equal_the_one_sweep_oracle",
+         "tests/test_leonard.py::test_banded_decision_equals_dense_route"),
+        "every middle-factor root, and so every search ordering, comes from this one sign",
+    ),
+    Mutant(
+        "params.py",
+        "if r.numerator <= -r.denominator:",
+        "if r.numerator < -r.denominator:",
+        ("tests/test_params.py::test_check_domain_decides_like_the_fraction_comparison",),
+        "r = -1 is outside the dual Hahn domain; the integer-pair test must keep it out",
+    ),
+    Mutant(
+        "params.py",
+        "if s.numerator <= -s.denominator:",
+        "if s.numerator < -s.denominator:",
+        ("tests/test_params.py::test_check_domain_decides_like_the_fraction_comparison",),
+        "s = -1 is outside the dual Hahn domain; the integer-pair test must keep it out",
+    ),
+    Mutant(
+        "hyper.py",
+        r'_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")',
+        r'_RATIONAL_PATTERN = re.compile(r"-?\d+(?:/\d+)?\Z")',
+        ("tests/test_hyper.py::test_rational_codec_round_trip",
+         "tests/test_cli.py::test_negative_rationals_accepted_as_separate_tokens"),
+        "one p/q grammar serves parse_rational and the CLI; a '+' sign is part of it",
+    ),
+    Mutant(
+        "matrices.py",
+        "        den *= other_den\n",
+        "",
+        ("tests/test_matrices.py::test_matmul_scales_each_operand_by_its_own_denominator",),
+        "a product's denominator is the product of both operands' common denominators",
+    ),
+    Mutant(
+        "matrices.py",
+        "return [[(j, n * (den // q)) for j, (n, q) in row if n] for row in ratios], den",
+        "return [[(j, n) for j, (n, q) in row if n] for row in ratios], den",
+        ("tests/test_matrices.py::test_matmul_scales_each_operand_by_its_own_denominator",),
+        "each entry must be put over the matrix's common denominator before integer sums",
+    ),
+    Mutant(
+        "matrices.py",
+        "for k, a in row:",
+        "for k, a in row[:-1]:",
+        ("tests/test_matrices.py::test_matmul_reads_the_last_nonzero_of_each_row",),
+        "the sparse product must read every nonzero of a left row",
+    ),
+    Mutant(
+        "matrices.py",
+        "for j, b in right[k]:",
+        "for j, b in right[k][:-1]:",
+        ("tests/test_matrices.py::test_matmul_reads_the_last_nonzero_of_each_row",),
+        "the sparse product must read every nonzero of a right row",
+    ),
+    Mutant(
+        "matrices.py",
+        "                if v:\n",
+        "                if v is not None:\n",
+        ("tests/test_matrices.py::test_matmul_shares_one_zero_for_cancelled_and_empty_entries",),
+        "a cancelled sum must be the one shared zero, not a fresh Fraction(0)",
+    ),
+)
+
+_FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+
+
+def _pytest(workdir: Path, node_ids) -> subprocess.CompletedProcess:
+    # No bytecode cache: a mutant and its restore may share a source mtime.
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *node_ids],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+
+
+def _survivors(run: subprocess.CompletedProcess, node_ids) -> list[str]:
+    """The named tests with no failure among pytest's FAILED lines (a
+    parametrized test fails when any of its cases does)."""
+    failed = _FAILED.findall(run.stdout)
+    return [n for n in node_ids if not any(f == n or f.startswith(n + "[") for f in failed)]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="leonard-lab-mutants-") as tmp:
+        workdir = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, workdir / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for name in ("conftest.py", "pyproject.toml"):
+            shutil.copy2(ROOT / name, workdir / name)
+
+        every_test = sorted({n for m in MUTANTS for n in m.tests})
+        baseline = _pytest(workdir, every_test)
+        if baseline.returncode != 0:
+            print(baseline.stdout[-3000:] + baseline.stderr[-3000:])
+            print("unmutated run failed: the register's tests must pass first")
+            return 1
+
+        for number, m in enumerate(MUTANTS, 1):
+            path = workdir / PACKAGE / m.file
+            source = path.read_text()
+            label = f"{number}. {m.file}: {m.why}"
+            if source.count(m.old) != 1:
+                print(f"STALE    {label}: `old` occurs {source.count(m.old)} times")
+                bad += 1
+                continue
+            path.write_text(source.replace(m.old, m.new))
+            try:
+                run = _pytest(workdir, m.tests)
+            finally:
+                path.write_text(source)
+            survivors = _survivors(run, m.tests) if run.returncode == 1 else list(m.tests)
+            if survivors:
+                print(f"SURVIVED {label} (exit {run.returncode}; passed: {', '.join(survivors)})")
+                bad += 1
+            else:
+                print(f"killed   {label}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

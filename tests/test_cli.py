@@ -418,11 +418,33 @@ def test_help_returns_zero_with_usage_on_stdout(capsys, argv):
     [
         ("params", "--d", "2", "--r", "-1/2", "--s", "-3/4"),
         ("verify-lp", "--d", "2", "--r", "1/2", "--s", "-1/2", "--lambda", "-9/8"),
+        ("search", "--d-max", "2", "--r-values", "-1/2,+1/3"),
     ],
 )
 def test_negative_rationals_accepted_as_separate_tokens(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+
+
+_COMMAND_OF_FLAG = {
+    "--r": ("params", "--d", "2", "--s", "1/2"),
+    "--s": ("params", "--d", "2", "--r", "1/2"),
+    "--lambda": ("verify-lp", "--d", "2", "--r", "1/2", "--s", "-1/2"),
+    "--r-values": ("search", "--d-max", "2"),
+    "--s-values": ("search", "--d-max", "2", "--s-mode", "list"),
+    "--lambda-values": ("search", "--d-max", "2", "--lambda-mode", "list"),
+}
+# Each value signed or not, lists with a "+" part, and malformed values that
+# open with a p/q rational or look like a negative decimal.
+_SEPARABLE_VALUES = ["-1/2,+1/3", "+1/3,-1/2", "+1/2,-1/3", "-1", "-1/2", "+1/4", "1/2",
+                     "-1/2,", "-1/2,-1/2", "-1/2,x", "-1/0", "-1.5"]
+
+
+@pytest.mark.parametrize("value", _SEPARABLE_VALUES)
+@pytest.mark.parametrize("flag", sorted(_COMMAND_OF_FLAG))
+def test_a_value_reads_alike_with_or_without_the_equals_sign(capsys, flag, value):
+    command = _COMMAND_OF_FLAG[flag]
+    assert run_cli(capsys, *command, flag, value) == run_cli(capsys, *command, f"{flag}={value}")
 
 
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
@@ -565,7 +587,8 @@ def test_closed_stdout_pipe_exits_quietly(argv):
 _SUBCOMMANDS = ["params", "table", "verify-lp", "verify-racah", "verify-sl2", "search", "catalog"]
 _GOOD_RATIONALS = ["0", "1", "-1", "2", "1/2", "-1/2", "1/3", "-3/4", "5/2", "+1/4", "-9/8"]
 _BAD_RATIONALS = ["0.5", "1/0", "abc", "", "1//2", "1/2/3", "-", "1/-2", "1e3"]
-_RATIONAL_LISTS = ["1/2,-1/3", "1/2,-1/2,1/4", "-1/2,", "1/2,,0", "0,1/0"]
+_RATIONAL_LISTS = ["1/2,-1/3", "1/2,-1/2,1/4", "-1/2,", "1/2,,0", "0,1/0", "-1/2,+1/3",
+                   "+1/2,-1/3"]
 _SMALL_INTS = [str(i) for i in range(7)]
 _VALUES = {
     "--d": _SMALL_INTS, "--d-min": _SMALL_INTS, "--d-max": _SMALL_INTS,

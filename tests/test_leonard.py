@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 from dataclasses import replace
 from itertools import product
 
@@ -29,6 +30,7 @@ from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import (
     ParameterDomainError,
     ParameterInvariantError,
+    _diagonal_pairs,
     build_params,
     check_domain,
 )
@@ -1132,6 +1134,61 @@ def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
     flags = leonard._theorem_conditions(d, r, s)
     assert [flags(lam) for lam in shifts] == [
         _fraction_theorem_conditions(p, lam) for lam in shifts]
+
+
+def _one_sweep_middle_roots(b_star, c_star):
+    """The middle-factor roots of an array with theta*_0 = 0 in one sweep
+    over the integer pairs of b* and c*, each a*_i = -(b*_i + c*_i) formed
+    inline over the lcm of the two denominators: the search's former route,
+    kept as the oracle of `_middle_roots` on `params._diagonal_pairs`."""
+    roots = []
+    prev = None
+    for (bn, bd), (cn, cd) in zip(b_star, c_star):
+        if bd != cd:
+            g = gcd(bd, cd)
+            bn, cn, bd = bn * (cd // g), cn * (bd // g), bd // g * cd
+        n = bn + cn  # -a*_i = n / bd
+        if prev is not None:
+            pn, pd = prev
+            num, den = pn * bd + n * pd, 2 * pd * bd
+            g = gcd(num, den)
+            roots.append((num // g, den // g))
+        prev = n, bd
+    return roots
+
+
+_R_PLUS_S_MINUS_ONE = fractions_in(-1, 0, 24).filter(lambda x: -1 < x < 0).map(
+    lambda r: (r, -1 - r))
+
+
+@st.composite
+def _starred_pairs(draw):
+    """b* and c* of a drawn dual Hahn array (d = 0 and d = 1 drawn often,
+    and r + s = -1, where the last c* has its own form), as
+    `_dual_hahn_pairs` gives them or perturbed: each pair scaled by its own
+    factor, so unreduced and over unequal denominators, and one interior b*
+    made zero."""
+    d = draw(st.one_of(st.sampled_from((0, 1)), st.integers(0, 16)))
+    r, s = draw(st.one_of(st.tuples(_OPEN_RATIONALS, _OPEN_RATIONALS), _R_PLUS_S_MINUS_ONE))
+    _, _, _, b_star, c_star = leonard._dual_hahn_pairs(d, r, s)
+    if draw(st.booleans()):
+        factors = st.lists(st.integers(1, 6), min_size=d + 1, max_size=d + 1)
+        b_star = [(n * k, q * k) for (n, q), k in zip(b_star, draw(factors))]
+        c_star = [(n * k, q * k) for (n, q), k in zip(c_star, draw(factors))]
+    if d and draw(st.booleans()):
+        i = draw(st.integers(0, d - 1))
+        b_star = b_star[:i] + [(0, b_star[i][1])] + b_star[i + 1:]
+    return b_star, c_star
+
+
+@settings(deadline=None, max_examples=200)
+@given(pairs=_starred_pairs())
+def test_middle_roots_of_the_completed_a_star_equal_the_one_sweep_oracle(pairs):
+    b_star, c_star = pairs
+    roots = leonard._middle_roots(_diagonal_pairs((0, 1), b_star, c_star))
+    assert roots == _one_sweep_middle_roots(b_star, c_star)
+    a_star = [-(F(*b) + F(*c)) for b, c in zip(b_star, c_star)]
+    assert roots == [(-(x + y) / 2).as_integer_ratio() for x, y in zip(a_star, a_star[1:])]
 
 
 THETA, B, C, B_STAR, C_STAR = range(5)  # the lists of `_dual_hahn_pairs`

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leonard_lab.cli import main
+from leonard_lab.hyper import exact_rational, format_rational
 from leonard_lab.params import (
     ParameterArray,
     ParameterDomainError,
@@ -18,6 +19,7 @@ from leonard_lab.params import (
     build_astar_sums,
     build_params,
     check_closed_forms,
+    check_domain,
     parameter_array,
 )
 from leonard_lab.racah import build_racah_params
@@ -105,6 +107,47 @@ def test_domain_errors(r, s):
 def test_d_must_be_natural():
     with pytest.raises(ParameterDomainError):
         build_params(-1, F(1, 2), F(1, 2))
+
+
+def _fraction_check_domain(d, r, s):
+    """`check_domain` by `Fraction` comparison, the oracle of its
+    integer-pair test."""
+    if not isinstance(d, int) or d < 0:
+        raise ParameterDomainError(f"d must be a natural number, got {d!r}")
+    r = exact_rational("r", r)
+    s = exact_rational("s", s)
+    if r <= -1:
+        raise ParameterDomainError(f"r must exceed -1, got {format_rational(r)}")
+    if s <= -1:
+        raise ParameterDomainError(f"s must exceed -1, got {format_rational(s)}")
+    return r, s
+
+
+def _domain_outcome(check, d, r, s):
+    try:
+        return check(d, r, s)
+    except ParameterDomainError as exc:
+        return str(exc)
+
+
+_NEAR_MINUS_ONE = st.builds(
+    lambda k, sign: -1 + F(sign, 10**k), st.integers(0, 40), st.sampled_from((-1, 1)))
+_HUGE = st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+_DOMAIN_VALUES = st.one_of(
+    st.just(F(-1)), _NEAR_MINUS_ONE, _HUGE, fractions_in(-3, 3, 12)
+).flatmap(lambda v: st.sampled_from(
+    [v, str(v), f"{v.numerator}/{v.denominator}"] + ([v.numerator] if v.denominator == 1 else [])))
+
+
+@settings(deadline=None, max_examples=300)
+@given(d=st.integers(-1, 4), r=_DOMAIN_VALUES, s=_DOMAIN_VALUES)
+@example(d=2, r=-1, s=0)
+@example(d=2, r="0", s="-1")
+@example(d=2, r=F(-9, 10), s=F(-11, 10))
+def test_check_domain_decides_like_the_fraction_comparison(d, r, s):
+    # The outcome, the message and its precedence (d, then r, then s).
+    assert _domain_outcome(check_domain, d, r, s) == _domain_outcome(
+        _fraction_check_domain, d, r, s)
 
 
 def test_closed_forms_examples():
