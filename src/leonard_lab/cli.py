@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import racah as racah_mod
 from . import sl2mod
 from .hyper import (
-    _RATIONAL_PATTERN, RationalFormatError, SeriesDivisionError, format_rational, parse_rational,
+    RationalFormatError, SeriesDivisionError, format_rational, parse_rational,
 )
 from .leonard import (
     InternalInconsistencyError,
@@ -103,9 +103,11 @@ def _mode_values(name: str, mode: str, text: str | None) -> tuple[Fraction, ...]
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:
-    # argparse mistakes "-1/2" for an option; glue a value that opens with a
-    # p/q rational (`parse_rational`'s grammar) onto its flag, so "--r -1/2"
-    # and "--r=-1/2" read alike, a list and its errors included.
+    # argparse mistakes "-1/2" or "-1.5,2" for an option; glue onto a
+    # rational flag whatever follows it unless that is one of the parser's
+    # option strings (`--d-max`, `-h`, `--d=3`), so "--r X" and "--r=X" read
+    # alike, errors included.
+    options = _option_strings()
     out = []
     i = 0
     while i < len(argv):
@@ -113,7 +115,7 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
         if (
             tok in _RATIONAL_FLAGS
             and i + 1 < len(argv)
-            and _RATIONAL_PATTERN.fullmatch(argv[i + 1].partition(",")[0])
+            and argv[i + 1].partition("=")[0] not in options
         ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
@@ -168,6 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
 # Built on the first call of `main`, not at import, and reused: argparse keeps
 # no parse state on the parser.
 _parser = functools.cache(build_parser)
+
+
+@functools.cache
+def _option_strings() -> frozenset[str]:
+    """Every option string of the parser and of each subcommand's parser."""
+    parser = _parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        option for p in (parser, *commands.choices.values()) for option in p._option_string_actions
+    )
 
 
 def _add_drs(sub_parser):

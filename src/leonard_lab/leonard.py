@@ -29,8 +29,9 @@ facts hold every root and the one shift, if any, at which all but the last
 integer pairs.  The u-basis facts are read from b, c and theta*: with
 theta*_i = i the diagonal test always holds and the entries (i + lambda)^2
 are distinct unless 2 lambda is an integer in [-(2d - 1), -1].  The five
-cases as `Fraction` values are written once, in the dense closed form
-(`lstar_shift_square_closed_form`).  The dense product
+cases are written once, in the dense closed form
+(`lstar_shift_square_closed_form`), formed on integer pairs with one
+`Fraction` per nonzero entry.  The dense product
 (`lstar_shift_square`), which shares no code with the closed form, and the
 path test on it run only as the `exhaustive` oracle, which still decides
 every shift.  The dual almost-bipartite test reads b*, c* and a* directly,
@@ -58,11 +59,11 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .hyper import _over_common_denominator, exact_rational, format_rational
-from .matrices import RationalMatrix
+from .matrices import _ZERO, RationalMatrix
 from .params import (
     ParameterArray,
     _check_invariants,
@@ -128,27 +129,50 @@ def lstar_shift_square_closed_form(
         (i+2, i): b*_i b*_{i+1}
 
     Every other entry of the square of a tridiagonal matrix is zero.  The
-    verdict reads only which factors of the off-diagonal cases vanish
-    (`_ArrayFacts.witness`), never these values.
+    cases are formed on integer pairs: a*, b*, c* and the shift are read
+    once each as (numerator, denominator), a diagonal entry's three terms
+    are summed over the lcm of their denominators, each off-diagonal product
+    is cross-multiplied with the middle factor's one pair per i, and each
+    nonzero entry becomes one Fraction; every zero is the shared `_ZERO`.
+    Denominators stay local to an entry: one common denominator for the
+    whole array makes every entry carry it.  The verdict reads only which
+    factors of the off-diagonal cases vanish (`_ArrayFacts.witness`), never
+    these values.
     """
-    lam = exact_rational("shift", shift)
+    ln, ld = exact_rational("shift", shift).as_integer_ratio()
     d = p.d
     n = d + 1
-    a, b, c = p.a_star, p.b_star, p.c_star
-    entries = [Fraction(0)] * (n * n)
-    for i in range(n):
-        entries[i * n + i] = (
-            (lam + a[i]) ** 2
-            + (b[i - 1] * c[i] if i > 0 else 0)
-            + (b[i] * c[i + 1] if i < d else 0)
-        )
+    a = [v.as_integer_ratio() for v in p.a_star]
+    b = [v.as_integer_ratio() for v in p.b_star]
+    c = [v.as_integer_ratio() for v in p.c_star]
+    # b*_i c*_{i+1}: the last term of diagonal entry i, the middle one of i + 1
+    bc = [(bn * cn, bq * cq) for (bn, bq), (cn, cq) in zip(b, c[1:])] + [(0, 1)]
+    entries = [_ZERO] * (n * n)
+    prev = (0, 1)
+    for i, (an, aq) in enumerate(a):
+        tn, tq = ln * aq + an * ld, ld * aq  # lambda + a*_i
+        sq, term = tq * tq, bc[i]
+        den = lcm(sq, prev[1], term[1])
+        num = tn * tn * (den // sq) + prev[0] * (den // prev[1]) + term[0] * (den // term[1])
+        if num:
+            entries[i * n + i] = Fraction(num, den)
+        prev = term
         if i < d:
-            middle = 2 * lam + a[i] + a[i + 1]
-            entries[i * n + i + 1] = c[i + 1] * middle
-            entries[(i + 1) * n + i] = b[i] * middle
+            an1, aq1 = a[i + 1]
+            mn, mq = (2 * ln * aq + an * ld) * aq1 + an1 * tq, tq * aq1
+            if mn:
+                (cn, cq), (bn, bq) = c[i + 1], b[i]
+                if cn:
+                    entries[i * n + i + 1] = Fraction(cn * mn, cq * mq)
+                if bn:
+                    entries[(i + 1) * n + i] = Fraction(bn * mn, bq * mq)
         if i < d - 1:
-            entries[i * n + i + 2] = c[i + 1] * c[i + 2]
-            entries[(i + 2) * n + i] = b[i] * b[i + 1]
+            (cn, cq), (cn2, cq2) = c[i + 1], c[i + 2]
+            if cn and cn2:
+                entries[i * n + i + 2] = Fraction(cn * cn2, cq * cq2)
+            (bn, bq), (bn1, bq1) = b[i], b[i + 1]
+            if bn and bn1:
+                entries[(i + 2) * n + i] = Fraction(bn * bn1, bq * bq1)
     return RationalMatrix(n, n, tuple(entries))
 
 

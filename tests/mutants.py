@@ -40,6 +40,10 @@ class Mutant:
     why: str
 
 
+_CLOSED_FORM_ORACLE = ("tests/test_leonard.py::"
+                       "test_integer_closed_form_equals_the_fraction_oracle_and_the_dense_square")
+_CLOSED_FORM_SWEEP = "tests/test_leonard.py::test_shift_square_matches_closed_form_and_column_sums"
+
 MUTANTS = (
     Mutant(
         "leonard.py",
@@ -105,6 +109,27 @@ MUTANTS = (
         "                if v is not None:\n",
         ("tests/test_matrices.py::test_matmul_shares_one_zero_for_cancelled_and_empty_entries",),
         "a cancelled sum must be the one shared zero, not a fresh Fraction(0)",
+    ),
+    Mutant(
+        "leonard.py",
+        "num = tn * tn * (den // sq) + prev[0] * (den // prev[1]) + term[0] * (den // term[1])",
+        "num = tn * tn * (den // sq) + term[0] * (den // term[1])",
+        (_CLOSED_FORM_ORACLE, _CLOSED_FORM_SWEEP),
+        "a diagonal entry of the closed form sums three terms, b*_{i-1} c*_i among them",
+    ),
+    Mutant(
+        "leonard.py",
+        "mn, mq = (2 * ln * aq + an * ld) * aq1",
+        "mn, mq = (ln * aq + an * ld) * aq1",
+        (_CLOSED_FORM_ORACLE, _CLOSED_FORM_SWEEP),
+        "the middle factor 2 lambda + a*_i + a*_{i+1} carries the shift twice",
+    ),
+    Mutant(
+        "leonard.py",
+        "(cn, cq), (cn2, cq2) = c[i + 1], c[i + 2]",
+        "(cn, cq), (cn2, cq2) = b[i + 1], c[i + 2]",
+        (_CLOSED_FORM_ORACLE, _CLOSED_FORM_SWEEP),
+        "the entry two above the diagonal is c*_{i+1} c*_{i+2}, with no b* in it",
     ),
 )
 

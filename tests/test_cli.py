@@ -435,9 +435,9 @@ _COMMAND_OF_FLAG = {
     "--lambda-values": ("search", "--d-max", "2", "--lambda-mode", "list"),
 }
 # Each value signed or not, lists with a "+" part, and malformed values that
-# open with a p/q rational or look like a negative decimal.
+# open with a p/q rational, look like a negative decimal or like an option.
 _SEPARABLE_VALUES = ["-1/2,+1/3", "+1/3,-1/2", "+1/2,-1/3", "-1", "-1/2", "+1/4", "1/2",
-                     "-1/2,", "-1/2,-1/2", "-1/2,x", "-1/0", "-1.5"]
+                     "-1/2,", "-1/2,-1/2", "-1/2,x", "-1/0", "-1.5", "-1.5,2", "-x"]
 
 
 @pytest.mark.parametrize("value", _SEPARABLE_VALUES)

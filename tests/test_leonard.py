@@ -26,7 +26,7 @@ from leonard_lab.leonard import (
     theorem_conditions,
     verify_leonard_pair_square,
 )
-from leonard_lab.matrices import RationalMatrix
+from leonard_lab.matrices import _ZERO, RationalMatrix
 from leonard_lab.params import (
     ParameterDomainError,
     ParameterInvariantError,
@@ -826,6 +826,64 @@ def test_integer_verdict_on_barred_arrays(d, r, exhaustive, data):
     p = racah.build_racah_params(d, r)
     for lam in [data.draw(_generic_shifts(d)), *data.draw(_some_critical_shifts(p))]:
         _assert_matches_fraction_verdict(p, lam, exhaustive)
+
+
+def _fraction_closed_form(p, shift):
+    """The five cases of `lstar_shift_square_closed_form` on Fraction
+    values, one entry at a time: the library's former route, kept as the
+    oracle of its integer-pair form."""
+    lam = F(shift)
+    d = p.d
+    n = d + 1
+    a, b, c = p.a_star, p.b_star, p.c_star
+    entries = [F(0)] * (n * n)
+    for i in range(n):
+        entries[i * n + i] = (
+            (lam + a[i]) ** 2
+            + (b[i - 1] * c[i] if i > 0 else 0)
+            + (b[i] * c[i + 1] if i < d else 0)
+        )
+        if i < d:
+            middle = 2 * lam + a[i] + a[i + 1]
+            entries[i * n + i + 1] = c[i + 1] * middle
+            entries[(i + 1) * n + i] = b[i] * middle
+        if i < d - 1:
+            entries[i * n + i + 2] = c[i + 1] * c[i + 2]
+            entries[(i + 2) * n + i] = b[i] * b[i + 1]
+    return RationalMatrix(n, n, tuple(entries))
+
+
+@st.composite
+def _closed_form_arrays(draw):
+    """A barred array, or a dual Hahn array on s = -r or off it with s over
+    a denominator other than r's; d <= 16, with d = 0, 1 and 2 drawn often."""
+    d = draw(st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 16)))
+    kind = draw(st.sampled_from(["barred", "s = -r", "off the line"]))
+    if kind == "barred":
+        return racah.build_racah_params(d, draw(_BARRED_R))
+    if kind == "s = -r":
+        r = draw(_OPEN_RATIONALS.filter(lambda x: x < 1))
+        return build_params(d, r, -r)
+    r = draw(_OPEN_RATIONALS)
+    return build_params(d, r, draw(_OPEN_RATIONALS.filter(
+        lambda x: x.denominator != r.denominator)))
+
+
+@settings(deadline=None, max_examples=120)
+@given(p=_closed_form_arrays(), data=st.data())
+def test_integer_closed_form_equals_the_fraction_oracle_and_the_dense_square(p, data):
+    # At a drawn shift, the canonical shift and the root of each middle
+    # factor m_i = 2 lam + a*_i + a*_{i+1}, where both entries beside the
+    # diagonal at i vanish; every zero is the shared one.
+    d, a = p.d, p.a_star
+    roots = [(i, -(a[i] + a[i + 1]) / 2) for i in range(d)]
+    for i, lam in [(None, data.draw(_generic_shifts(d))), (None, canonical_shift(p)), *roots]:
+        closed = lstar_shift_square_closed_form(p, lam)
+        assert closed == _fraction_closed_form(p, lam) == lstar_shift_square(p, lam), lam
+        assert all(e is _ZERO for e in closed.entries if e == 0), lam
+        assert all(type(e) is F for e in closed.entries)
+        if i is not None:
+            assert closed.at(i, i + 1) is closed.at(i + 1, i) is _ZERO
 
 
 @settings(deadline=None, max_examples=80)
