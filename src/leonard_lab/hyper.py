@@ -5,7 +5,10 @@ A sum is evaluated on its own (`hypergeom_terminating`) or as a whole table
 (`hypergeom_table`) whose entry (i, j) has the numerator parameters of row i
 followed by those of column j and one shared denominator list.  The table
 forms the term factors of each row, each column and the denominators once,
-so an entry costs one multiplication per term before its Horner pass.
+so an entry costs one multiplication per term before its Horner pass.  A
+single sum pays little setup per call: an exact int or Fraction parameter is
+read by its type alone, and a sum with no nonzero term ratio returns the one
+shared Fraction(1), `_ONE`, without forming a Fraction.
 
 Every scalar in this package is a :class:`fractions.Fraction`: always reduced,
 positive denominator, and arithmetic never rounds.  The wire format used by
@@ -23,6 +26,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_ONE = Fraction(1)
 
 
 class RationalFormatError(ValueError):
@@ -80,8 +84,13 @@ def format_rational(value: Fraction | int) -> str:
 
 def _integer_ratio(x: Fraction | int) -> tuple[int, int]:
     """(p, q) with x == p/q, q > 0, in lowest terms; an int or a Fraction is
-    read as it is, anything else goes through `exact_rational` first."""
-    if isinstance(x, (int, Fraction)):
+    read as it is, anything else goes through `exact_rational` first.  An
+    exact int or Fraction is told by its type alone, before the isinstance
+    test that a subclass such as bool needs."""
+    t = type(x)
+    if t is int:
+        return x, 1
+    if t is Fraction or isinstance(x, (int, Fraction)):
         return x.as_integer_ratio()
     return exact_rational("parameter", x).as_integer_ratio()
 
@@ -109,7 +118,10 @@ def _division_error(dens: list[tuple[int, int]], h: int) -> SeriesDivisionError:
 
 def _terminates(pairs: list[tuple[int, int]], terms: int) -> bool:
     """Whether some parameter p/q is an integer in {-terms, ..., 0}."""
-    return any(q == 1 and -terms <= p <= 0 for p, q in pairs)
+    for p, q in pairs:
+        if q == 1 and -terms <= p <= 0:
+            return True
+    return False
 
 
 def hypergeom_terminating(
@@ -131,6 +143,12 @@ def hypergeom_terminating(
     then runs backwards over the pairs, 1 + rho_0 (1 + rho_1 (1 + ...)), as
     one integer numerator/denominator pair, and the sum is reduced to a
     Fraction once at the end.
+
+    A sum with no nonzero term ratio is 1: when terms is 0 or a numerator
+    parameter is 0, so that the first factor vanishes, the call returns the
+    one module-level Fraction(1), `_ONE`.  It does so only after every
+    check: a float parameter is refused first, then a negative terms, then a
+    series that cannot terminate within terms.
     """
     nums = [_integer_ratio(a) for a in numerators]
     dens = [_integer_ratio(b) for b in denominators]
@@ -138,10 +156,15 @@ def hypergeom_terminating(
         raise ValueError(f"terms must be a natural number, got {terms}")
     if not _terminates(nums, terms):
         raise _nonterminating(terms)
+    if not terms or (0, 1) in nums:
+        return _ONE
     # a + h = (p + h q) / q, so rho_h = top_h / bottom_h with the parameter
     # denominators of one side moved to the other as constant factors.
-    top_scale = math.prod(q for _, q in dens)
-    bottom_scale = math.prod(q for _, q in nums)
+    top_scale = bottom_scale = 1
+    for _, q in dens:
+        top_scale *= q
+    for _, q in nums:
+        bottom_scale *= q
     ratios = []
     for h in range(terms):
         top = top_scale

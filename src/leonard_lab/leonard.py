@@ -173,7 +173,7 @@ def lstar_shift_square_closed_form(
             (bn, bq), (bn1, bq1) = b[i], b[i + 1]
             if bn and bn1:
                 entries[(i + 2) * n + i] = Fraction(bn * bn1, bq * bq1)
-    return RationalMatrix(n, n, tuple(entries))
+    return RationalMatrix._exact(n, n, tuple(entries))
 
 
 def column_sums(m: RationalMatrix) -> list[Fraction]:

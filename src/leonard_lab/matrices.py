@@ -11,7 +11,12 @@ product puts each operand over one integer denominator, keeps the nonzero
 entries of each row, and sums on Python ints (`RationalMatrix.__matmul__`).
 Only speed depends on the sharing: any other zero, such as a caller's
 Fraction(0) or int 0, takes the ordinary arithmetic path.  No float is
-accepted as an entry or a scalar (`hyper.exact_rational`).
+accepted as an entry or a scalar (`hyper.exact_rational`).  The raw
+constructor keeps the entries as given when each is an int or a Fraction,
+and otherwise reads every entry with `_entry`, so that a float is refused;
+the constructors and operations of this module, and the tables of the
+package, form only exact entries and build through `RationalMatrix._exact`,
+which skips that scan.
 
 An entry tuple is built from a list, never from a generator: CPython sizes
 `tuple(generator)` by a guess and resizes it, and once freed the resized
@@ -55,6 +60,22 @@ class RationalMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        if not all(isinstance(x, (int, Fraction)) for x in self.entries):
+            object.__setattr__(self, "entries", tuple([_entry(x) for x in self.entries]))
+
+    @classmethod
+    def _exact(cls, rows: int, cols: int, entries: tuple[Fraction, ...]) -> "RationalMatrix":
+        """A rows x cols matrix of entries formed in this package, each already
+        a Fraction or an int: built without `__post_init__`, whose shape test
+        and entry scan such a construction never needs.  The fields are set
+        one by one as the dataclass `__init__` sets them; reading `__dict__`
+        instead would give every matrix a dict of its own, more than twice
+        its size."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
@@ -62,7 +83,7 @@ class RationalMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple([_entry(x) for row in rows for x in row]))
+        return cls._exact(nrows, ncols, tuple([_entry(x) for row in rows for x in row]))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -74,7 +95,7 @@ class RationalMatrix:
         flat = [_ZERO] * (n * n)
         for i, v in enumerate(values):
             flat[i * n + i] = _entry(v)
-        return cls(n, n, tuple(flat))
+        return cls._exact(n, n, tuple(flat))
 
     @classmethod
     def tridiagonal(
@@ -94,7 +115,7 @@ class RationalMatrix:
             flat[(i + 1) * n + i] = _entry(v)
         for i, v in enumerate(sup):
             flat[i * n + i + 1] = _entry(v)
-        return cls(n, n, tuple(flat))
+        return cls._exact(n, n, tuple(flat))
 
     # -- access ---------------------------------------------------------
 
@@ -124,7 +145,7 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
-        return RationalMatrix(
+        return RationalMatrix._exact(
             self.rows,
             self.cols,
             tuple([_ZERO if a is b is _ZERO
@@ -134,7 +155,7 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
-        return RationalMatrix(
+        return RationalMatrix._exact(
             self.rows,
             self.cols,
             tuple([_ZERO if a is b is _ZERO
@@ -170,7 +191,7 @@ class RationalMatrix:
             for j, v in enumerate(sums):
                 if v:
                     flat[base + j] = Fraction(v, den)
-        return RationalMatrix(self.rows, p, tuple(flat))
+        return RationalMatrix._exact(self.rows, p, tuple(flat))
 
     def _integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
         """(rows, D): D is the lcm of the entries' denominators, and rows[i]
@@ -186,7 +207,7 @@ class RationalMatrix:
 
     def scaled(self, factor: Fraction | int) -> "RationalMatrix":
         f = exact_rational("factor", factor)
-        return RationalMatrix(
+        return RationalMatrix._exact(
             self.rows,
             self.cols,
             tuple([_ZERO if e is _ZERO else _entry(f * e) for e in self.entries]),
@@ -201,7 +222,7 @@ class RationalMatrix:
         flat = list(self.entries)
         for k in range(0, self.rows * self.cols, self.cols + 1):
             flat[k] = _entry(flat[k] + s)
-        return RationalMatrix(self.rows, self.cols, tuple(flat))
+        return RationalMatrix._exact(self.rows, self.cols, tuple(flat))
 
     def permuted(self, perm: Sequence[int]) -> "RationalMatrix":
         """Simultaneous row/column reordering: result[i][j] = self[perm[i]][perm[j]]."""
@@ -211,7 +232,7 @@ class RationalMatrix:
         if sorted(perm) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
         e = self.entries
-        return RationalMatrix(n, n, tuple([e[i * n + j] for i in perm for j in perm]))
+        return RationalMatrix._exact(n, n, tuple([e[i * n + j] for i in perm for j in perm]))
 
     def trace(self) -> Fraction:
         if not self.is_square:

@@ -171,7 +171,7 @@ def eval_table_4F3(q: ParameterArray) -> ValueTable:
     columns = [(-j, Fraction(2 * (j - d) - 1, 2)) for j in range(d + 1)]
     dens = (-d, (r - d) / 2, (r - d + 1) / 2)
     table = hypergeom_table(rows, columns, dens, terms=d)
-    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(x for row in table for x in row)))
+    return ValueTable(RationalMatrix._exact(d + 1, d + 1, tuple([x for row in table for x in row])))
 
 
 def check_table_matches_permuted_dual(

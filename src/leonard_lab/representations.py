@@ -9,7 +9,10 @@ formed once and read by every table check: its rows, and its columns as their
 transpose.  A table that obeys its array's recurrence has its orthogonality
 read from row 0 of its Gram matrix and its exact degrees from its own row 0;
 any other table goes through all the Gram sums and the Newton divided
-differences.
+differences.  Whether a table obeys an array's full recurrence is decided
+once per table and array (`_recurrence_holds`), so the orthogonality and
+degree checks of one table, and the barred orthogonality and recurrence
+fields of a 4F3 table, run the three-term test once between them.
 No coefficient lists, no floating point.
 """
 
@@ -32,7 +35,9 @@ class ValueTable:
     """values.at(i, j) = u_i(theta_j) for 0 <= i, j <= d, d the d of the
     array it is checked against; every table check refuses another shape
     with a ValueError (`_require_table_shape`) and reads the table's one
-    integer form (`int_rows`, `int_columns`)."""
+    integer form (`int_rows`, `int_columns`).  Next to those two cached
+    forms, the instance dict keeps one more slot, the last array's
+    full-recurrence verdict (`_recurrence_holds`)."""
 
     values: RationalMatrix
 
@@ -72,7 +77,7 @@ def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:
         for i in range(d + 1)
         for j in range(d + 1)
     ]
-    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
+    return ValueTable(RationalMatrix._exact(d + 1, d + 1, tuple(entries)))
 
 
 def eval_table_recurrence(p: ParameterArray) -> ValueTable:
@@ -107,7 +112,7 @@ def eval_table_recurrence(p: ParameterArray) -> ValueTable:
         prev, prev_den = row, row_den
         row, row_den = [v // g for v in new], new_den // g
         entries.extend(Fraction(v, row_den) for v in row)
-    return ValueTable(RationalMatrix(d + 1, d + 1, tuple(entries)))
+    return ValueTable(RationalMatrix._exact(d + 1, d + 1, tuple(entries)))
 
 
 def _three_term_holds(
@@ -129,7 +134,11 @@ def _three_term_holds(
     lams = [lam.as_integer_ratio() for lam in eigenvalues]
     last = len(lines[0]) - 1
     for n in at:
-        (A, B, C), L = _over_common_denominator((a[n], b[n], c[n]))
+        (A, qa), (B, qb), (C, qc) = (
+            a[n].as_integer_ratio(), b[n].as_integer_ratio(), c[n].as_integer_ratio()
+        )
+        L = math.lcm(qa, qb, qc)
+        A, B, C = A * (L // qa), B * (L // qb), C * (L // qc)
         for v, (lam_num, lam_den) in zip(lines, lams):
             rhs = A * v[n]
             if n < last:
@@ -153,8 +162,17 @@ def _recurrence_holds(p: ParameterArray, table: ValueTable) -> bool:
     """A U == U Theta for the table U and A = tridiag(c, a, b),
     A[i][i+1] = b_i: every column obeys theta_j u_i(theta_j) ==
     b_i u_{i+1}(theta_j) + a_i u_i(theta_j) + c_i u_{i-1}(theta_j) at every
-    row i = 0..d, the terms past either end dropped."""
-    return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, range(p.d + 1))
+    row i = 0..d, the terms past either end dropped.
+
+    Decided once per table and array: the verdict is kept in the table's
+    instance dict with the array it was decided for, and read again while
+    the next call passes that same array object (`is`, not ==); another
+    array is decided afresh and takes the slot."""
+    memo = table.__dict__.get("_recurrence")
+    if memo is None or memo[0] is not p:
+        holds = _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, range(p.d + 1))
+        memo = table.__dict__["_recurrence"] = (p, holds)
+    return memo[1]
 
 
 def check_top_row(p: ParameterArray, table: ValueTable) -> bool:
@@ -192,12 +210,20 @@ def check_orthogonality(p: ParameterArray, table: ValueTable) -> bool:
     a row's signs flipped, goes to the full loop and passes."""
     _require_table_shape(p, table)
     d = p.d
-    favard = (
-        all(p.b[:d])
-        and all(k * b == k1 * c for k, b, k1, c in zip(p.k, p.b, p.k[1:], p.c[1:]))
-        and _recurrence_holds(p, table)
-    )
+    favard = all(p.b[:d]) and _symmetrizer_holds(p) and _recurrence_holds(p, table)
     return _gram_orthogonality(p, table, rows=1 if favard else None)
+
+
+def _symmetrizer_holds(p: ParameterArray) -> bool:
+    """k_i b_i == k_{i+1} c_{i+1} for i < d, cross-multiplied on the integer
+    pairs of the four values."""
+    k = [x.as_integer_ratio() for x in p.k]
+    b = [x.as_integer_ratio() for x in p.b]
+    c = [x.as_integer_ratio() for x in p.c]
+    return all(
+        kn * bn * kq1 * cq == kn1 * cn * kq * bq
+        for (kn, kq), (bn, bq), (kn1, kq1), (cn, cq) in zip(k, b, k[1:], c[1:])
+    )
 
 
 def _gram_orthogonality(p: ParameterArray, table: ValueTable, rows: int | None = None) -> bool:

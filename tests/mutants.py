@@ -131,6 +131,23 @@ MUTANTS = (
         (_CLOSED_FORM_ORACLE, _CLOSED_FORM_SWEEP),
         "the entry two above the diagonal is c*_{i+1} c*_{i+2}, with no b* in it",
     ),
+    Mutant(
+        "representations.py",
+        "    if memo is None or memo[0] is not p:\n",
+        "    if memo is None:\n",
+        ("tests/test_representations.py::"
+         "test_one_table_checked_against_two_arrays_gets_each_arrays_verdict",),
+        "a table's recurrence verdict belongs to the array it was decided for",
+    ),
+    Mutant(
+        "hyper.py",
+        "    if not _terminates(nums, terms):\n        raise _nonterminating(terms)\n"
+        "    if not terms or (0, 1) in nums:\n        return _ONE\n",
+        "    if not terms or (0, 1) in nums:\n        return _ONE\n"
+        "    if not _terminates(nums, terms):\n        raise _nonterminating(terms)\n",
+        ("tests/test_hyper.py::test_hypergeom_checks_come_in_order_before_the_sum_of_one",),
+        "the sum of one is returned only after the termination test has passed",
+    ),
 )
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

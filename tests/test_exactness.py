@@ -159,6 +159,7 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: theorem_conditions(build_params(2, 1, 0), 0.1),
     lambda: d2_condition(build_params(2, 1, 0), 0.1),
     lambda: is_dual_almost_bipartite(build_params(2, 1, 0), 0.1),
+    lambda: RationalMatrix(1, 1, (0.5,)),
     lambda: RationalMatrix.from_rows([[1, 0.1]]),
     lambda: RationalMatrix.diagonal([0.1]),
     lambda: RationalMatrix.tridiagonal([1, 2], [0.5], [1]),
@@ -183,7 +184,7 @@ def test_racah_artifacts_are_exact(d, r):
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
         "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
-        "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
+        "RationalMatrix", "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
         "hypergeom_terminating-numerator", "hypergeom_terminating-denominator",
         "hypergeom_table-row", "hypergeom_table-column", "hypergeom_table-denominator",
         "format_rational", "SearchGrid-r", "SearchGrid-s", "SearchGrid-shift",
@@ -231,6 +232,7 @@ SWEPT = {
     "lstar_shift_square": dict(p=_P, shift=F(1, 10)),
     "lstar_shift_square_closed_form": dict(p=_P, shift=F(1, 10)),
     "poly_from_roots": dict(roots=[1, F(1, 2)]),
+    "RationalMatrix": dict(rows=1, cols=2, entries=(1, F(1, 10))),
     "theorem_conditions": dict(p=_P, shift=F(1, 10)),
     "tridiagonal_charpoly": dict(diag=[1, F(1, 2)], sub=[F(1, 4)], sup=[2]),
     "verify_leonard_pair_square": dict(p=_P, shift=F(1, 10)),
@@ -241,9 +243,6 @@ SWEPT = {
 EXEMPT = {
     "LeonardPairReport": "a verdict's record, built with a shift already read by exact_rational",
     "ParameterArray": "raw dataclass; build_params and build_racah_params build it from exact r, s",
-    "RationalMatrix": "raw dataclass; from_rows, diagonal, tridiagonal and every operation "
-                      "refuse a float entry (cases above), and a scan of every constructed "
-                      "matrix's entries cost `grid` about 10% of its verdicts/s",
     "SearchGrid": "raw dataclass; search_square_preserving refuses a float r, s or shift "
                   "when it reads the grid (cases above)",
     "SearchRecord": "a search's record, built from grid values already read by exact_rational",

@@ -217,6 +217,71 @@ def test_hypergeom_mixed_call_keeps_both_errors():
     assert (fraction_info.value.term_index, fraction_info.value.parameter) == (3, -2)
 
 
+class IntSubclass(int):
+    pass
+
+
+class FractionSubclass(F):
+    pass
+
+
+@pytest.mark.parametrize("numerators, denominators, terms", [
+    ((True, F(1, 3)), (F(3, 2),), 2),
+    ((False, -2), (F(1, 2),), 2),
+    ((-2, True), (True, F(5, 3)), 3),
+    (("-2", "1/3"), ("3/2", "2"), 4),
+    (("-3", "+1/2"), ("-1",), 4),
+    ((IntSubclass(-3), IntSubclass(4)), (IntSubclass(7), F(1, 2)), 3),
+    ((IntSubclass(0), F(1, 3)), (IntSubclass(-1),), 2),
+    ((FractionSubclass(-3), FractionSubclass(1, 2)), (FractionSubclass(5, 3),), 3),
+    ((FractionSubclass(-4), 2), (FractionSubclass(-3, 1),), 4),
+    ((FractionSubclass(7, 2),), (), 3),
+], ids=["bool-true", "bool-false", "bool-denominator", "str", "str-division",
+        "int-subclass", "int-subclass-zero", "fraction-subclass", "fraction-subclass-division",
+        "fraction-subclass-nonterminating"])
+def test_hypergeom_parameters_past_the_exact_type_test_match_oracle(numerators, denominators,
+                                                                    terms):
+    """A parameter that is not exactly an int or a Fraction misses the type
+    test and takes the isinstance / `exact_rational` path to the same pair."""
+    outcome = _outcome(hypergeom_terminating, numerators, denominators, terms)
+    assert outcome == _outcome(hypergeom_oracle, numerators, denominators, terms)
+    if outcome[0] == "value":
+        assert type(outcome[1]) is F
+
+
+@pytest.mark.parametrize("numerators, denominators, terms", [
+    ((0, F(1, 2)), (F(3, 2),), 0),
+    ((F(0), F(1, 2)), (F(3, 2),), 4),
+    ((F(-2), 0), (F(0), F(-1)), 5),
+    ((False, "-4"), ("0",), 1),
+], ids=["terms-0", "zero-fraction", "zero-int-over-zero-denominator",
+        "zero-bool"])
+def test_hypergeom_with_no_nonzero_term_ratio_is_the_fraction_one(numerators, denominators,
+                                                                  terms):
+    """terms = 0, or a zero first numerator factor (which vanishes before a
+    zero denominator factor at the same index is read), gives 1 as a Fraction."""
+    value = hypergeom_terminating(numerators, denominators, terms)
+    assert type(value) is F and value == 1
+    assert _outcome(hypergeom_oracle, numerators, denominators, terms) == ("value", 1)
+
+
+def test_hypergeom_checks_come_in_order_before_the_sum_of_one():
+    """A float is refused first, a negative terms next, then a series that
+    cannot terminate; only a call that passes all three sums to 1 early."""
+    with pytest.raises(ValueError, match=r"within 0 terms: no numerator parameter in \{-0"):
+        hypergeom_terminating((1,), (), 0)
+    with pytest.raises(ValueError, match=r"within 0 terms"):
+        hypergeom_terminating((-1, F(1, 2)), (F(3, 2),), 0)
+    for numerators in ((1,), (0,), (0, F(1, 2))):
+        with pytest.raises(ValueError, match=r"terms must be a natural number, got -1\Z"):
+            hypergeom_terminating(numerators, (), -1)
+    for numerators, denominators in (((0.5,), ()), ((0, 0.5), ()), ((0,), (0.5,)),
+                                     ((1,), (0.5,))):
+        for terms in (-1, 0, 2):
+            with pytest.raises(TypeError, match=r"got the float 0\.5"):
+                hypergeom_terminating(numerators, denominators, terms)
+
+
 # -- the table kernel -----------------------------------------------------------
 
 

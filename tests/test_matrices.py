@@ -42,6 +42,28 @@ def test_constructors_and_access():
     assert tri == RationalMatrix.from_rows([[1, 4, 0], [7, 2, 5], [0, 8, 3]])
 
 
+def test_the_raw_constructor_refuses_a_float_entry():
+    """A float entry would make every operation compute in floats: the
+    characteristic polynomial of [[0.5]] would be (1, -0.5)."""
+    for entries in ((0.5,), [0.5], (F(1), 0, _ZERO, -0.5)):
+        with pytest.raises(TypeError, match=r"matrix entry must be an int, Fraction or str, "
+                                            r"got the float -?0\.5\Z"):
+            RationalMatrix(1, len(entries), entries).charpoly()
+    with pytest.raises(ValueError, match="needs 2 entries, got 1"):
+        RationalMatrix(1, 2, (0.5,))
+
+
+def test_the_raw_constructor_keeps_exact_entries_and_reads_the_rest():
+    """int and Fraction entries stay the objects given, zeros included, so
+    the operations meet a caller's zero; a p/q string becomes its Fraction."""
+    zero, half = F(0), F(1, 2)
+    entries = (zero, 0, half, 3)
+    m = RationalMatrix(2, 2, entries)
+    assert all(e is x for e, x in zip(m.entries, entries))
+    assert RationalMatrix(1, 3, ("1/3", 2, half)).entries == (F(1, 3), F(2), half)
+    assert RationalMatrix(1, 1, ("-2/4",)).charpoly() == (1, F(1, 2))
+
+
 def test_shape_errors():
     with pytest.raises(ValueError):
         RationalMatrix.from_rows([[1, 2], [3]])

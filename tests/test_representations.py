@@ -748,6 +748,47 @@ def test_each_table_is_put_over_one_denominator_once(monkeypatch):
         assert not any(calls[line] for line in lines_of(t))
 
 
+def test_each_table_decides_its_full_recurrence_once(monkeypatch):
+    """The degree and orthogonality checks of one table, and the barred
+    orthogonality and recurrence fields of one 4F3 table, share one
+    full-range three-term test."""
+    calls = []
+    original = representations._three_term_holds
+
+    def counted(lines, eigenvalues, a, b, c, at):
+        calls.append(len(at))
+        return original(lines, eigenvalues, a, b, c, at)
+
+    p = build_params(5, F(2, 7), F(-2, 7))
+    q = build_racah_params(5, F(2, 7))
+    table, table4 = eval_table_hypergeometric(p), eval_table_4F3(q)
+    monkeypatch.setattr(representations, "_three_term_holds", counted)
+    assert check_degree_invariant(p, table) and check_orthogonality(p, table)
+    assert calls == [p.d + 1]
+    assert check_racah_orthogonality(q, table4) and check_barred_recurrence(q, table4)
+    assert calls == [p.d + 1] * 2
+    # The top-row check tests row d alone, and reads no verdict of the range.
+    assert check_top_row(p, table) and calls == [p.d + 1] * 2 + [1]
+
+
+@pytest.mark.parametrize("first", ["barred", "dual"])
+def test_one_table_checked_against_two_arrays_gets_each_arrays_verdict(first):
+    """One 4F3 table against its barred array, which its columns obey, and
+    the dual Hahn array of the same d, whose nodes they do not: each call
+    gets the verdict of its own array, whichever array came first, and the
+    degree check follows it (row 0 is constant, but the rows are not of
+    exact degree at the dual Hahn nodes)."""
+    p = build_params(4, F(2, 7), F(-2, 7))
+    q = build_racah_params(4, F(2, 7))
+    # On a fresh table each time, no verdict is kept from an earlier call.
+    assert _recurrence_holds(q, eval_table_4F3(q)) and not _recurrence_holds(p, eval_table_4F3(q))
+    table = eval_table_4F3(q)
+    order = (q, p) if first == "barred" else (p, q)
+    for array in order + order:
+        assert _recurrence_holds(array, table) is (array is q)
+        assert check_degree_invariant(array, table) is (array is q)
+
+
 @st.composite
 def junk_tables(draw):
     """A table of arbitrary rationals, of any shape up to 6x6."""
