@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rational_list(flag: str, text: str) -> tuple[Fraction, ...]:
-    values = tuple(parse_rational(part) for part in text.split(","))
+    values = tuple([parse_rational(part) for part in text.split(",")])
     seen = set()
     for v in values:
         if v in seen:

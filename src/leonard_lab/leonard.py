@@ -184,7 +184,7 @@ def column_sums(m: RationalMatrix) -> list[Fraction]:
 
 def _sigma(d: int) -> tuple[int, ...]:
     """sigma_i = 2i if 2i <= d, else 2(d - i) + 1: evens up, then odds down."""
-    return tuple(2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1))
+    return tuple([2 * i if 2 * i <= d else 2 * (d - i) + 1 for i in range(d + 1)])
 
 
 def _middle_roots(a):
@@ -209,8 +209,8 @@ def _candidates(d: int) -> tuple[BasisOrdering, ...]:
     """The four candidate orderings of `candidate_orderings`, built and
     validated once per d."""
     sigma = _sigma(d)
-    mirror = tuple(d - k for k in sigma)
-    return tuple(BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1]))
+    mirror = tuple([d - k for k in sigma])
+    return tuple([BasisOrdering(perm) for perm in (sigma, sigma[::-1], mirror, mirror[::-1])])
 
 
 def candidate_orderings(d: int) -> list[BasisOrdering]:

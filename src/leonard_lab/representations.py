@@ -60,7 +60,7 @@ class ValueTable:
     @cached_property
     def int_columns(self) -> tuple[tuple[int, ...], ...]:
         """The columns of `int_rows`, over the same D: its transpose."""
-        return tuple(zip(*self.int_rows[0]))
+        return tuple(list(zip(*self.int_rows[0])))
 
 
 def eval_table_hypergeometric(p: ParameterArray) -> ValueTable:

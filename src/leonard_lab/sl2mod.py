@@ -7,10 +7,13 @@ vectors w_0..w_n:
 
 The kind-k module (k = 0 or 1, n >= k) has basis v_i = w_{2i+k}, the weight
 vectors of parity k, so its dimension is (n-k)//2 + 1.  The Casimir acts as
-the scalar n(n+2)/2 by construction; the commutation identities
-[H, E^2] = 4 E^2 and [H, F^2] = -4 F^2, and the products E^2 F^2 and F^2 E^2
-as polynomials in H and the Casimir value, are checked as exact matrix
-identities.  For odd n, fixed rational combinations of the generators
+the scalar n(n+2)/2 by construction.  The one rule `_bands` gives the
+diagonal of H, the band of E^2 above it and the band of F^2 below it as ints,
+and every builder reads it.  The commutation identities [H, E^2] = 4 E^2 and
+[H, F^2] = -4 F^2 are decided entry by entry on a diagonal H; the products
+E^2 F^2 and F^2 E^2, the only matrix products, are compared with their
+polynomials in H and the Casimir value.  For odd n, fixed rational
+combinations of the generators, formed in closed form on the bands,
 reproduce the dual Hahn Leonard-pair matrices at
 (r, s, d) = (k - 1/2, 1/2 - k, (n-1)/2); the halved-cube catalog lists which
 modules occur for diameter D and the adjacency/dual-adjacency actions on
@@ -22,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import RationalMatrix
+from .hyper import exact_rational
+from .matrices import _ZERO, RationalMatrix
 from .params import ParameterDomainError, build_params
 from .representations import matrix_L_u_basis, matrix_Lstar_u_basis
 
@@ -55,6 +59,22 @@ def _casimir_value(n: int) -> Fraction:
     return Fraction(n * (n + 2), 2)
 
 
+def _bands(kind: int, n: int) -> tuple[list[int], list[int], list[int]]:
+    """The weight-vector rule as ints: the diagonal of H, the superdiagonal
+    of E^2 and the subdiagonal of F^2 on v_i = w_j, j = 2i + kind <= n."""
+    weights = range(kind, n + 1, 2)
+    return (
+        [n - 2 * j for j in weights],
+        [j * (j - 1) for j in weights[1:]],
+        [(n - j) * (n - j - 1) for j in weights[:-1]],
+    )
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """num/den as a matrix entry: one Fraction, or the shared zero."""
+    return Fraction(num, den) if num else _ZERO
+
+
 def build_even_module(kind: int, n: int) -> EvenModule:
     """Generator matrices on the kind-(0|1) module of degree n.
 
@@ -63,10 +83,8 @@ def build_even_module(kind: int, n: int) -> EvenModule:
         H v_i = (n-2j) v_i.
     """
     _require_module(kind, n)
-    weights = range(kind, n + 1, 2)  # j of v_0, v_1, ...
-    dim = len(weights)
-    raising = [j * (j - 1) for j in weights[1:]]
-    lowering = [(n - j) * (n - j - 1) for j in weights[:-1]]
+    h, raising, lowering = _bands(kind, n)
+    dim = len(h)
     zeros = [0] * (dim - 1)
     return EvenModule(
         kind=kind,
@@ -74,8 +92,8 @@ def build_even_module(kind: int, n: int) -> EvenModule:
         dim=dim,
         e_sq=RationalMatrix.tridiagonal([0] * dim, zeros, raising),
         f_sq=RationalMatrix.tridiagonal([0] * dim, lowering, zeros),
-        h=RationalMatrix.diagonal([n - 2 * j for j in weights]),
-        casimir=RationalMatrix.identity(dim).scaled(_casimir_value(n)),
+        h=RationalMatrix.diagonal(h),
+        casimir=RationalMatrix.diagonal([_casimir_value(n)] * dim),
     )
 
 
@@ -88,46 +106,80 @@ def check_module_relations(m: EvenModule) -> bool:
         F^2 E^2 = (c - (H+2)^2/2 - H - 2)(c - H^2/2 - H)/4,
 
     which follow from EF = (c - H^2/2 + H)/2 and EH = (H - 2)E.  With H
-    diagonal, each side is the diagonal matrix of its polynomial at the
-    entries of H.  A scalar Casimir commutes with every matrix, so its
-    centrality tests nothing; the products fix the sizes of E^2 and F^2
-    against c and H."""
-    comm_e = m.h @ m.e_sq - m.e_sq @ m.h
-    if comm_e != m.e_sq.scaled(4):
+    diagonal, entry (i, j) of [H, X] is (h_i - h_j) X_ij, so each commutator
+    holds when h_i - h_j is 4 (or -4) at every nonzero entry of X, on integer
+    pairs; and each side of a product identity is the diagonal matrix of its
+    polynomial at the entries of H, evaluated on integer pairs.  Only
+    E^2 F^2 and F^2 E^2 are matrix products.  A scalar Casimir commutes with
+    every matrix, so its centrality tests nothing; the products fix the sizes
+    of E^2 and F^2 against c and H.  H, E^2 and F^2 must be dim x dim, or
+    this is a ValueError."""
+    dim = m.dim
+    for x in (m.h, m.e_sq, m.f_sq):
+        if (x.rows, x.cols) != (dim, dim):
+            raise ValueError(
+                f"a generator of a dimension-{dim} module is {x.rows}x{x.cols}"
+            )
+    diagonal = m.h.entries[:: dim + 1]
+    if m.h != RationalMatrix.diagonal(diagonal):
         return False
-    comm_f = m.h @ m.f_sq - m.f_sq @ m.h
-    if comm_f != m.f_sq.scaled(-4):
+    if m.casimir != RationalMatrix.diagonal([_casimir_value(m.n)] * dim):
         return False
-    h = [m.h.at(i, i) for i in range(m.dim)]
-    c = _casimir_value(m.n)
-    if m.h != RationalMatrix.diagonal(h):
-        return False
-    if m.casimir != RationalMatrix.identity(m.dim).scaled(c):
-        return False
+    h = [x.as_integer_ratio() for x in diagonal]
+    for weight, x in ((4, m.e_sq), (-4, m.f_sq)):
+        for k, v in enumerate(x.entries):
+            if v is not _ZERO and v:
+                (hn, hq), (gn, gq) = h[k // dim], h[k % dim]
+                if hn * gq - gn * hq != weight * hq * gq:
+                    return False
+    n_sq = m.n * (m.n + 2)
 
-    def half_ef(shift: int, sign: int) -> list[Fraction]:
-        """(c - X^2/2 + sign X)/2 at X = H + shift, on the diagonal."""
-        return [(c - (x + shift) ** 2 / 2 + sign * (x + shift)) / 2 for x in h]
+    def half_ef(x: int, q: int, sign: int) -> int:
+        """(c - X^2/2 + sign X)/2 at X = x/q, times 4 q^2."""
+        return n_sq * q * q - x * x + 2 * sign * x * q
 
-    ef = [u * v for u, v in zip(half_ef(-2, 1), half_ef(0, 1))]
-    fe = [u * v for u, v in zip(half_ef(2, -1), half_ef(0, -1))]
-    return (
-        m.e_sq @ m.f_sq == RationalMatrix.diagonal(ef)
-        and m.f_sq @ m.e_sq == RationalMatrix.diagonal(fe)
-    )
+    ef, fe = [_ZERO] * (dim * dim), [_ZERO] * (dim * dim)
+    for i, (x, q) in enumerate(h):
+        den = 16 * q ** 4
+        ef[i * (dim + 1)] = _ratio(half_ef(x - 2 * q, q, 1) * half_ef(x, q, 1), den)
+        fe[i * (dim + 1)] = _ratio(half_ef(x + 2 * q, q, -1) * half_ef(x, q, -1), den)
+    return (m.e_sq @ m.f_sq).entries == tuple(ef) and (m.f_sq @ m.e_sq).entries == tuple(fe)
 
 
 def _generator_combination(m: EvenModule, shift: int, scale: Fraction) -> RationalMatrix:
     """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2."""
-    combined = (m.e_sq + m.f_sq + m.casimir).plus_scalar(-shift)
-    return combined.scaled(scale) - (m.h @ m.h).scaled(scale / 2)
+    return _banded_combination(m.n, _bands(m.kind, m.n), shift, scale)
+
+
+def _banded_combination(
+    n: int, bands: tuple[list[int], list[int], list[int]], shift: int, scale: Fraction
+) -> RationalMatrix:
+    """`_generator_combination` on the bands of `_bands`: with scale = P/Q,
+    the tridiagonal matrix with (n(n+2) - 2 shift - h_i^2) P/(2Q) on the
+    diagonal, raising P/Q above it and lowering P/Q below it."""
+    shift, shift_den = exact_rational("shift", shift).as_integer_ratio()
+    p, q = exact_rational("factor", scale).as_integer_ratio()
+    h, raising, lowering = bands
+    dim = len(h)
+    flat = [_ZERO] * (dim * dim)
+    base, den = (n * (n + 2) * shift_den - 2 * shift) * p, 2 * q * shift_den
+    for i, x in enumerate(h):
+        flat[i * (dim + 1)] = _ratio(base - x * x * shift_den * p, den)
+    for i, (up, down) in enumerate(zip(raising, lowering)):
+        flat[i * (dim + 1) + 1] = _ratio(up * p, q)
+        flat[(i + 1) * dim + i] = _ratio(down * p, q)
+    return RationalMatrix._exact(dim, dim, tuple(flat))
 
 
 def _example_pair(m: EvenModule) -> tuple[RationalMatrix, RationalMatrix]:
-    """`example_pair` on a built module."""
+    """`example_pair` on a built module; the second matrix is the diagonal
+    (n - 2 kind - h_i)/4."""
     first = _generator_combination(m, 1, Fraction(1, 4))
-    second = m.h.scaled(Fraction(-1, 4)).plus_scalar(Fraction(m.n - 2 * m.kind, 4))
-    return first, second
+    dim = m.dim
+    second = [_ZERO] * (dim * dim)
+    for i, x in enumerate(_bands(m.kind, m.n)[0]):
+        second[i * (dim + 1)] = _ratio(m.n - 2 * m.kind - x, 4)
+    return first, RationalMatrix._exact(dim, dim, tuple(second))
 
 
 def example_pair(kind: int, n: int) -> tuple[RationalMatrix, RationalMatrix]:
@@ -182,11 +234,13 @@ def terwilliger_catalog(D: int) -> list[CatalogEntry]:
         kind, n = k % 2, D - 2 * k
         if n < kind:
             continue
-        m = build_even_module(kind, n)
-        adjacency = _generator_combination(m, D, Fraction(1, 2))
+        bands = _bands(kind, n)
         entries.append(
             CatalogEntry(
-                kind=kind, n=n, adjacency_action=adjacency, dual_adjacency_action=m.h
+                kind=kind,
+                n=n,
+                adjacency_action=_banded_combination(n, bands, D, Fraction(1, 2)),
+                dual_adjacency_action=RationalMatrix.diagonal(bands[0]),
             )
         )
     return entries

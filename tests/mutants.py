@@ -148,6 +148,30 @@ MUTANTS = (
         ("tests/test_hyper.py::test_hypergeom_checks_come_in_order_before_the_sum_of_one",),
         "the sum of one is returned only after the termination test has passed",
     ),
+    Mutant(
+        "sl2mod.py",
+        "for weight, x in ((4, m.e_sq), (-4, m.f_sq)):",
+        "for weight, x in ((-4, m.e_sq), (4, m.f_sq)):",
+        ("tests/test_sl2mod.py::test_module_relations",
+         "tests/test_sl2mod.py::test_module_relations_match_the_dense_oracle"),
+        "H raises the weight of E^2 by 4 and lowers that of F^2 by 4, not the reverse",
+    ),
+    Mutant(
+        "sl2mod.py",
+        "base, den = (n * (n + 2) * shift_den - 2 * shift) * p, 2 * q * shift_den",
+        "base, den = (n * (n + 2) * shift_den - shift) * p, 2 * q * shift_den",
+        ("tests/test_sl2mod.py::test_generator_combination_matches_the_dense_oracle",
+         "tests/test_sl2mod.py::test_catalog_matches_the_dense_oracle"),
+        "the combination's diagonal takes the shift over the same 2Q as n(n+2) and h_i^2",
+    ),
+    Mutant(
+        "sl2mod.py",
+        "_ratio(half_ef(x - 2 * q, q, 1) * half_ef(x, q, 1), den)",
+        "_ratio(half_ef(x - 2 * q, q, -1) * half_ef(x, q, -1), den)",
+        ("tests/test_sl2mod.py::test_module_relations",
+         "tests/test_sl2mod.py::test_module_relations_match_the_dense_oracle"),
+        "E^2 F^2 is the polynomial with +H in both factors; -H belongs to F^2 E^2",
+    ),
 )
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

@@ -185,6 +185,128 @@ def test_module_relations_reject_a_wrong_casimir_value(kind, n):
     assert not check_module_relations(replace(m, casimir=m.casimir.plus_scalar(1)))
 
 
+def _dense_check_module_relations(m):
+    """The relations as whole-matrix identities: both commutators formed as
+    matrix products and differences, H and the Casimir compared with the
+    diagonal matrices they must be, and E^2 F^2, F^2 E^2 with the diagonal
+    matrices of their polynomials in H; kept as the oracle of
+    `check_module_relations`."""
+    comm_e = m.h @ m.e_sq - m.e_sq @ m.h
+    if comm_e != m.e_sq.scaled(4):
+        return False
+    comm_f = m.h @ m.f_sq - m.f_sq @ m.h
+    if comm_f != m.f_sq.scaled(-4):
+        return False
+    h = [m.h.at(i, i) for i in range(m.dim)]
+    c = F(m.n * (m.n + 2), 2)
+    if m.h != RationalMatrix.diagonal(h):
+        return False
+    if m.casimir != RationalMatrix.identity(m.dim).scaled(c):
+        return False
+
+    def half_ef(shift, sign):
+        """(c - X^2/2 + sign X)/2 at X = H + shift, on the diagonal."""
+        return [(c - (x + shift) ** 2 / 2 + sign * (x + shift)) / 2 for x in h]
+
+    ef = [u * v for u, v in zip(half_ef(-2, 1), half_ef(0, 1))]
+    fe = [u * v for u, v in zip(half_ef(2, -1), half_ef(0, -1))]
+    return (
+        m.e_sq @ m.f_sq == RationalMatrix.diagonal(ef)
+        and m.f_sq @ m.e_sq == RationalMatrix.diagonal(fe)
+    )
+
+
+def _with_entry(matrix, i, j, value):
+    entries = list(matrix.entries)
+    entries[i * matrix.cols + j] = F(value)
+    return RationalMatrix(matrix.rows, matrix.cols, tuple(entries))
+
+
+def _conjugated(m, weights):
+    """The module in the basis v_i / weights[i]: E^2 and F^2 conjugated by
+    a diagonal matrix, which keeps every relation."""
+    def conj(x):
+        return RationalMatrix.from_rows(
+            [[x.at(i, j) * weights[j] / weights[i] for j in range(m.dim)]
+             for i in range(m.dim)])
+    return replace(m, e_sq=conj(m.e_sq), f_sq=conj(m.f_sq))
+
+
+def _perturbed_modules(m):
+    """(label, module) for each way of breaking (or, for "conjugated",
+    keeping) the relations of m."""
+    dim, last = m.dim, m.dim - 1
+    h = [m.h.at(i, i) for i in range(dim)]
+    yield "e_sq on the diagonal", replace(m, e_sq=_with_entry(m.e_sq, last, last, 1))
+    yield "f_sq on the diagonal", replace(m, f_sq=_with_entry(m.f_sq, 0, 0, F(-1, 3)))
+    yield "h rescaled", replace(m, h=m.h.scaled(2))
+    yield "h shifted by 1", replace(m, h=m.h.plus_scalar(1))
+    yield "h shifted by 1/2", replace(m, h=m.h.plus_scalar(F(1, 2)))
+    yield "h_0 + 1/2", replace(m, h=_with_entry(m.h, 0, 0, h[0] + F(1, 2)))
+    yield "casimir + 1", replace(m, casimir=m.casimir.plus_scalar(1))
+    yield "casimir off the diagonal", replace(m, casimir=_with_entry(m.casimir, last, 0, 1))
+    yield "e_sq doubled", replace(m, e_sq=m.e_sq.scaled(2))
+    yield "f_sq times -1/3", replace(m, f_sq=m.f_sq.scaled(F(-1, 3)))
+    yield "conjugated", _conjugated(m, [F(i + 2, 3) for i in range(dim)])
+    if dim > 1:
+        yield "e_sq below the diagonal", replace(m, e_sq=_with_entry(m.e_sq, 1, 0, 2))
+        yield "f_sq above the diagonal", replace(m, f_sq=_with_entry(m.f_sq, 0, 1, 2))
+        yield "h off the diagonal", replace(m, h=_with_entry(m.h, 0, last, F(1, 5)))
+        yield "h weight repeated", replace(m, h=_with_entry(m.h, 1, 1, h[0]))
+        yield "e_sq band entry doubled", replace(
+            m, e_sq=_with_entry(m.e_sq, 0, 1, 2 * m.e_sq.at(0, 1)))
+    if dim > 2:
+        yield "e_sq two above", replace(m, e_sq=_with_entry(m.e_sq, 0, 2, 1))
+        yield "f_sq two below", replace(m, f_sq=_with_entry(m.f_sq, 2, 0, 1))
+
+
+@pytest.mark.parametrize("kind", (0, 1))
+def test_module_relations_match_the_dense_oracle(kind):
+    for n in range(kind, 26):
+        m = build_even_module(kind, n)
+        assert check_module_relations(m) is _dense_check_module_relations(m) is True, n
+        for label, perturbed in _perturbed_modules(m):
+            verdict = _dense_check_module_relations(perturbed)
+            assert check_module_relations(perturbed) is verdict, (n, label)
+            # A zero E^2 or F^2 of dimension 1 may keep a perturbed module.
+            if m.dim > 1:
+                assert verdict is (label == "conjugated"), (n, label)
+
+
+@pytest.mark.parametrize("field, matrix", [
+    ("h", RationalMatrix.diagonal([1, 2, 3])),
+    ("h", RationalMatrix.from_rows([[3, 0, 0], [0, -1, 0]])),
+    ("e_sq", RationalMatrix.from_rows([[0, 2, 0], [0, 0, 0]])),
+    ("e_sq", RationalMatrix.identity(1)),
+    ("f_sq", RationalMatrix.from_rows([[0], [6]])),
+    ("f_sq", RationalMatrix.diagonal([0, 0, 0])),
+])
+def test_module_relations_refuse_matrices_that_are_not_dim_by_dim(field, matrix):
+    m = replace(build_even_module(0, 3), **{field: matrix})
+    with pytest.raises(ValueError):
+        _dense_check_module_relations(m)
+    with pytest.raises(ValueError):
+        check_module_relations(m)
+
+
+@pytest.mark.parametrize("dim", (2, 4))
+def test_module_relations_refuse_matrices_of_one_size_other_than_dim(dim):
+    # The dense products agree in shape here, so the dense route answered
+    # False (dim below the size) or an IndexError on reading H's diagonal
+    # (dim above it); the check refuses the shape itself.
+    m = replace(build_even_module(0, 5), dim=dim)
+    with pytest.raises(ValueError, match="3x3"):
+        check_module_relations(m)
+
+
+def test_generator_combination_refuses_a_float_scale_or_shift():
+    m = build_even_module(1, 5)
+    with pytest.raises(TypeError, match="float"):
+        _generator_combination(m, 1, 0.25)
+    with pytest.raises(TypeError, match="float"):
+        _generator_combination(m, 1.0, F(1, 4))
+
+
 def test_example_pair_kind0_n3_frozen():
     first, second = example_pair(0, 3)
     assert first == RationalMatrix.from_rows([[F(1, 2), F(1, 2)], [F(3, 2), F(3, 2)]])
