@@ -31,20 +31,25 @@ theta*_i = i the diagonal test always holds and the entries (i + lambda)^2
 are distinct unless 2 lambda is an integer in [-(2d - 1), -1].  The five
 cases are written once, in the dense closed form
 (`lstar_shift_square_closed_form`), formed on integer pairs with one
-`Fraction` per nonzero entry.  The dense product
-(`lstar_shift_square`), which shares no code with the closed form, and the
-path test on it run only as the `exhaustive` oracle, which still decides
-every shift.  The dual almost-bipartite test reads b*, c* and a* directly,
-in O(d).  `search_square_preserving` walks the grid once into runs of equal
-(d, r, s), checks each run's domain as `build_params` does (`check_domain`),
-and decides each run's shifts in this process, yielding records run by run.
+`Fraction` per nonzero entry.  The dense product, which shares no code with
+the closed form, and the path test on it run only as the `exhaustive`
+oracle, which still decides every shift.  The oracle squares the integer
+matrix of E (L* + shift), E a common denominator of a*, b*, c* and the
+shift, on integers (`_ArrayFacts._scaled_square`): E^2 (L* + shift)^2 has
+the zero pattern of (L* + shift)^2, which is all the path test reads
+(`lstar_shift_square` forms the same square over Fractions).  The dual
+almost-bipartite test reads b*, c* and a* directly, in O(d).
+`search_square_preserving` walks the grid once into runs of equal (d, r, s),
+checks each run's domain as `build_params` does (`check_domain`), and
+decides each run's shifts in this process, yielding records run by run.
 A run reads its array facts once, straight from the integer pairs of the
 closed forms (`params._dual_hahn_pairs`, `_ArrayFacts.from_pairs`): the
 one-pass invariant test that `parameter_array` runs on every array (theta
 simple, b, c, b* and c* nonzero), then a* as `parameter_array` completes it
 (`params._diagonal_pairs`), whose pairs give the root of each m_i
-(`_middle_roots`), as a built array's do.  A run builds no Fraction array
-unless the `exhaustive` oracle needs one, and then once per run.  The four
+(`_middle_roots`), as a built array's do.  No run builds a Fraction array,
+not even for the `exhaustive` oracle, which reads a*, b* and c* from the
+same pairs, put over one denominator once per run.  The four
 candidate orderings are built once per d (`_candidates`) and shared by every
 run, and the `search` command formats each distinct r, s and shift once per
 command (`format_rational`).
@@ -56,9 +61,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from typing import Iterator, Optional
 
@@ -69,7 +74,7 @@ from .params import (
     _check_invariants,
     _diagonal_pairs,
     _dual_hahn_pairs,
-    build_params,
+    build_params,  # noqa: F401 -- perfbench/spans.py traces `leonard.build_params`
     check_domain,
 )
 from .representations import matrix_Lstar_ustar_basis
@@ -107,7 +112,13 @@ class LeonardPairReport:
 
 def canonical_shift(p: ParameterArray) -> Fraction:
     """(r - d)/2, the shift used throughout the square construction."""
-    return (p.r - p.d) / 2
+    return _canonical_shift(p.d, p.r)
+
+
+def _canonical_shift(d: int, r: Fraction) -> Fraction:
+    """(r - d)/2 formed as the one Fraction (R - d D) / (2 D), r = R / D."""
+    R, D = r.as_integer_ratio()
+    return Fraction(R - d * D, 2 * D)
 
 
 def lstar_shift_square(p: ParameterArray, shift: Fraction | int) -> RationalMatrix:
@@ -236,19 +247,26 @@ class _ArrayFacts:
     m_1..m_{d-1} all vanish (`mirror_shift`).  On top of them a shift costs
     O(1) when theta* is the index and O(d) otherwise (`verify`).
     `_ArrayFacts(p)` reads them from an array; `from_pairs` reads a dual
-    Hahn array's from its integer pairs and builds the array only if the
-    `exhaustive` oracle needs it."""
+    Hahn array's from its integer pairs, and no Fraction array is built.
+    The `exhaustive` oracle reads a*, b* and c* as integer pairs, from p
+    with `as_integer_ratio` or as `from_pairs` got them, puts them over one
+    denominator E on its first shift (`_starred`), and decides the shift
+    L / M on the integer square (EM)^2 (L* + L/M)^2 (`_scaled_square`)."""
 
     def __init__(self, p: ParameterArray):
         d = p.d
-        self.d, self.r, self.s, self._array = d, p.r, p.s, p
+        self.d, self.r, self.s = d, p.r, p.s
         self.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
         self.u_irreducible = all(p.b[:d]) and all(p.c[1:])
         self.theta_star, self.theta_star_den = _over_common_denominator(p.theta_star)
         self.theta_star_is_index = (
             self.theta_star_den == 1 and self.theta_star == list(range(d + 1)))
         self.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
-        self._read_ordering_facts(_middle_roots([v.as_integer_ratio() for v in p.a_star]))
+        a_star = [v.as_integer_ratio() for v in p.a_star]
+        self._read_ordering_facts(_middle_roots(a_star))
+        self._starred_pairs = lambda: (
+            a_star, [v.as_integer_ratio() for v in p.b_star],
+            [v.as_integer_ratio() for v in p.c_star])
 
     @classmethod
     def from_pairs(cls, d: int, r: Fraction, s: Fraction, pairs) -> "_ArrayFacts":
@@ -258,16 +276,19 @@ class _ArrayFacts:
         which raises as it does, then the root of each middle factor
         (`_middle_roots`) from a* as `parameter_array` completes it
         (`params._diagonal_pairs`; theta*_0 = 0).  A valid array has theta
-        simple and every interior b, c, b*, c* nonzero, and theta*_i = i."""
+        simple and every interior b, c, b*, c* nonzero, and theta*_i = i.
+        The pairs of a*, b* and c* are kept for the `exhaustive` oracle."""
         theta, b, c, b_star, c_star = pairs
         _check_invariants(d, theta, b, c, b_star, c_star)
         facts = cls.__new__(cls)
-        facts.d, facts.r, facts.s, facts._array = d, r, s, None
+        facts.d, facts.r, facts.s = d, r, s
         facts.theta_simple = facts.u_irreducible = True
         facts.theta_star, facts.theta_star_den = range(d + 1), 1
         facts.theta_star_is_index = True
         facts.cut = False
-        facts._read_ordering_facts(_middle_roots(_diagonal_pairs((0, 1), b_star, c_star)))
+        a_star = _diagonal_pairs((0, 1), b_star, c_star)
+        facts._read_ordering_facts(_middle_roots(a_star))
+        facts._starred_pairs = lambda: (a_star, b_star, c_star)
         return facts
 
     def _read_ordering_facts(self, roots):
@@ -277,11 +298,45 @@ class _ArrayFacts:
         candidates = _candidates(self.d)
         self.sigma, self.mirror = candidates[0], candidates[2]
 
-    def array(self) -> ParameterArray:
-        """The parameter array, built on first use by `from_pairs` facts."""
-        if self._array is None:
-            self._array = build_params(self.d, self.r, self.s)
-        return self._array
+    @cached_property
+    def _starred(self) -> tuple[int, list[int], list[int], list[int]]:
+        """(E, A, B, C) with a*_i = A_i / E, b*_i = B_i / E (i < d) and
+        c*_{i+1} = C_i / E, E the lcm of their denominators: the entries of
+        [L*]_{u*-basis} over one denominator, read from the integer pairs
+        on the `exhaustive` oracle's first shift, once per array."""
+        a, b, c = self._starred_pairs()
+        d = self.d
+        b, c = b[:d], c[1:]
+        E = 1
+        for _, q in chain(a, b, c):
+            E = lcm(E, q)
+        return E, *([n * (E // q) for n, q in pairs] for pairs in (a, b, c))
+
+    def _scaled_square(self, L: int, M: int) -> tuple[int, RationalMatrix]:
+        """(EM, (EM)^2 (L* + shift)^2) in the u*-basis, shift = L / M
+        (M > 0) and E the denominator of `_starred`, by dense multiplication
+        on integers: the matrix of EM (L* + shift) has the integer entries
+        EM (a*_i + shift) = A_i M + L E, EM b*_i = B_i M and
+        EM c*_{i+1} = C_i M, each zero the shared `_ZERO`, and
+        `RationalMatrix.__matmul__` squares it.  (EM)^2 != 0, so the square
+        has the zero pattern of (L* + shift)^2, which is all the path test
+        reads.  This shares no code with the closed form or the
+        middle-factor roots."""
+        E, A, B, C = self._starred
+        n = self.d + 1
+        LE = L * E
+        flat = [_ZERO] * (n * n)
+        for i, x in enumerate(A):
+            x = x * M + LE
+            if x:
+                flat[i * n + i] = x
+        for i, (x, y) in enumerate(zip(B, C)):
+            if x:
+                flat[(i + 1) * n + i] = x * M
+            if y:
+                flat[i * n + i + 1] = y * M
+        m = RationalMatrix._exact(n, n, tuple(flat))
+        return E * M, m @ m
 
     def witness(self, L: int, M: int) -> Optional[BasisOrdering]:
         """The first candidate ordering under which the square
@@ -361,7 +416,7 @@ class _ArrayFacts:
         ]
 
         if exhaustive:
-            all_witnesses = scan_tridiagonal_orderings(lstar_shift_square(self.array(), lam))
+            all_witnesses = scan_tridiagonal_orderings(self._scaled_square(L, M)[1])
             agree = witness.perm in all_witnesses if found else not all_witnesses
             # key name kept as is: readers of the CLI JSON match on it
             trace.append(("exhaustive permutation oracle agrees with candidates", agree))
@@ -394,10 +449,11 @@ def verify_leonard_pair_square(
     theta*_i = T_i / E, (theta*_i + shift)^2 is x_i^2 / (E M)^2 with
     x_i = T_i M + L E, so the diagonal condition is x_i^2 == ((i M + L) E)^2
     and distinctness is that of the x_i^2.  With
-    `exhaustive` the pattern of the dense product is also decided by path
-    recognition, which finds every witness ordering at any d and shares no
-    code with the closed form, as an independent oracle; any disagreement
-    raises InternalInconsistencyError.  The facts that depend on the array
+    `exhaustive` the pattern of the dense product, formed on integers
+    scaled by a common denominator (`_ArrayFacts._scaled_square`), is also
+    decided by path recognition, which finds every witness ordering at any
+    d and shares no code with the closed form, as an independent oracle;
+    any disagreement raises InternalInconsistencyError.  The facts that depend on the array
     alone are read in O(d) by `_ArrayFacts`, which a search run builds once
     for all its shifts.
     """
@@ -505,7 +561,7 @@ def _grid_runs(grid: SearchGrid) -> list[tuple[int, Fraction, Fraction, list[Fra
     for (d, nd), (r, nr) in product(sorted(Counter(grid.d_values).items()),
                                     ordered("r", grid.r_values)):
         for s, ns in s_values if s_values is not None else ((-r, 1),):
-            shifts = shift_values if shift_values is not None else (((r - d) / 2, 1),)
+            shifts = shift_values if shift_values is not None else ((_canonical_shift(d, r), 1),)
             run = [lam for lam, nl in shifts for _ in range(nd * nr * ns * nl)]
             if run:
                 runs.append((d, r, s, run))
@@ -518,9 +574,10 @@ def _evaluate_run(
     """The records of one run: every shift of a (d, r, s), decided on facts
     read once from the array's integer pairs (`_dual_hahn_pairs`,
     `_ArrayFacts.from_pairs`), which are checked for every invariant of
-    `parameter_array`.  The Fraction array is built only for the
-    `exhaustive` oracle, once per run; r and s are read once for the
-    theorem flags."""
+    `parameter_array`.  No Fraction array is built: the `exhaustive`
+    oracle squares an integer matrix read from the same pairs, scaled by
+    one common denominator per shift (`_ArrayFacts._scaled_square`); r and
+    s are read once for the theorem flags."""
     facts = _ArrayFacts.from_pairs(d, r, s, _dual_hahn_pairs(d, r, s))
     flags = _theorem_conditions(d, r, s)
     return [
@@ -538,8 +595,8 @@ def search_square_preserving(grid: SearchGrid) -> Iterator[SearchRecord]:
     (d, r, s, shift) order as they are decided.
 
     The grid is walked once into runs of equal (d, r, s) (`_grid_runs`);
-    each run builds its parameter array once and decides all its shifts on
-    it, and its records are yielded before the next run starts.  Every
+    each run reads its array facts once and decides all its shifts on
+    them, and its records are yielded before the next run starts.  Every
     run's domain is checked (`check_domain`) before the first record is
     yielded, so the first run out of the domain raises.  Only the
     (L, (L*+shift)^2) branch of square preservation is examined; the

@@ -39,10 +39,12 @@ _ZERO = Fraction(0)
 
 def _entry(value: Fraction | int | str) -> Fraction:
     """value as a matrix entry: a Fraction (`exact_rational`), a zero the
-    shared `_ZERO`, which an int zero, such as the zero band of an sl2
-    generator, becomes without forming a Fraction."""
-    if type(value) is int and not value:
-        return _ZERO
+    shared `_ZERO`.  An int, told by its type alone, is formed directly: a
+    zero, such as the zero band of an sl2 generator, is `_ZERO` and any
+    other int its own Fraction; a bool, a str or a float (refused) goes
+    through `exact_rational`."""
+    if type(value) is int:
+        return Fraction(value) if value else _ZERO
     return exact_rational("matrix entry", value) or _ZERO
 
 

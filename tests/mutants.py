@@ -54,6 +54,15 @@ MUTANTS = (
         "every middle-factor root, and so every search ordering, comes from this one sign",
     ),
     Mutant(
+        "leonard.py",
+        "x = x * M + LE",
+        "x = x * M",
+        ("tests/test_leonard.py::test_the_oracle_squares_the_dense_matrix_over_one_denominator",
+         "tests/test_cli.py::test_verify_lp_exhaustive"),
+        "the exhaustive oracle squares L* + shift; without the shift it sees other middle "
+        "factors vanish and raises on a true verdict",
+    ),
+    Mutant(
         "params.py",
         "if r.numerator <= -r.denominator:",
         "if r.numerator < -r.denominator:",

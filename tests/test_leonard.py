@@ -40,7 +40,13 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from leonard_lab.scan import scan_tridiagonal_orderings
-from test_params import GRID_RS, complete_fractions, fractions_in, multi_pass_check_invariants
+from test_params import (
+    GRID_RS,
+    complete_fractions,
+    fractions_in,
+    multi_pass_check_invariants,
+    nonzero,
+)
 
 
 def is_irreducible_tridiagonal(m):
@@ -1049,9 +1055,9 @@ def test_a_run_decides_each_shift_like_the_per_point_body(d, kind, data):
 
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
-    # Six shifts of one (d, r, s): one set of integer pairs, a Fraction array
-    # only for the exhaustive oracle and then once, and nothing put over a
-    # common denominator.
+    # Six shifts of one (d, r, s): one set of integer pairs, no Fraction
+    # array, not even for the exhaustive oracle, and no Fraction list put
+    # over a common denominator.
     calls = Counter()
 
     def counting(name, function):
@@ -1070,7 +1076,7 @@ def test_a_run_reads_its_array_facts_once(monkeypatch, exhaustive):
     records = list(search_square_preserving(grid))
     assert [rec.shift for rec in records] == sorted(shifts)
     assert sum(rec.report.verdict for rec in records) == 1
-    assert calls == Counter(pairs=1, build=int(exhaustive), denominator=0)
+    assert calls == Counter(pairs=1, build=0, denominator=0)
 
 
 class _IndexedOnly:
@@ -1192,6 +1198,45 @@ def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
     flags = leonard._theorem_conditions(d, r, s)
     assert [flags(lam) for lam in shifts] == [
         _fraction_theorem_conditions(p, lam) for lam in shifts]
+
+
+@st.composite
+def _one_starred_entry_moved(draw, p):
+    """p with one entry of a*, b* or c* moved by a nonzero rational, or set
+    to zero."""
+    field = draw(st.sampled_from(["a_star", "b_star", "c_star"]))
+    values = list(getattr(p, field))
+    i = draw(st.integers(0, p.d))
+    values[i] = draw(st.one_of(st.just(F(0)), nonzero.map(lambda delta: values[i] + delta)))
+    return replace(p, **{field: tuple(values)})
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=st.integers(0, 8), r=_OPEN_RATIONALS, opposite=st.booleans(),
+       moved=st.booleans(), data=st.data())
+def test_the_oracle_squares_the_dense_matrix_over_one_denominator(d, r, opposite, moved, data):
+    # The exhaustive oracle's integer product is E^2 times the public dense
+    # square, entry by entry: on a run's integer pairs, and on an array with
+    # one starred entry moved, read through `_ArrayFacts(p)`.
+    s = -r if opposite and r < 1 else data.draw(_OPEN_RATIONALS)
+    p = build_params(d, r, s)
+    if moved:
+        p = data.draw(_one_starred_entry_moved(p))
+        facts = leonard._ArrayFacts(p)
+    else:
+        facts = leonard._ArrayFacts.from_pairs(d, r, s, leonard._dual_hahn_pairs(d, r, s))
+    lam = data.draw(st.one_of(st.sampled_from(_critical_shifts(p)), _generic_shifts(d)))
+    E, square = facts._scaled_square(*lam.as_integer_ratio())
+    assert E > 0 and (square.rows, square.cols) == (d + 1, d + 1)
+    assert all(x.denominator == 1 and (x is _ZERO) == (x == 0) for x in square.entries)
+    assert square.entries == tuple(E * E * x for x in lstar_shift_square(p, lam).entries)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(0, 40), r=fractions_in(-3, 3, 60))
+def test_canonical_shift_is_one_fraction_of_r_and_d(d, r):
+    assert leonard._canonical_shift(d, r) == (r - d) / 2
+    assert type(leonard._canonical_shift(d, r)) is F
 
 
 def _one_sweep_middle_roots(b_star, c_star):

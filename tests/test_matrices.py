@@ -22,6 +22,12 @@ def test_constructors_keep_a_fraction_entry():
     assert RationalMatrix.tridiagonal([half, 1], [half], [half]).entries[1] is half
     assert RationalMatrix.from_rows([["1/3", 2]]).entries == (F(1, 3), F(2))
     assert all(type(e) is F for e in RationalMatrix.tridiagonal([1, 2], [3], [4]).entries)
+    # An int is formed directly and a bool read by `exact_rational`: each is
+    # its own Fraction, and a zero of either is the shared zero.
+    m = RationalMatrix.from_rows([[-7, 0, True, False]])
+    assert m.entries == (F(-7), 0, F(1), 0)
+    assert [type(e) for e in m.entries] == [F] * 4
+    assert m.entries[1] is m.entries[3] is _ZERO
 
 
 def test_constructors_and_access():
@@ -45,7 +51,7 @@ def test_constructors_and_access():
 def test_the_raw_constructor_refuses_a_float_entry():
     """A float entry would make every operation compute in floats: the
     characteristic polynomial of [[0.5]] would be (1, -0.5)."""
-    for entries in ((0.5,), [0.5], (F(1), 0, _ZERO, -0.5)):
+    for entries in ((0.5,), [0.5], (F(1), 0, _ZERO, -0.5), (3, True, 0.5)):
         with pytest.raises(TypeError, match=r"matrix entry must be an int, Fraction or str, "
                                             r"got the float -?0\.5\Z"):
             RationalMatrix(1, len(entries), entries).charpoly()
