@@ -54,7 +54,7 @@ candidate orderings are built once per d (`_candidates`) and shared by every
 run, and the `search` command formats each distinct r, s and shift once per
 command (`format_rational`).
 `verify_leonard_pair_square` decides one shift on the same facts, read from
-a built array (`_ArrayFacts(p)`).
+a built array by `_ArrayFacts.of_array`, the one reader of the general facts.
 """
 
 from __future__ import annotations
@@ -245,58 +245,52 @@ class _ArrayFacts:
     m_i = 2 shift + a*_i + a*_{i+1}, the one shift, if any, at which
     m_0..m_{d-2} all vanish (`sigma_shift`), and the one at which
     m_1..m_{d-1} all vanish (`mirror_shift`).  On top of them a shift costs
-    O(1) when theta* is the index and O(d) otherwise (`verify`).
-    `_ArrayFacts(p)` reads them from an array; `from_pairs` reads a dual
-    Hahn array's from its integer pairs, and no Fraction array is built.
-    The `exhaustive` oracle reads a*, b* and c* as integer pairs, from p
-    with `as_integer_ratio` or as `from_pairs` got them, puts them over one
-    denominator E on its first shift (`_starred`), and decides the shift
-    L / M on the integer square (EM)^2 (L* + L/M)^2 (`_scaled_square`)."""
+    O(1) when theta* is the index and O(d) otherwise (`verify`).  The one
+    constructor, on a*, b* and c* as integer pairs, sets the ordering facts
+    and keeps the pairs.  The general facts default to what every array that
+    passes `params._check_invariants` shares (`from_pairs`); only `of_array`
+    reads them, from a built array.  The `exhaustive` oracle puts the pairs
+    over one denominator E on its first shift (`_starred`), and decides the
+    shift L / M on the integer square (EM)^2 (L* + L/M)^2 (`_scaled_square`)."""
 
-    def __init__(self, p: ParameterArray):
-        d = p.d
-        self.d, self.r, self.s = d, p.r, p.s
-        self.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
-        self.u_irreducible = all(p.b[:d]) and all(p.c[1:])
-        self.theta_star, self.theta_star_den = _over_common_denominator(p.theta_star)
-        self.theta_star_is_index = (
-            self.theta_star_den == 1 and self.theta_star == list(range(d + 1)))
-        self.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
-        a_star = [v.as_integer_ratio() for v in p.a_star]
-        self._read_ordering_facts(_middle_roots(a_star))
-        self._starred_pairs = lambda: (
-            a_star, [v.as_integer_ratio() for v in p.b_star],
-            [v.as_integer_ratio() for v in p.c_star])
+    theta_simple = u_irreducible = theta_star_is_index = True
+    cut = False
+    # read only when theta* is not the index
+    theta_star = theta_star_den = None
+
+    def __init__(self, d: int, r: Fraction, s: Fraction, a_star, b_star, c_star):
+        self.d, self.r, self.s = d, r, s
+        self.roots = roots = _middle_roots(a_star)
+        self.sigma_shift = _common_root(roots[:-1])
+        self.mirror_shift = _common_root(roots[1:])
+        candidates = _candidates(d)
+        self.sigma, self.mirror = candidates[0], candidates[2]
+        self._starred_pairs = a_star, b_star, c_star
 
     @classmethod
     def from_pairs(cls, d: int, r: Fraction, s: Fraction, pairs) -> "_ArrayFacts":
         """The facts of the dual Hahn array of (d, r, s) from its integer
         pairs (theta, b, c, b*, c*) (`_dual_hahn_pairs`): the one-pass
         invariant test of `parameter_array` (`params._check_invariants`),
-        which raises as it does, then the root of each middle factor
-        (`_middle_roots`) from a* as `parameter_array` completes it
-        (`params._diagonal_pairs`; theta*_0 = 0).  A valid array has theta
-        simple and every interior b, c, b*, c* nonzero, and theta*_i = i.
-        The pairs of a*, b* and c* are kept for the `exhaustive` oracle."""
+        which raises as it does, then a* as `parameter_array` completes it
+        (`params._diagonal_pairs`; theta*_0 = 0)."""
         theta, b, c, b_star, c_star = pairs
         _check_invariants(d, theta, b, c, b_star, c_star)
-        facts = cls.__new__(cls)
-        facts.d, facts.r, facts.s = d, r, s
-        facts.theta_simple = facts.u_irreducible = True
-        facts.theta_star, facts.theta_star_den = range(d + 1), 1
-        facts.theta_star_is_index = True
-        facts.cut = False
-        a_star = _diagonal_pairs((0, 1), b_star, c_star)
-        facts._read_ordering_facts(_middle_roots(a_star))
-        facts._starred_pairs = lambda: (a_star, b_star, c_star)
-        return facts
+        return cls(d, r, s, _diagonal_pairs((0, 1), b_star, c_star), b_star, c_star)
 
-    def _read_ordering_facts(self, roots):
-        self.roots = roots
-        self.sigma_shift = _common_root(roots[:-1])
-        self.mirror_shift = _common_root(roots[1:])
-        candidates = _candidates(self.d)
-        self.sigma, self.mirror = candidates[0], candidates[2]
+    @classmethod
+    def of_array(cls, p: ParameterArray) -> "_ArrayFacts":
+        """The facts of a built array, each general fact read from p."""
+        d = p.d
+        facts = cls(d, p.r, p.s, *([v.as_integer_ratio() for v in values]
+                                   for values in (p.a_star, p.b_star, p.c_star)))
+        facts.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1
+        facts.u_irreducible = all(p.b[:d]) and all(p.c[1:])
+        facts.theta_star, facts.theta_star_den = _over_common_denominator(p.theta_star)
+        facts.theta_star_is_index = (
+            facts.theta_star_den == 1 and facts.theta_star == list(range(d + 1)))
+        facts.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))
+        return facts
 
     @cached_property
     def _starred(self) -> tuple[int, list[int], list[int], list[int]]:
@@ -304,7 +298,7 @@ class _ArrayFacts:
         c*_{i+1} = C_i / E, E the lcm of their denominators: the entries of
         [L*]_{u*-basis} over one denominator, read from the integer pairs
         on the `exhaustive` oracle's first shift, once per array."""
-        a, b, c = self._starred_pairs()
+        a, b, c = self._starred_pairs
         d = self.d
         b, c = b[:d], c[1:]
         E = 1
@@ -457,7 +451,7 @@ def verify_leonard_pair_square(
     alone are read in O(d) by `_ArrayFacts`, which a search run builds once
     for all its shifts.
     """
-    return _ArrayFacts(p).verify(exact_rational("shift", shift), exhaustive)
+    return _ArrayFacts.of_array(p).verify(exact_rational("shift", shift), exhaustive)
 
 
 def theorem_conditions(

@@ -1,22 +1,23 @@
 """Dense exact matrices over arbitrary-precision rationals.
 
 Sizes here are tiny (at most a few dozen rows), so a matrix is a plain
-row-major tuple of Fractions.  Every operation works on the nonzero entries
-only, by one rule: a zero is the one shared `_ZERO`.  The constructors and
-every operation emit it for each zero they compute, a zero from cancellation
-included, and form a new Fraction only where an operand entry is not it.  A
-sum, difference or scaling passes over an entry that is `_ZERO` in every
-operand and takes the other operand's entry where one of two is `_ZERO`; a
-product puts each operand over one integer denominator, keeps the nonzero
-entries of each row, and sums on Python ints (`RationalMatrix.__matmul__`).
-Only speed depends on the sharing: any other zero, such as a caller's
-Fraction(0) or int 0, takes the ordinary arithmetic path.  No float is
-accepted as an entry or a scalar (`hyper.exact_rational`).  The raw
-constructor keeps the entries as given when each is an int or a Fraction,
-and otherwise reads every entry with `_entry`, so that a float is refused;
-the constructors and operations of this module, and the tables of the
-package, form only exact entries and build through `RationalMatrix._exact`,
-which skips that scan.
+row-major tuple of Fractions.  `RationalMatrix` is built from rows, a
+diagonal or three bands, read by entry, row or column, and offers the
+product, a scalar shift of the diagonal, a simultaneous reordering of rows
+and columns, the trace and the characteristic polynomial.  Every operation
+works on the nonzero entries only, by one rule: a zero is the one shared
+`_ZERO`.  The constructors and every operation emit it for each zero they
+compute, a zero from cancellation included, and form a new Fraction only
+where an operand entry is not it.  A product puts each operand over one
+integer denominator, keeps the nonzero entries of each row, and sums on
+Python ints (`RationalMatrix.__matmul__`).  Only speed depends on the
+sharing: any other zero, such as a caller's Fraction(0) or int 0, takes the
+ordinary arithmetic path.  No float is accepted as an entry or a scalar
+(`hyper.exact_rational`).  The raw constructor keeps the entries as given
+when each is an int or a Fraction, and otherwise reads every entry with
+`_entry`, so that a float is refused; the constructors and operations of
+this module, and the tables of the package, form only exact entries and
+build through `RationalMatrix._exact`, which skips that scan.
 
 An entry tuple is built from a list, never from a generator: CPython sizes
 `tuple(generator)` by a guess and resizes it, and once freed the resized
@@ -88,10 +89,6 @@ class RationalMatrix:
         return cls._exact(nrows, ncols, tuple([_entry(x) for row in rows for x in row]))
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.diagonal([Fraction(1)] * n)
-
-    @classmethod
     def diagonal(cls, values: Sequence[Fraction | int]) -> "RationalMatrix":
         n = len(values)
         flat = [_ZERO] * (n * n)
@@ -145,26 +142,6 @@ class RationalMatrix:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix._exact(
-            self.rows,
-            self.cols,
-            tuple([_ZERO if a is b is _ZERO
-                   else _entry(b if a is _ZERO else a if b is _ZERO else a + b)
-                   for a, b in zip(self.entries, other.entries)]),
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix._exact(
-            self.rows,
-            self.cols,
-            tuple([_ZERO if a is b is _ZERO
-                   else _entry(-b if a is _ZERO else a if b is _ZERO else a - b)
-                   for a, b in zip(self.entries, other.entries)]),
-        )
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """The exact product, formed on integers over the nonzero entries.
 
@@ -206,14 +183,6 @@ class RationalMatrix:
         ]
         den = math.lcm(*{q for row in ratios for _, (_, q) in row})
         return [[(j, n * (den // q)) for j, (n, q) in row if n] for row in ratios], den
-
-    def scaled(self, factor: Fraction | int) -> "RationalMatrix":
-        f = exact_rational("factor", factor)
-        return RationalMatrix._exact(
-            self.rows,
-            self.cols,
-            tuple([_ZERO if e is _ZERO else _entry(f * e) for e in self.entries]),
-        )
 
     def plus_scalar(self, shift: Fraction | int) -> "RationalMatrix":
         """self + shift * I.  The entries off the diagonal are carried over
@@ -263,9 +232,6 @@ class RationalMatrix:
             coeffs.append(c)
         return tuple(coeffs)
 
-    def _same_shape(self, other: "RationalMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
 
 def poly_from_roots(roots: Iterable[Fraction | int]) -> tuple[Fraction | int, ...]:

@@ -146,17 +146,12 @@ def check_module_relations(m: EvenModule) -> bool:
     return (m.e_sq @ m.f_sq).entries == tuple(ef) and (m.f_sq @ m.e_sq).entries == tuple(fe)
 
 
-def _generator_combination(m: EvenModule, shift: int, scale: Fraction) -> RationalMatrix:
-    """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2."""
-    return _banded_combination(m.n, _bands(m.kind, m.n), shift, scale)
-
-
 def _banded_combination(
     n: int, bands: tuple[list[int], list[int], list[int]], shift: int, scale: Fraction
 ) -> RationalMatrix:
-    """`_generator_combination` on the bands of `_bands`: with scale = P/Q,
-    the tridiagonal matrix with (n(n+2) - 2 shift - h_i^2) P/(2Q) on the
-    diagonal, raising P/Q above it and lowering P/Q below it."""
+    """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2 on `_bands`: with
+    scale = P/Q, the tridiagonal matrix with (n(n+2) - 2 shift - h_i^2)
+    P/(2Q) on the diagonal, raising P/Q above it and lowering P/Q below it."""
     shift, shift_den = exact_rational("shift", shift).as_integer_ratio()
     p, q = exact_rational("factor", scale).as_integer_ratio()
     h, raising, lowering = bands
@@ -174,10 +169,11 @@ def _banded_combination(
 def _example_pair(m: EvenModule) -> tuple[RationalMatrix, RationalMatrix]:
     """`example_pair` on a built module; the second matrix is the diagonal
     (n - 2 kind - h_i)/4."""
-    first = _generator_combination(m, 1, Fraction(1, 4))
+    bands = _bands(m.kind, m.n)
+    first = _banded_combination(m.n, bands, 1, Fraction(1, 4))
     dim = m.dim
     second = [_ZERO] * (dim * dim)
-    for i, x in enumerate(_bands(m.kind, m.n)[0]):
+    for i, x in enumerate(bands[0]):
         second[i * (dim + 1)] = _ratio(m.n - 2 * m.kind - x, 4)
     return first, RationalMatrix._exact(dim, dim, tuple(second))
 

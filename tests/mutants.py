@@ -43,6 +43,7 @@ class Mutant:
 _CLOSED_FORM_ORACLE = ("tests/test_leonard.py::"
                        "test_integer_closed_form_equals_the_fraction_oracle_and_the_dense_square")
 _CLOSED_FORM_SWEEP = "tests/test_leonard.py::test_shift_square_matches_closed_form_and_column_sums"
+_GENERAL_FACTS = "tests/test_leonard.py::test_of_array_reads_each_general_fact_from_the_array"
 
 MUTANTS = (
     Mutant(
@@ -180,6 +181,42 @@ MUTANTS = (
         ("tests/test_sl2mod.py::test_module_relations",
          "tests/test_sl2mod.py::test_module_relations_match_the_dense_oracle"),
         "E^2 F^2 is the polynomial with +H in both factors; -H belongs to F^2 E^2",
+    ),
+    Mutant(
+        "leonard.py",
+        "        facts.theta_simple = len({v.as_integer_ratio() for v in p.theta}) == d + 1\n",
+        "",
+        (_GENERAL_FACTS,),
+        "a built array's theta may repeat; only the invariant test lets a run assume it simple",
+    ),
+    Mutant(
+        "leonard.py",
+        "        facts.u_irreducible = all(p.b[:d]) and all(p.c[1:])\n",
+        "",
+        (_GENERAL_FACTS,),
+        "a built array may have a zero b or c; only the invariant test lets a run assume none",
+    ),
+    Mutant(
+        "leonard.py",
+        "        facts.theta_star_is_index = (\n"
+        "            facts.theta_star_den == 1 and facts.theta_star == list(range(d + 1)))\n",
+        "",
+        (_GENERAL_FACTS, "tests/test_leonard.py::test_integer_verdict_on_barred_arrays"),
+        "a barred theta* is not the index, so the O(1) diagonal rule must not decide it",
+    ),
+    Mutant(
+        "leonard.py",
+        "        facts.cut = not (all(p.b_star[:d]) and all(p.c_star[1:]))\n",
+        "",
+        (_GENERAL_FACTS,),
+        "a zero b* or c* of a built array cuts every path; no candidate ordering may win",
+    ),
+    Mutant(
+        "leonard.py",
+        "1 <= -2 * L // M <= 2 * d - 1",
+        "1 <= -2 * L // M <= 2 * d - 2",
+        (_GENERAL_FACTS, "tests/test_leonard.py::test_a_dual_hahn_shift_runs_no_per_index_loop"),
+        "(d - 1 + shift)^2 == (d + shift)^2 at shift = -(2d - 1)/2, the last collision",
     ),
 )
 

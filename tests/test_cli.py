@@ -342,7 +342,7 @@ def _unmatched_example(kind, n):
 
 
 def _identity_table(p):
-    return ValueTable(RationalMatrix.identity(p.d + 1))
+    return ValueTable(RationalMatrix.diagonal([1] * (p.d + 1)))
 
 
 @pytest.mark.parametrize(

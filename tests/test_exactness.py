@@ -163,8 +163,7 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: RationalMatrix.from_rows([[1, 0.1]]),
     lambda: RationalMatrix.diagonal([0.1]),
     lambda: RationalMatrix.tridiagonal([1, 2], [0.5], [1]),
-    lambda: RationalMatrix.identity(2).scaled(0.5),
-    lambda: RationalMatrix.identity(2).plus_scalar(0.1),
+    lambda: RationalMatrix.diagonal([1, 1]).plus_scalar(0.1),
     lambda: hypergeom_terminating([-1, 0.1], [1], terms=1),
     lambda: hypergeom_terminating([-1], [0.5], terms=1),
     lambda: hypergeom_table([[-1, 0.1]], [[1]], [1], terms=1),
@@ -184,7 +183,7 @@ def test_racah_artifacts_are_exact(d, r):
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
         "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",
-        "RationalMatrix", "from_rows", "diagonal", "tridiagonal", "scaled", "plus_scalar",
+        "RationalMatrix", "from_rows", "diagonal", "tridiagonal", "plus_scalar",
         "hypergeom_terminating-numerator", "hypergeom_terminating-denominator",
         "hypergeom_table-row", "hypergeom_table-column", "hypergeom_table-denominator",
         "format_rational", "SearchGrid-r", "SearchGrid-s", "SearchGrid-shift",

@@ -1045,7 +1045,7 @@ def test_a_run_decides_each_shift_like_the_per_point_body(d, kind, data):
         assert [rec.theorem_flags for rec in records] == [
             _fraction_theorem_conditions(p, lam) for lam in shifts]
     else:
-        facts = leonard._ArrayFacts(p)
+        facts = leonard._ArrayFacts.of_array(p)
         reports = [facts.verify(lam, exhaustive) for lam in shifts]
     assert reports == [_per_point_verify(p, lam, exhaustive) for lam in shifts]
     assert [verify_leonard_pair_square(p, lam, exhaustive) for lam in shifts] == reports
@@ -1190,7 +1190,7 @@ def test_pair_facts_decide_like_the_fraction_array(d, r, opposite, data):
     ))
     exhaustive = d <= 6 and data.draw(st.booleans())
     facts = leonard._ArrayFacts.from_pairs(d, r, s, pairs)
-    oracle = leonard._ArrayFacts(p)
+    oracle = leonard._ArrayFacts.of_array(p)
     assert [facts.verify(lam, exhaustive) for lam in shifts] == [
         oracle.verify(lam, exhaustive) for lam in shifts]
     assert [facts.witness(*lam.as_integer_ratio()) for lam in shifts] == [
@@ -1217,12 +1217,12 @@ def _one_starred_entry_moved(draw, p):
 def test_the_oracle_squares_the_dense_matrix_over_one_denominator(d, r, opposite, moved, data):
     # The exhaustive oracle's integer product is E^2 times the public dense
     # square, entry by entry: on a run's integer pairs, and on an array with
-    # one starred entry moved, read through `_ArrayFacts(p)`.
+    # one starred entry moved, read through `_ArrayFacts.of_array`.
     s = -r if opposite and r < 1 else data.draw(_OPEN_RATIONALS)
     p = build_params(d, r, s)
     if moved:
         p = data.draw(_one_starred_entry_moved(p))
-        facts = leonard._ArrayFacts(p)
+        facts = leonard._ArrayFacts.of_array(p)
     else:
         facts = leonard._ArrayFacts.from_pairs(d, r, s, leonard._dual_hahn_pairs(d, r, s))
     lam = data.draw(st.one_of(st.sampled_from(_critical_shifts(p)), _generic_shifts(d)))
@@ -1230,6 +1230,61 @@ def test_the_oracle_squares_the_dense_matrix_over_one_denominator(d, r, opposite
     assert E > 0 and (square.rows, square.cols) == (d + 1, d + 1)
     assert all(x.denominator == 1 and (x is _ZERO) == (x == 0) for x in square.entries)
     assert square.entries == tuple(E * E * x for x in lstar_shift_square(p, lam).entries)
+
+
+# The facts a verdict reads.  `_starred` is left out: a run's unreduced
+# pairs put it over another denominator.
+_VERDICT_FACTS = ("d", "r", "s", "theta_simple", "u_irreducible", "theta_star_is_index",
+                  "cut", "roots", "sigma_shift", "mirror_shift", "sigma", "mirror")
+
+
+def _verdict_facts(facts):
+    return {name: getattr(facts, name) for name in _VERDICT_FACTS}
+
+
+@settings(deadline=None, max_examples=100)
+@given(d=st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 16)), r=_OPEN_RATIONALS,
+       opposite=st.booleans(), data=st.data())
+def test_a_built_array_and_its_pairs_give_the_same_facts(d, r, opposite, data):
+    # One constructor, two readers: a built dual Hahn array and its integer
+    # pairs give the same facts, and the same reports, verdict and witness
+    # included, with the exhaustive oracle at every drawn shift.
+    s = -r if opposite and r < 1 else data.draw(_OPEN_RATIONALS)
+    p = build_params(d, r, s)
+    built = leonard._ArrayFacts.of_array(p)
+    paired = leonard._ArrayFacts.from_pairs(d, r, s, leonard._dual_hahn_pairs(d, r, s))
+    assert _verdict_facts(built) == _verdict_facts(paired)
+    shifts = data.draw(st.lists(st.one_of(st.sampled_from(_critical_shifts(p)),
+                                          _generic_shifts(d)), min_size=1, max_size=4))
+    assert [built.verify(lam, True) for lam in shifts] == [
+        paired.verify(lam, True) for lam in shifts]
+
+
+# Arrays that each break one general fact of a valid dual Hahn array.
+_ONE_FACT_BROKEN = {
+    "barred": (lambda p: racah.build_racah_params(p.d, p.r), "theta_star_is_index"),
+    "zero b_1": (lambda p: replace(p, b=p.b[:1] + (F(0),) + p.b[2:]), "u_irreducible"),
+    "repeated theta": (lambda p: replace(p, theta=p.theta[:2] + p.theta[1:2] + p.theta[3:]),
+                       "theta_simple"),
+    "zero b*_0": (lambda p: replace(p, b_star=(F(0),) + p.b_star[1:]), "cut"),
+}
+
+
+@pytest.mark.parametrize("make, broken", _ONE_FACT_BROKEN.values(), ids=_ONE_FACT_BROKEN)
+def test_of_array_reads_each_general_fact_from_the_array(make, broken):
+    # The class defaults hold for every array that passes the invariant
+    # test; `of_array` reads each fact from p instead, and the verdicts
+    # follow the per-point body at every critical shift.
+    p = make(build_params(4, F(1, 3), F(-1, 3)))
+    facts = leonard._ArrayFacts.of_array(p)
+    expected = dict(theta_simple=True, u_irreducible=True, theta_star_is_index=True, cut=False)
+    expected[broken] = not expected[broken]
+    assert {name: getattr(facts, name) for name in expected} == expected
+    assert (facts.theta_star, facts.theta_star_den) == leonard._over_common_denominator(
+        p.theta_star)
+    shifts = _critical_shifts(p)
+    assert [facts.verify(lam, True) for lam in shifts] == [
+        _per_point_verify(p, lam, True) for lam in shifts]
 
 
 @settings(deadline=None, max_examples=200)

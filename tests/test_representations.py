@@ -694,7 +694,7 @@ def test_each_premise_of_the_row_zero_test_is_needed():
     # (k*_0, 0, ..., 0) == (nu / k_0, 0, ..., 0), but k*_1 != nu / k_1.
     zeros = (F(0),) * (p.d + 1)
     q = replace(p, a=p.theta, b=zeros, c=zeros, nu=p.k[0] * p.k_star[0])
-    identity = ValueTable(RationalMatrix.identity(p.d + 1))
+    identity = ValueTable(RationalMatrix.diagonal([1] * (p.d + 1)))
     assert row_zero_passes(q, identity) and p.k_star[1] != q.nu / p.k[1]
     assert not check_orthogonality(q, identity) and not orthogonality_oracle(q, identity)
     # k_i != 0 needs no test: a zero k_0 raises on both paths, and a zero

@@ -11,7 +11,8 @@ from leonard_lab.matrices import _ZERO, RationalMatrix
 from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.representations import matrix_L_u_basis, matrix_Lstar_u_basis
 from leonard_lab.sl2mod import (
-    _generator_combination,
+    _banded_combination,
+    _bands,
     build_even_module,
     check_module_relations,
     example_pair,
@@ -27,7 +28,7 @@ def test_build_kind0_n3():
     assert m.e_sq == RationalMatrix.from_rows([[0, 2], [0, 0]])
     assert m.f_sq == RationalMatrix.from_rows([[0, 0], [6, 0]])
     assert m.h == RationalMatrix.diagonal([3, -1])
-    assert m.casimir == RationalMatrix.identity(2).scaled(F(15, 2))
+    assert m.casimir == RationalMatrix.diagonal([F(15, 2)] * 2)
 
 
 def test_build_kind1_n3():
@@ -36,7 +37,7 @@ def test_build_kind1_n3():
     assert m.h == RationalMatrix.diagonal([1, -3])
     assert m.e_sq == RationalMatrix.from_rows([[0, 6], [0, 0]])
     assert m.f_sq == RationalMatrix.from_rows([[0, 0], [2, 0]])
-    assert m.casimir == RationalMatrix.identity(2).scaled(F(15, 2))
+    assert m.casimir == RationalMatrix.diagonal([F(15, 2)] * 2)
 
 
 def test_build_kind0_n0():
@@ -73,7 +74,7 @@ def test_weight_vector_rule_matches_the_per_kind_formulas(kind):
         assert m.e_sq == RationalMatrix.tridiagonal([0] * dim, zeros, raising), n
         assert m.f_sq == RationalMatrix.tridiagonal([0] * dim, lowering, zeros), n
         assert m.h == RationalMatrix.diagonal(cartan), n
-        assert m.casimir == RationalMatrix.identity(dim).scaled(F(n * (n + 2), 2)), n
+        assert m.casimir == RationalMatrix.diagonal([F(n * (n + 2), 2)] * dim), n
 
 
 def _dense_module(kind, n):
@@ -93,7 +94,7 @@ def _dense_module(kind, n):
 def _dense_generator_combination(kind, n, shift, scale):
     """(E^2 + F^2 + Casimir - shift) scale - H^2 scale/2 entry by entry over
     the dense lists, as the matrix sums and scalings formed it before they
-    skipped zeros; kept as the oracle of `_generator_combination`."""
+    skipped zeros; kept as the oracle of `_banded_combination`."""
     dim, e_sq, f_sq, h, casimir = _dense_module(kind, n)
     h_sq = [sum((h[i * dim + k] * h[k * dim + j] for k in range(dim)), F(0))
             for i in range(dim) for j in range(dim)]
@@ -114,6 +115,16 @@ def _dense_catalog(D):
     ]
 
 
+def _combination(m, shift, scale):
+    return _banded_combination(m.n, _bands(m.kind, m.n), shift, scale)
+
+
+def _times(matrix, factor):
+    """matrix with every entry multiplied by factor, through the raw
+    constructor."""
+    return RationalMatrix(matrix.rows, matrix.cols, tuple(factor * e for e in matrix.entries))
+
+
 def _assert_sparse_entries(m):
     assert all(type(e) is F for e in m.entries)
     assert all(e is _ZERO for e in m.entries if not e)
@@ -126,7 +137,7 @@ def test_generator_combination_matches_the_dense_oracle(kind):
         for matrix in (m.e_sq, m.f_sq, m.h, m.casimir):
             _assert_sparse_entries(matrix)
         for shift, scale in ((1, F(1, 4)), (n, F(1, 2)), (0, F(-3, 7))):
-            combined = _generator_combination(m, shift, scale)
+            combined = _combination(m, shift, scale)
             assert combined.entries == _dense_generator_combination(kind, n, shift, scale), n
             _assert_sparse_entries(combined)
         if n % 2:
@@ -175,8 +186,8 @@ def test_module_relations_reject_rescaled_generators(kind, n):
     # commutes with every matrix; only E^2 F^2 and F^2 E^2 as polynomials in
     # H and the Casimir value see the scale.
     m = build_even_module(kind, n)
-    assert not check_module_relations(replace(m, e_sq=m.e_sq.scaled(2)))
-    assert not check_module_relations(replace(m, f_sq=m.f_sq.scaled(3)))
+    assert not check_module_relations(replace(m, e_sq=_times(m.e_sq, 2)))
+    assert not check_module_relations(replace(m, f_sq=_times(m.f_sq, 3)))
 
 
 @pytest.mark.parametrize("kind, n", [(0, 0), (0, 5), (1, 7)])
@@ -186,22 +197,23 @@ def test_module_relations_reject_a_wrong_casimir_value(kind, n):
 
 
 def _dense_check_module_relations(m):
-    """The relations as whole-matrix identities: both commutators formed as
-    matrix products and differences, H and the Casimir compared with the
-    diagonal matrices they must be, and E^2 F^2, F^2 E^2 with the diagonal
-    matrices of their polynomials in H; kept as the oracle of
+    """The relations as whole-matrix identities: both commutators formed
+    from matrix products as dense entry lists, H and the Casimir compared
+    with the diagonal matrices they must be, and E^2 F^2, F^2 E^2 with the
+    diagonal matrices of their polynomials in H; kept as the oracle of
     `check_module_relations`."""
-    comm_e = m.h @ m.e_sq - m.e_sq @ m.h
-    if comm_e != m.e_sq.scaled(4):
-        return False
-    comm_f = m.h @ m.f_sq - m.f_sq @ m.h
-    if comm_f != m.f_sq.scaled(-4):
-        return False
+    for weight, x in ((4, m.e_sq), (-4, m.f_sq)):
+        left, right = m.h @ x, x @ m.h
+        if (left.rows, left.cols) != (right.rows, right.cols):
+            raise ValueError("shape mismatch")
+        commutator = [a - b for a, b in zip(left.entries, right.entries)]
+        if commutator != [weight * e for e in x.entries]:
+            return False
     h = [m.h.at(i, i) for i in range(m.dim)]
     c = F(m.n * (m.n + 2), 2)
     if m.h != RationalMatrix.diagonal(h):
         return False
-    if m.casimir != RationalMatrix.identity(m.dim).scaled(c):
+    if m.casimir != RationalMatrix.diagonal([c] * m.dim):
         return False
 
     def half_ef(shift, sign):
@@ -239,14 +251,14 @@ def _perturbed_modules(m):
     h = [m.h.at(i, i) for i in range(dim)]
     yield "e_sq on the diagonal", replace(m, e_sq=_with_entry(m.e_sq, last, last, 1))
     yield "f_sq on the diagonal", replace(m, f_sq=_with_entry(m.f_sq, 0, 0, F(-1, 3)))
-    yield "h rescaled", replace(m, h=m.h.scaled(2))
+    yield "h rescaled", replace(m, h=_times(m.h, 2))
     yield "h shifted by 1", replace(m, h=m.h.plus_scalar(1))
     yield "h shifted by 1/2", replace(m, h=m.h.plus_scalar(F(1, 2)))
     yield "h_0 + 1/2", replace(m, h=_with_entry(m.h, 0, 0, h[0] + F(1, 2)))
     yield "casimir + 1", replace(m, casimir=m.casimir.plus_scalar(1))
     yield "casimir off the diagonal", replace(m, casimir=_with_entry(m.casimir, last, 0, 1))
-    yield "e_sq doubled", replace(m, e_sq=m.e_sq.scaled(2))
-    yield "f_sq times -1/3", replace(m, f_sq=m.f_sq.scaled(F(-1, 3)))
+    yield "e_sq doubled", replace(m, e_sq=_times(m.e_sq, 2))
+    yield "f_sq times -1/3", replace(m, f_sq=_times(m.f_sq, F(-1, 3)))
     yield "conjugated", _conjugated(m, [F(i + 2, 3) for i in range(dim)])
     if dim > 1:
         yield "e_sq below the diagonal", replace(m, e_sq=_with_entry(m.e_sq, 1, 0, 2))
@@ -277,7 +289,7 @@ def test_module_relations_match_the_dense_oracle(kind):
     ("h", RationalMatrix.diagonal([1, 2, 3])),
     ("h", RationalMatrix.from_rows([[3, 0, 0], [0, -1, 0]])),
     ("e_sq", RationalMatrix.from_rows([[0, 2, 0], [0, 0, 0]])),
-    ("e_sq", RationalMatrix.identity(1)),
+    ("e_sq", RationalMatrix.diagonal([1])),
     ("f_sq", RationalMatrix.from_rows([[0], [6]])),
     ("f_sq", RationalMatrix.diagonal([0, 0, 0])),
 ])
@@ -302,9 +314,9 @@ def test_module_relations_refuse_matrices_of_one_size_other_than_dim(dim):
 def test_generator_combination_refuses_a_float_scale_or_shift():
     m = build_even_module(1, 5)
     with pytest.raises(TypeError, match="float"):
-        _generator_combination(m, 1, 0.25)
+        _combination(m, 1, 0.25)
     with pytest.raises(TypeError, match="float"):
-        _generator_combination(m, 1.0, F(1, 4))
+        _combination(m, 1.0, F(1, 4))
 
 
 def test_example_pair_kind0_n3_frozen():
@@ -363,16 +375,10 @@ def test_catalog_matches_leonard_pairs_for_odd_diameter(D):
         kind, n = entry.kind, entry.n
         r, s, d = example_parameters(kind, n)
         p = build_params(d, r, s)
-        ident = RationalMatrix.identity(entry.adjacency_action.rows)
-        adjusted_first = entry.adjacency_action.scaled(F(1, 2)) + ident.scaled(
-            F(D - 1, 4)
-        )
+        adjusted_first = _times(entry.adjacency_action, F(1, 2)).plus_scalar(F(D - 1, 4))
         assert adjusted_first == matrix_L_u_basis(p), (D, kind, n)
-        adjusted_second = (ident.scaled(n) - entry.dual_adjacency_action).scaled(
-            F(1, 4)
-        )
-        if kind == 1:
-            adjusted_second = adjusted_second - ident.scaled(F(1, 2))
+        adjusted_second = _times(entry.dual_adjacency_action, F(-1, 4)).plus_scalar(
+            F(n, 4) - F(kind, 2))
         assert adjusted_second == matrix_Lstar_u_basis(p), (D, kind, n)
         assert is_dual_almost_bipartite(p, canonical_shift(p)), (D, kind, n)
 
