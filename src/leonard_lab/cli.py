@@ -51,7 +51,7 @@ from .params import (
     build_params,
     check_closed_forms,
 )
-from .representations import eval_table_hypergeometric, eval_table_recurrence
+from .representations import eval_table_hypergeometric, eval_table_recurrence, verify_dual_hahn
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -141,6 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drs(p_verify)
     p_verify.add_argument("--lambda", dest="shift", default=None, help="shift, p/q (default (r-d)/2)")
     p_verify.add_argument("--exhaustive", action="store_true", help="decide every ordering as an independent oracle")
+
+    p_dual = sub.add_parser("verify-dual-hahn", help="dual Hahn identity suite")
+    _add_drs(p_dual)
 
     p_racah = sub.add_parser("verify-racah", help="barred-array identity suite at s = -r")
     p_racah.add_argument("--d", type=int, required=True)
@@ -313,6 +316,13 @@ def cmd_verify_lp(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify_dual_hahn(args) -> int:
+    verdict = verify_dual_hahn(args.d, parse_rational(args.r), parse_rational(args.s))
+    _emit(_json({**_encode(verdict), "all": verdict.ok}))
+    _require(verdict.ok, "a dual Hahn identity fails")
+    return EXIT_OK
+
+
 def cmd_verify_racah(args) -> int:
     verdict = racah_mod.verify_racah(args.d, parse_rational(args.r))
     _emit(_json({**_encode(verdict), "all": verdict.ok}))
@@ -382,6 +392,7 @@ _HANDLERS = {
     "params": cmd_params,
     "table": cmd_table,
     "verify-lp": cmd_verify_lp,
+    "verify-dual-hahn": cmd_verify_dual_hahn,
     "verify-racah": cmd_verify_racah,
     "verify-sl2": cmd_verify_sl2,
     "search": cmd_search,

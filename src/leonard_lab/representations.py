@@ -13,6 +13,9 @@ differences.  Whether a table obeys an array's full recurrence is decided
 once per table and array (`_recurrence_holds`), so the orthogonality and
 degree checks of one table, and the barred orthogonality and recurrence
 fields of a 4F3 table, run the three-term test once between them.
+`verify_dual_hahn` decides the five dual Hahn identities on one array and
+its two tables; the degree and basis-consistency checks stay public, and
+its docstring proves them implied.
 No coefficient lists, no floating point.
 """
 
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hyper import _over_common_denominator, _refuse_floats, format_rational, hypergeom_terminating
 from .matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
-from .params import ParameterArray
+from .params import ParameterArray, build_params, check_closed_forms
 
 
 @dataclass(frozen=True)
@@ -376,3 +379,80 @@ def _charpoly_has_roots(
         ints[:n], ints[n : 2 * n - 1], ints[2 * n - 1 : 3 * n - 2], ints[3 * n - 2 :]
     )
     return tridiagonal_charpoly(diag, sub, sup) == poly_from_roots(roots)
+
+
+# -- the dual Hahn verdict ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualHahnVerdict:
+    """The five dual Hahn identities at (d, r, s), each in one field only."""
+
+    d: int
+    r: Fraction
+    s: Fraction
+    closed_forms_match: bool
+    routes_agree: bool
+    top_row: bool
+    difference_equation: bool
+    orthogonality: bool
+
+    @property
+    def ok(self) -> bool:
+        """Whether all five identities hold."""
+        return all(getattr(self, f.name) for f in fields(self)[3:])
+
+
+def verify_dual_hahn(d: int, r: Fraction | int | str, s: Fraction | int | str) -> DualHahnVerdict:
+    """Every dual Hahn identity on one array p = build_params(d, r, s) and
+    its 3F2 table, each decided once (`decide_dual_hahn`).
+
+    The two other checks of the pair, `check_degree_invariant` and
+    `check_basis_consistency`, are implied by `routes_agree`, `top_row` and
+    `difference_equation` on every array that `build_params` returns, whose
+    invariants (`params._check_invariants`) give three premises: the theta_i
+    are distinct, theta*_i = i are distinct, and b_i != 0 for i < d.  Let U
+    be the recurrence table; `routes_agree` makes the table U.
+
+    - Degree.  Row 0 of U is 1, and row i + 1 is ((theta - a_i) u_i -
+      c_i u_{i-1}) / b_i: by induction, with b_i != 0, row i holds the
+      values of P_i = ((x - a_{i-1}) P_{i-1} - c_{i-1} P_{i-2}) / b_{i-1},
+      of exact degree i <= d, which is the row's interpolating polynomial,
+      since d + 1 distinct nodes fix a polynomial of degree <= d.
+    - Basis consistency, L.  U obeys rows 0..d-1 of the recurrence by its
+      construction, and row d is `top_row`: A U = U Theta, with A[i][i-1] =
+      c_i, A[i][i] = a_i and A[i][i+1] = b_i the transpose of
+      `matrix_L_u_basis`.  Column j of U starts with u_0 = 1, so it is an
+      eigenvector of A for theta_j.  d + 1 distinct eigenvalues are all of
+      them, each simple: det(xI - A) = prod_j (x - theta_j), and a matrix
+      and its transpose share their characteristic polynomial.
+    - Basis consistency, L*.  `difference_equation` is A* U^T = U^T Theta*,
+      with A* the transpose of `matrix_Lstar_ustar_basis`.  Row i of U is
+      nonzero, a polynomial of exact degree i <= d at d + 1 distinct nodes,
+      so it is an eigenvector of A* for theta*_i, and the same count of
+      d + 1 distinct eigenvalues gives det(xI - A*) = prod_i (x - theta*_i).
+
+    Neither `closed_forms_match` nor `orthogonality` is used.  The converse
+    is immediate, so `ok` is the conjunction of all seven checks; the
+    equivalence test in `tests/test_representations.py` compares the two on
+    perturbed arrays and tables that keep the three premises."""
+    p = build_params(d, r, s)
+    return decide_dual_hahn(p, eval_table_hypergeometric(p))
+
+
+def decide_dual_hahn(p: ParameterArray, table: ValueTable) -> DualHahnVerdict:
+    """The five fields for an array and a table, each by its own check:
+    `check_closed_forms`, the table against the recurrence table
+    (`eval_table_recurrence`), `check_top_row`, `check_difference_eq` and
+    `check_orthogonality`.  The three table checks read the table's one
+    integer form."""
+    return DualHahnVerdict(
+        d=p.d,
+        r=p.r,
+        s=p.s,
+        closed_forms_match=check_closed_forms(p),
+        routes_agree=table.values == eval_table_recurrence(p).values,
+        top_row=check_top_row(p, table),
+        difference_equation=check_difference_eq(p, table),
+        orthogonality=check_orthogonality(p, table),
+    )

@@ -44,6 +44,7 @@ _CLOSED_FORM_ORACLE = ("tests/test_leonard.py::"
                        "test_integer_closed_form_equals_the_fraction_oracle_and_the_dense_square")
 _CLOSED_FORM_SWEEP = "tests/test_leonard.py::test_shift_square_matches_closed_form_and_column_sums"
 _GENERAL_FACTS = "tests/test_leonard.py::test_of_array_reads_each_general_fact_from_the_array"
+_DUAL_FIELDS = "tests/test_representations.py::test_each_dual_hahn_field_is_decided_by_its_own_check"
 
 MUTANTS = (
     Mutant(
@@ -217,6 +218,51 @@ MUTANTS = (
         "1 <= -2 * L // M <= 2 * d - 2",
         (_GENERAL_FACTS, "tests/test_leonard.py::test_a_dual_hahn_shift_runs_no_per_index_loop"),
         "(d - 1 + shift)^2 == (d + shift)^2 at shift = -(2d - 1)/2, the last collision",
+    ),
+    # One mutant per field of the dual Hahn verdict, in the check that
+    # decides it, and one in its conjunction.
+    Mutant(
+        "params.py",
+        "    if differs(p.nu, top, rising(D + R, d)):\n        return False\n",
+        "",
+        (_DUAL_FIELDS,),
+        "closed_forms_match: nu has a closed form of its own, (d+r+s+1)_d / (r+1)_d",
+    ),
+    Mutant(
+        "representations.py",
+        "routes_agree=table.values == eval_table_recurrence(p).values,",
+        "routes_agree=table.values == eval_table_hypergeometric(p).values,",
+        (_DUAL_FIELDS,),
+        "routes_agree: the table is compared with the recurrence route, not with a 3F2 table",
+    ),
+    Mutant(
+        "representations.py",
+        "return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, (p.d,))",
+        "return _three_term_holds(table.int_columns, p.theta, p.a, p.b, p.c, (p.d - 1,))",
+        (_DUAL_FIELDS,),
+        "top_row: row d, which no recurrence step builds, is the one that closes the system",
+    ),
+    Mutant(
+        "representations.py",
+        "p.a_star, p.b_star, p.c_star, range(p.d + 1))",
+        "p.a_star, p.b_star, p.c_star, range(p.d))",
+        (_DUAL_FIELDS,),
+        "difference_equation: the last column, where b*_d = 0 drops a term, is tested too",
+    ),
+    Mutant(
+        "representations.py",
+        "        if Fraction(norm, den * den * weights_den) != p.nu / p.k[i]:\n"
+        "            return False\n",
+        "",
+        (_DUAL_FIELDS,),
+        "orthogonality: each row's norm must be nu / k_i, not only the cross sums zero",
+    ),
+    Mutant(
+        "representations.py",
+        "return all(getattr(self, f.name) for f in fields(self)[3:])",
+        "return all(getattr(self, f.name) for f in fields(self)[4:])",
+        (_DUAL_FIELDS,),
+        "ok: the conjunction takes every identity field, closed_forms_match first",
     ),
 )
 

@@ -21,13 +21,10 @@ from leonard_lab.matrices import RationalMatrix
 from leonard_lab.params import build_params, check_closed_forms
 from leonard_lab.racah import verify_racah
 from leonard_lab.representations import (
-    check_degree_invariant,
-    check_difference_eq,
-    check_orthogonality,
-    check_top_row,
     eval_table_hypergeometric,
-    eval_table_recurrence,
     matrix_Lstar_ustar_basis,
+    value_row_degree,
+    verify_dual_hahn,
 )
 from leonard_lab.sl2mod import example_pair, verify_example_match
 from test_leonard import diagonal
@@ -45,6 +42,11 @@ def _params(d, r, s):
 @lru_cache(maxsize=None)
 def _hyper_table(d, r, s):
     return eval_table_hypergeometric(_params(d, r, s))
+
+
+@lru_cache(maxsize=None)
+def _dual_verdict(d, r, s):
+    return verify_dual_hahn(d, r, s)
 
 
 def _report(num, name, ok, elapsed=None, budget=None):
@@ -70,17 +72,18 @@ def test_criterion_01_closed_form_consistency():
 
 
 def test_criterion_02_dual_evaluation_oracle():
+    # The verdict's routes_agree implies exact degrees; the divided
+    # differences of each 3F2 row decide them on their own.
     ok = True
     for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
-        p = _params(d, r, s)
-        table = _hyper_table(d, r, s)
-        if table.values != eval_table_recurrence(p).values:
+        theta, table = _params(d, r, s).theta, _hyper_table(d, r, s)
+        if not _dual_verdict(d, r, s).ok or any(
+            value_row_degree(theta, table.values.row(i)) != i for i in range(d + 1)
+        ):
             ok = False
             break
-        if not check_degree_invariant(p, table):
-            ok = False
-            break
-    _report(2, "3F2 table equals recurrence table; divided-difference degrees exact", ok)
+    _report(2, "dual Hahn verdict holds (3F2 table equals recurrence table); "
+               "divided-difference degrees exact", ok)
 
 
 def test_criterion_03_orthogonality_and_difference_equations():
@@ -91,13 +94,8 @@ def test_criterion_03_orthogonality_and_difference_equations():
     for d, r, s in product(range(D_MAX + 1), GRID_RS, GRID_RS):
         if not ok:
             break
-        p = _params(d, r, s)
-        table = _hyper_table(d, r, s)
-        ok = (
-            check_orthogonality(p, table)
-            and check_difference_eq(p, table)
-            and check_top_row(p, table)
-        )
+        verdict = _dual_verdict(d, r, s)
+        ok = verdict.orthogonality and verdict.difference_equation and verdict.top_row
     _report(3, "orthogonality (worked sum = 16) and difference equations exact", ok)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leonard_lab
-from leonard_lab import cli, racah, sl2mod
+from leonard_lab import cli, racah, representations, sl2mod
 from leonard_lab.cli import main
 from leonard_lab.hyper import SeriesDivisionError, format_rational
 from leonard_lab.leonard import SearchGrid, search_square_preserving
@@ -161,6 +161,21 @@ def test_table_json_and_csv(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text().splitlines()[2] == "1,1,-3"
+
+
+def test_verify_dual_hahn(capsys):
+    code, out, _ = run_cli(capsys, "verify-dual-hahn", "--d", "4", "--r", "1/2", "--s", "-1/2")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": 4, "r": "1/2", "s": "-1/2", "closedFormsMatch": True, "routesAgree": True,
+        "topRow": True, "differenceEquation": True, "orthogonality": True, "all": True,
+    }
+
+
+def test_verify_dual_hahn_domain(capsys):
+    code, out, err = run_cli(capsys, "verify-dual-hahn", "--d", "3", "--r", "1/2", "--s", "-1")
+    assert (code, out) == (2, "")
+    assert err == "domain error: s must exceed -1, got -1\n"
 
 
 def test_verify_racah(capsys):
@@ -352,13 +367,16 @@ def _identity_table(p):
          cli, "eval_table_recurrence", _identity_table, "routesAgree"),
         (("params", "--d", "2", "--r", "1/2", "--s", "-1/2"),
          cli, "check_closed_forms", _false, "closedFormsMatch"),
+        (("verify-dual-hahn", "--d", "3", "--r", "1/2", "--s", "-1/2"),
+         representations, "check_top_row", _false, "all"),
         (("verify-racah", "--d", "3", "--r", "1/2"), racah, "check_varphi", _false, "all"),
         (("verify-sl2", "--kind", "0", "--n", "3"),
          sl2mod, "check_module_relations", _false, "relations"),
         (("verify-sl2", "--kind", "1", "--n", "3"),
          sl2mod, "_matched_example", _unmatched_example, "match"),
     ],
-    ids=["table", "params", "verify-racah", "verify-sl2 relations", "verify-sl2 match"],
+    ids=["table", "params", "verify-dual-hahn", "verify-racah", "verify-sl2 relations",
+         "verify-sl2 match"],
 )
 def test_false_identity_exits_1_after_its_json(capsys, monkeypatch, argv, owner, name,
                                                replacement, key):
@@ -584,7 +602,8 @@ def test_closed_stdout_pipe_exits_quietly(argv):
 
 # -- argv fuzzing ------------------------------------------------------------
 
-_SUBCOMMANDS = ["params", "table", "verify-lp", "verify-racah", "verify-sl2", "search", "catalog"]
+_SUBCOMMANDS = ["params", "table", "verify-lp", "verify-dual-hahn", "verify-racah", "verify-sl2",
+                "search", "catalog"]
 _GOOD_RATIONALS = ["0", "1", "-1", "2", "1/2", "-1/2", "1/3", "-3/4", "5/2", "+1/4", "-9/8"]
 _BAD_RATIONALS = ["0.5", "1/0", "abc", "", "1//2", "1/2/3", "-", "1/-2", "1e3"]
 _RATIONAL_LISTS = ["1/2,-1/3", "1/2,-1/2,1/4", "-1/2,", "1/2,,0", "0,1/0", "-1/2,+1/3",
@@ -606,6 +625,7 @@ _FLAGS = {
     "params": ["--d", "--r", "--s"],
     "table": ["--d", "--r", "--s", "--format"],
     "verify-lp": ["--d", "--r", "--s", "--lambda", "--exhaustive"],
+    "verify-dual-hahn": ["--d", "--r", "--s"],
     "verify-racah": ["--d", "--r"],
     "verify-sl2": ["--kind", "--n"],
     "search": ["--d-min", "--d-max", "--r-values", "--s-mode", "--s-values",

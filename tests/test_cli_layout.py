@@ -29,6 +29,8 @@ LAYOUT_CASES = [
      651, "7a50c141650af5d6796ad4d8f040c422cbf46c7813fbcb63af8c7fb5bb36843f"),
     (("verify-lp", "--d", "4", "--r", "-1/2", "--s", "1/2", "--exhaustive"),
      702, "7810fcb8f38a29c45c801b72667d3faa7de3dff5ff10341a257b764410cfdaaf"),
+    (("verify-dual-hahn", "--d", "2", "--r", "3/7", "--s", "2/5"),
+     180, "c5df415dec6840271a523fa05a109ef292d38e542e8ebcca6675ecdb5b67b4f9"),
     (("verify-racah", "--d", "4", "--r", "1/2"),
      263, "25735a25beeaf05bc4b9c35a1177c9d62e6bb66d0793d9e80be1260d40fd6f63"),
     (("verify-sl2", "--kind", "0", "--n", "3"),
@@ -54,6 +56,8 @@ LAYOUT_CASES = [
      9759, "e575d36c0908baafe22ba7f05a071a99a939f006dcd4f0c15a44ea6905f02399"),
     (("table", "--d", "16", "--r", "3/7", "--s", "2/5", "--format", "csv"),
      6787, "f21c9a6d32cd5dd945c89567cb54dd40a98259434ee7900d1d549264d1d7ac16"),
+    (("verify-dual-hahn", "--d", "16", "--r", "3/7", "--s", "2/5"),
+     181, "d4baa1e2c8862471ef881ef4f38254f8c0105ec33ae05f4805ec65e609f0439c"),
     (("verify-racah", "--d", "16", "--r", "-5/9"),
      265, "65963667438ae02b759a3b57f7909289ac933ffc0cb8490822d3093ef8a0113f"),
     # Larger d for the integer parameter-array completion and closed forms.

@@ -40,6 +40,7 @@ from leonard_lab.representations import (
     eval_table_hypergeometric,
     eval_table_recurrence,
     value_row_degree,
+    verify_dual_hahn,
 )
 from leonard_lab.sl2mod import build_even_module, example_pair, terwilliger_catalog
 from test_params import fractions_in
@@ -150,6 +151,8 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: check_domain(3, 0.5, 0),
     lambda: build_racah_params(2, 0.1),
     lambda: verify_racah(2, 0.1),
+    lambda: verify_dual_hahn(2, 0.1, F(-1, 10)),
+    lambda: verify_dual_hahn(2, F(1, 10), -0.1),
     lambda: standard_racah_eval(2, 0.1, 1, 1),
     lambda: standard_racah_eval(2, F(1, 10), 1, 0.5),
     lambda: affine_maps(2, 0.1),
@@ -180,6 +183,7 @@ def test_racah_artifacts_are_exact(d, r):
     lambda: value_row_degree([F(0), 0.5], [F(1), F(2)]),
     lambda: value_row_degree([F(0), F(1, 2)], [1, 0.5]),
 ], ids=["build_params-r", "build_params-s", "check_domain", "build_racah_params", "verify_racah",
+        "verify_dual_hahn-r", "verify_dual_hahn-s",
         "standard_racah_eval-r", "standard_racah_eval-x", "affine_maps",
         "verify_leonard_pair_square", "lstar_shift_square", "lstar_shift_square_closed_form",
         "theorem_conditions", "d2_condition", "is_dual_almost_bipartite",

@@ -1,9 +1,10 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
-from dataclasses import replace
-from functools import partial
+from dataclasses import fields, replace
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from leonard_lab import representations
 from leonard_lab.cli import main
 from leonard_lab.hyper import hypergeom_terminating
 from leonard_lab.matrices import RationalMatrix, poly_from_roots, tridiagonal_charpoly
-from leonard_lab.params import build_params
+from leonard_lab.params import build_params, check_closed_forms
 from leonard_lab.racah import (
     build_racah_params,
     check_barred_recurrence,
@@ -23,6 +24,7 @@ from leonard_lab.racah import (
     eval_table_4F3,
 )
 from leonard_lab.representations import (
+    DualHahnVerdict,
     ValueTable,
     _gram_orthogonality,
     _recurrence_holds,
@@ -31,6 +33,7 @@ from leonard_lab.representations import (
     check_difference_eq,
     check_orthogonality,
     check_top_row,
+    decide_dual_hahn,
     eval_table_hypergeometric,
     eval_table_recurrence,
     matrix_L_u_basis,
@@ -38,6 +41,7 @@ from leonard_lab.representations import (
     matrix_Lstar_u_basis,
     matrix_Lstar_ustar_basis,
     value_row_degree,
+    verify_dual_hahn,
 )
 from test_params import GRID_RS, built_when_run, fractions_in, nonzero
 
@@ -855,3 +859,140 @@ def test_every_table_check_refuses_another_shape(name, shape):
     rows, cols = SHAPES[shape]
     with pytest.raises(ValueError, match=rf"expected 4x4 for d=3, got {rows}x{cols}\Z"):
         check(reshaped(table, rows, cols))
+
+
+# -- the dual Hahn verdict -------------------------------------------------------
+
+
+def _verdict_changes():
+    """At d = 3: (array, table, the fields that must fail) for each change,
+    one field failing alone where one change can do it."""
+    p = build_params(3, F(2, 7), F(-1, 3))
+    table = eval_table_hypergeometric(p)
+    # b_0 doubled and c_1 halved scale rows 1..d of the recurrence table by
+    # 1/2: every identity but the norms holds.
+    rescaled = replace(p, b=replaced(p.b, 0, p.b[0]), c=replaced(p.c, 1, -p.c[1] / 2))
+    return {
+        "as built": (p, table, set()),
+        "k* and nu doubled": (replace(p, k_star=tuple(2 * x for x in p.k_star), nu=2 * p.nu),
+                              table, {"closed_forms_match"}),
+        "nu doubled": (replace(p, nu=2 * p.nu), table, {"closed_forms_match", "orthogonality"}),
+        "row 1 negated": (p, with_row(table, 1, [-u for u in table.values.row(1)]),
+                          {"routes_agree"}),
+        "a_d moved": (replace(p, a=replaced(p.a, 3, F(1))), table, {"top_row"}),
+        "a*_d moved": (replace(p, a_star=replaced(p.a_star, 3, F(1))), table,
+                       {"difference_equation"}),
+        "b_0 doubled, c_1 halved": (rescaled, eval_table_recurrence(rescaled), {"orthogonality"}),
+    }
+
+
+VERDICT_CHANGES = _verdict_changes()
+
+
+@pytest.mark.parametrize("change", VERDICT_CHANGES)
+def test_each_dual_hahn_field_is_decided_by_its_own_check(change):
+    p, table, failing = VERDICT_CHANGES[change]
+    verdict = decide_dual_hahn(p, table)
+    assert (verdict.d, verdict.r, verdict.s) == (p.d, p.r, p.s)
+    assert {f.name for f in fields(verdict)[3:] if not getattr(verdict, f.name)} == failing
+    assert verdict.ok is (not failing)
+
+
+def test_verify_dual_hahn_builds_one_array_and_each_table_once(monkeypatch):
+    calls = Counter()
+
+    def counted(function):
+        def call(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+        return call
+
+    for name in ("build_params", "eval_table_hypergeometric", "eval_table_recurrence"):
+        monkeypatch.setattr(representations, name, counted(getattr(representations, name)))
+    verdict = verify_dual_hahn(5, F(2, 7), F(-2, 7))
+    assert verdict.ok and isinstance(verdict, DualHahnVerdict)
+    assert calls == {"build_params": 1, "eval_table_hypergeometric": 1,
+                     "eval_table_recurrence": 1}
+    assert verify_dual_hahn(5, "2/7", "-2/7") == verdict
+
+
+def seven_checks(p, table):
+    """The seven separate checks of the dual Hahn claim, as each caller ran
+    them before the verdict, on a copy of the table that keeps no cached
+    form or verdict: closed forms, routes agree, degree, orthogonality,
+    difference equation, top row and basis consistency."""
+    table = ValueTable(table.values)
+    return (
+        check_closed_forms(p),
+        table.values == eval_table_recurrence(p).values,
+        check_degree_invariant(p, table),
+        check_orthogonality(p, table),
+        check_difference_eq(p, table),
+        check_top_row(p, table),
+        check_basis_consistency(p),
+    )
+
+
+@lru_cache(maxsize=None)
+def built_case(d, r, s):
+    p = build_params(d, r, s)
+    return p, eval_table_hypergeometric(p)
+
+
+ARRAY_FIELDS = ("r", "s", "theta", "theta_star", "b", "c", "a", "k", "nu",
+                "b_star", "c_star", "a_star", "k_star")
+DELTAS = (F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-1, 3), F(3, 4))
+
+
+def drawn_verdict_case(rng):
+    """(change, array, table) at d <= 9, s = -r or off it: as built, one
+    array entry moved with the 3F2 table or the moved array's own
+    recurrence table, or one table entry moved, one row doubled or one row
+    negated.  A moved array keeps the verdict's premises: theta and theta*
+    simple, b_i != 0 for i < d."""
+    d = rng.randint(0, 9)
+    r = rng.choice(GRID_RS)
+    s = -r if r < 1 and rng.random() < 0.5 else rng.choice([x for x in GRID_RS if x != -r])
+    p, table = built_case(d, r, s)
+    kind, i, delta = rng.random(), rng.randint(0, d), rng.choice(DELTAS)
+    if kind < 0.3:
+        return "as built", p, table
+    if kind < 0.75:
+        field = rng.choice(ARRAY_FIELDS)
+        value = getattr(p, field)
+        value = replaced(value, i, delta) if isinstance(value, tuple) else value + delta
+        q = replace(p, **{field: value})
+        if len(set(q.theta)) <= d or len(set(q.theta_star)) <= d or not all(q.b[:d]):
+            return drawn_verdict_case(rng)
+        return field, q, eval_table_recurrence(q) if rng.random() < 0.5 else table
+    change = rng.choice(("entry moved", "row doubled", "row negated"))
+    if change == "entry moved":
+        h = rng.randint(0, d)
+        return change, p, with_entry(table, i, h, table.at(i, h) + delta)
+    factor = 2 if change == "row doubled" else -1
+    return change, p, with_row(table, i, [factor * u for u in table.values.row(i)])
+
+
+def test_the_dual_hahn_verdict_decides_as_its_seven_checks():
+    """On drawn arrays and tables, each field is its own check and `ok` is
+    the conjunction of all seven: the degree and the basis consistency are
+    implied (the proof is in the `verify_dual_hahn` docstring)."""
+    rng = random.Random(2508)
+    counts = Counter()
+    for _ in range(2400):
+        change, p, table = drawn_verdict_case(rng)
+        verdict = outcome(decide_dual_hahn, p, table)
+        checks = outcome(seven_checks, p, table)
+        if not isinstance(verdict, DualHahnVerdict):
+            # Both raise the same error: a zero k_i, or a vanishing factor
+            # of a closed form at a moved r.
+            assert checks[:1] == verdict[:1], (change, verdict, checks)
+            counts["raised"] += 1
+            continue
+        assert len(checks) == 7, (change, checks)
+        decided = (verdict.closed_forms_match, verdict.routes_agree, verdict.orthogonality,
+                   verdict.difference_equation, verdict.top_row)
+        assert decided == tuple(checks[n] for n in (0, 1, 3, 4, 5)), change
+        assert verdict.ok is all(checks), change
+        counts[verdict.ok] += 1
+    assert counts[True] + counts[False] >= 2000 and counts[True] >= 500, counts
