@@ -9,8 +9,8 @@ works on the nonzero entries only, by one rule: a zero is the one shared
 `_ZERO`.  The constructors and every operation emit it for each zero they
 compute, a zero from cancellation included, and form a new Fraction only
 where an operand entry is not it.  A product puts each operand over one
-integer denominator, keeps the nonzero entries of each row, and sums on
-Python ints (`RationalMatrix.__matmul__`).  Only speed depends on the
+integer denominator, sums nonzeros on Python ints, and runs no gcd over a
+denominator of 1 (`RationalMatrix.__matmul__`).  Only speed depends on the
 sharing: any other zero, such as a caller's Fraction(0) or int 0, takes the
 ordinary arithmetic path.  No float is accepted as an entry or a scalar
 (`hyper.exact_rational`).  The raw constructor keeps the entries as given
@@ -147,8 +147,8 @@ class RationalMatrix:
 
         Each operand is put over one common denominator (`_integer_rows`), so
         row i of the product sums a * b over the nonzero pairs (i, k), (k, j)
-        on Python ints, and each nonzero sum v becomes Fraction(v, D D') once.
-        The zeros of the product share one Fraction(0).
+        on Python ints, and each nonzero sum v becomes Fraction(v, D D') once,
+        or Fraction(v), with no gcd, when D D' == 1.  The zeros share `_ZERO`.
         """
         if self.cols != other.rows:
             raise ValueError(
@@ -169,7 +169,7 @@ class RationalMatrix:
             base = i * p
             for j, v in enumerate(sums):
                 if v:
-                    flat[base + j] = Fraction(v, den)
+                    flat[base + j] = Fraction(v) if den == 1 else Fraction(v, den)
         return RationalMatrix._exact(self.rows, p, tuple(flat))
 
     def _integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:

@@ -6,9 +6,9 @@ exactly where the squared-shift construction produces a second Leonard pair,
 (L, (L* + (r-d)/2)^2).  Its barred array is a `ParameterArray` built from its
 own closed forms, written as integer pairs over the denominator of r, and
 completed and validated by `params.parameter_array`, like the dual Hahn one.
-It is a re-indexing of the unbarred data, with bar_b* and bar_c* the
-sigma-consecutive entries of the dual Hahn shifted square and values from a
-terminating 4F3; `verify_racah` decides each barred identity once.
+It re-indexes the unbarred data: bar_b*, bar_c* are sigma-consecutive entries
+of the dual Hahn shifted square, and the 4F3 values are U o sigma, U the dual
+Hahn recurrence table.  `verify_racah` decides each identity once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .representations import (
     _recurrence_holds,
     _require_table_shape,
     check_orthogonality,
-    eval_table_hypergeometric,
+    eval_table_hypergeometric,  # noqa: F401 -- perfbench/spans.py traces `racah.eval_table_hypergeometric`
+    eval_table_recurrence,
     matrix_Lstar_ustar_basis,
 )
 
@@ -177,12 +178,12 @@ def eval_table_4F3(q: ParameterArray) -> ValueTable:
 def check_table_matches_permuted_dual(
     p: ParameterArray, q: ParameterArray, table: ValueTable
 ) -> bool:
-    """The 4F3 table equals the sigma-permuted 3F2 table of the dual Hahn
-    array, column j against column sigma(j): u_i(bar_theta_j) ==
-    u_i(theta_sigma(j)), by two independent hypergeometric routes."""
+    """The 4F3 table is U o sigma, U the dual Hahn recurrence table
+    (`eval_table_recurrence`), which shares no code with the 4F3: column j
+    against column sigma(j), u_i(bar_theta_j) == u_i(theta_sigma(j))."""
     _require_shared(p, q)
     _require_table_shape(q, table)
-    dual = eval_table_hypergeometric(p).values
+    dual = eval_table_recurrence(p).values
     return all(table.values.column(j) == dual.column(k) for j, k in enumerate(index_map(q.d)))
 
 
@@ -246,15 +247,15 @@ class RacahVerdict:
 
 def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
     """Every barred identity, each checked in one field only, on one barred
-    array, one dual Hahn array p and one 4F3 table.  "The same inner
-    product" is `starred_products` (bar_k* = k* o sigma),
-    `table4F3_matches_permuted_dual_hahn` (the values) and `orthogonality`.
-    For any barred array and table, the fields imply that L in the u-basis
-    and both diagonals equal those rebuilt from p (`unbarred_identities`,
-    `index_mapping`), and that table == U o sigma, U the dual Hahn
-    recurrence table: each column obeys U's recurrence (those two and
-    `barred_recurrence`), starts at u_0 = 1 (matched with the 3F2 row 0),
-    and b_i != 0 fixes row i + 1.
+    array, one dual Hahn array p, one 4F3 table and one recurrence table U
+    of p.  "The same inner product" is `starred_products` (bar_k* = k* o
+    sigma), `table4F3_matches_permuted_dual_hahn` (the values: table ==
+    U o sigma) and `orthogonality`.  For any barred array and table, the
+    fields imply that L in the u-basis and both diagonals equal those
+    rebuilt from p (`unbarred_identities`, `index_mapping`).  U is the dual
+    Hahn table, as the recurrence and u_0 = 1 fix the polynomials; no field
+    evaluates a 3F2, which is reached only through `verify_dual_hahn`'s
+    `routes_agree` (`routesAgree` of the CLI's `verify-dual-hahn`).
 
     `barred_matrices` makes each bar_b*_i, bar_c*_i a sigma-consecutive entry
     of the shifted square: b* b*, c* c*, or b*_{d-1} m, c*_d m where sigma

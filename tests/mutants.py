@@ -45,6 +45,7 @@ _CLOSED_FORM_ORACLE = ("tests/test_leonard.py::"
 _CLOSED_FORM_SWEEP = "tests/test_leonard.py::test_shift_square_matches_closed_form_and_column_sums"
 _GENERAL_FACTS = "tests/test_leonard.py::test_of_array_reads_each_general_fact_from_the_array"
 _DUAL_FIELDS = "tests/test_representations.py::test_each_dual_hahn_field_is_decided_by_its_own_check"
+_RACAH_FIELDS = "tests/test_racah.py::test_each_racah_field_is_decided_by_its_own_check"
 
 MUTANTS = (
     Mutant(
@@ -263,6 +264,80 @@ MUTANTS = (
         "return all(getattr(self, f.name) for f in fields(self)[4:])",
         (_DUAL_FIELDS,),
         "ok: the conjunction takes every identity field, closed_forms_match first",
+    ),
+    # One mutant per field of the Racah verdict, in the check that decides
+    # it, one in its conjunction and two on the values field's reference.
+    Mutant(
+        "racah.py",
+        "    return all(\n        q.theta_star[i] == (p.theta_star[i] + half_shift) ** 2",
+        "    return any(\n        q.theta_star[i] == (p.theta_star[i] + half_shift) ** 2",
+        (_RACAH_FIELDS,),
+        "index_mapping: every bar_theta*_i is the shifted square of theta*_i, not one of them",
+    ),
+    Mutant(
+        "racah.py",
+        "q.k == p.k and q.nu == p.nu",
+        "q.k == p.k",
+        (_RACAH_FIELDS,),
+        "unbarred_identities: bar_nu = nu is one of the five unbarred identities",
+    ),
+    Mutant(
+        "racah.py",
+        "p.k_star[sigma[i]] for i in range(d + 1))",
+        "p.k_star[sigma[i]] for i in range(d))",
+        (_RACAH_FIELDS,),
+        "starred_products: the last barred weight is k* at sigma(d), compared too",
+    ),
+    Mutant(
+        "racah.py",
+        "    for i in range(1, q.d + 1):\n        phi, phi_den",
+        "    for i in range(1, q.d):\n        phi, phi_den",
+        (_RACAH_FIELDS,),
+        "varphi: bar_varphi_d, the only quotient that reads bar_theta*_d, is tested too",
+    ),
+    Mutant(
+        "racah.py",
+        "dual = eval_table_recurrence(p).values",
+        "dual = eval_table_hypergeometric(p).values",
+        ("tests/test_racah.py::"
+         "test_verify_racah_builds_one_dual_array_and_one_recurrence_table",),
+        "table4F3_matches_permuted_dual_hahn: the 3F2 route is decided once, by verify_dual_hahn",
+    ),
+    Mutant(
+        "racah.py",
+        "for j, k in enumerate(index_map(q.d)))",
+        "for j, k in enumerate(range(q.d + 1)))",
+        ("tests/test_racah.py::"
+         "test_values_field_decides_with_the_verdict_as_the_3f2_reference_did",),
+        "table4F3_matches_permuted_dual_hahn: column j of the 4F3 is column sigma(j) of U",
+    ),
+    Mutant(
+        "representations.py",
+        "return _gram_orthogonality(p, table, rows=1 if favard else None)",
+        "return _gram_orthogonality(p, table, rows=1)",
+        (_RACAH_FIELDS,),
+        "orthogonality: row 0 decides only under Favard's premises, else every row does",
+    ),
+    Mutant(
+        "representations.py",
+        "p.theta, p.a, p.b, p.c, range(p.d + 1))",
+        "p.theta, p.a, p.b, p.c, range(p.d))",
+        (_RACAH_FIELDS,),
+        "barred_recurrence: the top row, where bar_b_d = 0 closes the system, is tested too",
+    ),
+    Mutant(
+        "racah.py",
+        "    return square == matrix_Lstar_ustar_basis(q)",
+        "    return square.entries[:: q.d + 2] == matrix_Lstar_ustar_basis(q).entries[:: q.d + 2]",
+        (_RACAH_FIELDS,),
+        "barred_matrices: the diagonal fixes only b*_i c*_{i+1}; the off-diagonals fix each",
+    ),
+    Mutant(
+        "racah.py",
+        "return all(getattr(self, f.name) for f in fields(self)[2:])",
+        "return all(getattr(self, f.name) for f in fields(self)[3:])",
+        (_RACAH_FIELDS,),
+        "ok: the conjunction takes every identity field, index_mapping first",
     ),
 )
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leonard_lab import racah, representations
+from leonard_lab import hyper, racah, representations
 from leonard_lab.leonard import candidate_orderings, canonical_shift, lstar_shift_square
 from leonard_lab.params import ParameterDomainError, build_params
 from leonard_lab.racah import (
+    RacahVerdict,
     affine_maps,
     build_racah_params,
     check_barred_matrices,
@@ -38,7 +40,7 @@ from leonard_lab.representations import (
     matrix_Lstar_ustar_basis,
 )
 from test_params import built_when_run, complete_fractions, fractions_in, nonzero
-from test_representations import with_entry
+from test_representations import replaced, with_entry, with_row
 
 R_VALUES = [F(-3, 4), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(3, 4)]
 
@@ -390,15 +392,16 @@ def starred_products_with_copies(p, q):
     return all(q.k_star[i] == p.k_star[sigma[i]] for i in range(d + 1))
 
 
-def barred_suite(p, q, table, starred, orthogonality, matrices):
+def barred_suite(p, q, table, starred, orthogonality, matrices,
+                 values=check_table_matches_permuted_dual):
     """The eight fields of `verify_racah` on given artifacts, with the
-    starred-products, orthogonality and matrix checks passed in."""
+    starred-products, orthogonality, matrix and values checks passed in."""
     return [
         check_index_mapping(p, q),
         check_unbarred_identities(p, q),
         starred(p, q),
         check_varphi(q),
-        check_table_matches_permuted_dual(p, q, table),
+        values(p, q, table),
         orthogonality(q, table),
         check_barred_recurrence(q, table),
         matrices(p, q),
@@ -487,32 +490,42 @@ def test_starred_b_and_c_are_decided_by_the_matrix_field(d, r, data):
     assert not check_starred_products(replace(p, a_star=tuple(a_star)), q)
 
 
-def test_verify_racah_builds_one_dual_array_and_no_recurrence_table(monkeypatch):
+def test_verify_racah_builds_one_dual_array_and_one_recurrence_table(monkeypatch):
+    """The values field reads the dual Hahn recurrence table; no 3F2 table
+    and no single 3F2 sum is evaluated."""
     calls = Counter()
 
     def counting(name, function):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return function(*args)
+            return function(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(racah, "build_params", counting("build", racah.build_params))
-    # raising=False: racah need not import the recurrence route at all
-    monkeypatch.setattr(racah, "eval_table_recurrence",
-                        counting("recurrence", representations.eval_table_recurrence),
-                        raising=False)
-    monkeypatch.setattr(representations, "eval_table_recurrence",
-                        counting("recurrence", representations.eval_table_recurrence))
+    recurrence = counting("recurrence", representations.eval_table_recurrence)
+    for module in (racah, representations):
+        monkeypatch.setattr(module, "eval_table_recurrence", recurrence)
+        monkeypatch.setattr(module, "eval_table_hypergeometric",
+                            counting("3F2 table", representations.eval_table_hypergeometric))
+    for module in (racah, representations, hyper):
+        monkeypatch.setattr(module, "hypergeom_terminating",
+                            counting("3F2 sum", hyper.hypergeom_terminating))
     for d in (0, 1, 4, 7):
         calls.clear()
         assert verify_racah(d, F(-2, 7)).ok
-        assert calls == Counter(build=1), d
+        assert calls == Counter(build=1, recurrence=1), d
 
 
 @pytest.mark.parametrize(
     "check, field",
-    [("check_varphi", "varphi"),
-     ("check_table_matches_permuted_dual", "table4F3_matches_permuted_dual_hahn")],
+    [("check_index_mapping", "index_mapping"),
+     ("check_unbarred_identities", "unbarred_identities"),
+     ("check_starred_products", "starred_products"),
+     ("check_varphi", "varphi"),
+     ("check_table_matches_permuted_dual", "table4F3_matches_permuted_dual_hahn"),
+     ("check_racah_orthogonality", "orthogonality"),
+     ("check_barred_recurrence", "barred_recurrence"),
+     ("check_barred_matrices", "barred_matrices")],
 )
 def test_verify_racah_reports_a_failed_check_in_its_field(monkeypatch, check, field):
     monkeypatch.setattr(racah, check, lambda *args: False)
@@ -521,6 +534,137 @@ def test_verify_racah_reports_a_failed_check_in_its_field(monkeypatch, check, fi
     assert len(checks) == 8
     assert checks == {name: name != field for name in checks}
     assert not verdict.ok
+
+
+# -- the values field against the 3F2 table, its former reference --------------
+
+
+def table_matches_permuted_3f2(p, q, table):
+    """`check_table_matches_permuted_dual` against the 3F2 table of the dual
+    Hahn array, as it was decided before it read the recurrence table."""
+    dual = eval_table_hypergeometric(p).values
+    return all(table.values.column(j) == dual.column(k) for j, k in enumerate(index_map(q.d)))
+
+
+def verdict_of(p, q, table, values=check_table_matches_permuted_dual):
+    """The `RacahVerdict` of the eight checks on given artifacts, the values
+    field decided by `values`."""
+    return RacahVerdict(q.d, q.r, *barred_suite(
+        p, q, table, check_starred_products, check_racah_orthogonality, check_barred_matrices,
+        values,
+    ))
+
+
+RACAH_DELTAS = (F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(3, 4))
+RACAH_CHANGES = ("as built", "entry moved", "row doubled", "row negated", "theta", "a", "b", "c")
+
+
+def drawn_racah_case(rng):
+    """(change, dual array, barred array, 4F3 table) at d <= 9 and r = P/Q
+    with Q <= 40: as built, one table entry moved, one row doubled, one row
+    negated, or one theta, a, b or c entry of the dual array moved.  A moved
+    b keeps b_i != 0 for i < d, the recurrence table's premise."""
+    d = rng.randint(0, 9)
+    den = rng.randint(2, 40)
+    r = F(rng.choice([n for n in range(1 - den, den) if n]), den)
+    q = build_racah_params(d, r)
+    p, table = build_params(d, r, -r), eval_table_4F3(q)
+    change, i, delta = rng.choice(RACAH_CHANGES), rng.randint(0, d), rng.choice(RACAH_DELTAS)
+    if change == "entry moved":
+        h = rng.randint(0, d)
+        table = with_entry(table, i, h, table.at(i, h) + delta)
+    elif change in ("row doubled", "row negated"):
+        factor = 2 if change == "row doubled" else -1
+        table = with_row(table, i, [factor * u for u in table.values.row(i)])
+    elif change != "as built":
+        p = replace(p, **{change: replaced(getattr(p, change), i, delta)})
+        if not all(p.b[:d]):
+            return drawn_racah_case(rng)
+    return change, p, q, table
+
+
+def test_values_field_decides_with_the_verdict_as_the_3f2_reference_did():
+    """On drawn tables and dual arrays, the eight fields with the values
+    field read from the recurrence table conjoin to the same verdict as with
+    the 3F2 table.  Where the dual array is as built the two tables are
+    equal, so the field itself is the same; a moved theta, a, b or c changes
+    only the recurrence table, and `index_mapping` or `unbarred_identities`
+    rejects that array under both."""
+    rng = random.Random(2508)
+    counts = Counter()
+    for _ in range(640):
+        change, p, q, table = drawn_racah_case(rng)
+        new = verdict_of(p, q, table)
+        old = verdict_of(p, q, table, table_matches_permuted_3f2)
+        assert new.ok is old.ok, (change, p.d, p.r, new, old)
+        if change not in ("theta", "a", "b", "c"):
+            assert new == old, (change, p.d, p.r)
+        assert new.ok is (change == "as built"), change
+        counts[new.ok] += 1
+    assert counts[True] >= 40 and counts[True] + counts[False] >= 600, counts
+
+
+def scaled_rows(table, factors):
+    return ValueTable(RationalMatrix.from_rows(
+        [[f * u for u in row] for f, row in zip(factors, table.values.to_rows())]
+    ))
+
+
+def _racah_field_changes():
+    """At d = 3: (dual array, barred array, table, the fields that must fail)
+    for each change, one field failing alone where one change can do it."""
+    d, r = 3, F(1, 2)
+    q, p = build_racah_params(d, r), build_params(d, r, -r)
+    table = eval_table_4F3(q)
+    shift = canonical_shift(q)
+    theta_star = replaced(p.theta_star, d, F(1))
+    halved = [F(1)] + [F(1, 2)] * d
+    # b_0 doubled and c_1 halved on both arrays scale rows 1..d of the table
+    # by 1/2: the recurrence and the values still match, the norms do not.
+    rescaled = [replace(x, b=replaced(x.b, 0, x.b[0]), c=replaced(x.c, 1, -x.c[1] / 2))
+                for x in (p, q)]
+    return {
+        "as built": (p, q, table, set()),
+        "theta*_1 moved in the dual array":
+            (replace(p, theta_star=replaced(p.theta_star, 1, F(1))), q, table,
+             {"index_mapping"}),
+        "nu moved in the dual array":
+            (replace(p, nu=p.nu + 1), q, table, {"unbarred_identities"}),
+        "the last barred weight moved in the dual array":
+            (replace(p, k_star=replaced(p.k_star, index_map(d)[d], F(1))), q, table,
+             {"starred_products"}),
+        "theta*_d moved in both":
+            (replace(p, theta_star=theta_star),
+             replace(q, theta_star=tuple((t + shift) ** 2 for t in theta_star)), table,
+             {"varphi"}),
+        "table doubled, nu times 4 in both":
+            (replace(p, nu=4 * p.nu), replace(q, nu=4 * q.nu), scaled_rows(table, [2] * (d + 1)),
+             {"table4F3_matches_permuted_dual_hahn"}),
+        "nu doubled in both":
+            (replace(p, nu=2 * p.nu), replace(q, nu=2 * q.nu), table, {"orthogonality"}),
+        "b_0 doubled, c_1 halved in both":
+            (*rescaled, scaled_rows(table, halved), {"varphi", "orthogonality"}),
+        "a_d moved in both":
+            (replace(p, a=replaced(p.a, d, F(1))), replace(q, a=replaced(q.a, d, F(1))), table,
+             {"barred_recurrence"}),
+        # b*_0 c*_1 is unchanged, so is the square's diagonal; its (1, 0)
+        # entry b*_0 (2 lambda + a*_0 + a*_1) is not.
+        "b*_0 doubled, c*_1 halved in the dual array":
+            (replace(p, b_star=replaced(p.b_star, 0, p.b_star[0]),
+                     c_star=replaced(p.c_star, 1, -p.c_star[1] / 2)), q, table,
+             {"barred_matrices"}),
+    }
+
+
+RACAH_FIELD_CHANGES = _racah_field_changes()
+
+
+@pytest.mark.parametrize("change", RACAH_FIELD_CHANGES)
+def test_each_racah_field_is_decided_by_its_own_check(change):
+    p, q, table, failing = RACAH_FIELD_CHANGES[change]
+    verdict = verdict_of(p, q, table)
+    assert {f.name for f in fields(verdict)[2:] if not getattr(verdict, f.name)} == failing
+    assert verdict.ok is (not failing)
 
 
 # -- hoisted 4F3 parameters and integer kernels against the Fraction loops ------
