@@ -331,14 +331,15 @@ def cmd_verify_racah(args) -> int:
 
 
 def cmd_verify_sl2(args) -> int:
-    module, match = sl2mod._matched_example(args.kind, args.n)  # decides the domain first
+    match = sl2mod.verify_example_match(args.kind, args.n)  # decides the domain first
+    module = sl2mod.build_even_module(args.kind, args.n)
     payload = {
         "kind": args.kind,
         "n": args.n,
         "dim": module.dim,
         "relations": sl2mod.check_module_relations(module),
         "match": match,
-        "casimirScalar": module.casimir.at(0, 0),
+        "casimirScalar": Fraction(args.n * (args.n + 2), 2),
     }
     _emit(_json(payload))
     _require(payload["relations"] and payload["match"], "an sl2 identity fails")

@@ -70,7 +70,7 @@ def check_domain(
     r, s > -1; raises ParameterDomainError otherwise (TypeError for a float).
     With a positive denominator, r <= -1 iff its numerator is at most minus
     its denominator, a comparison of two ints."""
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:  # a bool is no size
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
     r = exact_rational("r", r)
     s = exact_rational("s", s)

@@ -8,7 +8,8 @@ own closed forms, written as integer pairs over the denominator of r, and
 completed and validated by `params.parameter_array`, like the dual Hahn one.
 It re-indexes the unbarred data: bar_b*, bar_c* are sigma-consecutive entries
 of the dual Hahn shifted square, and the 4F3 values are U o sigma, U the dual
-Hahn recurrence table.  `verify_racah` decides each identity once.
+Hahn recurrence table, decided without forming U.  `verify_racah` decides
+each identity once.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .representations import (
     ValueTable,
     _recurrence_holds,
     _require_table_shape,
+    _three_term_holds,
     check_orthogonality,
     eval_table_hypergeometric,  # noqa: F401 -- perfbench/spans.py traces `racah.eval_table_hypergeometric`
-    eval_table_recurrence,
     matrix_Lstar_ustar_basis,
 )
 
@@ -44,7 +45,7 @@ def build_racah_params(d: int, r: Fraction | int | str) -> ParameterArray:
     Requires r != 0 and -1 < r < 1, else ParameterDomainError (TypeError for
     a float r); the domain holds no integer, see `eval_table_4F3`.
     """
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:  # a bool is no size
         raise ParameterDomainError(f"d must be a natural number, got {d!r}")
     r = exact_rational("r", r)
     if r == 0 or not (-1 < r < 1):
@@ -178,13 +179,20 @@ def eval_table_4F3(q: ParameterArray) -> ValueTable:
 def check_table_matches_permuted_dual(
     p: ParameterArray, q: ParameterArray, table: ValueTable
 ) -> bool:
-    """The 4F3 table is U o sigma, U the dual Hahn recurrence table
-    (`eval_table_recurrence`), which shares no code with the 4F3: column j
-    against column sigma(j), u_i(bar_theta_j) == u_i(theta_sigma(j))."""
+    """The 4F3 table is U o sigma, U the dual Hahn recurrence table, which
+    shares no code with the 4F3: on the table's integer form, row 0 is
+    u_0 = 1 and column j obeys rows 0..d-1 of p's recurrence at theta_sigma(j).
+    With b_i != 0 (i < d), row i fixes u_{i+1} = ((x - a_i) u_i - c_i u_{i-1})
+    / b_i from the rows above, so these hold exactly when table == U o sigma;
+    a dual array with a zero b_i has no U and is a ZeroDivisionError."""
     _require_shared(p, q)
     _require_table_shape(q, table)
-    dual = eval_table_recurrence(p).values
-    return all(table.values.column(j) == dual.column(k) for j, k in enumerate(index_map(q.d)))
+    if not all(p.b[:q.d]):
+        raise ZeroDivisionError("the dual Hahn recurrence table needs b_i != 0 for i < d")
+    rows, den = table.int_rows
+    nodes = [p.theta[k] for k in index_map(q.d)]
+    return rows[0].count(den) == q.d + 1 and _three_term_holds(
+        table.int_columns, nodes, p.a, p.b, p.c, range(q.d))
 
 
 def check_racah_orthogonality(q: ParameterArray, table: ValueTable) -> bool:
@@ -247,15 +255,16 @@ class RacahVerdict:
 
 def verify_racah(d: int, r: Fraction | int | str) -> RacahVerdict:
     """Every barred identity, each checked in one field only, on one barred
-    array, one dual Hahn array p, one 4F3 table and one recurrence table U
-    of p.  "The same inner product" is `starred_products` (bar_k* = k* o
-    sigma), `table4F3_matches_permuted_dual_hahn` (the values: table ==
-    U o sigma) and `orthogonality`.  For any barred array and table, the
-    fields imply that L in the u-basis and both diagonals equal those
-    rebuilt from p (`unbarred_identities`, `index_mapping`).  U is the dual
-    Hahn table, as the recurrence and u_0 = 1 fix the polynomials; no field
-    evaluates a 3F2, which is reached only through `verify_dual_hahn`'s
-    `routes_agree` (`routesAgree` of the CLI's `verify-dual-hahn`).
+    array, one dual Hahn array p and one 4F3 table, with no recurrence
+    table U of p formed.  "The same inner product" is `starred_products`
+    (bar_k* = k* o sigma), `table4F3_matches_permuted_dual_hahn` (the
+    values: table == U o sigma) and `orthogonality`.  For any barred array
+    and table, the fields imply that L in the u-basis and both diagonals
+    equal those rebuilt from p (`unbarred_identities`, `index_mapping`).  U
+    is the dual Hahn table, as the recurrence and u_0 = 1 fix the
+    polynomials; no field evaluates a 3F2, which is reached only through
+    `verify_dual_hahn`'s `routes_agree` (`routesAgree` of the CLI's
+    `verify-dual-hahn`).
 
     `barred_matrices` makes each bar_b*_i, bar_c*_i a sigma-consecutive entry
     of the shifted square: b* b*, c* c*, or b*_{d-1} m, c*_d m where sigma

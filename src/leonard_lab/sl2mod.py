@@ -7,13 +7,13 @@ vectors w_0..w_n:
 
 The kind-k module (k = 0 or 1, n >= k) has basis v_i = w_{2i+k}, the weight
 vectors of parity k, so its dimension is (n-k)//2 + 1.  The Casimir acts as
-the scalar n(n+2)/2 by construction.  The one rule `_bands` gives the
-diagonal of H, the band of E^2 above it and the band of F^2 below it as ints,
-and every builder reads it.  The commutation identities [H, E^2] = 4 E^2 and
-[H, F^2] = -4 F^2 are decided entry by entry on a diagonal H; the products
-E^2 F^2 and F^2 E^2, the only matrix products, are compared with their
-polynomials in H and the Casimir value.  For odd n, fixed rational
-combinations of the generators, formed in closed form on the bands,
+the scalar c = n(n+2)/2, read from n where it acts.  The one rule `_bands`
+gives the diagonal of H, the band of E^2 above it and the band of F^2 below
+it as ints, and every builder reads it.  The commutation identities
+[H, E^2] = 4 E^2 and [H, F^2] = -4 F^2 are decided entry by entry on a
+diagonal H; the products E^2 F^2 and F^2 E^2, the only matrix products, are
+compared with their polynomials in H and c.  For odd n, fixed rational
+combinations of the generators, formed on the bands with no module built,
 reproduce the dual Hahn Leonard-pair matrices at
 (r, s, d) = (k - 1/2, 1/2 - k, (n-1)/2); the halved-cube catalog lists which
 modules occur for diameter D and the adjacency/dual-adjacency actions on
@@ -39,11 +39,10 @@ class EvenModule:
     e_sq: RationalMatrix
     f_sq: RationalMatrix
     h: RationalMatrix
-    casimir: RationalMatrix
 
 
 def _require_module(kind: int, n: int) -> None:
-    if kind not in (0, 1) or not isinstance(n, int) or n < kind:
+    if type(kind) is not int or kind not in (0, 1) or type(n) is not int or n < kind:
         raise ParameterDomainError(
             f"a module needs kind 0 or 1 and an integer n >= kind, got kind {kind!r}, n {n!r}"
         )
@@ -53,10 +52,6 @@ def _require_example(kind: int, n: int) -> None:
     _require_module(kind, n)
     if n % 2 == 0:
         raise ParameterDomainError(f"the example needs odd n, got {n}")
-
-
-def _casimir_value(n: int) -> Fraction:
-    return Fraction(n * (n + 2), 2)
 
 
 def _bands(kind: int, n: int) -> tuple[list[int], list[int], list[int]]:
@@ -93,14 +88,13 @@ def build_even_module(kind: int, n: int) -> EvenModule:
         e_sq=RationalMatrix.tridiagonal([0] * dim, zeros, raising),
         f_sq=RationalMatrix.tridiagonal([0] * dim, lowering, zeros),
         h=RationalMatrix.diagonal(h),
-        casimir=RationalMatrix.diagonal([_casimir_value(n)] * dim),
     )
 
 
 def check_module_relations(m: EvenModule) -> bool:
     """[H, E^2] = 4 E^2, [H, F^2] = -4 F^2, H diagonal (a weight basis),
-    Casimir = c I with c = n(n+2)/2, and the two products of the squared
-    generators as polynomials in H:
+    and the two products of the squared generators as polynomials in H and
+    the Casimir value c = n(n+2)/2:
 
         E^2 F^2 = (c - (H-2)^2/2 + H - 2)(c - H^2/2 + H)/4,
         F^2 E^2 = (c - (H+2)^2/2 - H - 2)(c - H^2/2 - H)/4,
@@ -111,9 +105,9 @@ def check_module_relations(m: EvenModule) -> bool:
     pairs; and each side of a product identity is the diagonal matrix of its
     polynomial at the entries of H, evaluated on integer pairs.  Only
     E^2 F^2 and F^2 E^2 are matrix products.  A scalar Casimir commutes with
-    every matrix, so its centrality tests nothing; the products fix the sizes
-    of E^2 and F^2 against c and H.  H, E^2 and F^2 must be dim x dim, or
-    this is a ValueError."""
+    every matrix, so its centrality tests nothing; the products, where c
+    acts, fix the sizes of E^2 and F^2 against c and H.  H, E^2 and F^2
+    must be dim x dim, or this is a ValueError."""
     dim = m.dim
     for x in (m.h, m.e_sq, m.f_sq):
         if (x.rows, x.cols) != (dim, dim):
@@ -122,8 +116,6 @@ def check_module_relations(m: EvenModule) -> bool:
             )
     diagonal = m.h.entries[:: dim + 1]
     if m.h != RationalMatrix.diagonal(diagonal):
-        return False
-    if m.casimir != RationalMatrix.diagonal([_casimir_value(m.n)] * dim):
         return False
     h = [x.as_integer_ratio() for x in diagonal]
     for weight, x in ((4, m.e_sq), (-4, m.f_sq)):
@@ -166,25 +158,20 @@ def _banded_combination(
     return RationalMatrix._exact(dim, dim, tuple(flat))
 
 
-def _example_pair(m: EvenModule) -> tuple[RationalMatrix, RationalMatrix]:
-    """`example_pair` on a built module; the second matrix is the diagonal
-    (n - 2 kind - h_i)/4."""
-    bands = _bands(m.kind, m.n)
-    first = _banded_combination(m.n, bands, 1, Fraction(1, 4))
-    dim = m.dim
-    second = [_ZERO] * (dim * dim)
-    for i, x in enumerate(bands[0]):
-        second[i * (dim + 1)] = _ratio(m.n - 2 * m.kind - x, 4)
-    return first, RationalMatrix._exact(dim, dim, tuple(second))
-
-
 def example_pair(kind: int, n: int) -> tuple[RationalMatrix, RationalMatrix]:
     """The rational generator combinations that reproduce the dual Hahn
     Leonard pair on the odd-degree modules:
     (E^2 + F^2 + Casimir - 1)/4 - H^2/8, paired with (n - H)/4 - kind/2,
-    which is i on v_i."""
+    which is i on v_i.  Both are read off `_bands`, with no module built;
+    the second is the diagonal (n - 2 kind - h_i)/4."""
     _require_example(kind, n)
-    return _example_pair(build_even_module(kind, n))
+    bands = _bands(kind, n)
+    first = _banded_combination(n, bands, 1, Fraction(1, 4))
+    dim = len(bands[0])
+    second = [_ZERO] * (dim * dim)
+    for i, x in enumerate(bands[0]):
+        second[i * (dim + 1)] = _ratio(n - 2 * kind - x, 4)
+    return first, RationalMatrix._exact(dim, dim, tuple(second))
 
 
 def example_parameters(kind: int, n: int) -> tuple[Fraction, Fraction, int]:
@@ -196,18 +183,12 @@ def example_parameters(kind: int, n: int) -> tuple[Fraction, Fraction, int]:
 
 def verify_example_match(kind: int, n: int) -> bool:
     """Entrywise equality of the example pair with the u-basis matrices of
-    (L, L*) at the matched (r, s, d)."""
-    return _matched_example(kind, n)[1]
-
-
-def _matched_example(kind: int, n: int) -> tuple[EvenModule, bool]:
-    """The module of the odd-n example, built once after its domain is
-    decided, and `verify_example_match` on it."""
+    (L, L*) at the matched (r, s, d); the domain is decided first, and no
+    module is built."""
     r, s, d = example_parameters(kind, n)
-    m = build_even_module(kind, n)
-    first, second = _example_pair(m)
+    first, second = example_pair(kind, n)
     p = build_params(d, r, s)
-    return m, first == matrix_L_u_basis(p) and second == matrix_Lstar_u_basis(p)
+    return first == matrix_L_u_basis(p) and second == matrix_Lstar_u_basis(p)
 
 
 @dataclass(frozen=True)
@@ -223,7 +204,7 @@ def terwilliger_catalog(D: int) -> list[CatalogEntry]:
     kind k mod 2 of degree D-2k for k = 0..floor(D/2), wherever that module
     exists (degree >= kind).  Each entry carries the adjacency action
     (E^2 + F^2 + Casimir - D)/2 - H^2/4 and the dual adjacency action H."""
-    if D < 1:
+    if isinstance(D, bool) or D < 1:
         raise ParameterDomainError(f"catalog needs D >= 1, got {D}")
     entries = []
     for k in range(D // 2 + 1):

@@ -178,6 +178,13 @@ MUTANTS = (
     ),
     Mutant(
         "sl2mod.py",
+        "_ratio(n - 2 * kind - x, 4)",
+        "_ratio(n - x, 4)",
+        ("tests/test_sl2mod.py::test_second_matrix_is_diagonal_0_to_d",),
+        "the example's second matrix is (n - H)/4 - kind/2; a kind-1 module starts at w_1",
+    ),
+    Mutant(
+        "sl2mod.py",
         "_ratio(half_ef(x - 2 * q, q, 1) * half_ef(x, q, 1), den)",
         "_ratio(half_ef(x - 2 * q, q, -1) * half_ef(x, q, -1), den)",
         ("tests/test_sl2mod.py::test_module_relations",
@@ -266,7 +273,7 @@ MUTANTS = (
         "ok: the conjunction takes every identity field, closed_forms_match first",
     ),
     # One mutant per field of the Racah verdict, in the check that decides
-    # it, one in its conjunction and two on the values field's reference.
+    # it, one in its conjunction and one more on the values field.
     Mutant(
         "racah.py",
         "    return all(\n        q.theta_star[i] == (p.theta_star[i] + half_shift) ** 2",
@@ -297,19 +304,20 @@ MUTANTS = (
     ),
     Mutant(
         "racah.py",
-        "dual = eval_table_recurrence(p).values",
-        "dual = eval_table_hypergeometric(p).values",
+        "nodes = [p.theta[k] for k in index_map(q.d)]",
+        "nodes = list(p.theta)",
         ("tests/test_racah.py::"
-         "test_verify_racah_builds_one_dual_array_and_one_recurrence_table",),
-        "table4F3_matches_permuted_dual_hahn: the 3F2 route is decided once, by verify_dual_hahn",
+         "test_values_field_decides_with_the_verdict_as_the_3f2_reference_did",),
+        "table4F3_matches_permuted_dual_hahn: column j of the 4F3 obeys the recurrence at "
+        "theta_sigma(j), not at theta_j",
     ),
     Mutant(
         "racah.py",
-        "for j, k in enumerate(index_map(q.d)))",
-        "for j, k in enumerate(range(q.d + 1)))",
-        ("tests/test_racah.py::"
-         "test_values_field_decides_with_the_verdict_as_the_3f2_reference_did",),
-        "table4F3_matches_permuted_dual_hahn: column j of the 4F3 is column sigma(j) of U",
+        "return rows[0].count(den) == q.d + 1 and _three_term_holds(",
+        "return _three_term_holds(",
+        (_RACAH_FIELDS,),
+        "table4F3_matches_permuted_dual_hahn: u_0 = 1 fixes the scale that the homogeneous "
+        "recurrence leaves free; a doubled table obeys every row of it",
     ),
     Mutant(
         "representations.py",

@@ -352,10 +352,6 @@ def _false(*args, **kwargs):
     return False
 
 
-def _unmatched_example(kind, n):
-    return sl2mod.build_even_module(kind, n), False
-
-
 def _identity_table(p):
     return ValueTable(RationalMatrix.diagonal([1] * (p.d + 1)))
 
@@ -373,7 +369,7 @@ def _identity_table(p):
         (("verify-sl2", "--kind", "0", "--n", "3"),
          sl2mod, "check_module_relations", _false, "relations"),
         (("verify-sl2", "--kind", "1", "--n", "3"),
-         sl2mod, "_matched_example", _unmatched_example, "match"),
+         sl2mod, "verify_example_match", _false, "match"),
     ],
     ids=["table", "params", "verify-dual-hahn", "verify-racah", "verify-sl2 relations",
          "verify-sl2 match"],

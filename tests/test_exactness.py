@@ -291,7 +291,7 @@ def test_sl2mod_artifacts_are_exact():
     for kind in (0, 1):
         for n in range(kind, 12):
             m = build_even_module(kind, n)
-            for name in ("e_sq", "f_sq", "h", "casimir"):
+            for name in ("e_sq", "f_sq", "h"):
                 assert_exact(getattr(m, name).entries, (kind, n, name))
             if n % 2:
                 for matrix in example_pair(kind, n):

@@ -27,6 +27,7 @@ from leonard_lab.representations import (
     check_orthogonality,
     eval_table_hypergeometric,
     eval_table_recurrence,
+    verify_dual_hahn,
 )
 
 @st.composite
@@ -107,6 +108,12 @@ def test_domain_errors(r, s):
 def test_d_must_be_natural():
     with pytest.raises(ParameterDomainError):
         build_params(-1, F(1, 2), F(1, 2))
+    # A bool is no size, though True == 1 and False == 0.
+    for d in (True, False):
+        with pytest.raises(ParameterDomainError, match="d must be a natural number"):
+            build_params(d, 1, 1)
+        with pytest.raises(ParameterDomainError, match="d must be a natural number"):
+            verify_dual_hahn(d, 1, 1)
 
 
 def _fraction_check_domain(d, r, s):

@@ -64,6 +64,9 @@ def test_domain_errors():
         for r in (F(0), F(1), F(-1), F(2), F(3, 2)):
             with pytest.raises(ParameterDomainError):
                 build_racah_params(d, r)
+    for d in (True, False):
+        with pytest.raises(ParameterDomainError, match="d must be a natural number"):
+            build_racah_params(d, "1/2")
 
 
 def test_index_map_examples():
@@ -490,9 +493,10 @@ def test_starred_b_and_c_are_decided_by_the_matrix_field(d, r, data):
     assert not check_starred_products(replace(p, a_star=tuple(a_star)), q)
 
 
-def test_verify_racah_builds_one_dual_array_and_one_recurrence_table(monkeypatch):
-    """The values field reads the dual Hahn recurrence table; no 3F2 table
-    and no single 3F2 sum is evaluated."""
+def test_verify_racah_builds_one_dual_array_and_no_recurrence_table(monkeypatch):
+    """The values field decides table == U o sigma on the 4F3 table's own
+    integer columns: one dual array, one barred array and one 4F3 table
+    are built, and no recurrence table, no 3F2 table and no single 3F2 sum."""
     calls = Counter()
 
     def counting(name, function):
@@ -502,9 +506,13 @@ def test_verify_racah_builds_one_dual_array_and_one_recurrence_table(monkeypatch
         return counted
 
     monkeypatch.setattr(racah, "build_params", counting("build", racah.build_params))
-    recurrence = counting("recurrence", representations.eval_table_recurrence)
+    monkeypatch.setattr(racah, "build_racah_params",
+                        counting("barred", racah.build_racah_params))
+    monkeypatch.setattr(racah, "eval_table_4F3", counting("4F3 table", racah.eval_table_4F3))
+    assert not hasattr(racah, "eval_table_recurrence")
+    monkeypatch.setattr(representations, "eval_table_recurrence",
+                        counting("recurrence", representations.eval_table_recurrence))
     for module in (racah, representations):
-        monkeypatch.setattr(module, "eval_table_recurrence", recurrence)
         monkeypatch.setattr(module, "eval_table_hypergeometric",
                             counting("3F2 table", representations.eval_table_hypergeometric))
     for module in (racah, representations, hyper):
@@ -513,7 +521,24 @@ def test_verify_racah_builds_one_dual_array_and_one_recurrence_table(monkeypatch
     for d in (0, 1, 4, 7):
         calls.clear()
         assert verify_racah(d, F(-2, 7)).ok
-        assert calls == Counter(build=1, recurrence=1), d
+        assert calls == Counter({"build": 1, "barred": 1, "4F3 table": 1}), d
+
+
+def test_values_field_refuses_a_dual_array_without_a_recurrence_table():
+    """After refusing mismatched arrays and a table of another shape, the
+    values field refuses a dual array with some b_i = 0 (i < d), for which
+    the recurrence table U does not exist, with a ZeroDivisionError."""
+    d, r = 4, F(1, 3)
+    q, p = build_racah_params(d, r), build_params(d, r, -r)
+    table = eval_table_4F3(q)
+    for i in range(d):
+        cut = replace(p, b=replaced(p.b, i, -p.b[i]))
+        with pytest.raises(ZeroDivisionError):
+            check_table_matches_permuted_dual(cut, q, table)
+        with pytest.raises(ValueError, match="parameter mismatch"):
+            check_table_matches_permuted_dual(replace(cut, d=d + 1), q, table)
+        with pytest.raises(ValueError, match="table shape mismatch"):
+            check_table_matches_permuted_dual(cut, q, eval_table_4F3(build_racah_params(d - 1, r)))
 
 
 @pytest.mark.parametrize(
@@ -536,7 +561,15 @@ def test_verify_racah_reports_a_failed_check_in_its_field(monkeypatch, check, fi
     assert not verdict.ok
 
 
-# -- the values field against the 3F2 table, its former reference --------------
+# -- the values field against U and the 3F2 table, its former references ------
+
+
+def table_matches_permuted_recurrence(p, q, table):
+    """`check_table_matches_permuted_dual` as it was decided before it read
+    the table's integer columns: column j of the table against column
+    sigma(j) of the recurrence table U, which is formed whole."""
+    dual = eval_table_recurrence(p).values
+    return all(table.values.column(j) == dual.column(k) for j, k in enumerate(index_map(q.d)))
 
 
 def table_matches_permuted_3f2(p, q, table):
@@ -584,17 +617,20 @@ def drawn_racah_case(rng):
 
 
 def test_values_field_decides_with_the_verdict_as_the_3f2_reference_did():
-    """On drawn tables and dual arrays, the eight fields with the values
-    field read from the recurrence table conjoin to the same verdict as with
-    the 3F2 table.  Where the dual array is as built the two tables are
-    equal, so the field itself is the same; a moved theta, a, b or c changes
-    only the recurrence table, and `index_mapping` or `unbarred_identities`
-    rejects that array under both."""
+    """On drawn tables and dual arrays, the values field equals the
+    comparison with the whole recurrence table U, and the eight fields
+    conjoin to the same verdict as with the 3F2 table in its place.  Where
+    the dual array is as built the two tables are equal, so the field itself
+    is the same; a moved theta, a, b or c changes only the recurrence table,
+    and `index_mapping` or `unbarred_identities` rejects that array under
+    both."""
     rng = random.Random(2508)
     counts = Counter()
     for _ in range(640):
         change, p, q, table = drawn_racah_case(rng)
         new = verdict_of(p, q, table)
+        assert new.table4F3_matches_permuted_dual_hahn is table_matches_permuted_recurrence(
+            p, q, table), (change, p.d, p.r)
         old = verdict_of(p, q, table, table_matches_permuted_3f2)
         assert new.ok is old.ok, (change, p.d, p.r, new, old)
         if change not in ("theta", "a", "b", "c"):

@@ -28,7 +28,6 @@ def test_build_kind0_n3():
     assert m.e_sq == RationalMatrix.from_rows([[0, 2], [0, 0]])
     assert m.f_sq == RationalMatrix.from_rows([[0, 0], [6, 0]])
     assert m.h == RationalMatrix.diagonal([3, -1])
-    assert m.casimir == RationalMatrix.diagonal([F(15, 2)] * 2)
 
 
 def test_build_kind1_n3():
@@ -37,14 +36,12 @@ def test_build_kind1_n3():
     assert m.h == RationalMatrix.diagonal([1, -3])
     assert m.e_sq == RationalMatrix.from_rows([[0, 6], [0, 0]])
     assert m.f_sq == RationalMatrix.from_rows([[0, 0], [2, 0]])
-    assert m.casimir == RationalMatrix.diagonal([F(15, 2)] * 2)
 
 
 def test_build_kind0_n0():
     m = build_even_module(0, 0)
     assert m.dim == 1
     assert m.h == RationalMatrix.from_rows([[0]])
-    assert m.casimir == RationalMatrix.from_rows([[0]])
     assert m.e_sq == RationalMatrix.from_rows([[0]])
 
 
@@ -74,7 +71,6 @@ def test_weight_vector_rule_matches_the_per_kind_formulas(kind):
         assert m.e_sq == RationalMatrix.tridiagonal([0] * dim, zeros, raising), n
         assert m.f_sq == RationalMatrix.tridiagonal([0] * dim, lowering, zeros), n
         assert m.h == RationalMatrix.diagonal(cartan), n
-        assert m.casimir == RationalMatrix.diagonal([F(n * (n + 2), 2)] * dim), n
 
 
 def _dense_module(kind, n):
@@ -134,7 +130,7 @@ def _assert_sparse_entries(m):
 def test_generator_combination_matches_the_dense_oracle(kind):
     for n in range(kind, 26):
         m = build_even_module(kind, n)
-        for matrix in (m.e_sq, m.f_sq, m.h, m.casimir):
+        for matrix in (m.e_sq, m.f_sq, m.h):
             _assert_sparse_entries(matrix)
         for shift, scale in ((1, F(1, 4)), (n, F(1, 2)), (0, F(-3, 7))):
             combined = _combination(m, shift, scale)
@@ -167,7 +163,11 @@ def test_build_invalid_arguments():
         build_even_module(0, -1)
     with pytest.raises(ParameterDomainError):
         build_even_module(0, 3.0)
-    for kind, n in ((0, 4), (0, 0), (1, 2), (1, 0), (0, -1), (2, 3), (-1, 3)):
+    # A bool is no kind and no degree, though True == 1 and False == 0.
+    for kind, n in ((False, True), (True, 3), (0, True), (False, 3)):
+        with pytest.raises(ParameterDomainError, match="kind 0 or 1"):
+            build_even_module(kind, n)
+    for kind, n in ((0, 4), (0, 0), (1, 2), (1, 0), (0, -1), (2, 3), (-1, 3), (True, 3)):
         with pytest.raises(ParameterDomainError):
             example_pair(kind, n)
         with pytest.raises(ParameterDomainError):
@@ -192,15 +192,23 @@ def test_module_relations_reject_rescaled_generators(kind, n):
 
 @pytest.mark.parametrize("kind, n", [(0, 0), (0, 5), (1, 7)])
 def test_module_relations_reject_a_wrong_casimir_value(kind, n):
+    # The Casimir value n(n+2)/2 is read from n, so generators of degree n
+    # labelled n + 2 fail.  At dim 1 the one zero weight vector with
+    # E^2 = F^2 = 0 is also the kind-1 module of degree 2, so the relations
+    # hold for n = 2 there, and n + 4 is wrong.
     m = build_even_module(kind, n)
-    assert not check_module_relations(replace(m, casimir=m.casimir.plus_scalar(1)))
+    if m.dim == 1:
+        assert check_module_relations(replace(m, n=m.n + 2))
+        assert not check_module_relations(replace(m, n=m.n + 4))
+    else:
+        assert not check_module_relations(replace(m, n=m.n + 2))
 
 
 def _dense_check_module_relations(m):
     """The relations as whole-matrix identities: both commutators formed
-    from matrix products as dense entry lists, H and the Casimir compared
-    with the diagonal matrices they must be, and E^2 F^2, F^2 E^2 with the
-    diagonal matrices of their polynomials in H; kept as the oracle of
+    from matrix products as dense entry lists, H compared with the diagonal
+    matrix it must be, and E^2 F^2, F^2 E^2 with the diagonal matrices of
+    their polynomials in H and c = n(n+2)/2; kept as the oracle of
     `check_module_relations`."""
     for weight, x in ((4, m.e_sq), (-4, m.f_sq)):
         left, right = m.h @ x, x @ m.h
@@ -212,8 +220,6 @@ def _dense_check_module_relations(m):
     h = [m.h.at(i, i) for i in range(m.dim)]
     c = F(m.n * (m.n + 2), 2)
     if m.h != RationalMatrix.diagonal(h):
-        return False
-    if m.casimir != RationalMatrix.diagonal([c] * m.dim):
         return False
 
     def half_ef(shift, sign):
@@ -255,8 +261,7 @@ def _perturbed_modules(m):
     yield "h shifted by 1", replace(m, h=m.h.plus_scalar(1))
     yield "h shifted by 1/2", replace(m, h=m.h.plus_scalar(F(1, 2)))
     yield "h_0 + 1/2", replace(m, h=_with_entry(m.h, 0, 0, h[0] + F(1, 2)))
-    yield "casimir + 1", replace(m, casimir=m.casimir.plus_scalar(1))
-    yield "casimir off the diagonal", replace(m, casimir=_with_entry(m.casimir, last, 0, 1))
+    yield "n + 2", replace(m, n=m.n + 2)
     yield "e_sq doubled", replace(m, e_sq=_times(m.e_sq, 2))
     yield "f_sq times -1/3", replace(m, f_sq=_times(m.f_sq, F(-1, 3)))
     yield "conjugated", _conjugated(m, [F(i + 2, 3) for i in range(dim)])
@@ -362,6 +367,8 @@ def test_catalog_frozen_examples():
     assert [(e.kind, e.n) for e in terwilliger_catalog(6)] == [(0, 6), (1, 4), (0, 2)]
     with pytest.raises(ParameterDomainError):
         terwilliger_catalog(0)
+    with pytest.raises(ParameterDomainError, match="D >= 1"):
+        terwilliger_catalog(True)
 
 
 @pytest.mark.parametrize("D", (3, 5, 7, 9))
@@ -384,8 +391,6 @@ def test_catalog_matches_leonard_pairs_for_odd_diameter(D):
 
 
 def test_json_serialization(capsys):
-    m = build_even_module(0, 3)
-    assert m.casimir == RationalMatrix.diagonal([F(15, 2), F(15, 2)])
     assert main(["catalog", "--D", "3"]) == 0
     entries = json.loads(capsys.readouterr().out)["modules"]
     assert entries[0]["kind"] == 0 and entries[0]["n"] == 3
@@ -407,4 +412,19 @@ def test_verify_sl2_builds_its_module_once(monkeypatch, capsys, kind, n):
     assert json.loads(capsys.readouterr().out)["match"] is True
     built.clear()
     assert main(["verify-sl2", "--kind", str(kind), "--n", str(n + 1)]) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, n", [(0, 5), (1, 25)])
+def test_example_builds_no_module(monkeypatch, kind, n):
+    """The example pair and its match are read off `_bands`: no call builds
+    a module, on the domain or off it."""
+    built = []
+    monkeypatch.setattr(sl2mod, "build_even_module", lambda *args: built.append(args))
+    _, second = example_pair(kind, n)
+    assert second == RationalMatrix.diagonal(list(range((n - 1) // 2 + 1)))
+    assert verify_example_match(kind, n)
+    for call in (example_pair, verify_example_match):
+        with pytest.raises(ParameterDomainError):
+            call(kind, n + 1)
     assert built == []
